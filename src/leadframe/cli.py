@@ -10,10 +10,12 @@ to see the resolved configuration of each run on stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import config as config_mod
@@ -24,7 +26,6 @@ from .panel import build_timelines, parse_panel_csv, validate_timeline, write_pa
 from .synth import SynthConfig, generate_panel
 from .transform import (
     EmptyWindowPolicy,
-    ReferenceFrameConfig,
     build_training_set,
     read_training_csv,
     score_features,
@@ -33,7 +34,7 @@ from .transform import (
 
 logger = logging.getLogger("leadframe")
 
-_POLICIES = {policy.value: policy for policy in EmptyWindowPolicy}
+_POLICIES = sorted(policy.value for policy in EmptyWindowPolicy)
 
 
 def _setup_logging() -> None:
@@ -44,20 +45,25 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(message)s")
 
 
+# (flag, RunConfig section, field): each flag the user gives replaces one field.
+_OVERRIDES = (
+    ("lead_time", "reference_frame", "lead_time"),
+    ("policy", "reference_frame", "empty_window_policy"),
+    ("lead_times", "eval_settings", "lead_times"),
+    ("seed", "eval_settings", "seed"),
+    ("threshold", "eval_settings", "threshold"),
+)
+
+
 def _load_config(args: argparse.Namespace) -> config_mod.RunConfig:
+    """Load the run config and apply the flags given, each checked like its field."""
     cfg = config_mod.load_run_config(args.config)
+    for flag, section, name in _OVERRIDES:
+        value = getattr(args, flag, None)
+        if value is not None:
+            cfg = replace(cfg, **{section: replace(getattr(cfg, section), **{name: value})})
     logger.info("resolved config: %s", json.dumps(cfg.to_json_dict(), sort_keys=True))
     return cfg
-
-
-def _frame_from_args(args: argparse.Namespace, cfg: config_mod.RunConfig) -> ReferenceFrameConfig:
-    lead_time = cfg.reference_frame.lead_time
-    policy = cfg.reference_frame.empty_window_policy
-    if getattr(args, "lead_time", None) is not None:
-        lead_time = args.lead_time
-    if getattr(args, "policy", None) is not None:
-        policy = _POLICIES[args.policy]
-    return ReferenceFrameConfig(lead_time=lead_time, empty_window_policy=policy)
 
 
 def _read_panel(path: str, cfg: config_mod.RunConfig):
@@ -84,9 +90,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_transform(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    frame = _frame_from_args(args, cfg)
     timelines = _read_panel(args.input, cfg)
-    training = build_training_set(timelines, frame, cfg.plan)
+    training = build_training_set(timelines, cfg.reference_frame, cfg.plan)
     _write_text(args.output, lambda h: write_training_csv(training, h))
     report_path = Path(args.output).with_suffix(".report.json")
     report_path.write_text(
@@ -124,10 +129,11 @@ def cmd_score(args: argparse.Namespace) -> int:
     timelines = _read_panel(args.input, cfg)
 
     def render(handle) -> None:
-        handle.write("entity_id,probability\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("entity_id", "probability"))
         for timeline in timelines:
             vector = score_features(timeline, cfg.plan)
-            handle.write(f"{timeline.entity_id},{predict_proba(model, vector)!r}\n")
+            writer.writerow((timeline.entity_id, repr(predict_proba(model, vector))))
 
     _write_text(args.output, render)
     logger.info("scored %d entities -> %s", len(timelines), args.output)
@@ -137,28 +143,19 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     timelines = _read_panel(args.input, cfg)
-    lead_times = (
-        args.lead_times if args.lead_times is not None else list(cfg.eval_settings.lead_times)
-    )
-    seed = args.seed if args.seed is not None else cfg.eval_settings.seed
-    threshold = args.threshold if args.threshold is not None else cfg.eval_settings.threshold
-    policy = (
-        _POLICIES[args.policy]
-        if args.policy is not None
-        else cfg.reference_frame.empty_window_policy
-    )
+    settings = cfg.eval_settings
     curve = lead_time_sweep(
         timelines,
         cfg.plan,
-        lead_times,
+        settings.lead_times,
         cfg.train,
-        cfg.eval_settings.test_fraction,
-        seed,
-        threshold=threshold,
-        empty_window_policy=policy,
+        settings.test_fraction,
+        settings.seed,
+        threshold=settings.threshold,
+        empty_window_policy=cfg.reference_frame.empty_window_policy,
     )
     _write_text(args.output, lambda h: write_curve_csv(curve, h))
-    logger.info("sweep over lead times %s -> %s", lead_times, args.output)
+    logger.info("sweep over lead times %s -> %s", list(settings.lead_times), args.output)
     return 0
 
 
@@ -213,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="run config JSON path")
     p.add_argument("--output", required=True, help="training-set CSV path")
     p.add_argument("--lead-time", type=int, default=None, help="override config lead time")
-    p.add_argument("--policy", choices=sorted(_POLICIES), default=None,
+    p.add_argument("--policy", choices=_POLICIES, default=None,
                    help="override empty-window policy")
 
     p = add("train", cmd_train, "fit the classifier on a training-set CSV")
@@ -235,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override config lead times, e.g. 0,1,2,3")
     p.add_argument("--seed", type=int, default=None, help="override eval split seed")
     p.add_argument("--threshold", type=float, default=None, help="override decision threshold")
-    p.add_argument("--policy", choices=sorted(_POLICIES), default=None,
+    p.add_argument("--policy", choices=_POLICIES, default=None,
                    help="override empty-window policy")
 
     p = add("synth", cmd_synth, "generate a seeded synthetic panel CSV")

@@ -3,27 +3,22 @@
 Sections: ``schema`` (column roles), ``plan`` (aggregation features),
 ``reference_frame`` (lead time + empty-window policy), ``train`` (optimizer
 settings), ``eval`` (split fraction, threshold, sweep lead times, seed).
-``schema`` and ``plan`` are required; the rest fall back to defaults.
-Command-line flags override individual fields after loading.
+``schema`` and ``plan`` are required; the rest fall back to the defaults of
+their dataclasses.  Command-line flags override individual fields after
+loading and are checked by the same dataclass as the field they replace.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Union
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_int, check_real
 from .model import TrainConfig
 from .panel import PanelSchema
-from .transform import (
-    AggKind,
-    AggregationPlan,
-    EmptyWindowPolicy,
-    FeatureSpec,
-    ReferenceFrameConfig,
-)
+from .transform import AggKind, AggregationPlan, FeatureSpec, ReferenceFrameConfig
 
 
 @dataclass(frozen=True)
@@ -34,17 +29,19 @@ class EvalSettings:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_real(
+            self.test_fraction,
+            "eval.test_fraction must lie strictly between 0 and 1",
+            lambda v: 0.0 < v < 1.0,
+        )
+        check_real(self.threshold, "eval.threshold must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+        lead_times_message = "eval.lead_times must be non-negative integers"
+        if not isinstance(self.lead_times, (list, tuple)) or not self.lead_times:
+            raise InvalidConfig(lead_times_message)
+        for lead_time in self.lead_times:
+            check_int(lead_time, lead_times_message)
         object.__setattr__(self, "lead_times", tuple(self.lead_times))
-        if not 0.0 < self.test_fraction < 1.0:
-            raise InvalidConfig("eval.test_fraction must lie strictly between 0 and 1")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise InvalidConfig("eval.threshold must lie in [0, 1]")
-        if not self.lead_times or any(
-            not isinstance(t, int) or t < 0 for t in self.lead_times
-        ):
-            raise InvalidConfig("eval.lead_times must be non-negative integers")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise InvalidConfig("eval.seed must fit in an unsigned 64-bit integer")
+        check_int(self.seed, "eval.seed must fit in an unsigned 64-bit integer", high=2**64)
 
 
 @dataclass(frozen=True)
@@ -52,9 +49,7 @@ class RunConfig:
     schema: PanelSchema
     plan: AggregationPlan
     reference_frame: ReferenceFrameConfig = field(default_factory=ReferenceFrameConfig)
-    train: TrainConfig = field(
-        default_factory=lambda: TrainConfig(epochs=500, learning_rate=0.1)
-    )
+    train: TrainConfig = field(default_factory=TrainConfig)
     eval_settings: EvalSettings = field(default_factory=EvalSettings)
 
     def __post_init__(self) -> None:
@@ -79,12 +74,7 @@ class RunConfig:
                 "empty_window_policy": self.reference_frame.empty_window_policy.value,
             },
             "train": self.train.to_json_dict(),
-            "eval": {
-                "test_fraction": self.eval_settings.test_fraction,
-                "threshold": self.eval_settings.threshold,
-                "lead_times": list(self.eval_settings.lead_times),
-                "seed": self.eval_settings.seed,
-            },
+            "eval": asdict(self.eval_settings),
         }
 
 
@@ -123,6 +113,16 @@ def _spec_from_json(obj: dict, position: int) -> FeatureSpec:
     return FeatureSpec(name, kind, _require(obj, "column", where))
 
 
+def _section(doc: dict, key: str, cls: type):
+    """Build an optional section from the keys ``cls`` declares; the dataclass
+    supplies the defaults and the checks, and unknown keys are ignored."""
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise InvalidConfig(f"{key} must be an object")
+    names = {f.name for f in fields(cls)}
+    return cls(**{name: value for name, value in section.items() if name in names})
+
+
 def run_config_from_json_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise InvalidConfig("config document must be a JSON object")
@@ -142,41 +142,12 @@ def run_config_from_json_dict(doc: dict) -> RunConfig:
         specs=tuple(_spec_from_json(obj, i) for i, obj in enumerate(plan_doc))
     )
 
-    frame_doc = doc.get("reference_frame", {})
-    policy_value = frame_doc.get("empty_window_policy", EmptyWindowPolicy.DROP.value)
-    try:
-        policy = EmptyWindowPolicy(policy_value)
-    except ValueError:
-        raise InvalidConfig(
-            f"reference_frame.empty_window_policy must be 'drop' or 'zeros', "
-            f"got {policy_value!r}"
-        ) from None
-    reference_frame = ReferenceFrameConfig(
-        lead_time=frame_doc.get("lead_time", 1), empty_window_policy=policy
-    )
-
-    train_doc = doc.get("train", {})
-    train = TrainConfig(
-        epochs=train_doc.get("epochs", 500),
-        learning_rate=train_doc.get("learning_rate", 0.1),
-        l2_penalty=train_doc.get("l2_penalty", 0.0),
-        seed=train_doc.get("seed", 0),
-    )
-
-    eval_doc = doc.get("eval", {})
-    eval_settings = EvalSettings(
-        test_fraction=eval_doc.get("test_fraction", 0.25),
-        threshold=eval_doc.get("threshold", 0.5),
-        lead_times=tuple(eval_doc.get("lead_times", (0, 1, 2, 3))),
-        seed=eval_doc.get("seed", 0),
-    )
-
     return RunConfig(
         schema=schema,
         plan=plan,
-        reference_frame=reference_frame,
-        train=train,
-        eval_settings=eval_settings,
+        reference_frame=_section(doc, "reference_frame", ReferenceFrameConfig),
+        train=_section(doc, "train", TrainConfig),
+        eval_settings=_section(doc, "eval", EvalSettings),
     )
 
 

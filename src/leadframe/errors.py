@@ -1,8 +1,13 @@
-"""Exception hierarchy shared by all leadframe modules.
+"""Exception hierarchy shared by all leadframe modules, and the range checks
+every config dataclass applies to its fields.
 
 ParseError and its subclasses cover malformed input files (CLI exit code 2);
 every other LeadframeError is a domain or validation failure (exit code 1).
 """
+
+import math
+from numbers import Real
+from typing import Callable
 
 
 class LeadframeError(Exception):
@@ -51,3 +56,17 @@ class TooFewEntities(LeadframeError):
 
 class InvalidConfig(LeadframeError):
     """A configuration value is missing, malformed, or out of range."""
+
+
+def check_int(value: object, message: str, low: int = 0, high: float = math.inf) -> None:
+    """Raise InvalidConfig(message) unless value is an int, not a bool, in [low, high)."""
+    if not isinstance(value, int) or isinstance(value, bool) or not low <= value < high:
+        raise InvalidConfig(message)
+
+
+def check_real(value: object, message: str, accept: Callable[[float], bool]) -> None:
+    """Raise InvalidConfig(message) unless value is a finite real, not a bool, that
+    ``accept`` holds for."""
+    finite = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    if not (finite and accept(value)):
+        raise InvalidConfig(message)

@@ -11,9 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import DimensionMismatch, InvalidConfig, TooFewEntities
+import numpy as np
+
+from .errors import DimensionMismatch, InvalidConfig, TooFewEntities, check_int, check_real
 from .model import LogisticModel, TrainConfig, predict_proba, train_logistic
 from .panel import EntityTimeline
 from .rng import SplitMix64
@@ -64,23 +67,15 @@ def _rank_auc(scores: list[float], labels: list[int]) -> tuple[float, bool]:
     Returns (auc, degenerate); degenerate means a class was absent and the
     conventional 0.5 was substituted.
     """
-    n = len(scores)
     n_pos = sum(labels)
-    n_neg = n - n_pos
+    n_neg = len(scores) - n_pos
     if n_pos == 0 or n_neg == 0:
         return 0.5, True
-    order = sorted(range(n), key=lambda i: scores[i])
-    ranks = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        midrank = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = midrank
-        i = j + 1
-    rank_sum = sum(ranks[i] for i in range(n) if labels[i] == 1)
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    # Midrank of a tie group: its last 1-based rank minus half its extra members.
+    midranks = np.cumsum(counts) - (counts - 1) / 2.0
+    # Midranks are multiples of 0.5, so this sum is exact in any order.
+    rank_sum = float(midranks[group][np.asarray(labels) == 1].sum())
     auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return auc, False
 
@@ -102,20 +97,11 @@ def evaluate(model: LogisticModel, test: TrainingSet, threshold: float = 0.5) ->
     scores = [predict_proba(model, vector) for vector, _ in test.rows]
     labels = [label for _, label in test.rows]
 
-    tp = fp = tn = fn = 0
-    for score, label in zip(scores, labels):
-        predicted = score >= threshold
-        if predicted and label == 1:
-            tp += 1
-        elif predicted and label == 0:
-            fp += 1
-        elif not predicted and label == 0:
-            tn += 1
-        else:
-            fn += 1
+    confusion = Counter((score >= threshold, label) for score, label in zip(scores, labels))
+    tp, fp = confusion[True, 1], confusion[True, 0]
+    tn, fn = confusion[False, 0], confusion[False, 1]
 
-    total = tp + fp + tn + fn
-    accuracy = (tp + tn) / total
+    accuracy = (tp + tn) / len(labels)
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     auc, degenerate = _rank_auc(scores, labels)
@@ -145,8 +131,9 @@ def split_entities(
     floor(n * test_fraction), clamped so both sides keep at least one
     entity.  Identical inputs always produce the identical split.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise InvalidConfig("test_fraction must lie strictly between 0 and 1")
+    check_real(
+        test_fraction, "test_fraction must lie strictly between 0 and 1", lambda v: 0.0 < v < 1.0
+    )
     ordered = sorted(timelines, key=lambda t: t.entity_id)
     n = len(ordered)
     if n < 2:
@@ -183,8 +170,8 @@ def lead_time_sweep(
     """
     if not lead_times:
         raise InvalidConfig("lead_times must be non-empty")
-    if any(not isinstance(t, int) or t < 0 for t in lead_times):
-        raise InvalidConfig("lead times must be non-negative integers")
+    for lead_time in lead_times:
+        check_int(lead_time, "lead times must be non-negative integers")
 
     train_timelines, test_timelines = split_entities(timelines, test_fraction, seed)
     points = []

@@ -12,40 +12,38 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateLabels, DimensionMismatch, InvalidConfig
+from .errors import (
+    DegenerateLabels,
+    DimensionMismatch,
+    InvalidConfig,
+    ParseError,
+    check_int,
+    check_real,
+)
 from .transform import FeatureVector, TrainingSet
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int
-    learning_rate: float
+    epochs: int = 500
+    learning_rate: float = 0.1
     l2_penalty: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.epochs, int) or self.epochs < 0:
-            raise InvalidConfig("epochs must be a non-negative integer")
-        if not self.learning_rate > 0.0:
-            raise InvalidConfig("learning_rate must be positive")
-        if self.l2_penalty < 0.0:
-            raise InvalidConfig("l2_penalty must be non-negative")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise InvalidConfig("seed must fit in an unsigned 64-bit integer")
+        check_int(self.epochs, "epochs must be a non-negative integer")
+        check_real(self.learning_rate, "learning_rate must be positive", lambda v: v > 0.0)
+        check_real(self.l2_penalty, "l2_penalty must be non-negative", lambda v: v >= 0.0)
+        check_int(self.seed, "seed must fit in an unsigned 64-bit integer", high=2**64)
 
     def to_json_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "l2_penalty": self.l2_penalty,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -83,15 +81,26 @@ class LogisticModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LogisticModel":
-        config = doc.get("train_config")
-        return cls(
-            feature_names=tuple(doc["feature_names"]),
-            weights=tuple(float(w) for w in doc["weights"]),
-            intercept=float(doc["intercept"]),
-            means=tuple(float(v) for v in doc["scaling"]["means"]),
-            stds=tuple(float(v) for v in doc["scaling"]["stds"]),
-            train_config=None if config is None else TrainConfig(**config),
-        )
+        """Rebuild a saved model; a missing key, a wrong type, an invalid value
+        or a non-finite number is a ParseError."""
+        try:
+            config = doc.get("train_config")
+            model = cls(
+                feature_names=tuple(doc["feature_names"]),
+                weights=tuple(float(w) for w in doc["weights"]),
+                intercept=float(doc["intercept"]),
+                means=tuple(float(v) for v in doc["scaling"]["means"]),
+                stds=tuple(float(v) for v in doc["scaling"]["stds"]),
+                train_config=None if config is None else TrainConfig(**config),
+            )
+        except KeyError as exc:
+            raise ParseError(f"model is missing key {exc}") from None
+        except (AttributeError, TypeError, ValueError, InvalidConfig, DimensionMismatch) as exc:
+            raise ParseError(f"model has a malformed field: {exc}") from None
+        numbers = (model.intercept, *model.weights, *model.means, *model.stds)
+        if not all(map(math.isfinite, numbers)):
+            raise ParseError("model holds a non-finite number")
+        return model
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "LogisticModel":
@@ -121,12 +130,22 @@ def _fit_scaling(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
+    # Not merged with predict_proba: np.exp and math.exp differ in the last bit on some inputs.
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def _gradient(
+    Xs: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray, l2: float
+) -> tuple[float, np.ndarray]:
+    """Gradient of the penalized mean NLL at decision values z = Xs @ w + b,
+    as (d/d intercept, d/d weights)."""
+    residual = _sigmoid(z) - y
+    return residual.mean(), Xs.T @ residual / Xs.shape[0] + l2 * w
 
 
 def train_logistic(data: TrainingSet, config: TrainConfig) -> LogisticModel:
@@ -143,17 +162,17 @@ def train_logistic(data: TrainingSet, config: TrainConfig) -> LogisticModel:
 
     means, stds = _fit_scaling(X)
     Xs = (X - means) / stds
-    n, m = Xs.shape
 
-    w = np.zeros(m)
+    w = np.zeros(Xs.shape[1])
     b = 0.0
     for _ in range(config.epochs):
-        p = _sigmoid(Xs @ w + b)
-        residual = p - y
-        grad_w = Xs.T @ residual / n + config.l2_penalty * w
-        grad_b = residual.mean()
+        grad_b, grad_w = _gradient(Xs, y, Xs @ w + b, w, config.l2_penalty)
         w = w - config.learning_rate * grad_w
         b = b - config.learning_rate * grad_b
+    if not (np.isfinite(w).all() and math.isfinite(b)):
+        raise InvalidConfig(
+            "training produced non-finite weights; lower learning_rate or rescale features"
+        )
 
     return LogisticModel(
         feature_names=data.feature_names,
@@ -179,6 +198,7 @@ def predict_proba(model: LogisticModel, x: Union[FeatureVector, Sequence[float]]
     z = model.intercept
     for value, weight, mean, std in zip(values, model.weights, model.means, model.stds):
         z += weight * (value - mean) / std
+    # Not merged with _sigmoid: math.exp and np.exp differ in the last bit on some inputs.
     if z >= 0:
         p = 1.0 / (1.0 + math.exp(-z))
     else:
@@ -199,15 +219,12 @@ def loss_and_gradient(model: LogisticModel, data: TrainingSet) -> tuple[float, l
             f"features {model.feature_names!r}"
         )
     X, y = _design_matrix(data)
-    n = X.shape[0]
-    if n == 0:
+    if X.shape[0] == 0:
         raise DimensionMismatch("loss is undefined on an empty training set")
     w = np.array(model.weights)
     Xs = (X - np.array(model.means)) / np.array(model.stds)
     z = Xs @ w + model.intercept
     l2 = model.train_config.l2_penalty if model.train_config is not None else 0.0
     loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * np.dot(w, w))
-    residual = _sigmoid(z) - y
-    grad_w = Xs.T @ residual / n + l2 * w
-    gradient = [float(residual.mean())] + [float(g) for g in grad_w]
-    return loss, gradient
+    grad_b, grad_w = _gradient(Xs, y, z, w, l2)
+    return loss, [float(grad_b)] + [float(g) for g in grad_w]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_int, check_real
 from .panel import PanelDataset, PanelSchema, RawRow, build_dataset
 from .rng import substream
 
@@ -52,22 +52,17 @@ class SynthConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_entities, int) or self.n_entities < 1:
-            raise InvalidConfig("n_entities must be a positive integer")
-        if not isinstance(self.n_periods, int) or self.n_periods < 1:
-            raise InvalidConfig("n_periods must be a positive integer")
-        if not 0.0 < self.event_rate < 1.0:
-            raise InvalidConfig("event_rate must lie strictly between 0 and 1")
-        if not isinstance(self.ramp_length, int) or self.ramp_length < 1:
-            raise InvalidConfig("ramp_length must be a positive integer")
+        check_int(self.n_entities, "n_entities must be a positive integer", low=1)
+        check_int(self.n_periods, "n_periods must be a positive integer", low=1)
+        check_real(
+            self.event_rate, "event_rate must lie strictly between 0 and 1", lambda v: 0.0 < v < 1.0
+        )
+        check_int(self.ramp_length, "ramp_length must be a positive integer", low=1)
         if self.ramp_length >= self.n_periods:
             raise InvalidConfig("ramp_length must be smaller than n_periods")
-        if self.signal_strength < 0.0:
-            raise InvalidConfig("signal_strength must be non-negative")
-        if self.noise_rate < 0.0:
-            raise InvalidConfig("noise_rate must be non-negative")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise InvalidConfig("seed must fit in an unsigned 64-bit integer")
+        check_real(self.signal_strength, "signal_strength must be non-negative", lambda v: v >= 0.0)
+        check_real(self.noise_rate, "noise_rate must be non-negative", lambda v: v >= 0.0)
+        check_int(self.seed, "seed must fit in an unsigned 64-bit integer", high=2**64)
 
 
 def generate_panel(config: SynthConfig) -> PanelDataset:

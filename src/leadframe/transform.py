@@ -19,9 +19,10 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import math
 from dataclasses import dataclass, field
 
-from .errors import DimensionMismatch, InvalidConfig, ParseError, UnknownColumn
+from .errors import DimensionMismatch, InvalidConfig, ParseError, UnknownColumn, check_int
 from .panel import EntityTimeline, PanelRecord, PeriodIndex
 
 
@@ -34,14 +35,21 @@ class EmptyWindowPolicy(enum.Enum):
 
 @dataclass(frozen=True)
 class ReferenceFrameConfig:
-    """Lead time (in periods) and the empty-window policy."""
+    """Lead time (in periods) and the empty-window policy (a member or its value)."""
 
     lead_time: int = 1
     empty_window_policy: EmptyWindowPolicy = EmptyWindowPolicy.DROP
 
     def __post_init__(self) -> None:
-        if not isinstance(self.lead_time, int) or self.lead_time < 0:
-            raise InvalidConfig("lead_time must be a non-negative integer")
+        check_int(self.lead_time, "lead_time must be a non-negative integer")
+        try:
+            policy = EmptyWindowPolicy(self.empty_window_policy)
+        except ValueError:
+            raise InvalidConfig(
+                f"reference_frame.empty_window_policy must be 'drop' or 'zeros', "
+                f"got {self.empty_window_policy!r}"
+            ) from None
+        object.__setattr__(self, "empty_window_policy", policy)
 
 
 class AggKind(enum.Enum):
@@ -291,6 +299,8 @@ def read_training_csv(stream: io.TextIOBase, plan: AggregationPlan) -> TrainingS
             raise ParseError(f"training CSV row {row!r}: {exc}") from None
         if label not in (0, 1):
             raise ParseError(f"training CSV label must be 0 or 1, got {row[-1]!r}")
+        if not all(math.isfinite(v) for v in values):
+            raise ParseError(f"training CSV row {row!r}: feature values must be finite")
         rows.append((FeatureVector(entity_id=row[0], values=values), label))
         if label == 1:
             events += 1

@@ -236,3 +236,94 @@ class TestIdempotency:
             )
         for name in ("training.csv", "training.report.json", "model.json", "scores.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+class TestBadInputsFailFast:
+    """Each bad input exits with its documented code and prints no traceback."""
+
+    def trained_model(self, tmp_path):
+        training = tmp_path / "training.csv"
+        model = tmp_path / "model.json"
+        run_cli("transform", "--input", PANEL_CSV, "--config", CONFIG_JSON, "--output", training)
+        assert run_cli("train", "--input", training, "--config", CONFIG_JSON, "--output", model) == 0
+        return training, model
+
+    @pytest.mark.parametrize("flag, value", [("--threshold", 7), ("--seed", -5)])
+    def test_sweep_flag_checked_like_config_field(self, tmp_path, capsys, flag, value):
+        code = run_cli(
+            "sweep", "--input", PANEL_CSV, "--config", CONFIG_JSON,
+            flag, value, "--output", tmp_path / "curve.csv",
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: eval.")
+        assert not (tmp_path / "curve.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--noise", "--signal"])
+    def test_synth_non_finite_rate_exit_one(self, tmp_path, flag):
+        assert run_cli("synth", "--output", tmp_path / "panel.csv", flag, "nan") == 1
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_training_cell_exit_two(self, tmp_path, capsys, cell):
+        training, _ = self.trained_model(tmp_path)
+        lines = training.read_text().splitlines()
+        entity, _, rest = lines[1].split(",", 2)
+        lines[1] = ",".join((entity, cell, rest))
+        training.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "nan_model.json"
+        code = run_cli("train", "--input", training, "--config", CONFIG_JSON, "--output", model)
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc.pop("scaling"),
+            lambda doc: doc.pop("weights"),
+            lambda doc: doc.update(weights="abc"),
+            lambda doc: doc.update(scaling=[1.0]),
+            lambda doc: doc.update(train_config={"epochs": 1, "unknown": 2}),
+            lambda doc: doc["weights"].__setitem__(0, float("nan")),
+            lambda doc: doc.update(intercept=float("inf")),
+            lambda doc: doc["train_config"].update(epochs=-1),
+            lambda doc: doc.update(weights=doc["weights"][:2]),
+        ],
+    )
+    def test_unreadable_model_exit_two(self, tmp_path, capsys, corrupt):
+        _, model = self.trained_model(tmp_path)
+        doc = json.loads(model.read_text())
+        corrupt(doc)
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run_cli(
+            "score", "--model", model, "--input", PANEL_CSV,
+            "--config", CONFIG_JSON, "--output", tmp_path / "scores.csv",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model ")
+        assert "Traceback" not in err
+
+    def test_score_quotes_ids(self, tmp_path):
+        _, model = self.trained_model(tmp_path)
+        lines = PANEL_CSV.read_text().splitlines()
+        panel = tmp_path / "quoted.csv"
+        panel.write_text(
+            "\n".join(
+                [lines[0]]
+                + ['"acme, inc"' + line[line.index(","):] if line.startswith("Prabhu,") else line
+                   for line in lines[1:]]
+            )
+            + "\n"
+        )
+        scores = tmp_path / "scores.csv"
+        assert run_cli(
+            "score", "--model", model, "--input", panel,
+            "--config", CONFIG_JSON, "--output", scores,
+        ) == 0
+        with open(scores, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert all(len(row) == 2 for row in rows)
+        assert sorted(row[0] for row in rows[1:]) == sorted(
+            ["Aasheesh", "Jitin", "Kumarjit", "acme, inc"]
+        )

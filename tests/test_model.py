@@ -91,6 +91,12 @@ class TestTrain:
         with pytest.raises(InvalidConfig):
             TrainConfig(epochs=1, learning_rate=0.1, l2_penalty=-0.5)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergent_training_refuses_non_finite_weights(self):
+        data = make_training_set(["x"], [((0.0,), 0), ((1.0,), 1), ((2.0,), 1)])
+        with pytest.raises(InvalidConfig, match="non-finite"):
+            train_logistic(data, TrainConfig(epochs=50, learning_rate=1e300, l2_penalty=10.0))
+
 
 class TestPredict:
     def test_zero_model_is_exactly_half(self):
