@@ -17,6 +17,7 @@ from .errors import (
     InvalidConfig,
     LeadframeError,
     MissingColumn,
+    NonFiniteValue,
     ParseError,
     TooFewEntities,
     UnknownColumn,

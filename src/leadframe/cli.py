@@ -127,13 +127,15 @@ def cmd_score(args: argparse.Namespace) -> int:
             f"columns {cfg.plan.output_names!r}"
         )
     timelines = _read_panel(args.input, cfg)
+    # Every score is computed before the output is opened, so a failure leaves no file.
+    scores = [
+        (t.entity_id, repr(predict_proba(model, score_features(t, cfg.plan)))) for t in timelines
+    ]
 
     def render(handle) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(("entity_id", "probability"))
-        for timeline in timelines:
-            vector = score_features(timeline, cfg.plan)
-            writer.writerow((timeline.entity_id, repr(predict_proba(model, vector))))
+        writer.writerows(scores)
 
     _write_text(args.output, render)
     logger.info("scored %d entities -> %s", len(timelines), args.output)

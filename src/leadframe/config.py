@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import InvalidConfig, check_int, check_real
+from .evaluation import check_lead_times, check_test_fraction
 from .model import TrainConfig
 from .panel import PanelSchema
 from .transform import AggKind, AggregationPlan, FeatureSpec, ReferenceFrameConfig
@@ -29,18 +30,9 @@ class EvalSettings:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_real(
-            self.test_fraction,
-            "eval.test_fraction must lie strictly between 0 and 1",
-            lambda v: 0.0 < v < 1.0,
-        )
+        check_test_fraction(self.test_fraction, "eval.test_fraction")
         check_real(self.threshold, "eval.threshold must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
-        lead_times_message = "eval.lead_times must be non-negative integers"
-        if not isinstance(self.lead_times, (list, tuple)) or not self.lead_times:
-            raise InvalidConfig(lead_times_message)
-        for lead_time in self.lead_times:
-            check_int(lead_time, lead_times_message)
-        object.__setattr__(self, "lead_times", tuple(self.lead_times))
+        object.__setattr__(self, "lead_times", check_lead_times(self.lead_times, "eval.lead_times"))
         check_int(self.seed, "eval.seed must fit in an unsigned 64-bit integer", high=2**64)
 
 

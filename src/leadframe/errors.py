@@ -42,6 +42,10 @@ class UnknownColumn(LeadframeError):
     """An aggregation references a column the records do not carry."""
 
 
+class NonFiniteValue(LeadframeError):
+    """A value computed from finite inputs overflowed to inf or nan."""
+
+
 class DegenerateLabels(LeadframeError):
     """Training data contains only one class."""
 

@@ -120,6 +120,24 @@ def evaluate(model: LogisticModel, test: TrainingSet, threshold: float = 0.5) ->
     )
 
 
+def check_test_fraction(value: object, name: str) -> None:
+    """The test-fraction rule: a finite real strictly between 0 and 1."""
+    check_real(value, f"{name} must lie strictly between 0 and 1", lambda v: 0.0 < v < 1.0)
+
+
+def check_lead_times(value: object, name: str) -> tuple[int, ...]:
+    """The lead-times rule: a non-empty list or tuple of non-negative integers.
+
+    Returns the lead times as a tuple.
+    """
+    message = f"{name} must be a non-empty list of non-negative integers"
+    if not isinstance(value, (list, tuple)) or not value:
+        raise InvalidConfig(message)
+    for lead_time in value:
+        check_int(lead_time, message)
+    return tuple(value)
+
+
 def split_entities(
     timelines: tuple[EntityTimeline, ...] | list[EntityTimeline],
     test_fraction: float,
@@ -131,9 +149,7 @@ def split_entities(
     floor(n * test_fraction), clamped so both sides keep at least one
     entity.  Identical inputs always produce the identical split.
     """
-    check_real(
-        test_fraction, "test_fraction must lie strictly between 0 and 1", lambda v: 0.0 < v < 1.0
-    )
+    check_test_fraction(test_fraction, "test_fraction")
     ordered = sorted(timelines, key=lambda t: t.entity_id)
     n = len(ordered)
     if n < 2:
@@ -168,11 +184,7 @@ def lead_time_sweep(
     test side empty) yields a point with absent metrics and an explanatory
     flag instead of failing the sweep.
     """
-    if not lead_times:
-        raise InvalidConfig("lead_times must be non-empty")
-    for lead_time in lead_times:
-        check_int(lead_time, "lead times must be non-negative integers")
-
+    check_lead_times(lead_times, "lead_times")
     train_timelines, test_timelines = split_entities(timelines, test_fraction, seed)
     points = []
     for lead_time in sorted(set(lead_times)):

@@ -22,6 +22,7 @@ from .errors import (
     DegenerateLabels,
     DimensionMismatch,
     InvalidConfig,
+    NonFiniteValue,
     ParseError,
     check_int,
     check_real,
@@ -125,6 +126,10 @@ def _design_matrix(data: TrainingSet) -> tuple[np.ndarray, np.ndarray]:
 def _fit_scaling(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     means = X.mean(axis=0)
     stds = X.std(axis=0)
+    if not (np.isfinite(means).all() and np.isfinite(stds).all()):
+        raise InvalidConfig(
+            "feature means or standard deviations overflow; rescale the features"
+        )
     stds = np.where(stds == 0.0, 1.0, stds)  # constant columns scale to 0
     return means, stds
 
@@ -148,6 +153,9 @@ def _gradient(
     return residual.mean(), Xs.T @ residual / Xs.shape[0] + l2 * w
 
 
+# Overflow is detected by the finiteness checks on the results, so numpy's
+# own warnings would only repeat the error on stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def train_logistic(data: TrainingSet, config: TrainConfig) -> LogisticModel:
     """Fit scaling plus weights by full-batch gradient descent.
 
@@ -198,6 +206,10 @@ def predict_proba(model: LogisticModel, x: Union[FeatureVector, Sequence[float]]
     z = model.intercept
     for value, weight, mean, std in zip(values, model.weights, model.means, model.stds):
         z += weight * (value - mean) / std
+    if math.isnan(z):
+        raise NonFiniteValue(
+            "decision value is nan: the feature values overflow the model's scaling"
+        )
     # Not merged with _sigmoid: math.exp and np.exp differ in the last bit on some inputs.
     if z >= 0:
         p = 1.0 / (1.0 + math.exp(-z))
@@ -207,6 +219,7 @@ def predict_proba(model: LogisticModel, x: Union[FeatureVector, Sequence[float]]
     return min(max(p, _P_MIN), _P_MAX)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def loss_and_gradient(model: LogisticModel, data: TrainingSet) -> tuple[float, list[float]]:
     """Penalized mean NLL and its exact gradient as [d/d intercept, d/d w...].
 

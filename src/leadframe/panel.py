@@ -22,8 +22,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import BinaryIO, Iterable, Sequence, Union
 
 from .errors import (
@@ -34,6 +36,7 @@ from .errors import (
     MissingColumn,
 )
 
+_FLAGS = {"0": 0, "1": 1}
 _INT_LABEL = re.compile(r"^[+-]?[0-9]+$")
 _MONTH_LABEL = re.compile(r"^[0-9]{4}-(0[1-9]|1[0-2])$")
 
@@ -77,7 +80,7 @@ class PeriodIndex:
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PanelRecord:
     """One observation of one entity in one period."""
 
@@ -100,10 +103,36 @@ class PanelDataset:
 
 @dataclass(frozen=True)
 class EntityTimeline:
-    """One entity's records in strictly increasing period order."""
+    """One entity's records in strictly increasing period order.
+
+    The ordinals, the first event and each feature column are computed on
+    first use and kept, so every lead time of a sweep reuses them.
+    """
 
     entity_id: str
     records: tuple[PanelRecord, ...]
+
+    @cached_property
+    def ordinals(self) -> list[int]:
+        """Period ordinals of the records, oldest first."""
+        return [r.period.ordinal for r in self.records]
+
+    @cached_property
+    def event_index(self) -> int | None:
+        """Position of the first record whose event flag is set, if any."""
+        flags = [r.event_flag for r in self.records]
+        return flags.index(1) if 1 in flags else None
+
+    @cached_property
+    def _columns(self) -> dict[str, list[float]]:
+        return {}
+
+    def column(self, name: str) -> list[float]:
+        """One feature's values, oldest first; KeyError if a record lacks it."""
+        columns = self._columns
+        if name not in columns:
+            columns[name] = [r.features[name] for r in self.records]
+        return columns[name]
 
 
 @dataclass(frozen=True)
@@ -160,23 +189,77 @@ RawRow = tuple[str, str, dict[str, float], int]
 
 
 def build_dataset(schema: PanelSchema, rows: Sequence[RawRow]) -> PanelDataset:
-    """Assemble records from raw rows, assigning global period ordinals."""
-    kinds = {_label_kind(label) for _, label, _, _ in rows}
+    """Assemble records from raw rows, assigning global period ordinals.
+
+    Records sharing a label share one PeriodIndex, and each record keeps the
+    row's feature dict itself, so the caller must not reuse it.
+    """
+    labels = {label for _, label, _, _ in rows}
+    kinds = {_label_kind(label) for label in labels}
     if None in kinds:
         raise BadValue("unparseable period label")
     if len(kinds) > 1:
         raise BadValue("period labels mix integer and year-month formats")
-    ordinals = index_periods((label for _, label, _, _ in rows), kinds.pop()) if rows else {}
+    ordinals = index_periods(labels, kinds.pop()) if rows else {}
+    periods = {label: PeriodIndex(ordinal, label) for label, ordinal in ordinals.items()}
     records = tuple(
-        PanelRecord(
-            entity_id=entity,
-            period=PeriodIndex(ordinal=ordinals[label], label=label),
-            features=dict(features),
-            event_flag=flag,
-        )
+        PanelRecord(entity_id=entity, period=periods[label], features=features, event_flag=flag)
         for entity, label, features, flag in rows
     )
     return PanelDataset(schema=schema, records=records)
+
+
+def _check_row(
+    row: list[str], line: int, schema: PanelSchema, positions: dict[str, int], file_kind: str | None
+) -> None:
+    """Raise BadValue for the first fault of a row, checking cells in schema order.
+
+    Only rows the parse loop flags come here.  A flagged row can still be
+    clean (finite cells whose sum overflows), and then this returns.
+    """
+
+    def cell(column: str) -> str:
+        idx = positions[column]
+        if idx >= len(row):
+            raise BadValue(f"line {line}: row too short for column {column!r}")
+        return row[idx].strip()
+
+    if not cell(schema.entity_column):
+        raise BadValue(f"line {line}: empty value in column {schema.entity_column!r}")
+
+    label = cell(schema.period_column)
+    kind = _label_kind(label)
+    if kind is None:
+        raise BadValue(
+            f"line {line}: unparseable period {label!r} in column "
+            f"{schema.period_column!r} (expected an integer or YYYY-MM)"
+        )
+    if file_kind is not None and kind != file_kind:
+        raise BadValue(
+            f"line {line}: period {label!r} in column {schema.period_column!r} "
+            f"does not match the file's {file_kind} period format"
+        )
+
+    for column in schema.feature_columns:
+        raw = cell(column)
+        try:
+            value = float(raw)
+        except ValueError:
+            raise BadValue(
+                f"line {line}: non-numeric value {raw!r} in column {column!r}"
+            ) from None
+        if not math.isfinite(value) or value < 0.0:
+            raise BadValue(
+                f"line {line}: value {raw!r} in column {column!r} "
+                "must be finite and non-negative"
+            )
+
+    raw_flag = cell(schema.event_column)
+    if raw_flag not in _FLAGS:
+        raise BadValue(
+            f"line {line}: event flag {raw_flag!r} in column "
+            f"{schema.event_column!r} must be 0 or 1"
+        )
 
 
 def parse_panel_csv(source: Union[bytes, BinaryIO], schema: PanelSchema) -> PanelDataset:
@@ -203,62 +286,41 @@ def parse_panel_csv(source: Union[bytes, BinaryIO], schema: PanelSchema) -> Pane
     if missing:
         raise MissingColumn(f"columns absent from header: {', '.join(missing)}")
 
+    # One C-level gather, strip and float conversion per row.  Any sign of a
+    # fault sends the row to _check_row, which names the first bad cell.
+    pick = operator.itemgetter(*(positions[c] for c in schema.columns))
+    feature_columns = schema.feature_columns
+    kinds: dict[str, str | None] = {}
+    entity_ids: dict[str, str] = {}
+    file_kind: str | None = None
     rows: list[RawRow] = []
-    period_kind: str | None = None
     for row in reader:
         if not row:
             continue
-        line = reader.line_num
-
-        def cell(column: str) -> str:
-            idx = positions[column]
-            if idx >= len(row):
-                raise BadValue(f"line {line}: row too short for column {column!r}")
-            return row[idx].strip()
-
-        entity = cell(schema.entity_column)
-        if not entity:
-            raise BadValue(f"line {line}: empty value in column {schema.entity_column!r}")
-
-        label = cell(schema.period_column)
-        kind = _label_kind(label)
-        if kind is None:
-            raise BadValue(
-                f"line {line}: unparseable period {label!r} in column "
-                f"{schema.period_column!r} (expected an integer or YYYY-MM)"
-            )
-        if period_kind is None:
-            period_kind = kind
-        elif kind != period_kind:
-            raise BadValue(
-                f"line {line}: period {label!r} in column {schema.period_column!r} "
-                f"does not match the file's {period_kind} period format"
-            )
-
-        features: dict[str, float] = {}
-        for column in schema.feature_columns:
-            raw = cell(column)
-            try:
-                value = float(raw)
-            except ValueError:
-                raise BadValue(
-                    f"line {line}: non-numeric value {raw!r} in column {column!r}"
-                ) from None
-            if not math.isfinite(value) or value < 0.0:
-                raise BadValue(
-                    f"line {line}: value {raw!r} in column {column!r} "
-                    "must be finite and non-negative"
-                )
-            features[column] = value
-
-        raw_flag = cell(schema.event_column)
-        if raw_flag not in ("0", "1"):
-            raise BadValue(
-                f"line {line}: event flag {raw_flag!r} in column "
-                f"{schema.event_column!r} must be 0 or 1"
-            )
-
-        rows.append((entity, label, features, int(raw_flag)))
+        try:
+            entity, label, *cells, raw_flag = map(str.strip, pick(row))
+            values = list(map(float, cells))
+        except (IndexError, ValueError):
+            # A cell is missing or not a number: _check_row names it or an earlier fault.
+            _check_row(row, reader.line_num, schema, positions, file_kind)
+            raise
+        if label not in kinds:
+            kinds[label] = _label_kind(label)
+        kind = kinds[label]
+        if file_kind is None:
+            file_kind = kind
+        flag = _FLAGS.get(raw_flag)
+        if (
+            not entity
+            or kind is None
+            or kind != file_kind
+            or flag is None
+            or not min(values) >= 0.0
+            or not math.isfinite(sum(values))
+        ):
+            _check_row(row, reader.line_num, schema, positions, file_kind)
+        entity = entity_ids.setdefault(entity, entity)
+        rows.append((entity, label, dict(zip(feature_columns, values)), flag))
 
     if not rows:
         raise EmptyInput("input has a header but no data rows")

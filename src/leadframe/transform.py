@@ -9,9 +9,18 @@ their whole history and are labeled 0.  The window boundary is inclusive of
 T - lead_time, records strictly after T never count, and lead time is
 measured in global period ordinals so calendar gaps still shift the cut.
 
+Every window is a prefix of the entity's history, so a cut is one index:
+k = bisect_right(ordinals, T - lead_time), or the whole history without an
+event.  Each timeline keeps its ordinals and feature columns once computed,
+so a sweep over many lead times reslices them instead of rebuilding them.
+
 Aggregations fold a window into one feature vector: sums, nonzero counts,
 maxima, the most recent value, and ratio-of-sums (total numerator over total
-denominator, 0 when the denominator total is 0).
+denominator, 0 when the denominator total is 0).  Sums are left-to-right
+float sums (Python 3.11's built-in ``sum``; 3.12 and later compensate its
+rounding, so non-integer sums may differ there in the last bit).  An
+aggregate that overflows to inf or nan, although every input value is
+finite, raises NonFiniteValue and never reaches an output.
 """
 
 from __future__ import annotations
@@ -20,9 +29,18 @@ import csv
 import enum
 import io
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import Callable
 
-from .errors import DimensionMismatch, InvalidConfig, ParseError, UnknownColumn, check_int
+from .errors import (
+    DimensionMismatch,
+    InvalidConfig,
+    NonFiniteValue,
+    ParseError,
+    UnknownColumn,
+    check_int,
+)
 from .panel import EntityTimeline, PanelRecord, PeriodIndex
 
 
@@ -177,10 +195,21 @@ class TrainingSet:
 
 def detect_event_time(timeline: EntityTimeline) -> PeriodIndex | None:
     """Period of the first record whose event flag is set, if any."""
-    for record in timeline.records:
-        if record.event_flag == 1:
-            return record.period
-    return None
+    index = timeline.event_index
+    return None if index is None else timeline.records[index].period
+
+
+def _cutoff(timeline: EntityTimeline, lead_time: int) -> tuple[int, int]:
+    """(k, label): the window is ``timeline.records[:k]``.
+
+    With an event in period T, k counts the records whose ordinal is at most
+    ordinal(T) - lead_time; without one, k is the whole history.
+    """
+    event = timeline.event_index
+    if event is None:
+        return len(timeline.records), 0
+    ordinals = timeline.ordinals
+    return bisect_right(ordinals, ordinals[event] - lead_time), 1
 
 
 def truncate_at_reference(
@@ -194,47 +223,67 @@ def truncate_at_reference(
     history is kept under label 0.  An emptied window is returned as-is;
     the caller applies the empty-window policy.
     """
-    event = detect_event_time(timeline)
-    if event is None:
-        return TruncatedTimeline(timeline.entity_id, tuple(timeline.records), label=0)
-    cutoff = event.ordinal - config.lead_time
-    kept = tuple(r for r in timeline.records if r.period.ordinal <= cutoff)
-    return TruncatedTimeline(timeline.entity_id, kept, label=1)
+    k, label = _cutoff(timeline, config.lead_time)
+    return TruncatedTimeline(timeline.entity_id, timeline.records[:k], label=label)
 
 
-def _fold(records: tuple[PanelRecord, ...], spec: FeatureSpec) -> float:
-    def column(record: PanelRecord, name: str) -> float:
-        try:
-            return record.features[name]
-        except KeyError:
-            raise UnknownColumn(
-                f"feature {spec.output_name!r} references unknown column {name!r}"
-            ) from None
-
-    if spec.kind is AggKind.SUM:
-        return float(sum(column(r, spec.column) for r in records))
-    if spec.kind is AggKind.COUNT_NONZERO:
-        return float(sum(1 for r in records if column(r, spec.column) != 0.0))
-    if spec.kind is AggKind.MAX:
-        return max((column(r, spec.column) for r in records), default=0.0)
-    if spec.kind is AggKind.LAST:
-        return column(records[-1], spec.column) if records else 0.0
+def _fold(kind: AggKind, xs: list[float], ys: list[float] | None) -> float:
+    """One aggregate of the window's values xs (ys: the ratio's denominator)."""
+    if kind is AggKind.SUM:
+        return float(sum(xs))
+    if kind is AggKind.COUNT_NONZERO:
+        return float(len(xs) - xs.count(0.0))
+    if kind is AggKind.MAX:
+        return max(xs, default=0.0)
+    if kind is AggKind.LAST:
+        return xs[-1] if xs else 0.0
     # RATIO_OF_SUMS
-    numerator = float(sum(column(r, spec.column) for r in records))
-    denominator = float(sum(column(r, spec.denominator) for r in records))
+    numerator = float(sum(xs))
+    denominator = float(sum(ys))
     return numerator / denominator if denominator != 0.0 else 0.0
+
+
+def _aggregate(
+    entity_id: str, column: Callable[[str], list[float]], k: int, plan: AggregationPlan
+) -> FeatureVector:
+    """Fold the first k values of each column the plan names into one vector.
+
+    ``column(name)`` returns a feature's values, oldest first, and raises
+    KeyError for a column the records do not carry.
+    """
+    values = []
+    for spec in plan.specs:
+        try:
+            xs = column(spec.column)[:k]
+            ys = None if spec.denominator is None else column(spec.denominator)[:k]
+        except KeyError as exc:
+            raise UnknownColumn(
+                f"feature {spec.output_name!r} references unknown column {exc.args[0]!r}"
+            ) from None
+        value = _fold(spec.kind, xs, ys)
+        if not math.isfinite(value):
+            raise NonFiniteValue(
+                f"entity {entity_id!r}: feature {spec.output_name!r} is {value!r}; "
+                "the input values overflow a float"
+            )
+        values.append(value)
+    return FeatureVector(entity_id=entity_id, values=tuple(values))
 
 
 def aggregate(truncated: TruncatedTimeline, plan: AggregationPlan) -> FeatureVector:
     """Fold a truncated window into one feature vector (zeros when empty)."""
-    values = tuple(_fold(truncated.records, spec) for spec in plan.specs)
-    return FeatureVector(entity_id=truncated.entity_id, values=values)
+    records = truncated.records
+    return _aggregate(
+        truncated.entity_id,
+        lambda name: [r.features[name] for r in records],
+        len(records),
+        plan,
+    )
 
 
 def score_features(timeline: EntityTimeline, plan: AggregationPlan) -> FeatureVector:
     """Aggregate an entity's full history to date (the scoring-time view)."""
-    window = TruncatedTimeline(timeline.entity_id, tuple(timeline.records), label=0)
-    return aggregate(window, plan)
+    return _aggregate(timeline.entity_id, timeline.column, len(timeline.records), plan)
 
 
 def build_training_set(
@@ -253,13 +302,13 @@ def build_training_set(
     events = 0
     non_events = 0
     for timeline in sorted(timelines, key=lambda t: t.entity_id):
-        window = truncate_at_reference(timeline, config)
-        if window.label == 1 and not window.records:
+        k, label = _cutoff(timeline, config.lead_time)
+        if label == 1 and k == 0:
             if config.empty_window_policy is EmptyWindowPolicy.DROP:
                 dropped.append(timeline.entity_id)
                 continue
-        rows.append((aggregate(window, plan), window.label))
-        if window.label == 1:
+        rows.append((_aggregate(timeline.entity_id, timeline.column, k, plan), label))
+        if label == 1:
             events += 1
         else:
             non_events += 1

@@ -327,3 +327,86 @@ class TestBadInputsFailFast:
         assert sorted(row[0] for row in rows[1:]) == sorted(
             ["Aasheesh", "Jitin", "Kumarjit", "acme, inc"]
         )
+
+
+def overflowing_panel(tmp_path):
+    """The fixture with every feature cell set to 1e308: each cell is finite,
+    but a sum over two or more periods overflows."""
+    lines = PANEL_CSV.read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    path = tmp_path / "huge.csv"
+    path.write_text(
+        "\n".join([lines[0]] + [",".join(r[:2] + ["1e308"] * (len(r) - 3) + r[-1:]) for r in rows])
+        + "\n"
+    )
+    return path
+
+
+def run_module(*argv):
+    """Run the CLI in a fresh interpreter, so numpy warnings reach stderr."""
+    return subprocess.run(
+        [sys.executable, "-m", "leadframe", *map(str, argv)], capture_output=True, text=True
+    )
+
+
+class TestNonFiniteNeverReachesOutput:
+    @pytest.mark.parametrize("command", ["transform", "score", "sweep"])
+    def test_overflowing_aggregate_exit_one(self, tmp_path, capsys, command):
+        panel = overflowing_panel(tmp_path)
+        out = tmp_path / "out.csv"
+        argv = [command, "--input", panel, "--config", CONFIG_JSON, "--output", out]
+        if command == "score":
+            training, model = tmp_path / "training.csv", tmp_path / "model.json"
+            run_cli("transform", "--input", PANEL_CSV, "--config", CONFIG_JSON, "--output", training)
+            run_cli("train", "--input", training, "--config", CONFIG_JSON, "--output", model)
+            argv += ["--model", model]
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: entity '")
+        assert "feature 'calls_total' is inf" in err
+        assert not out.exists()
+        assert not out.with_suffix(".report.json").exists()
+
+    def test_single_huge_cell_is_accepted(self, tmp_path):
+        # One 1e308 per entity never overflows a sum, so the panel is valid.
+        lines = PANEL_CSV.read_text().splitlines()
+        first = lines[1].split(",")
+        first[2] = "1e308"
+        panel = tmp_path / "one_huge.csv"
+        panel.write_text("\n".join([lines[0], ",".join(first)] + lines[2:]) + "\n")
+        out = tmp_path / "training.csv"
+        assert run_cli("transform", "--input", panel, "--config", CONFIG_JSON, "--output", out) == 0
+        assert "1e+308" in out.read_text()
+
+    def test_divergent_training_prints_one_error_line(self, tmp_path):
+        training = tmp_path / "training.csv"
+        run_cli("transform", "--input", PANEL_CSV, "--config", CONFIG_JSON, "--output", training)
+        doc = json.loads(CONFIG_JSON.read_text())
+        doc["train"] = {"epochs": 50, "learning_rate": 1e308, "l2_penalty": 10}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        model = tmp_path / "model.json"
+        result = run_module("train", "--input", training, "--config", config, "--output", model)
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            "error: training produced non-finite weights; lower learning_rate or rescale features"
+        ]
+        assert not model.exists()
+
+    def test_overflowing_feature_mean_prints_one_error_line(self, tmp_path):
+        training = tmp_path / "training.csv"
+        run_cli("transform", "--input", PANEL_CSV, "--config", CONFIG_JSON, "--output", training)
+        lines = training.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        training.write_text(
+            "\n".join([lines[0]] + [",".join(r[:1] + ["1e308"] * (len(r) - 2) + r[-1:]) for r in rows])
+            + "\n"
+        )
+        model = tmp_path / "model.json"
+        result = run_module("train", "--input", training, "--config", CONFIG_JSON, "--output", model)
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            "error: feature means or standard deviations overflow; rescale the features"
+        ]
+        assert not model.exists()

@@ -7,6 +7,7 @@ import pytest
 from corpus import FEATURES
 from oracle import brute_force_pairwise_auc
 
+from leadframe.config import EvalSettings
 from leadframe.errors import DimensionMismatch, InvalidConfig, TooFewEntities
 from leadframe.evaluation import (
     evaluate,
@@ -223,6 +224,26 @@ class TestSweep:
     def test_empty_lead_times_rejected(self, synth_timelines, recency_plan):
         with pytest.raises(InvalidConfig):
             lead_time_sweep(synth_timelines, recency_plan, [], TRAIN_CONFIG, 0.25, seed=3)
+
+    @pytest.mark.parametrize("lead_times", [[], [1, -1], [0, True], "0,1"])
+    def test_lead_times_rule_shared_with_config(self, synth_timelines, recency_plan, lead_times):
+        with pytest.raises(InvalidConfig) as from_config:
+            EvalSettings(lead_times=lead_times)
+        with pytest.raises(InvalidConfig) as from_sweep:
+            lead_time_sweep(synth_timelines, recency_plan, lead_times, TRAIN_CONFIG, 0.25, seed=3)
+        assert str(from_config.value) == "eval." + str(from_sweep.value)
+        assert str(from_sweep.value) == (
+            "lead_times must be a non-empty list of non-negative integers"
+        )
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, math.nan, True])
+    def test_test_fraction_rule_shared_with_config(self, fraction):
+        with pytest.raises(InvalidConfig) as from_config:
+            EvalSettings(test_fraction=fraction)
+        with pytest.raises(InvalidConfig) as from_split:
+            split_entities(dummy_timelines(10), fraction, seed=1)
+        assert str(from_config.value) == "eval." + str(from_split.value)
+        assert str(from_split.value) == "test_fraction must lie strictly between 0 and 1"
 
     def test_curve_csv_layout(self, synth_timelines, recency_plan):
         curve = lead_time_sweep(

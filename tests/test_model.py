@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from leadframe.errors import DegenerateLabels, DimensionMismatch, InvalidConfig
+from leadframe.errors import DegenerateLabels, DimensionMismatch, InvalidConfig, NonFiniteValue
 from leadframe.model import (
     LogisticModel,
     TrainConfig,
@@ -121,6 +121,12 @@ class TestPredict:
         model = make_model(["x", "y"], [1.0, 1.0], 0.0)
         with pytest.raises(DimensionMismatch):
             predict_proba(model, (1.0,))
+
+    def test_opposite_infinite_terms_are_refused(self):
+        # Each scaled term overflows, one to +inf and one to -inf: z is nan.
+        model = make_model(["x", "y"], [1.0, -1.0], 0.0, stds=[1e-300, 1e-300])
+        with pytest.raises(NonFiniteValue, match="nan"):
+            predict_proba(model, (1e308, 1e308))
 
 
 class TestLossAndGradient:

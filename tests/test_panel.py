@@ -121,6 +121,51 @@ class TestParse:
         assert record.features["a"] == 1.5
 
 
+# A second data row with several faults, and the message naming its first
+# fault: cells are checked entity, period, each feature, then the event flag.
+FIRST_FAULT = [
+    (",1,inf,x,2", "line 3: empty value in column 'entity'"),
+    (",2", "line 3: empty value in column 'entity'"),
+    ("y", "line 3: row too short for column 'period'"),
+    (
+        "y,Jan,inf,x,2",
+        "line 3: unparseable period 'Jan' in column 'period' (expected an integer or YYYY-MM)",
+    ),
+    (
+        "y,2016-01,1,1,0",
+        "line 3: period '2016-01' in column 'period' does not match the file's int period format",
+    ),
+    ("y,2,inf,x,0", "line 3: value 'inf' in column 'a' must be finite and non-negative"),
+    ("y,2,x,inf,0", "line 3: non-numeric value 'x' in column 'a'"),
+    ("y,2,1,-2,5", "line 3: value '-2' in column 'b' must be finite and non-negative"),
+    ("y,2,1,1e999,0", "line 3: value '1e999' in column 'b' must be finite and non-negative"),
+    ("y,2,nan", "line 3: value 'nan' in column 'a' must be finite and non-negative"),
+    ("y,2,1", "line 3: row too short for column 'b'"),
+    ("y,2,1,1,true", "line 3: event flag 'true' in column 'event' must be 0 or 1"),
+]
+
+
+class TestFirstFault:
+    @pytest.mark.parametrize("row, message", FIRST_FAULT)
+    def test_first_fault_named(self, row, message):
+        data = csv_bytes("entity,period,a,b,event", "x,1,1,1,0", row)
+        with pytest.raises(BadValue) as excinfo:
+            parse_panel_csv(data, small_schema())
+        assert str(excinfo.value) == message
+
+    def test_finite_cells_whose_sum_overflows_are_accepted(self):
+        data = csv_bytes("entity,period,a,b,event", " x , 1 , 1e308 , 1e308 , 1 ")
+        (record,) = parse_panel_csv(data, small_schema()).records
+        assert (record.entity_id, record.period.label, record.event_flag) == ("x", "1", 1)
+        assert record.features == {"a": 1e308, "b": 1e308}
+
+    def test_records_share_one_period_index_per_label(self):
+        data = csv_bytes("entity,period,a,b,event", "x,1,1,1,0", "y,1,2,2,0", "y,2,3,3,0")
+        first, second, third = parse_panel_csv(data, small_schema()).records
+        assert first.period is second.period
+        assert third.period.ordinal == 1
+
+
 class TestSchema:
     def test_duplicate_names_rejected(self):
         with pytest.raises(InvalidConfig):

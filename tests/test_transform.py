@@ -1,9 +1,16 @@
 import io
+import math
 import random
 
 import pytest
 
-from corpus import FEATURES, PLAN_TUPLES, random_panel_rows, rows_to_csv_bytes
+from corpus import (
+    FEATURES,
+    PLAN_TUPLES,
+    random_float_panel_rows,
+    random_panel_rows,
+    rows_to_csv_bytes,
+)
 from oracle import brute_force_full_history, brute_force_training_rows
 
 from leadframe.errors import InvalidConfig, UnknownColumn
@@ -317,3 +324,82 @@ class TestProperties:
                 TruncatedTimeline("Aasheesh", timeline.records[cut:], 0), plan
             ).values[0]
             assert left + right == whole
+
+
+# A second plan over other columns, as package specs and as oracle tuples.
+OTHER_PLAN_TUPLES = (
+    ("ratio_of_sums", "c", "a"),
+    ("last", "b"),
+    ("sum", "c"),
+    ("max", "a"),
+    ("count_nonzero", "c"),
+)
+OTHER_PLAN = AggregationPlan(
+    (
+        FeatureSpec.ratio_of_sums("ratio_ca", "c", "a"),
+        FeatureSpec.last("last_b", "b"),
+        FeatureSpec.sum("sum_c", "c"),
+        FeatureSpec.max("max_a", "a"),
+        FeatureSpec.count_nonzero("nonzero_c", "c"),
+    )
+)
+
+
+class TestFloatCorpus:
+    """The oracle gates over values in tenths, which most floats cannot hold
+    exactly: any change to the order sums are added in (math.fsum, pairwise
+    or blocked numpy sums) changes some cell, and these gates catch it."""
+
+    def corpus(self, corpus_schema, n, seed):
+        rng = random.Random(seed)
+        for _ in range(n):
+            raw = random_float_panel_rows(rng)
+            yield raw, timelines_from_rows(raw, corpus_schema)
+
+    def test_training_rows_match_brute_force(self, corpus_schema, corpus_plan):
+        for raw, timelines in self.corpus(corpus_schema, n=40, seed=31):
+            for lead_time in range(13):
+                config = ReferenceFrameConfig(lead_time=lead_time)
+                training = build_training_set(timelines, config, corpus_plan)
+                expected, dropped = brute_force_training_rows(raw, lead_time, PLAN_TUPLES)
+                assert rows_by_entity(training) == expected
+                assert list(training.report.dropped) == dropped
+
+    def test_score_matches_brute_force(self, corpus_schema, corpus_plan):
+        for raw, timelines in self.corpus(corpus_schema, n=40, seed=32):
+            expected = brute_force_full_history(raw, PLAN_TUPLES)
+            for timeline in timelines:
+                assert score_features(timeline, corpus_plan).values == expected[timeline.entity_id]
+
+    def test_repeated_builds_on_one_timelines_tuple(self, corpus_schema, corpus_plan):
+        # The sweep's access pattern: one tuple of timelines, many lead times,
+        # here also two plans, so a cache keyed too coarsely shows as a wrong cell.
+        plans = ((corpus_plan, PLAN_TUPLES), (OTHER_PLAN, OTHER_PLAN_TUPLES))
+        for raw, timelines in self.corpus(corpus_schema, n=15, seed=33):
+            for lead_time in (3, 0, 12, 1, 0, 5):
+                for plan, tuples in plans:
+                    training = build_training_set(
+                        timelines, ReferenceFrameConfig(lead_time=lead_time), plan
+                    )
+                    expected, dropped = brute_force_training_rows(raw, lead_time, tuples)
+                    assert rows_by_entity(training) == expected
+                    assert list(training.report.dropped) == dropped
+                for plan, tuples in plans:
+                    expected = brute_force_full_history(raw, tuples)
+                    for timeline in timelines:
+                        assert score_features(timeline, plan).values == expected[timeline.entity_id]
+
+    def test_negative_zero_cells(self, corpus_schema):
+        data = b"entity,period,a,b,c,event\nx,1,-0,0,0,0\nx,2,-0.0,0,0,0\n"
+        (timeline,) = build_timelines(parse_panel_csv(data, corpus_schema))
+        plan = AggregationPlan(
+            (
+                FeatureSpec.sum("sum_a", "a"),
+                FeatureSpec.last("last_a", "a"),
+                FeatureSpec.count_nonzero("nonzero_a", "a"),
+            )
+        )
+        total, last, nonzero = score_features(timeline, plan).values
+        assert (total, math.copysign(1.0, total)) == (0.0, 1.0)
+        assert (last, math.copysign(1.0, last)) == (0.0, -1.0)
+        assert nonzero == 0.0
