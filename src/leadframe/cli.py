@@ -266,6 +266,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (UnicodeDecodeError, csv.Error) as exc:
+        print(f"error: unreadable input: {exc}", file=sys.stderr)
+        return 2
     except LeadframeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -82,16 +82,23 @@ def _spec_to_json(spec: FeatureSpec) -> dict:
 
 
 def _require(section: dict, key: str, where: str):
+    if not isinstance(section, dict):
+        raise InvalidConfig(f"{where} must be an object")
     if key not in section:
         raise InvalidConfig(f"{where} is missing required key {key!r}")
     return section[key]
 
 
+def _require_str(section: dict, key: str, where: str) -> str:
+    value = _require(section, key, where)
+    if not isinstance(value, str):
+        raise InvalidConfig(f"{where}.{key} must be a string, got {value!r}")
+    return value
+
+
 def _spec_from_json(obj: dict, position: int) -> FeatureSpec:
     where = f"plan[{position}]"
-    if not isinstance(obj, dict):
-        raise InvalidConfig(f"{where} must be an object")
-    name = _require(obj, "name", where)
+    name = _require_str(obj, "name", where)
     kind_value = _require(obj, "kind", where)
     try:
         kind = AggKind(kind_value)
@@ -100,9 +107,9 @@ def _spec_from_json(obj: dict, position: int) -> FeatureSpec:
         raise InvalidConfig(f"{where}: unknown kind {kind_value!r} (expected {valid})") from None
     if kind is AggKind.RATIO_OF_SUMS:
         return FeatureSpec.ratio_of_sums(
-            name, _require(obj, "numerator", where), _require(obj, "denominator", where)
+            name, _require_str(obj, "numerator", where), _require_str(obj, "denominator", where)
         )
-    return FeatureSpec(name, kind, _require(obj, "column", where))
+    return FeatureSpec(name, kind, _require_str(obj, "column", where))
 
 
 def _section(doc: dict, key: str, cls: type):
@@ -120,11 +127,14 @@ def run_config_from_json_dict(doc: dict) -> RunConfig:
         raise InvalidConfig("config document must be a JSON object")
 
     schema_doc = _require(doc, "schema", "config")
+    columns = _require(schema_doc, "feature_columns", "schema")
+    if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
+        raise InvalidConfig(f"schema.feature_columns must be a list of strings, got {columns!r}")
     schema = PanelSchema(
-        entity_column=_require(schema_doc, "entity_column", "schema"),
-        period_column=_require(schema_doc, "period_column", "schema"),
-        event_column=_require(schema_doc, "event_column", "schema"),
-        feature_columns=tuple(_require(schema_doc, "feature_columns", "schema")),
+        entity_column=_require_str(schema_doc, "entity_column", "schema"),
+        period_column=_require_str(schema_doc, "period_column", "schema"),
+        event_column=_require_str(schema_doc, "event_column", "schema"),
+        feature_columns=tuple(columns),
     )
 
     plan_doc = _require(doc, "plan", "config")

@@ -195,10 +195,9 @@ def lead_time_sweep(
         test_set = build_training_set(test_timelines, config, plan)
 
         flags = []
-        train_labels = {label for _, label in train_set.rows}
-        if 1 not in train_labels:
+        if not train_set.report.events:
             flags.append("no_events_retained")
-        if 0 not in train_labels:
+        if not train_set.report.non_events:
             flags.append("no_nonevents_retained")
         if not test_set.rows:
             flags.append("empty_test_set")

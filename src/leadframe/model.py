@@ -47,6 +47,20 @@ class TrainConfig:
         return asdict(self)
 
 
+_NUMBER = (int, float)
+
+
+def _json_list(doc: dict, key: str, kinds: tuple[type, ...]) -> tuple:
+    """``doc[key]`` as a tuple; TypeError unless it is a list of ``kinds`` (never bool)."""
+    value = doc[key]
+    if not isinstance(value, list) or not all(
+        isinstance(v, kinds) and not isinstance(v, bool) for v in value
+    ):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise TypeError(f"{key} must be a list of {names}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class LogisticModel:
     """Fitted weights plus the feature scaling they were trained under."""
@@ -86,12 +100,13 @@ class LogisticModel:
         or a non-finite number is a ParseError."""
         try:
             config = doc.get("train_config")
+            scaling = doc["scaling"]
             model = cls(
-                feature_names=tuple(doc["feature_names"]),
-                weights=tuple(float(w) for w in doc["weights"]),
+                feature_names=_json_list(doc, "feature_names", (str,)),
+                weights=tuple(map(float, _json_list(doc, "weights", _NUMBER))),
                 intercept=float(doc["intercept"]),
-                means=tuple(float(v) for v in doc["scaling"]["means"]),
-                stds=tuple(float(v) for v in doc["scaling"]["stds"]),
+                means=tuple(map(float, _json_list(scaling, "means", _NUMBER))),
+                stds=tuple(map(float, _json_list(scaling, "stds", _NUMBER))),
                 train_config=None if config is None else TrainConfig(**config),
             )
         except KeyError as exc:

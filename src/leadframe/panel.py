@@ -34,6 +34,7 @@ from .errors import (
     EmptyInput,
     InvalidConfig,
     MissingColumn,
+    ParseError,
 )
 
 _FLAGS = {"0": 0, "1": 1}
@@ -188,19 +189,14 @@ def index_periods(labels: Iterable[str], kind: str) -> dict[str, int]:
 RawRow = tuple[str, str, dict[str, float], int]
 
 
-def build_dataset(schema: PanelSchema, rows: Sequence[RawRow]) -> PanelDataset:
-    """Assemble records from raw rows, assigning global period ordinals.
+def build_dataset(schema: PanelSchema, rows: Sequence[RawRow], kind: str) -> PanelDataset:
+    """Assemble records from raw rows whose period labels all have the format
+    ``kind`` ("int" or "month"), assigning global period ordinals.
 
     Records sharing a label share one PeriodIndex, and each record keeps the
     row's feature dict itself, so the caller must not reuse it.
     """
-    labels = {label for _, label, _, _ in rows}
-    kinds = {_label_kind(label) for label in labels}
-    if None in kinds:
-        raise BadValue("unparseable period label")
-    if len(kinds) > 1:
-        raise BadValue("period labels mix integer and year-month formats")
-    ordinals = index_periods(labels, kinds.pop()) if rows else {}
+    ordinals = index_periods({label for _, label, _, _ in rows}, kind)
     periods = {label: PeriodIndex(ordinal, label) for label, ordinal in ordinals.items()}
     records = tuple(
         PanelRecord(entity_id=entity, period=periods[label], features=features, event_flag=flag)
@@ -281,7 +277,10 @@ def parse_panel_csv(source: Union[bytes, BinaryIO], schema: PanelSchema) -> Pane
 
     positions: dict[str, int] = {}
     for i, name in enumerate(header):
-        positions.setdefault(name.strip(), i)
+        name = name.strip()
+        if name in positions and name in schema.columns:
+            raise ParseError(f"header names column {name!r} more than once")
+        positions.setdefault(name, i)
     missing = [c for c in schema.columns if c not in positions]
     if missing:
         raise MissingColumn(f"columns absent from header: {', '.join(missing)}")
@@ -324,7 +323,7 @@ def parse_panel_csv(source: Union[bytes, BinaryIO], schema: PanelSchema) -> Pane
 
     if not rows:
         raise EmptyInput("input has a header but no data rows")
-    return build_dataset(schema, rows)
+    return build_dataset(schema, rows, file_kind)
 
 
 def _format_number(value: float) -> str:
@@ -378,11 +377,10 @@ def validate_timeline(timeline: EntityTimeline) -> ValidationReport:
     """
     findings: list[Finding] = []
     records = timeline.records
+    ordinals = timeline.ordinals
 
     if records:
-        observed = {r.period.ordinal for r in records}
-        low, high = min(observed), max(observed)
-        gaps = (high - low + 1) - len(observed)
+        gaps = (ordinals[-1] - ordinals[0] + 1) - len(ordinals)
         if gaps:
             findings.append(
                 Finding(
@@ -395,21 +393,23 @@ def validate_timeline(timeline: EntityTimeline) -> ValidationReport:
                 )
             )
 
-    flagged = [r for r in records if r.event_flag == 1]
-    if len(flagged) > 1:
-        findings.append(
-            Finding(
-                level="warning",
-                code="multiple_events",
-                message=(
-                    f"{len(flagged)} records carry the event flag; only the first "
-                    f"({flagged[0].period.label}) is treated as the event"
-                ),
+    event = timeline.event_index
+    if event is not None:
+        label = records[event].period.label
+        n_flagged = sum(r.event_flag for r in records[event:])
+        if n_flagged > 1:
+            findings.append(
+                Finding(
+                    level="warning",
+                    code="multiple_events",
+                    message=(
+                        f"{n_flagged} records carry the event flag; only the first "
+                        f"({label}) is treated as the event"
+                    ),
+                )
             )
-        )
-    if flagged:
-        first = flagged[0].period.ordinal
-        trailing = sum(1 for r in records if r.period.ordinal > first)
+        # Ordinals strictly increase, so every later record is a later period.
+        trailing = len(records) - event - 1
         if trailing:
             findings.append(
                 Finding(
@@ -417,7 +417,7 @@ def validate_timeline(timeline: EntityTimeline) -> ValidationReport:
                     code="records_after_event",
                     message=(
                         f"{trailing} record(s) after the first event flag "
-                        f"({flagged[0].period.label}) are ignored by the transform"
+                        f"({label}) are ignored by the transform"
                     ),
                 )
             )

@@ -97,4 +97,4 @@ def generate_panel(config: SynthConfig) -> PanelDataset:
             flag = 1 if period == event_period else 0
             rows.append((entity_id, str(period), features, flag))
 
-    return build_dataset(schema, rows)
+    return build_dataset(schema, rows, "int")

@@ -30,8 +30,8 @@ import enum
 import io
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .errors import (
     DimensionMismatch,
@@ -193,6 +193,15 @@ class TrainingSet:
         return self.plan.output_names
 
 
+def _training_set(
+    plan: AggregationPlan, rows: list[tuple[FeatureVector, int]], dropped: Sequence[str] = ()
+) -> TrainingSet:
+    """A training set whose report counts the 0/1 labels of its rows."""
+    events = sum(label for _, label in rows)
+    report = TransformReport(events, len(rows) - events, tuple(dropped))
+    return TrainingSet(plan=plan, rows=tuple(rows), report=report)
+
+
 def detect_event_time(timeline: EntityTimeline) -> PeriodIndex | None:
     """Period of the first record whose event flag is set, if any."""
     index = timeline.event_index
@@ -243,14 +252,9 @@ def _fold(kind: AggKind, xs: list[float], ys: list[float] | None) -> float:
     return numerator / denominator if denominator != 0.0 else 0.0
 
 
-def _aggregate(
-    entity_id: str, column: Callable[[str], list[float]], k: int, plan: AggregationPlan
-) -> FeatureVector:
-    """Fold the first k values of each column the plan names into one vector.
-
-    ``column(name)`` returns a feature's values, oldest first, and raises
-    KeyError for a column the records do not carry.
-    """
+def _aggregate(timeline: EntityTimeline, k: int, plan: AggregationPlan) -> FeatureVector:
+    """Fold the first k values of each column the plan names into one vector."""
+    column = timeline.column
     values = []
     for spec in plan.specs:
         try:
@@ -263,27 +267,21 @@ def _aggregate(
         value = _fold(spec.kind, xs, ys)
         if not math.isfinite(value):
             raise NonFiniteValue(
-                f"entity {entity_id!r}: feature {spec.output_name!r} is {value!r}; "
+                f"entity {timeline.entity_id!r}: feature {spec.output_name!r} is {value!r}; "
                 "the input values overflow a float"
             )
         values.append(value)
-    return FeatureVector(entity_id=entity_id, values=tuple(values))
+    return FeatureVector(entity_id=timeline.entity_id, values=tuple(values))
 
 
 def aggregate(truncated: TruncatedTimeline, plan: AggregationPlan) -> FeatureVector:
     """Fold a truncated window into one feature vector (zeros when empty)."""
-    records = truncated.records
-    return _aggregate(
-        truncated.entity_id,
-        lambda name: [r.features[name] for r in records],
-        len(records),
-        plan,
-    )
+    return score_features(EntityTimeline(truncated.entity_id, truncated.records), plan)
 
 
 def score_features(timeline: EntityTimeline, plan: AggregationPlan) -> FeatureVector:
     """Aggregate an entity's full history to date (the scoring-time view)."""
-    return _aggregate(timeline.entity_id, timeline.column, len(timeline.records), plan)
+    return _aggregate(timeline, len(timeline.records), plan)
 
 
 def build_training_set(
@@ -299,21 +297,14 @@ def build_training_set(
     """
     rows: list[tuple[FeatureVector, int]] = []
     dropped: list[str] = []
-    events = 0
-    non_events = 0
     for timeline in sorted(timelines, key=lambda t: t.entity_id):
         k, label = _cutoff(timeline, config.lead_time)
         if label == 1 and k == 0:
             if config.empty_window_policy is EmptyWindowPolicy.DROP:
                 dropped.append(timeline.entity_id)
                 continue
-        rows.append((_aggregate(timeline.entity_id, timeline.column, k, plan), label))
-        if label == 1:
-            events += 1
-        else:
-            non_events += 1
-    report = TransformReport(events=events, non_events=non_events, dropped=tuple(dropped))
-    return TrainingSet(plan=plan, rows=tuple(rows), report=report)
+        rows.append((_aggregate(timeline, k, plan), label))
+    return _training_set(plan, rows, dropped)
 
 
 def write_training_csv(training: TrainingSet, stream: io.TextIOBase) -> None:
@@ -334,8 +325,6 @@ def read_training_csv(stream: io.TextIOBase, plan: AggregationPlan) -> TrainingS
             f"training CSV header {header!r} does not match plan columns {expected!r}"
         )
     rows: list[tuple[FeatureVector, int]] = []
-    events = 0
-    non_events = 0
     for row in reader:
         if not row:
             continue
@@ -351,9 +340,4 @@ def read_training_csv(stream: io.TextIOBase, plan: AggregationPlan) -> TrainingS
         if not all(math.isfinite(v) for v in values):
             raise ParseError(f"training CSV row {row!r}: feature values must be finite")
         rows.append((FeatureVector(entity_id=row[0], values=values), label))
-        if label == 1:
-            events += 1
-        else:
-            non_events += 1
-    report = TransformReport(events=events, non_events=non_events)
-    return TrainingSet(plan=plan, rows=tuple(rows), report=report)
+    return _training_set(plan, rows)

@@ -328,6 +328,31 @@ class TestBadInputsFailFast:
             ["Aasheesh", "Jitin", "Kumarjit", "acme, inc"]
         )
 
+    @pytest.mark.parametrize(
+        "field, corrupt",
+        [
+            ("schema.entity_column", lambda doc: doc["schema"].update(entity_column=5)),
+            ("schema.feature_columns", lambda doc: doc["schema"].update(feature_columns=5)),
+            ("schema.feature_columns", lambda doc: doc["schema"].update(feature_columns="abc")),
+            ("plan[0].column", lambda doc: doc["plan"][0].update(column=3)),
+            ("plan[3].denominator", lambda doc: doc["plan"][3].update(denominator=[])),
+            ("schema", lambda doc: doc.update(schema=5)),
+        ],
+    )
+    def test_config_type_fault_exit_one(self, tmp_path, capsys, field, corrupt):
+        doc = json.loads(CONFIG_JSON.read_text())
+        corrupt(doc)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert run_cli("validate", "--input", PANEL_CSV, "--config", config) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} must be ")
+
+    def test_undecodable_panel_exit_two(self, tmp_path, capsys):
+        panel = tmp_path / "panel.csv"
+        panel.write_bytes(PANEL_CSV.read_bytes() + b"\xff\n")
+        assert run_cli("validate", "--input", panel, "--config", CONFIG_JSON) == 2
+        assert capsys.readouterr().err.startswith("error: unreadable input: ")
+
 
 def overflowing_panel(tmp_path):
     """The fixture with every feature cell set to 1e308: each cell is finite,

@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from leadframe.errors import DegenerateLabels, DimensionMismatch, InvalidConfig, NonFiniteValue
+from leadframe.errors import (
+    DegenerateLabels,
+    DimensionMismatch,
+    InvalidConfig,
+    NonFiniteValue,
+    ParseError,
+)
 from leadframe.model import (
     LogisticModel,
     TrainConfig,
@@ -267,3 +273,29 @@ class TestPersistence:
     def test_invariant_checked_on_load(self):
         with pytest.raises(DimensionMismatch):
             make_model(["x", "y"], [1.0], 0.0)
+
+
+class TestLoadRejectsWrongTypes:
+    """A string where a list belongs, or a list of the wrong items, is a ParseError."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("weights",), "123"),
+            (("weights",), ["1", "2", "3"]),
+            (("weights",), [True, 2.0, 3.0]),
+            (("feature_names",), "abc"),
+            (("feature_names",), [1, 2, 3]),
+            (("scaling", "means"), "000"),
+            (("scaling", "stds"), "111"),
+        ],
+    )
+    def test_wrong_type_is_parse_error(self, path, value):
+        doc = make_model(["a", "b", "c"], [1.0, 2.0, 3.0], 0.5).to_json_dict()
+        *parents, key = path
+        section = doc
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        with pytest.raises(ParseError, match=key):
+            LogisticModel.from_json_dict(doc)

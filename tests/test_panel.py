@@ -2,12 +2,16 @@ import random
 
 import pytest
 
+from corpus import random_panel_rows, rows_to_csv_bytes
+from oracle import period_positions
+
 from leadframe.errors import (
     BadValue,
     DuplicateObservation,
     EmptyInput,
     InvalidConfig,
     MissingColumn,
+    ParseError,
 )
 from leadframe.panel import (
     PanelSchema,
@@ -256,3 +260,70 @@ class TestValidate:
         assert finding.level == "info"
         assert "2 unobserved" in finding.message
         assert not report.has_warnings
+
+
+class TestDuplicateHeaderColumn:
+    @pytest.mark.parametrize(
+        "header, row, column",
+        [
+            ("entity,period,a,a,b,event", "x,1,1,99,2,0", "a"),
+            ("entity,period,a, a ,b,event", "x,1,1,99,2,0", "a"),
+            ("entity,entity,period,a,b,event", "x,y,1,1,2,0", "entity"),
+            ("entity,period,a,b,event,event", "x,1,1,2,0,1", "event"),
+        ],
+    )
+    def test_schema_column_named_twice_rejected(self, header, row, column):
+        with pytest.raises(ParseError, match=f"column '{column}' more than once"):
+            parse_panel_csv(csv_bytes(header, row), small_schema())
+
+    def test_extra_column_named_twice_ignored(self):
+        data = csv_bytes("entity,period,a,note,b,note,event", "x,1,1,p,2,q,0")
+        (record,) = parse_panel_csv(data, small_schema()).records
+        assert record.features == {"a": 1.0, "b": 2.0}
+
+
+class TestValidateCorpus:
+    """Gap and event findings against counts taken from the raw rows."""
+
+    def expected_findings(self, raw, entity, positions):
+        observed = sorted((positions[label], label, flag) for e, label, _, flag in raw if e == entity)
+        findings = []
+        first, last = observed[0], observed[-1]
+        gaps = (last[0] - first[0] + 1) - len(observed)
+        if gaps:
+            findings.append(
+                ("period_gaps", f"{gaps} unobserved period(s) between {first[1]} and {last[1]}")
+            )
+        flagged = [(position, label) for position, label, flag in observed if flag == 1]
+        if len(flagged) > 1:
+            findings.append(
+                (
+                    "multiple_events",
+                    f"{len(flagged)} records carry the event flag; only the first "
+                    f"({flagged[0][1]}) is treated as the event",
+                )
+            )
+        if flagged:
+            trailing = sum(1 for position, _, _ in observed if position > flagged[0][0])
+            if trailing:
+                findings.append(
+                    (
+                        "records_after_event",
+                        f"{trailing} record(s) after the first event flag "
+                        f"({flagged[0][1]}) are ignored by the transform",
+                    )
+                )
+        return findings
+
+    def test_findings_match_raw_rows(self, corpus_schema):
+        rng = random.Random(20240601)
+        seen = set()
+        for _ in range(60):
+            raw = random_panel_rows(rng)
+            positions = period_positions(raw)
+            for timeline in build_timelines(parse_panel_csv(rows_to_csv_bytes(raw), corpus_schema)):
+                expected = self.expected_findings(raw, timeline.entity_id, positions)
+                report = validate_timeline(timeline)
+                assert [(f.code, f.message) for f in report.findings] == expected
+                seen.update(code for code, _ in expected)
+        assert seen == {"period_gaps", "multiple_events", "records_after_event"}
