@@ -10,12 +10,11 @@ loading and are checked by the same dataclass as the field they replace.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Union
 
-from .errors import InvalidConfig, check_int, check_real
+from .errors import InvalidConfig, check_int, check_real, load_json
 from .evaluation import check_lead_times, check_test_fraction
 from .model import TrainConfig
 from .panel import PanelSchema
@@ -155,5 +154,4 @@ def run_config_from_json_dict(doc: dict) -> RunConfig:
 
 def load_run_config(path: Union[str, Path]) -> RunConfig:
     """Load and validate a run config; see the module docstring for layout."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return run_config_from_json_dict(doc)
+    return run_config_from_json_dict(load_json(path))

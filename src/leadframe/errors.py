@@ -1,13 +1,15 @@
-"""Exception hierarchy shared by all leadframe modules, and the range checks
-every config dataclass applies to its fields.
+"""Exception hierarchy shared by all leadframe modules, the range checks
+every config dataclass applies to its fields, and the JSON file reader.
 
 ParseError and its subclasses cover malformed input files (CLI exit code 2);
 every other LeadframeError is a domain or validation failure (exit code 1).
 """
 
+import json
 import math
 from numbers import Real
-from typing import Callable
+from pathlib import Path
+from typing import Callable, Union
 
 
 class LeadframeError(Exception):
@@ -71,6 +73,27 @@ def check_int(value: object, message: str, low: int = 0, high: float = math.inf)
 def check_real(value: object, message: str, accept: Callable[[float], bool]) -> None:
     """Raise InvalidConfig(message) unless value is a finite real, not a bool, that
     ``accept`` holds for."""
-    finite = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    try:
+        finite = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
     if not (finite and accept(value)):
         raise InvalidConfig(message)
+
+
+def load_json(path: Union[str, Path]) -> object:
+    """Parse a UTF-8 JSON file.
+
+    A syntax error stays ``json.JSONDecodeError``; a document the decoder
+    cannot hold (nested deeper than the recursion limit, an integer with
+    more digits than ``int`` converts) is a ParseError.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except RecursionError:
+        raise ParseError(f"invalid JSON: {path} is nested too deeply") from None
+    except ValueError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None

@@ -26,6 +26,7 @@ from .errors import (
     ParseError,
     check_int,
     check_real,
+    load_json,
 )
 from .transform import FeatureVector, TrainingSet
 
@@ -50,15 +51,25 @@ class TrainConfig:
 _NUMBER = (int, float)
 
 
+def _is_kind(value: object, kinds: tuple[type, ...]) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _json_list(doc: dict, key: str, kinds: tuple[type, ...]) -> tuple:
     """``doc[key]`` as a tuple; TypeError unless it is a list of ``kinds`` (never bool)."""
     value = doc[key]
-    if not isinstance(value, list) or not all(
-        isinstance(v, kinds) and not isinstance(v, bool) for v in value
-    ):
+    if not isinstance(value, list) or not all(_is_kind(v, kinds) for v in value):
         names = " or ".join(kind.__name__ for kind in kinds)
         raise TypeError(f"{key} must be a list of {names}")
     return tuple(value)
+
+
+def _json_number(doc: dict, key: str) -> float:
+    """``doc[key]`` as a float; TypeError unless it is an int or a float (never bool)."""
+    value = doc[key]
+    if not _is_kind(value, _NUMBER):
+        raise TypeError(f"{key} must be an int or float")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -104,14 +115,16 @@ class LogisticModel:
             model = cls(
                 feature_names=_json_list(doc, "feature_names", (str,)),
                 weights=tuple(map(float, _json_list(doc, "weights", _NUMBER))),
-                intercept=float(doc["intercept"]),
+                intercept=_json_number(doc, "intercept"),
                 means=tuple(map(float, _json_list(scaling, "means", _NUMBER))),
                 stds=tuple(map(float, _json_list(scaling, "stds", _NUMBER))),
                 train_config=None if config is None else TrainConfig(**config),
             )
         except KeyError as exc:
             raise ParseError(f"model is missing key {exc}") from None
-        except (AttributeError, TypeError, ValueError, InvalidConfig, DimensionMismatch) as exc:
+        except (
+            AttributeError, TypeError, ValueError, OverflowError, InvalidConfig, DimensionMismatch
+        ) as exc:
             raise ParseError(f"model has a malformed field: {exc}") from None
         numbers = (model.intercept, *model.weights, *model.means, *model.stds)
         if not all(map(math.isfinite, numbers)):
@@ -120,7 +133,7 @@ class LogisticModel:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "LogisticModel":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_json_dict(load_json(path))
 
 
 def _design_matrix(data: TrainingSet) -> tuple[np.ndarray, np.ndarray]:

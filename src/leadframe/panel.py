@@ -332,18 +332,31 @@ def _format_number(value: float) -> str:
     return repr(value)
 
 
+class _Formatted(dict):
+    """``_format_number`` of each value, computed on first lookup.
+
+    Values that compare equal print the same (``-0.0`` and ``0.0`` both
+    print ``0``), so one entry serves every equal value.
+    """
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = _format_number(value)
+        return text
+
+
 def write_panel_csv(dataset: PanelDataset, stream: io.TextIOBase) -> None:
     """Write a dataset in canonical order: entity ascending, then period."""
     schema = dataset.schema
+    columns = schema.feature_columns
+    formatted = _Formatted()
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(schema.columns)
     ordered = sorted(dataset.records, key=lambda r: (r.entity_id, r.period.ordinal))
-    for record in ordered:
-        writer.writerow(
-            [record.entity_id, record.period.label]
-            + [_format_number(record.features[c]) for c in schema.feature_columns]
-            + [str(record.event_flag)]
-        )
+    writer.writerows(
+        [r.entity_id, r.period.label, *[formatted[r.features[c]] for c in columns],
+         str(r.event_flag)]
+        for r in ordered
+    )
 
 
 def build_timelines(dataset: PanelDataset) -> tuple[EntityTimeline, ...]:

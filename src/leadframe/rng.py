@@ -14,17 +14,23 @@ Derived quantities are defined exactly in terms of that 64-bit output:
 
     uniform()     = (output >> 11) * 2^-53                 (double in [0, 1))
     randrange(n)  = (output * n) >> 64                     (integer in [0, n))
-    poisson(lam)  = Knuth's product-of-uniforms method
+    poisson(lam)  = Knuth's product-of-uniforms method     (see leadframe.synth)
 
-Per-entity substreams are seeded as ``substream(seed, k)`` = first output of
-a SplitMix64 generator whose state is ``seed XOR ((k + 1) * 0x9E3779B97F4A7C15
-mod 2^64)``, so entities can be generated independently (or in parallel)
-without changing the stream each one sees.
+Per-entity substreams are seeded with the first output of a SplitMix64
+generator whose state is ``seed XOR ((k + 1) * 0x9E3779B97F4A7C15 mod 2^64)``
+for entity ``k``, so each entity sees the same stream however many entities
+are drawn, and in whatever order.
+
+:class:`SplitMix64` is the scalar generator.  The functions below it apply
+the same step to a numpy ``uint64`` array of states, one state per stream,
+so many streams advance in lockstep; wrapping array arithmetic is exact and
+never warns.  After ``j`` outputs a stream seeded with ``s`` holds state
+``s + j * 0x9E3779B97F4A7C15 mod 2^64``.
 """
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -55,19 +61,6 @@ class SplitMix64:
             raise ValueError("randrange requires n >= 1")
         return (self.next_uint64() * n) >> 64
 
-    def poisson(self, lam: float) -> int:
-        """Poisson draw by Knuth's method; suitable for small means."""
-        if lam <= 0.0:
-            return 0
-        threshold = math.exp(-lam)
-        k = 0
-        p = 1.0
-        while True:
-            p *= self.uniform()
-            if p <= threshold:
-                return k
-            k += 1
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(items) - 1, 0, -1):
@@ -75,7 +68,27 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
-def substream(seed: int, index: int) -> SplitMix64:
-    """Independent stream for item ``index`` under a dataset-level seed."""
-    child_seed = SplitMix64((seed ^ ((index + 1) * _GOLDEN)) & _MASK64).next_uint64()
-    return SplitMix64(child_seed)
+GOLDEN = np.uint64(_GOLDEN)
+
+
+def outputs(states: np.ndarray) -> np.ndarray:
+    """The output of each ``uint64`` state, which the caller has advanced."""
+    z = states ^ (states >> np.uint64(30))
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def uniforms(states: np.ndarray) -> np.ndarray:
+    """``uniform()`` of each advanced state: doubles in [0, 1)."""
+    return (outputs(states) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def substream_seeds(seed: int, count: int) -> np.ndarray:
+    """Seeds of the substreams of entities ``0 .. count - 1``, as ``uint64``."""
+    states = np.arange(1, count + 1, dtype=np.uint64) * GOLDEN
+    states ^= np.uint64(seed)
+    states += GOLDEN
+    return outputs(states)

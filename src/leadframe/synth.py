@@ -9,18 +9,30 @@ Pushing the reference frame past the ramp therefore removes every signal the
 generator planted, which is exactly the degradation the sweep measures.
 
 Generation is reproducible cell-for-cell: entity k consumes only its own
-``substream(seed, k)``, drawing one uniform for the event coin, one bounded
-integer for T (event entities only), then one Poisson count per feature
-column per observed period, in schema column order.
+substream of ``seed`` (see :mod:`leadframe.rng`), drawing one uniform for the
+event coin, one bounded integer for T (event entities only), then one
+Poisson count per feature column per observed period, in schema column
+order.  A Poisson count is Knuth's: multiply uniforms into a product that
+starts at 1 until it is <= ``exp(-mean)``, and count the uniforms before the
+last; a mean <= 0 gives 0 and draws nothing.
+
+All entities are drawn in lockstep on numpy ``uint64`` states, one uniform
+per still-drawing entity per step, and each consumes exactly the stream
+defined above.  ``tests/oracle.py`` keeps the scalar reference generator,
+one ``SplitMix64`` per entity and one call per value, and the tests require
+both to give the same records and bytes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidConfig, check_int, check_real
 from .panel import PanelDataset, PanelSchema, RawRow, build_dataset
-from .rng import substream
+from .rng import GOLDEN, outputs, substream_seeds, uniforms
 
 FEATURE_COLUMNS = (
     "outbound_calls",
@@ -65,36 +77,95 @@ class SynthConfig:
         check_int(self.seed, "seed must fit in an unsigned 64-bit integer", high=2**64)
 
 
+def _draw_counts(
+    states: np.ndarray, kinds: np.ndarray, offsets: np.ndarray, means: tuple[float, float]
+) -> np.ndarray:
+    """Knuth Poisson counts for every cell of every entity, drawn in lockstep.
+
+    ``kinds`` holds each cell's index into ``means``, entity by entity, and
+    entity ``e`` owns the cells ``offsets[e]:offsets[e + 1]`` and draws them
+    in order from the stream whose current state is ``states[e]``.  A cell
+    with a mean <= 0 is 0 and consumes nothing.  Every step, each entity
+    that still has cells to draw multiplies one uniform into its current
+    product and finishes its current cell once the product reaches
+    ``exp(-mean)``.
+    """
+    counts = np.zeros(len(kinds), dtype=np.int64)
+    drawn = np.flatnonzero(np.array([mean > 0.0 for mean in means])[kinds])
+    thresholds = np.array([math.exp(-mean) for mean in means])[kinds[drawn]]
+    # Each entity's drawn cells, as positions in `drawn`.
+    cell = np.searchsorted(drawn, offsets[:-1])
+    stop = np.searchsorted(drawn, offsets[1:])
+    running = cell < stop
+    states, cell, stop = states[running], cell[running], stop[running]
+    product = np.ones(len(cell))
+    started = np.zeros(len(cell), dtype=np.int64)  # step at which `cell` began
+    step = 0
+    while len(cell):
+        states += GOLDEN
+        product *= uniforms(states)
+        done = product <= thresholds[cell]
+        if done.any():
+            counts[drawn[cell[done]]] = step - started[done]
+            started[done] = step + 1
+            product[done] = 1.0
+            cell += done
+            running = cell < stop
+            if not running.all():
+                states, cell, stop = states[running], cell[running], stop[running]
+                product, started = product[running], started[running]
+        step += 1
+    return counts
+
+
 def generate_panel(config: SynthConfig) -> PanelDataset:
-    """Generate a panel dataset under the fixture-compatible schema."""
+    """Generate a panel dataset under the fixture-compatible schema.
+
+    Every entity draws in lockstep on numpy ``uint64`` states; the stream
+    each one consumes is the one the module docstring defines.
+    """
     schema = default_schema()
-    width = max(len(str(config.n_entities - 1)), 1)
+    columns = schema.feature_columns
+    n, ramp = config.n_entities, config.ramp_length
+
+    states = substream_seeds(config.seed, n)
+    states += GOLDEN
+    is_event = uniforms(states) < config.event_rate
+    event_period = np.zeros(n, dtype=np.int64)  # 0: no event
+    if is_event.any():
+        # randrange needs the high half of a 128-bit product: Python ints.
+        states[is_event] += GOLDEN
+        span = config.n_periods - ramp
+        event_period[is_event] = [
+            ramp + 1 + ((out * span) >> 64) for out in outputs(states[is_event]).tolist()
+        ]
+    observed = np.where(is_event, event_period, config.n_periods)
+
+    # One row per observed (entity, period), entity by entity; each row's
+    # cells are baseline (kind 0) or inside the ramp (kind 1).
+    first_row = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(observed, out=first_row[1:])
+    row_entity = np.repeat(np.arange(n), observed)
+    period = np.arange(len(row_entity)) - first_row[row_entity] + 1
+    until_event = event_period[row_entity] - period
+    kinds = np.repeat((until_event >= 1) & (until_event <= ramp), len(columns)).astype(np.uint8)
+    del row_entity, period, until_event
+    means = (config.noise_rate, config.noise_rate + config.signal_strength)
+    counts = _draw_counts(states, kinds, first_row * len(columns), means).reshape(-1, len(columns))
+    del states, kinds
+
+    # One float object per distinct count, shared by every cell holding it.
+    values = [float(v) for v in range(int(counts.max(initial=0)) + 1)]
+    labels = [str(period) for period in range(1, config.n_periods + 1)]
+    width = max(len(str(n - 1)), 1)
     rows: list[RawRow] = []
-
-    for index in range(config.n_entities):
-        rng = substream(config.seed, index)
+    for index, (start, last, event) in enumerate(
+        zip(first_row.tolist(), observed.tolist(), event_period.tolist())
+    ):
         entity_id = f"E{index:0{width}d}"
-
-        is_event = rng.uniform() < config.event_rate
-        if is_event:
-            event_period = config.ramp_length + 1 + rng.randrange(
-                config.n_periods - config.ramp_length
-            )
-            last_observed = event_period
-        else:
-            event_period = None
-            last_observed = config.n_periods
-
-        for period in range(1, last_observed + 1):
-            in_ramp = (
-                event_period is not None
-                and event_period - config.ramp_length <= period <= event_period - 1
-            )
-            mean = config.noise_rate + (config.signal_strength if in_ramp else 0.0)
-            features = {
-                column: float(rng.poisson(mean)) for column in schema.feature_columns
-            }
-            flag = 1 if period == event_period else 0
-            rows.append((entity_id, str(period), features, flag))
-
+        rows.extend(
+            (entity_id, labels[p], dict(zip(columns, map(values.__getitem__, cells))),
+             1 if p + 1 == event else 0)
+            for p, cells in enumerate(counts[start : start + last].tolist())
+        )
     return build_dataset(schema, rows, "int")

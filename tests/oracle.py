@@ -6,9 +6,20 @@ own period ordering, and plan entries described as bare tuples:
 
     ("sum", col) | ("count_nonzero", col) | ("max", col) | ("last", col)
     | ("ratio_of_sums", numerator, denominator)
+
+``scalar_synth_rows`` is the reference for the lockstep synthetic generator.
+It draws each entity from its own scalar ``SplitMix64``, the package's
+definition of the stream, one call per value.
 """
 
 from __future__ import annotations
+
+import math
+
+from leadframe.rng import SplitMix64
+
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
 
 
 def period_positions(raw_rows):
@@ -117,3 +128,42 @@ def brute_force_pairwise_auc(scores, labels):
             elif p == n:
                 total += 0.5
     return total / (len(positives) * len(negatives))
+
+
+def _poisson(rng, lam):
+    """Knuth's product-of-uniforms Poisson draw; a mean <= 0 draws nothing."""
+    if lam <= 0.0:
+        return 0
+    threshold = math.exp(-lam)
+    k = 0
+    p = 1.0
+    while True:
+        p *= rng.uniform()
+        if p <= threshold:
+            return k
+        k += 1
+
+
+def scalar_synth_rows(config, columns):
+    """Raw rows of a synthetic panel, one entity and one draw at a time."""
+    width = max(len(str(config.n_entities - 1)), 1)
+    rows = []
+    for index in range(config.n_entities):
+        child_seed = SplitMix64(config.seed ^ (((index + 1) * _GOLDEN) & _MASK64)).next_uint64()
+        rng = SplitMix64(child_seed)
+        entity = f"E{index:0{width}d}"
+        event_period = None
+        last_observed = config.n_periods
+        if rng.uniform() < config.event_rate:
+            span = config.n_periods - config.ramp_length
+            event_period = config.ramp_length + 1 + rng.randrange(span)
+            last_observed = event_period
+        for period in range(1, last_observed + 1):
+            in_ramp = (
+                event_period is not None
+                and event_period - config.ramp_length <= period <= event_period - 1
+            )
+            mean = config.noise_rate + (config.signal_strength if in_ramp else 0.0)
+            features = {column: float(_poisson(rng, mean)) for column in columns}
+            rows.append((entity, str(period), features, 1 if period == event_period else 0))
+    return rows

@@ -435,3 +435,62 @@ class TestNonFiniteNeverReachesOutput:
             "error: feature means or standard deviations overflow; rescale the features"
         ]
         assert not model.exists()
+
+
+class TestJsonTheDecoderCannotHold:
+    """JSON that parses in principle but not in practice exits with one error line."""
+
+    def assert_one_error_line(self, capsys, start):
+        err = capsys.readouterr().err
+        assert err.startswith(start)
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.fixture()
+    def deep_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        return path
+
+    def test_deeply_nested_config_exit_two(self, capsys, deep_json):
+        assert run_cli("validate", "--input", PANEL_CSV, "--config", deep_json) == 2
+        self.assert_one_error_line(capsys, "error: invalid JSON: ")
+
+    def test_deeply_nested_model_exit_two(self, tmp_path, capsys, deep_json):
+        code = run_cli(
+            "score", "--model", deep_json, "--input", PANEL_CSV,
+            "--config", CONFIG_JSON, "--output", tmp_path / "scores.csv",
+        )
+        assert code == 2
+        self.assert_one_error_line(capsys, "error: invalid JSON: ")
+        assert not (tmp_path / "scores.csv").exists()
+
+    def test_integer_with_too_many_digits_exit_two(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        huge = '"train": {"x": ' + "1" * 5000 + ","
+        config.write_text(CONFIG_JSON.read_text().replace('"train": {', huge))
+        assert run_cli("validate", "--input", PANEL_CSV, "--config", config) == 2
+        self.assert_one_error_line(capsys, "error: invalid JSON: ")
+
+    def test_integer_too_large_for_a_float_in_config_exit_one(self, tmp_path, capsys):
+        doc = json.loads(CONFIG_JSON.read_text())
+        doc["train"]["learning_rate"] = 10**400
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert run_cli("validate", "--input", PANEL_CSV, "--config", config) == 1
+        self.assert_one_error_line(capsys, "error: learning_rate ")
+
+    def test_integer_too_large_for_a_float_in_model_exit_two(self, tmp_path, capsys):
+        training, model = tmp_path / "training.csv", tmp_path / "model.json"
+        run_cli("transform", "--input", PANEL_CSV, "--config", CONFIG_JSON, "--output", training)
+        run_cli("train", "--input", training, "--config", CONFIG_JSON, "--output", model)
+        doc = json.loads(model.read_text())
+        doc["weights"][0] = 10**400
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run_cli(
+            "score", "--model", model, "--input", PANEL_CSV,
+            "--config", CONFIG_JSON, "--output", tmp_path / "scores.csv",
+        )
+        assert code == 2
+        self.assert_one_error_line(capsys, "error: model ")

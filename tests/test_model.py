@@ -276,7 +276,8 @@ class TestPersistence:
 
 
 class TestLoadRejectsWrongTypes:
-    """A string where a list belongs, or a list of the wrong items, is a ParseError."""
+    """A string where a list belongs, a list of the wrong items, or an intercept
+    that is not a number, is a ParseError."""
 
     @pytest.mark.parametrize(
         "path, value",
@@ -288,6 +289,8 @@ class TestLoadRejectsWrongTypes:
             (("feature_names",), [1, 2, 3]),
             (("scaling", "means"), "000"),
             (("scaling", "stds"), "111"),
+            (("intercept",), "1.5"),
+            (("intercept",), True),
         ],
     )
     def test_wrong_type_is_parse_error(self, path, value):

@@ -1,8 +1,11 @@
+import csv
+import dataclasses
+import itertools
 import random
 
 import pytest
 
-from corpus import random_panel_rows, rows_to_csv_bytes
+from corpus import random_float_panel_rows, random_panel_rows, rows_to_csv_bytes
 from oracle import period_positions
 
 from leadframe.errors import (
@@ -14,7 +17,9 @@ from leadframe.errors import (
     ParseError,
 )
 from leadframe.panel import (
+    PanelDataset,
     PanelSchema,
+    _format_number,
     build_timelines,
     parse_panel_csv,
     validate_timeline,
@@ -327,3 +332,42 @@ class TestValidateCorpus:
                 assert [(f.code, f.message) for f in report.findings] == expected
                 seen.update(code for code, _ in expected)
         assert seen == {"period_gaps", "multiple_events", "records_after_event"}
+
+
+class TestWriteFormatsEachCell:
+    """Every written cell is ``_format_number`` of its own value, so the
+    writer's cache of formatted values never merges values that print
+    differently."""
+
+    SPECIAL = (-0.0, 1e15 - 1, 1e15, 1e16, 0.1, 1e300, 0.1 + 0.2)
+
+    def test_cells_match_format_number(self, corpus_schema):
+        rng = random.Random(20261018)
+        written = set()
+        for _ in range(20):
+            raw = random_float_panel_rows(rng)
+            dataset = parse_panel_csv(rows_to_csv_bytes(raw), corpus_schema)
+            special = itertools.cycle(self.SPECIAL)
+            records = tuple(
+                dataclasses.replace(r, features={**r.features, "a": next(special)}) if i % 2 else r
+                for i, r in enumerate(dataset.records)
+            )
+            buffer = io.StringIO()
+            write_panel_csv(PanelDataset(corpus_schema, records), buffer)
+            header, *rows = csv.reader(io.StringIO(buffer.getvalue()))
+            assert header == list(corpus_schema.columns)
+            ordered = sorted(records, key=lambda r: (r.entity_id, r.period.ordinal))
+            assert len(rows) == len(ordered)
+            for row, record in zip(rows, ordered):
+                features = corpus_schema.feature_columns
+                assert row == [
+                    record.entity_id,
+                    record.period.label,
+                    *(_format_number(record.features[c]) for c in features),
+                    str(record.event_flag),
+                ]
+                written.update(row[2 : 2 + len(features)])
+        assert {
+            "0", "999999999999999", "1000000000000000.0", "1e+16", "0.1", "1e+300", "0.3",
+            "0.30000000000000004",
+        } <= written
