@@ -4,7 +4,8 @@ Commands: validate, transform, train, score, sweep, synth.  Every run is a
 pure function of its input files, config, and seeds, so re-running a command
 overwrites its outputs with identical bytes.  Exit codes: 0 success, 1 domain
 or validation error, 2 I/O or parse error.  Set LEADFRAME_LOG=info (or debug)
-to see the resolved configuration of each run on stderr.
+to see the resolved configuration of each run and the shape of each panel
+read (rows, entities, periods) on stderr.
 """
 
 from __future__ import annotations
@@ -69,6 +70,14 @@ def _load_config(args: argparse.Namespace) -> config_mod.RunConfig:
 def _read_panel(path: str, cfg: config_mod.RunConfig):
     with open(path, "rb") as handle:
         dataset = parse_panel_csv(handle, cfg.schema)
+    columns = dataset.columns
+    logger.info(
+        "panel %s: %d rows, %d entities, %d periods",
+        path,
+        len(columns),
+        len(columns.entity_ids),
+        len(columns.periods),
+    )
     return build_timelines(dataset)
 
 

@@ -15,18 +15,30 @@ labels.  Each distinct label is assigned a global ordinal (its position in
 the sorted sequence of distinct labels observed in the dataset); lead times
 downstream are measured in these ordinals, so calendar gaps in one entity's
 history still count as elapsed periods.
+
+Rows are held as columns (:class:`PanelColumns`): entity codes, period
+ordinals, a float64 feature matrix and event flags.  The parse converts each
+column in blocks of rows and checks whole columns at once; only when a check
+fails does it walk the rows again, in file order, to name the first fault
+and its line.  :func:`build_timelines` sorts the rows once by entity and
+period, and each :class:`EntityTimeline` is a view of one entity's rows.
+``PanelRecord`` objects are made only when ``records`` is read.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import BinaryIO, Iterable, Sequence, Union
+from typing import BinaryIO, NoReturn, Union
+
+import numpy as np
 
 from .errors import (
     BadValue,
@@ -40,6 +52,9 @@ from .errors import (
 _FLAGS = {"0": 0, "1": 1}
 _INT_LABEL = re.compile(r"^[+-]?[0-9]+$")
 _MONTH_LABEL = re.compile(r"^[0-9]{4}-(0[1-9]|1[0-2])$")
+# Rows converted per block by the parse: small enough to keep the cell
+# strings of one block only, large enough that numpy calls are few.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -91,49 +106,245 @@ class PanelRecord:
     event_flag: int
 
 
-@dataclass(frozen=True)
-class PanelDataset:
-    """Parsed panel rows plus the schema they were read under."""
+@dataclass(frozen=True, eq=False)
+class PanelColumns:
+    """Panel rows as columns.
 
-    schema: PanelSchema
-    records: tuple[PanelRecord, ...]
+    Row ``i`` is entity ``entity_ids[codes[i]]`` in period
+    ``periods[ordinals[i]]``, with one value per name in ``features`` in
+    ``values[i]`` and event flag ``flags[i]``.  ``entity_ids`` is sorted, so
+    ordering rows by code orders them by entity id.
+    """
+
+    entity_ids: tuple[str, ...]
+    codes: np.ndarray
+    periods: dict[int, PeriodIndex]
+    ordinals: np.ndarray
+    features: tuple[str, ...]
+    values: np.ndarray
+    flags: np.ndarray
+
+    @classmethod
+    def from_records(
+        cls, records: Sequence[PanelRecord], features: tuple[str, ...], entity_id: str | None = None
+    ) -> "PanelColumns":
+        """Columns of the records, in their order; with ``entity_id``, every
+        row belongs to that one entity whatever its record says."""
+        if entity_id is None:
+            entity_ids = tuple(sorted({r.entity_id for r in records}))
+            code = {e: i for i, e in enumerate(entity_ids)}
+            codes = [code[r.entity_id] for r in records]
+        else:
+            entity_ids, codes = (entity_id,), [0] * len(records)
+        periods: dict[int, PeriodIndex] = {}
+        for r in records:
+            periods.setdefault(r.period.ordinal, r.period)
+        values = [[r.features[name] for name in features] for r in records]
+        return cls(
+            entity_ids=entity_ids,
+            codes=np.array(codes, dtype=np.intp),
+            periods=periods,
+            ordinals=np.array([r.period.ordinal for r in records], dtype=np.intp),
+            features=features,
+            values=np.array(values, dtype=np.float64).reshape(len(records), len(features)),
+            flags=np.array([r.event_flag for r in records], dtype=np.int8),
+        )
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PanelColumns):
+            return NotImplemented
+        return (
+            self.entity_ids == other.entity_ids
+            and self.periods == other.periods
+            and self.features == other.features
+            and all(
+                np.array_equal(mine, theirs)
+                for mine, theirs in (
+                    (self.codes, other.codes),
+                    (self.ordinals, other.ordinals),
+                    (self.values, other.values),
+                    (self.flags, other.flags),
+                )
+            )
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    @cached_property
+    def feature_index(self) -> dict[str, int]:
+        """Each feature name's column in ``values``."""
+        return {name: j for j, name in enumerate(self.features)}
+
+    def take(self, rows: np.ndarray) -> "PanelColumns":
+        """The given rows, in the given order."""
+        return replace(
+            self,
+            codes=self.codes[rows],
+            ordinals=self.ordinals[rows],
+            values=self.values[rows],
+            flags=self.flags[rows],
+        )
+
+    def records(self, start: int, stop: int) -> tuple[PanelRecord, ...]:
+        """A new PanelRecord for each row in ``start:stop``."""
+        ids, periods, features = self.entity_ids, self.periods, self.features
+        return tuple(
+            PanelRecord(ids[code], periods[ordinal], dict(zip(features, values)), flag)
+            for code, ordinal, values, flag in zip(
+                self.codes[start:stop].tolist(),
+                self.ordinals[start:stop].tolist(),
+                self.values[start:stop].tolist(),
+                self.flags[start:stop].tolist(),
+            )
+        )
+
+
+class _RecordView(Sequence):
+    """Read-only sequence of a dataset's records, each made on access."""
+
+    def __init__(self, columns: PanelColumns) -> None:
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            rows = range(len(self))[index]
+            if rows.step != 1:
+                raise ValueError("records supports only slices with step 1")
+            return self._columns.records(rows.start, rows.stop)
+        row = range(len(self))[index]
+        return self._columns.records(row, row + 1)[0]
+
+    def __iter__(self):
+        return iter(self._columns.records(0, len(self)))
+
+
+class PanelDataset:
+    """Panel rows, as :class:`PanelColumns` in file order, plus the schema
+    they were read under.
+
+    ``records`` is a read-only sequence with an O(1) ``len`` that makes each
+    :class:`PanelRecord` when it is read.
+    """
+
+    def __init__(self, schema: PanelSchema, records: Iterable[PanelRecord]) -> None:
+        self.schema = schema
+        self.columns = PanelColumns.from_records(tuple(records), schema.feature_columns)
+
+    @classmethod
+    def from_columns(cls, schema: PanelSchema, columns: PanelColumns) -> "PanelDataset":
+        dataset = cls.__new__(cls)
+        dataset.schema, dataset.columns = schema, columns
+        return dataset
+
+    @property
+    def records(self) -> Sequence[PanelRecord]:
+        return _RecordView(self.columns)
 
     def entity_ids(self) -> list[str]:
-        return sorted({r.entity_id for r in self.records})
+        return list(self.columns.entity_ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PanelDataset):
+            return NotImplemented
+        return self.schema == other.schema and self.columns == other.columns
+
+    __hash__ = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+class TimelineBlock:
+    """Panel rows sorted by entity, then period, with each entity's rows.
+
+    Entity ``e`` owns rows ``offsets[e]:offsets[e + 1]`` of ``columns``.
+    ``cache`` keeps what the transform derives from the rows (prefix tables,
+    search keys), so every timeline of the block and every lead time of a
+    sweep shares one copy.
+    """
+
+    def __init__(self, columns: PanelColumns, offsets: np.ndarray) -> None:
+        self.columns = columns
+        self.offsets = offsets
+        self.cache: dict = {}
+
+    @cached_property
+    def first_event(self) -> np.ndarray:
+        """Row of each entity's first flagged record, or -1 if it has none."""
+        rows = np.flatnonzero(self.columns.flags == 1)
+        entities = self.columns.codes[rows]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = entities[1:] != entities[:-1]
+        result = np.full(len(self.offsets) - 1, -1, dtype=np.intp)
+        result[entities[first]] = rows[first]
+        return result
+
+
 class EntityTimeline:
     """One entity's records in strictly increasing period order.
 
-    The ordinals, the first event and each feature column are computed on
-    first use and kept, so every lead time of a sweep reuses them.
+    A timeline is a view of the rows of entity ``index`` in ``block``.  The
+    timelines from :func:`build_timelines` share one block;
+    ``EntityTimeline(entity_id, records)`` makes a one-entity block from the
+    records, so both kinds fold through the same code.  ``records`` is made
+    on first read and kept.
     """
 
-    entity_id: str
-    records: tuple[PanelRecord, ...]
+    __slots__ = ("entity_id", "block", "index", "_records")
 
-    @cached_property
+    def __init__(self, entity_id: str, records: Iterable[PanelRecord]) -> None:
+        records = tuple(records)
+        # A column counts only if every record has it; with no records, no
+        # value is ever read, so none is missing.
+        names = records[0].features if records else {}
+        features = tuple(n for n in names if all(n in r.features for r in records))
+        columns = PanelColumns.from_records(records, features, entity_id)
+        self.entity_id = entity_id
+        self.block = TimelineBlock(columns, np.array([0, len(records)], dtype=np.intp))
+        self.index = 0
+        self._records = records
+
+    @classmethod
+    def _view(cls, block: TimelineBlock, index: int) -> "EntityTimeline":
+        timeline = cls.__new__(cls)
+        timeline.entity_id = block.columns.entity_ids[index]
+        timeline.block = block
+        timeline.index = index
+        timeline._records = None
+        return timeline
+
+    @property
+    def _rows(self) -> tuple[int, int]:
+        offsets = self.block.offsets
+        return int(offsets[self.index]), int(offsets[self.index + 1])
+
+    @property
+    def records(self) -> tuple[PanelRecord, ...]:
+        if self._records is None:
+            self._records = self.block.columns.records(*self._rows)
+        return self._records
+
+    @property
     def ordinals(self) -> list[int]:
         """Period ordinals of the records, oldest first."""
-        return [r.period.ordinal for r in self.records]
+        start, stop = self._rows
+        return self.block.columns.ordinals[start:stop].tolist()
 
-    @cached_property
+    @property
     def event_index(self) -> int | None:
         """Position of the first record whose event flag is set, if any."""
-        flags = [r.event_flag for r in self.records]
-        return flags.index(1) if 1 in flags else None
+        row = int(self.block.first_event[self.index])
+        return None if row < 0 else row - self._rows[0]
 
-    @cached_property
-    def _columns(self) -> dict[str, list[float]]:
-        return {}
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EntityTimeline):
+            return NotImplemented
+        return self.entity_id == other.entity_id and self.records == other.records
 
-    def column(self, name: str) -> list[float]:
-        """One feature's values, oldest first; KeyError if a record lacks it."""
-        columns = self._columns
-        if name not in columns:
-            columns[name] = [r.features[name] for r in self.records]
-        return columns[name]
+    __hash__ = None  # type: ignore[assignment]
 
 
 @dataclass(frozen=True)
@@ -172,7 +383,10 @@ def _label_kind(label: str) -> str | None:
 
 def index_periods(labels: Iterable[str], kind: str) -> dict[str, int]:
     """Map each distinct period label to its global chronological ordinal."""
-    distinct = sorted(set(labels), key=(int if kind == "int" else str))
+    # Labels of one integer ("2", "+2", "02") are ordered by text, so the
+    # error below names the same pair whatever order the set holds them in.
+    by_value = (lambda label: (int(label), label)) if kind == "int" else str
+    distinct = sorted(set(labels), key=by_value)
     if kind == "int":
         seen: dict[int, str] = {}
         for label in distinct:
@@ -190,19 +404,15 @@ RawRow = tuple[str, str, dict[str, float], int]
 
 
 def build_dataset(schema: PanelSchema, rows: Sequence[RawRow], kind: str) -> PanelDataset:
-    """Assemble records from raw rows whose period labels all have the format
-    ``kind`` ("int" or "month"), assigning global period ordinals.
-
-    Records sharing a label share one PeriodIndex, and each record keeps the
-    row's feature dict itself, so the caller must not reuse it.
-    """
+    """Assemble a dataset from raw rows whose period labels all have the
+    format ``kind`` ("int" or "month"), assigning global period ordinals."""
     ordinals = index_periods({label for _, label, _, _ in rows}, kind)
     periods = {label: PeriodIndex(ordinal, label) for label, ordinal in ordinals.items()}
-    records = tuple(
-        PanelRecord(entity_id=entity, period=periods[label], features=features, event_flag=flag)
-        for entity, label, features, flag in rows
+    return PanelDataset(
+        schema,
+        (PanelRecord(entity, periods[label], features, flag)
+         for entity, label, features, flag in rows),
     )
-    return PanelDataset(schema=schema, records=records)
 
 
 def _check_row(
@@ -210,8 +420,7 @@ def _check_row(
 ) -> None:
     """Raise BadValue for the first fault of a row, checking cells in schema order.
 
-    Only rows the parse loop flags come here.  A flagged row can still be
-    clean (finite cells whose sum overflows), and then this returns.
+    Returns for a clean row.
     """
 
     def cell(column: str) -> str:
@@ -258,6 +467,102 @@ def _check_row(
         )
 
 
+def _raise_first_fault(text: str, schema: PanelSchema, positions: dict[str, int]) -> NoReturn:
+    """Walk the data rows in file order and raise the first fault, with the
+    line its record ends on (or the reader's own csv.Error)."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    file_kind = None
+    for row in reader:
+        if not row:
+            continue
+        _check_row(row, reader.line_num, schema, positions, file_kind)
+        if file_kind is None:
+            file_kind = _label_kind(row[positions[schema.period_column]].strip())
+    raise AssertionError("a column check failed, but no row holds a fault")
+
+
+class _Codes(dict):
+    """Numbers each distinct key 0, 1, 2, ... in order of first lookup."""
+
+    def __missing__(self, key: str) -> int:
+        code = self[key] = len(self)
+        return code
+
+
+def _codes(cells: Iterable[str], numbering: _Codes, n: int) -> np.ndarray:
+    """The number of each of n cells in ``numbering``."""
+    return np.fromiter(map(numbering.__getitem__, cells), np.intp, n)
+
+
+def _read_columns(
+    rows: Iterable[list[str]], schema: PanelSchema, positions: dict[str, int]
+) -> PanelColumns | None:
+    """Convert the data rows to PanelColumns, or None if any row may hold a fault.
+
+    Cells are gathered and converted one block of rows at a time.  Entity,
+    period and flag cells are numbered by their distinct raw text, and each
+    distinct text is stripped and checked once.
+    """
+    entity_at, period_at, event_at = (
+        operator.itemgetter(positions[c])
+        for c in (schema.entity_column, schema.period_column, schema.event_column)
+    )
+    feature_at = [operator.itemgetter(positions[c]) for c in schema.feature_columns]
+    width = max(positions[c] for c in schema.columns) + 1
+    entities, labels, flags = _Codes(), _Codes(), _Codes()
+    entity_codes, label_codes, flag_codes, value_blocks = [], [], [], []
+    rows = iter(rows)
+    try:
+        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+            n = len(block)
+            if min(map(len, block)) < width:
+                return None
+            entity_codes.append(_codes(map(entity_at, block), entities, n))
+            label_codes.append(_codes(map(period_at, block), labels, n))
+            flag_codes.append(_codes(map(event_at, block), flags, n))
+            values = np.empty((n, len(feature_at)))
+            for j, cells in enumerate(feature_at):
+                values[:, j] = np.fromiter(map(float, map(cells, block)), np.float64, n)
+            value_blocks.append(values)
+    except (ValueError, csv.Error):
+        # A cell is not a number, or the reader failed on a later row: an
+        # earlier row may still hold the first fault.
+        return None
+    if not entities:
+        raise EmptyInput("input has a header but no data rows")
+
+    entity_ids = [raw.strip() for raw in entities]
+    label_texts = [raw.strip() for raw in labels]
+    kinds = [_label_kind(label) for label in label_texts]
+    file_kind = kinds[0]  # the first row's label was numbered first
+    flag_values = [_FLAGS.get(raw.strip()) for raw in flags]
+    values = np.concatenate(value_blocks)
+    if (
+        "" in entity_ids
+        or file_kind is None
+        or any(kind != file_kind for kind in kinds)
+        or None in flag_values
+        or not (values >= 0.0).all()
+        or not np.isfinite(values).all()
+    ):
+        return None
+
+    distinct_ids = sorted(set(entity_ids))
+    code = {entity: i for i, entity in enumerate(distinct_ids)}
+    ordinal = index_periods(label_texts, file_kind)
+    # Map each block's numbers of raw texts to entity codes, ordinals and flags.
+    return PanelColumns(
+        entity_ids=tuple(distinct_ids),
+        codes=np.array([code[e] for e in entity_ids])[np.concatenate(entity_codes)],
+        periods={o: PeriodIndex(o, label) for label, o in ordinal.items()},
+        ordinals=np.array([ordinal[label] for label in label_texts])[np.concatenate(label_codes)],
+        features=schema.feature_columns,
+        values=values,
+        flags=np.array(flag_values, dtype=np.int8)[np.concatenate(flag_codes)],
+    )
+
+
 def parse_panel_csv(source: Union[bytes, BinaryIO], schema: PanelSchema) -> PanelDataset:
     """Parse a panel CSV into a :class:`PanelDataset`.
 
@@ -285,45 +590,10 @@ def parse_panel_csv(source: Union[bytes, BinaryIO], schema: PanelSchema) -> Pane
     if missing:
         raise MissingColumn(f"columns absent from header: {', '.join(missing)}")
 
-    # One C-level gather, strip and float conversion per row.  Any sign of a
-    # fault sends the row to _check_row, which names the first bad cell.
-    pick = operator.itemgetter(*(positions[c] for c in schema.columns))
-    feature_columns = schema.feature_columns
-    kinds: dict[str, str | None] = {}
-    entity_ids: dict[str, str] = {}
-    file_kind: str | None = None
-    rows: list[RawRow] = []
-    for row in reader:
-        if not row:
-            continue
-        try:
-            entity, label, *cells, raw_flag = map(str.strip, pick(row))
-            values = list(map(float, cells))
-        except (IndexError, ValueError):
-            # A cell is missing or not a number: _check_row names it or an earlier fault.
-            _check_row(row, reader.line_num, schema, positions, file_kind)
-            raise
-        if label not in kinds:
-            kinds[label] = _label_kind(label)
-        kind = kinds[label]
-        if file_kind is None:
-            file_kind = kind
-        flag = _FLAGS.get(raw_flag)
-        if (
-            not entity
-            or kind is None
-            or kind != file_kind
-            or flag is None
-            or not min(values) >= 0.0
-            or not math.isfinite(sum(values))
-        ):
-            _check_row(row, reader.line_num, schema, positions, file_kind)
-        entity = entity_ids.setdefault(entity, entity)
-        rows.append((entity, label, dict(zip(feature_columns, values)), flag))
-
-    if not rows:
-        raise EmptyInput("input has a header but no data rows")
-    return build_dataset(schema, rows, file_kind)
+    columns = _read_columns(filter(None, reader), schema, positions)
+    if columns is None:
+        _raise_first_fault(text, schema, positions)
+    return PanelDataset.from_columns(schema, columns)
 
 
 def _format_number(value: float) -> str:
@@ -346,40 +616,46 @@ class _Formatted(dict):
 
 def write_panel_csv(dataset: PanelDataset, stream: io.TextIOBase) -> None:
     """Write a dataset in canonical order: entity ascending, then period."""
-    schema = dataset.schema
-    columns = schema.feature_columns
+    columns = dataset.columns
+    ordered = columns.take(np.lexsort((columns.ordinals, columns.codes)))
+    labels = {ordinal: period.label for ordinal, period in columns.periods.items()}
     formatted = _Formatted()
+    cells = [
+        list(map(columns.entity_ids.__getitem__, ordered.codes.tolist())),
+        list(map(labels.__getitem__, ordered.ordinals.tolist())),
+    ]
+    # One column at a time, so only one column of float objects is alive.
+    cells += [list(map(formatted.__getitem__, ordered.values[:, j].tolist()))
+              for j in range(len(columns.features))]
+    cells.append(list(map(str, ordered.flags.tolist())))
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(schema.columns)
-    ordered = sorted(dataset.records, key=lambda r: (r.entity_id, r.period.ordinal))
-    writer.writerows(
-        [r.entity_id, r.period.label, *[formatted[r.features[c]] for c in columns],
-         str(r.event_flag)]
-        for r in ordered
-    )
+    writer.writerow(dataset.schema.columns)
+    writer.writerows(zip(*cells))
 
 
 def build_timelines(dataset: PanelDataset) -> tuple[EntityTimeline, ...]:
     """Group records into per-entity timelines sorted by period.
 
-    Raises DuplicateObservation if an (entity, period) pair repeats; silent
-    last-wins would corrupt every downstream aggregate.
+    One stable sort by (entity, period) orders every row; each timeline is a
+    view of its entity's rows.  Raises DuplicateObservation if an (entity,
+    period) pair repeats; silent last-wins would corrupt every downstream
+    aggregate.
     """
-    by_entity: dict[str, list[PanelRecord]] = {}
-    for record in dataset.records:
-        by_entity.setdefault(record.entity_id, []).append(record)
-
-    timelines = []
-    for entity_id in sorted(by_entity):
-        records = sorted(by_entity[entity_id], key=lambda r: r.period.ordinal)
-        for previous, current in zip(records, records[1:]):
-            if previous.period.ordinal == current.period.ordinal:
-                raise DuplicateObservation(
-                    f"entity {entity_id!r} observed twice in period "
-                    f"{current.period.label!r}"
-                )
-        timelines.append(EntityTimeline(entity_id=entity_id, records=tuple(records)))
-    return tuple(timelines)
+    columns = dataset.columns
+    ordered = columns.take(np.lexsort((columns.ordinals, columns.codes)))
+    codes, ordinals = ordered.codes, ordered.ordinals
+    repeats = np.flatnonzero((codes[1:] == codes[:-1]) & (ordinals[1:] == ordinals[:-1]))
+    if len(repeats):
+        row = int(repeats[0]) + 1
+        raise DuplicateObservation(
+            f"entity {columns.entity_ids[codes[row]]!r} observed twice in period "
+            f"{columns.periods[int(ordinals[row])].label!r}"
+        )
+    n_entities = len(columns.entity_ids)
+    offsets = np.zeros(n_entities + 1, dtype=np.intp)
+    np.cumsum(np.bincount(codes, minlength=n_entities), out=offsets[1:])
+    block = TimelineBlock(ordered, offsets)
+    return tuple(EntityTimeline._view(block, index) for index in range(n_entities))
 
 
 def validate_timeline(timeline: EntityTimeline) -> ValidationReport:

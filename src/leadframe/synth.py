@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, check_int, check_real
-from .panel import PanelDataset, PanelSchema, RawRow, build_dataset
+from .panel import PanelColumns, PanelDataset, PanelSchema, PeriodIndex
 from .rng import GOLDEN, outputs, substream_seeds, uniforms
 
 FEATURE_COLUMNS = (
@@ -142,30 +142,28 @@ def generate_panel(config: SynthConfig) -> PanelDataset:
     observed = np.where(is_event, event_period, config.n_periods)
 
     # One row per observed (entity, period), entity by entity; each row's
-    # cells are baseline (kind 0) or inside the ramp (kind 1).
+    # cells are baseline (kind 0) or inside the ramp (kind 1).  Every period
+    # up to the longest history is observed, so period p has ordinal p - 1.
     first_row = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(observed, out=first_row[1:])
     row_entity = np.repeat(np.arange(n), observed)
-    period = np.arange(len(row_entity)) - first_row[row_entity] + 1
-    until_event = event_period[row_entity] - period
+    ordinals = np.arange(len(row_entity)) - first_row[row_entity]
+    until_event = event_period[row_entity] - (ordinals + 1)
     kinds = np.repeat((until_event >= 1) & (until_event <= ramp), len(columns)).astype(np.uint8)
-    del row_entity, period, until_event
+    del until_event
     means = (config.noise_rate, config.noise_rate + config.signal_strength)
     counts = _draw_counts(states, kinds, first_row * len(columns), means).reshape(-1, len(columns))
     del states, kinds
 
-    # One float object per distinct count, shared by every cell holding it.
-    values = [float(v) for v in range(int(counts.max(initial=0)) + 1)]
-    labels = [str(period) for period in range(1, config.n_periods + 1)]
+    # Entity ids are zero-padded, so code order is id order.
     width = max(len(str(n - 1)), 1)
-    rows: list[RawRow] = []
-    for index, (start, last, event) in enumerate(
-        zip(first_row.tolist(), observed.tolist(), event_period.tolist())
-    ):
-        entity_id = f"E{index:0{width}d}"
-        rows.extend(
-            (entity_id, labels[p], dict(zip(columns, map(values.__getitem__, cells))),
-             1 if p + 1 == event else 0)
-            for p, cells in enumerate(counts[start : start + last].tolist())
-        )
-    return build_dataset(schema, rows, "int")
+    panel = PanelColumns(
+        entity_ids=tuple(f"E{index:0{width}d}" for index in range(n)),
+        codes=row_entity,
+        periods={p: PeriodIndex(p, str(p + 1)) for p in range(int(observed.max()))},
+        ordinals=ordinals,
+        features=columns,
+        values=counts.astype(np.float64),
+        flags=(ordinals + 1 == event_period[row_entity]).astype(np.int8),
+    )
+    return PanelDataset.from_columns(schema, panel)

@@ -9,18 +9,30 @@ their whole history and are labeled 0.  The window boundary is inclusive of
 T - lead_time, records strictly after T never count, and lead time is
 measured in global period ordinals so calendar gaps still shift the cut.
 
-Every window is a prefix of the entity's history, so a cut is one index:
-k = bisect_right(ordinals, T - lead_time), or the whole history without an
-event.  Each timeline keeps its ordinals and feature columns once computed,
-so a sweep over many lead times reslices them instead of rebuilding them.
+Every window is a prefix of the entity's history, so a cut is one index k
+per entity: the number of its rows whose ordinal is at most T - lead_time,
+or the whole history without an event.  For each column a plan reads, the
+timelines' block keeps prefix tables aligned with its sorted rows, which
+restart at every entity: a running sum, a running nonzero count and a
+running max (``last`` is the column itself).  A window's aggregate is then
+one gather at its last row, so every lead time of a sweep reuses one sort
+and one set of tables.
 
 Aggregations fold a window into one feature vector: sums, nonzero counts,
 maxima, the most recent value, and ratio-of-sums (total numerator over total
-denominator, 0 when the denominator total is 0).  Sums are left-to-right
-float sums (Python 3.11's built-in ``sum``; 3.12 and later compensate its
-rounding, so non-integer sums may differ there in the last bit).  An
-aggregate that overflows to inf or nan, although every input value is
-finite, raises NonFiniteValue and never reaches an output.
+denominator, 0 when the denominator total is 0); an empty window folds to
+0.0 for every kind.  The folds follow Python's builtins exactly:
+
+* a sum adds left to right from ``0.0 + x0`` (Python 3.11's built-in
+  ``sum``, which turns -0.0 into 0.0; 3.12 and later compensate its
+  rounding, so non-integer sums may differ there in the last bit), never by
+  differencing global prefix sums;
+* a max keeps the first of equal values, so ``max([-0.0, 0.0])`` is -0.0;
+* count_nonzero counts -0.0 as zero.
+
+An aggregate that overflows to inf or nan, although every input value is
+finite, raises NonFiniteValue and never reaches an output; the error names
+the first such entity, in entity order, and feature, in plan order.
 """
 
 from __future__ import annotations
@@ -29,9 +41,10 @@ import csv
 import enum
 import io
 import math
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -41,7 +54,7 @@ from .errors import (
     UnknownColumn,
     check_int,
 )
-from .panel import EntityTimeline, PanelRecord, PeriodIndex
+from .panel import EntityTimeline, PanelRecord, PeriodIndex, TimelineBlock
 
 
 class EmptyWindowPolicy(enum.Enum):
@@ -208,17 +221,43 @@ def detect_event_time(timeline: EntityTimeline) -> PeriodIndex | None:
     return None if index is None else timeline.records[index].period
 
 
-def _cutoff(timeline: EntityTimeline, lead_time: int) -> tuple[int, int]:
-    """(k, label): the window is ``timeline.records[:k]``.
+def _period_keys(block: TimelineBlock) -> tuple[np.ndarray, int, int]:
+    """(keys, low, span): row keys ``code * span + ordinal - low``, which
+    increase along the block's rows; kept in the block's cache."""
+    found = block.cache.get("period_keys")
+    if found is None:
+        columns = block.columns
+        low = int(columns.ordinals.min())
+        span = int(columns.ordinals.max()) - low + 2
+        keys = columns.codes * span + (columns.ordinals - low)
+        found = block.cache["period_keys"] = (keys, low, span)
+    return found
 
-    With an event in period T, k counts the records whose ordinal is at most
+
+def _cutoffs(
+    block: TimelineBlock, entities: np.ndarray, lead_time: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(k, label) per entity: each window is the entity's first k rows.
+
+    With an event in period T, k counts the rows whose ordinal is at most
     ordinal(T) - lead_time; without one, k is the whole history.
     """
-    event = timeline.event_index
-    if event is None:
-        return len(timeline.records), 0
-    ordinals = timeline.ordinals
-    return bisect_right(ordinals, ordinals[event] - lead_time), 1
+    offsets = block.offsets
+    k = offsets[entities + 1] - offsets[entities]
+    event_rows = block.first_event[entities]
+    label = (event_rows >= 0).astype(np.intp)
+    events = np.flatnonzero(label)
+    if len(events):
+        # A cut below all of an entity's ordinals is clipped to -1, whose key
+        # still sorts after every key of the entities before it, so k is 0.
+        # Any shift of span or more cuts below every ordinal, so the lead time
+        # is capped at span before it meets int64 arithmetic.
+        keys, low, span = _period_keys(block)
+        shift = min(lead_time, span)
+        cut = np.maximum(block.columns.ordinals[event_rows[events]] - low - shift, -1)
+        owner = entities[events]
+        k[events] = np.searchsorted(keys, owner * span + cut, side="right") - offsets[owner]
+    return k, label
 
 
 def truncate_at_reference(
@@ -232,46 +271,140 @@ def truncate_at_reference(
     history is kept under label 0.  An emptied window is returned as-is;
     the caller applies the empty-window policy.
     """
-    k, label = _cutoff(timeline, config.lead_time)
-    return TruncatedTimeline(timeline.entity_id, timeline.records[:k], label=label)
+    k, label = _cutoffs(timeline.block, np.array([timeline.index]), config.lead_time)
+    return TruncatedTimeline(timeline.entity_id, timeline.records[: k[0]], label=int(label[0]))
 
 
-def _fold(kind: AggKind, xs: list[float], ys: list[float] | None) -> float:
-    """One aggregate of the window's values xs (ys: the ratio's denominator)."""
-    if kind is AggKind.SUM:
-        return float(sum(xs))
-    if kind is AggKind.COUNT_NONZERO:
-        return float(len(xs) - xs.count(0.0))
-    if kind is AggKind.MAX:
-        return max(xs, default=0.0)
-    if kind is AggKind.LAST:
-        return xs[-1] if xs else 0.0
-    # RATIO_OF_SUMS
-    numerator = float(sum(xs))
-    denominator = float(sum(ys))
-    return numerator / denominator if denominator != 0.0 else 0.0
+def _positions(block: TimelineBlock) -> tuple[np.ndarray, list[int]]:
+    """The block's rows in position-major order, and where each position starts.
+
+    Position p holds the p-th row of every entity with more than p rows, the
+    longest histories first, so the entities still running at position p
+    are the first ones of position p - 1.
+    """
+    layout = block.cache.get("positions")
+    if layout is None:
+        offsets, codes = block.offsets, block.columns.codes
+        lengths = np.diff(offsets)
+        rank = np.empty_like(lengths)
+        rank[np.argsort(-lengths, kind="stable")] = np.arange(len(lengths))
+        position = np.arange(len(codes)) - offsets[codes]
+        order = np.lexsort((rank[codes], position))
+        starts = np.zeros(int(lengths.max(initial=0)) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(position), out=starts[1:])
+        layout = block.cache["positions"] = (order, starts.tolist())
+    return layout
 
 
-def _aggregate(timeline: EntityTimeline, k: int, plan: AggregationPlan) -> FeatureVector:
-    """Fold the first k values of each column the plan names into one vector."""
-    column = timeline.column
-    values = []
-    for spec in plan.specs:
-        try:
-            xs = column(spec.column)[:k]
-            ys = None if spec.denominator is None else column(spec.denominator)[:k]
-        except KeyError as exc:
-            raise UnknownColumn(
-                f"feature {spec.output_name!r} references unknown column {exc.args[0]!r}"
-            ) from None
-        value = _fold(spec.kind, xs, ys)
-        if not math.isfinite(value):
-            raise NonFiniteValue(
-                f"entity {timeline.entity_id!r}: feature {spec.output_name!r} is {value!r}; "
-                "the input values overflow a float"
+def _running(block: TimelineBlock, x: np.ndarray, start, step) -> np.ndarray:
+    """Each entity's running fold of its rows of ``x``, aligned with ``x``.
+
+    An entity's first row gets ``start(x0)``, each later row
+    ``step(previous, x)``, so the fold runs left to right within every
+    entity.  One numpy step per history position serves every entity.
+    """
+    order, starts = _positions(block)
+    xs = x[order]
+    folded = np.empty_like(xs)
+    acc = start(xs[: starts[1]])
+    folded[: starts[1]] = acc
+    for a, b in zip(starts[1:-1], starts[2:]):
+        acc = step(acc[: b - a], xs[a:b])
+        folded[a:b] = acc
+    table = np.empty_like(folded)
+    table[order] = folded
+    return table
+
+
+def _keep_first_unless_greater(best: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Python's max: a later value wins only if strictly greater, so the
+    first of equal values (-0.0 before 0.0) stays."""
+    return np.where(x > best, x, best)
+
+
+# Prefix tables, per kind: the row value they fold and their running fold.
+# A sum starts from 0.0 + x0, as Python's sum does, which turns -0.0 into
+# 0.0; count_nonzero counts -0.0 as zero.
+_TABLES = {
+    "sum": (lambda x: x, lambda x0: 0.0 + x0, np.add),
+    "count": (lambda x: (x != 0.0).astype(np.float64), lambda x0: x0, np.add),
+    "max": (lambda x: x, lambda x0: x0, _keep_first_unless_greater),
+}
+
+
+def _table(block: TimelineBlock, kind: str, column: int) -> np.ndarray:
+    """The block's prefix table of one kind for one feature column, kept in its cache."""
+    key = (kind, column)
+    table = block.cache.get(key)
+    if table is None:
+        value, start, step = _TABLES[kind]
+        x = value(block.columns.values[:, column])
+        table = block.cache[key] = _running(block, x, start, step)
+    return table
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _fold(
+    block: TimelineBlock, entities: np.ndarray, k: np.ndarray, plan: AggregationPlan
+) -> np.ndarray:
+    """One row of feature values per entity, folding its first k rows.
+
+    An empty window folds to 0.0 for every kind.  A spec naming a column the
+    block lacks gives nan, which _check_finite reports as UnknownColumn.
+    """
+    values = np.zeros((len(entities), len(plan.specs)))
+    columns = block.columns
+    if not len(columns):
+        return values  # no row: every window is empty and no value is read
+    index = columns.feature_index
+    kept = np.flatnonzero(k > 0)
+    last = block.offsets[entities[kept]] + k[kept] - 1  # each window's last row
+    for s, spec in enumerate(plan.specs):
+        if any(name not in index for name in spec.referenced_columns()):
+            values[:, s] = math.nan
+            continue
+        j = index[spec.column]
+        if spec.kind is AggKind.SUM:
+            folded = _table(block, "sum", j)[last]
+        elif spec.kind is AggKind.COUNT_NONZERO:
+            folded = _table(block, "count", j)[last]
+        elif spec.kind is AggKind.MAX:
+            folded = _table(block, "max", j)[last]
+        elif spec.kind is AggKind.LAST:
+            folded = columns.values[last, j]
+        else:  # RATIO_OF_SUMS: 0 when the denominator total is 0
+            numerator = _table(block, "sum", j)[last]
+            denominator = _table(block, "sum", index[spec.denominator])[last]
+            folded = np.divide(
+                numerator, denominator, out=np.zeros_like(numerator), where=denominator != 0.0
             )
-        values.append(value)
-    return FeatureVector(entity_id=timeline.entity_id, values=tuple(values))
+        values[kept, s] = folded
+    return values
+
+
+def _check_finite(
+    timelines: Sequence[EntityTimeline], values: np.ndarray, plan: AggregationPlan
+) -> None:
+    """Raise for the first timeline, then spec, whose value is not finite.
+
+    That is UnknownColumn if the timeline lacks a column the spec names,
+    else NonFiniteValue.
+    """
+    bad = np.argwhere(~np.isfinite(values))
+    if not len(bad):
+        return
+    row, s = bad[0]
+    timeline, spec = timelines[row], plan.specs[s]
+    index = timeline.block.columns.feature_index
+    for name in spec.referenced_columns():
+        if name not in index:
+            raise UnknownColumn(
+                f"feature {spec.output_name!r} references unknown column {name!r}"
+            )
+    raise NonFiniteValue(
+        f"entity {timeline.entity_id!r}: feature {spec.output_name!r} is "
+        f"{float(values[row, s])!r}; the input values overflow a float"
+    )
 
 
 def aggregate(truncated: TruncatedTimeline, plan: AggregationPlan) -> FeatureVector:
@@ -280,8 +413,24 @@ def aggregate(truncated: TruncatedTimeline, plan: AggregationPlan) -> FeatureVec
 
 
 def score_features(timeline: EntityTimeline, plan: AggregationPlan) -> FeatureVector:
-    """Aggregate an entity's full history to date (the scoring-time view)."""
-    return _aggregate(timeline, len(timeline.records), plan)
+    """Aggregate an entity's full history to date (the scoring-time view).
+
+    The whole block is folded on the first call for a plan, so scoring every
+    timeline of a panel folds once.
+    """
+    block = timeline.block
+    full = block.cache.get("full_history")
+    if full is None or (full[0] is not plan and full[0] != plan):
+        entities = np.arange(len(block.offsets) - 1)
+        values = _fold(block, entities, np.diff(block.offsets), plan)
+        full = block.cache["full_history"] = (
+            plan, values, values.tolist(), np.isfinite(values).all(axis=1).tolist()
+        )
+    _, values, rows, finite = full
+    index = timeline.index
+    if not finite[index]:
+        _check_finite([timeline], values[index : index + 1], plan)
+    return FeatureVector(entity_id=timeline.entity_id, values=tuple(rows[index]))
 
 
 def build_training_set(
@@ -295,15 +444,33 @@ def build_training_set(
     DROP policy, or kept as all-zero rows under EMIT_ZEROS.  Output rows are
     ordered by entity id regardless of input order.
     """
-    rows: list[tuple[FeatureVector, int]] = []
-    dropped: list[str] = []
-    for timeline in sorted(timelines, key=lambda t: t.entity_id):
-        k, label = _cutoff(timeline, config.lead_time)
-        if label == 1 and k == 0:
-            if config.empty_window_policy is EmptyWindowPolicy.DROP:
-                dropped.append(timeline.entity_id)
-                continue
-        rows.append((_aggregate(timeline, k, plan), label))
+    ordered = sorted(timelines, key=lambda t: t.entity_id)
+    k = np.zeros(len(ordered), dtype=np.intp)
+    labels = np.zeros(len(ordered), dtype=np.intp)
+    values = np.zeros((len(ordered), len(plan.specs)))
+    by_block: dict[int, tuple[TimelineBlock, list[int]]] = {}
+    for position, timeline in enumerate(ordered):
+        by_block.setdefault(id(timeline.block), (timeline.block, []))[1].append(position)
+    for block, positions in by_block.values():
+        entities = np.array([ordered[p].index for p in positions], dtype=np.intp)
+        k[positions], labels[positions] = _cutoffs(block, entities, config.lead_time)
+        values[positions] = _fold(block, entities, k[positions], plan)
+
+    emptied = (labels == 1) & (k == 0)
+    if config.empty_window_policy is EmptyWindowPolicy.DROP:
+        kept = np.flatnonzero(~emptied)
+        dropped = [ordered[p].entity_id for p in np.flatnonzero(emptied)]
+    else:
+        kept, dropped = np.arange(len(ordered)), []
+    kept_timelines = [ordered[p] for p in kept.tolist()]
+    kept_values = values[kept]
+    _check_finite(kept_timelines, kept_values, plan)
+    rows = [
+        (FeatureVector(entity_id=timeline.entity_id, values=tuple(row)), label)
+        for timeline, row, label in zip(
+            kept_timelines, kept_values.tolist(), labels[kept].tolist()
+        )
+    ]
     return _training_set(plan, rows, dropped)
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -142,6 +143,21 @@ class TestTransform:
         assert report["events"] == 0
 
 
+    @pytest.mark.parametrize("policy", ["drop", "zeros"])
+    @pytest.mark.parametrize("lead_time", [2**63, 2**70])
+    def test_lead_time_beyond_int64_matches_impossible_lead(self, tmp_path, policy, lead_time):
+        outputs = {}
+        for lead in (99, lead_time):
+            out = tmp_path / f"{lead}.csv"
+            code = run_cli(
+                "transform", "--input", PANEL_CSV, "--config", CONFIG_JSON,
+                "--lead-time", lead, "--policy", policy, "--output", out,
+            )
+            assert code == 0
+            outputs[lead] = (out.read_bytes(), out.with_suffix(".report.json").read_bytes())
+        assert outputs[lead_time] == outputs[99]
+
+
 class TestTrainAndScore:
     def test_end_to_end_probabilities(self, tmp_path):
         training = tmp_path / "training.csv"
@@ -197,6 +213,21 @@ class TestSweepAndSynth:
         lines = curve.read_text().splitlines()
         assert len(lines) == 5
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3"]
+
+    def test_sweep_lead_time_beyond_int64(self, tmp_path):
+        panel = tmp_path / "panel.csv"
+        run_cli("synth", "--output", panel, "--entities", 80, "--periods", 12, "--seed", 9)
+        curves = {}
+        for far in (99, 2**70):
+            curve = tmp_path / f"curve{far}.csv"
+            code = run_cli(
+                "sweep", "--input", panel, "--config", CONFIG_JSON,
+                "--lead-times", f"0,{far}", "--seed", 4, "--output", curve,
+            )
+            assert code == 0
+            curves[far] = curve.read_text().splitlines()
+        assert curves[2**70][:2] == curves[99][:2]
+        assert curves[2**70][2] == curves[99][2].replace("99,", str(2**70) + ",", 1)
 
     def test_synth_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -494,3 +525,137 @@ class TestJsonTheDecoderCannotHold:
         )
         assert code == 2
         self.assert_one_error_line(capsys, "error: model ")
+
+
+NEGATIVE_ZERO_PANEL = """\
+entity,period,a,b,c,event
+neg_first,1,-0.0,-0,1,0
+neg_first,2,0.0,0,2,0
+pos_first,1,0,0,1,0
+pos_first,2,-0,-0.0,2,0
+event_neg_first,1,-0,-0,1,0
+event_neg_first,2,0,0,2,1
+event_pos_first,1,0,0,1,0
+event_pos_first,2,-0,-0,2,1
+"""
+
+NEGATIVE_ZERO_PLAN = [
+    {"name": "sum_a", "kind": "sum", "column": "a"},
+    {"name": "nonzero_a", "kind": "count_nonzero", "column": "a"},
+    {"name": "max_a", "kind": "max", "column": "a"},
+    {"name": "last_a", "kind": "last", "column": "a"},
+    {"name": "ratio_ab", "kind": "ratio_of_sums", "numerator": "a", "denominator": "b"},
+    {"name": "ratio_ac", "kind": "ratio_of_sums", "numerator": "a", "denominator": "c"},
+]
+
+
+class TestNegativeZeroEndToEnd:
+    """Windows [-0.0, 0.0] and [0.0, -0.0] through the CLI: a sum starts at
+    0.0 + x0 (so it is never -0.0), max keeps the first of equal values,
+    last keeps the sign, count_nonzero counts -0.0 as zero."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path):
+        panel, config = tmp_path / "panel.csv", tmp_path / "config.json"
+        panel.write_text(NEGATIVE_ZERO_PANEL)
+        config.write_text(json.dumps({
+            "schema": {"entity_column": "entity", "period_column": "period",
+                       "event_column": "event", "feature_columns": ["a", "b", "c"]},
+            "plan": NEGATIVE_ZERO_PLAN,
+        }))
+        return panel, config
+
+    HEADER = "entity_id,sum_a,nonzero_a,max_a,last_a,ratio_ab,ratio_ac,label\n"
+    NEG_FIRST = "0.0,0.0,-0.0,0.0,0.0,0.0"
+    POS_FIRST = "0.0,0.0,0.0,-0.0,0.0,0.0"
+
+    @pytest.mark.parametrize(
+        "lead_time, event_rows",
+        [
+            (0, [f"event_neg_first,{NEG_FIRST},1", f"event_pos_first,{POS_FIRST},1"]),
+            (
+                1,
+                [
+                    "event_neg_first,0.0,0.0,-0.0,-0.0,0.0,0.0,1",
+                    "event_pos_first,0.0,0.0,0.0,0.0,0.0,0.0,1",
+                ],
+            ),
+        ],
+    )
+    def test_transform_bytes(self, tmp_path, inputs, lead_time, event_rows):
+        panel, config = inputs
+        out = tmp_path / "train.csv"
+        code = run_cli(
+            "transform", "--input", panel, "--config", config, "--output", out,
+            "--lead-time", lead_time,
+        )
+        assert code == 0
+        rows = [*event_rows, f"neg_first,{self.NEG_FIRST},0", f"pos_first,{self.POS_FIRST},0"]
+        assert out.read_text() == self.HEADER + "".join(row + "\n" for row in rows)
+
+    def test_score_bytes(self, tmp_path, inputs):
+        panel, config = inputs
+        model, scores = tmp_path / "model.json", tmp_path / "scores.csv"
+        names = [spec["name"] for spec in NEGATIVE_ZERO_PLAN]
+        model.write_text(json.dumps({
+            "feature_names": names,
+            "weights": [1.0, 2.0, -3.0, 4.0, 5.0, -6.0],
+            "intercept": 0.5,
+            "scaling": {"means": [0.0] * 6, "stds": [1.0] * 6},
+            "train_config": None,
+        }))
+        code = run_cli(
+            "score", "--model", model, "--input", panel, "--config", config, "--output", scores
+        )
+        assert code == 0
+        assert scores.read_text() == (
+            "entity_id,probability\n"
+            "event_neg_first,0.6224593312018546\n"
+            "event_pos_first,0.6224593312018546\n"
+            "neg_first,0.6224593312018546\n"
+            "pos_first,0.6224593312018546\n"
+        )
+
+
+class TestReadPanelLogging:
+    """LEADFRAME_LOG=info adds one panel-shape line on stderr per panel read
+    and leaves every output byte alone."""
+
+    @staticmethod
+    def run_logged(level, *argv):
+        env = {**os.environ, "LEADFRAME_LOG": level}
+        return subprocess.run(
+            [sys.executable, "-m", "leadframe", *map(str, argv)],
+            capture_output=True, text=True, env=env,
+        )
+
+    def test_outputs_identical_with_logging_on(self, tmp_path):
+        outputs = {}
+        for level in ("warning", "info"):
+            out = tmp_path / level
+            out.mkdir()
+            commands = [
+                ("transform", "--input", PANEL_CSV, "--config", CONFIG_JSON,
+                 "--output", out / "train.csv"),
+                ("train", "--input", out / "train.csv", "--config", CONFIG_JSON,
+                 "--output", out / "model.json"),
+                ("score", "--model", out / "model.json", "--input", PANEL_CSV,
+                 "--config", CONFIG_JSON, "--output", out / "scores.csv"),
+                ("sweep", "--input", PANEL_CSV, "--config", CONFIG_JSON,
+                 "--output", out / "curve.csv"),
+            ]
+            for argv in commands:
+                result = self.run_logged(level, *argv)
+                assert result.returncode == 0, result.stderr
+                panel_lines = [
+                    line for line in result.stderr.splitlines() if "INFO panel " in line
+                ]
+                if level == "info" and argv[0] != "train":
+                    assert panel_lines == [
+                        f"INFO panel {PANEL_CSV}: 41 rows, 4 entities, 24 periods"
+                    ]
+                else:
+                    assert panel_lines == []
+            outputs[level] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert len(outputs["info"]) == 5
+        assert outputs["info"] == outputs["warning"]

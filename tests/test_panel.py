@@ -1,7 +1,10 @@
 import csv
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -371,3 +374,69 @@ class TestWriteFormatsEachCell:
             "0", "999999999999999", "1000000000000000.0", "1e+16", "0.1", "1e+300", "0.3",
             "0.30000000000000004",
         } <= written
+
+
+class TestFaultLineNumbers:
+    """A fault names the physical line its record ends on, so quoted
+    multi-line fields and blank lines both count."""
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (
+                ['"x\ny",1,1,2,0', "z,2,-1,2,0"],
+                "line 4: value '-1' in column 'a' must be finite and non-negative",
+            ),
+            (
+                ['"x\ny",1,-1,2,0'],
+                "line 3: value '-1' in column 'a' must be finite and non-negative",
+            ),
+            (["", "", "z,1,1,two,0"], "line 4: non-numeric value 'two' in column 'b'"),
+            (
+                ["x,1,1,2,0", "", '"multi\n\nline",2,1,2,0', "", "z,3,1,2,7"],
+                "line 8: event flag '7' in column 'event' must be 0 or 1",
+            ),
+            (['"x\ny",1,1,2,0', "", "z,2", "w,3,-1,2,0"], "line 5: row too short for column 'a'"),
+        ],
+    )
+    def test_line_counts_every_physical_line(self, lines, message):
+        data = csv_bytes("entity,period,a,b,event", *lines)
+        with pytest.raises(BadValue) as excinfo:
+            parse_panel_csv(data, small_schema())
+        assert str(excinfo.value) == message
+
+    def test_fault_in_a_later_chunk_keeps_its_line(self):
+        rows = [f"e{i % 7},{i},1,2,0" for i in range(1, 20001)]
+        rows[15000] = "bad,15001,1,nan,0"
+        data = csv_bytes("entity,period,a,b,event", "", *rows)
+        with pytest.raises(BadValue) as excinfo:
+            parse_panel_csv(data, small_schema())
+        assert str(excinfo.value) == (
+            "line 15003: value 'nan' in column 'b' must be finite and non-negative"
+        )
+
+    def test_earlier_fault_wins_over_a_later_unreadable_field(self):
+        huge = "x" * (csv.field_size_limit() + 1)
+        data = csv_bytes("entity,period,a,b,event", "x,1,-1,2,0", f"{huge},2,1,2,0")
+        with pytest.raises(BadValue, match="line 2: value '-1'"):
+            parse_panel_csv(data, small_schema())
+
+
+def test_ambiguous_labels_named_alike_under_every_hash_seed():
+    # A set of strings iterates in an order that depends on the process's
+    # hash seed; the error must not.
+    program = (
+        "from leadframe.panel import index_periods\n"
+        "try:\n"
+        "    index_periods(['2', '3', '+2', '02', '4'], 'int')\n"
+        "except Exception as exc:\n"
+        "    print(exc)\n"
+    )
+    messages = {
+        subprocess.run(
+            [sys.executable, "-c", program], capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
+        ).stdout
+        for seed in range(8)
+    }
+    assert messages == {"period labels '+2' and '02' denote the same period\n"}

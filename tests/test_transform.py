@@ -14,7 +14,8 @@ from corpus import (
 from oracle import brute_force_full_history, brute_force_training_rows
 
 from leadframe.errors import InvalidConfig, UnknownColumn
-from leadframe.panel import build_timelines, parse_panel_csv
+from leadframe.evaluation import split_entities
+from leadframe.panel import EntityTimeline, build_timelines, parse_panel_csv
 from leadframe.transform import (
     AggregationPlan,
     EmptyWindowPolicy,
@@ -82,6 +83,14 @@ class TestTruncate:
         assert window.label == 1
         assert len(window.records) == 10
         assert window.records[-1].period.label == "2016-10"
+
+    @pytest.mark.parametrize("lead_time", [24, 25, 2**63, 2**70])
+    def test_lead_time_beyond_history_empties_window(self, timeline_of, lead_time):
+        window = truncate_at_reference(
+            timeline_of("Kumarjit"), ReferenceFrameConfig(lead_time=lead_time)
+        )
+        assert window.label == 1
+        assert len(window.records) == 0
 
     def test_records_after_event_always_excluded(self, corpus_schema):
         raw = [
@@ -403,3 +412,53 @@ class TestFloatCorpus:
         assert (total, math.copysign(1.0, total)) == (0.0, 1.0)
         assert (last, math.copysign(1.0, last)) == (0.0, -1.0)
         assert nonzero == 0.0
+
+
+class TestOneFoldPath:
+    """Timelines rebuilt from their own records fold exactly like the parsed
+    ones, on the whole panel and on both sides of an entity split."""
+
+    @staticmethod
+    def exact(training):
+        # repr keeps the sign of zero, which == would not.
+        return (
+            [(v.entity_id, [repr(x) for x in v.values], label) for v, label in training.rows],
+            training.report,
+        )
+
+    @staticmethod
+    def with_negative_zeros(raw):
+        # rows_to_csv_bytes writes -0.0 as "0"; spell it out so the sign survives.
+        lines = ["entity,period," + ",".join(FEATURES) + ",event"]
+        for entity, label, features, flag in raw:
+            cells = [repr(features[c]) for c in FEATURES]
+            lines.append(",".join([entity, label, *cells, str(flag)]))
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    def test_rebuilt_timelines_fold_alike(self, corpus_schema, corpus_plan):
+        rng = random.Random(2026)
+        checked = 0
+        for _ in range(25):
+            raw = random_float_panel_rows(rng)
+            for row in raw[::3]:
+                row[2]["a"] = -0.0
+            parsed = build_timelines(parse_panel_csv(self.with_negative_zeros(raw), corpus_schema))
+            rebuilt = tuple(EntityTimeline(t.entity_id, t.records) for t in parsed)
+            subsets = [(parsed, rebuilt)]
+            if len(parsed) >= 2:
+                subsets += zip(
+                    split_entities(parsed, 0.3, seed=5), split_entities(rebuilt, 0.3, seed=5)
+                )
+            for mine, theirs in subsets:
+                assert [t.entity_id for t in mine] == [t.entity_id for t in theirs]
+                for lead_time in range(13):
+                    config = ReferenceFrameConfig(lead_time=lead_time)
+                    assert self.exact(build_training_set(mine, config, corpus_plan)) == (
+                        self.exact(build_training_set(theirs, config, corpus_plan))
+                    )
+                for a, b in zip(mine, theirs):
+                    assert [repr(x) for x in score_features(a, corpus_plan).values] == [
+                        repr(x) for x in score_features(b, corpus_plan).values
+                    ]
+                checked += 1
+        assert checked > 25
