@@ -164,12 +164,10 @@ def _fit_scaling(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # Not merged with predict_proba: np.exp and math.exp differ in the last bit on some inputs.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # e = exp(-|z|) never overflows: exp(-z) where z >= 0, else exp(z).
+    # np.minimum returns z itself when z is nan, so a nan keeps its sign bit.
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _gradient(

@@ -23,17 +23,31 @@ fails does it walk the rows again, in file order, to name the first fault
 and its line.  :func:`build_timelines` sorts the rows once by entity and
 period, and each :class:`EntityTimeline` is a view of one entity's rows.
 ``PanelRecord`` objects are made only when ``records`` is read.
+
+Two tokenizers cut the rows into cells.  A plain file holds, after an
+optional BOM, only printable ASCII other than the quote character, and line
+feeds.  csv.reader would split it at every comma and line feed and nowhere
+else, so numpy does that directly, in blocks of whole lines: a feature cell
+of 1 to 15 digits is converted by digit arithmetic, any other by ``float``,
+and each distinct entity, period and flag text is looked up once per block.
+Every other file (quotes, carriage returns, spaces, tabs, non-ASCII bytes,
+NUL) goes through csv.reader, and so does a plain file whose rows differ in
+length or are short, that has a cell longer than 256 bytes or
+``csv.field_size_limit()``, or a feature cell that is not a number.  Both tokenizers feed the same
+column checks and the same fault walk, so they give the same columns and
+the same error messages.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import itertools
 import math
 import operator
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import BinaryIO, NoReturn, Union
@@ -52,9 +66,26 @@ from .errors import (
 _FLAGS = {"0": 0, "1": 1}
 _INT_LABEL = re.compile(r"^[+-]?[0-9]+$")
 _MONTH_LABEL = re.compile(r"^[0-9]{4}-(0[1-9]|1[0-2])$")
-# Rows converted per block by the parse: small enough to keep the cell
-# strings of one block only, large enough that numpy calls are few.
+# Rows converted per block by the csv.reader tokenizer: small enough to keep
+# the cell strings of one block only, large enough that numpy calls are few.
 _BLOCK_ROWS = 4096
+# Bytes a plain file holds after its optional BOM: printable ASCII except the
+# quote character, and the line feed.
+_PLAIN_BYTES = bytes(b for b in range(0x21, 0x7F) if b != ord('"')) + b"\n"
+_BOM = codecs.BOM_UTF8
+_COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
+# Bytes of body per numpy block: whole lines of about this size, so the
+# position arrays of one block stay small.
+_BLOCK_BYTES = 1 << 18
+# The numpy tokenizer pads each text cell to the longest of its column, so a
+# block costs up to rows x longest cell bytes: a longer cell goes to csv.reader.
+_LONGEST_CELL = 256
+# Digit cells of up to this length convert exactly: 10**15 < 2**53.
+_MAX_DIGITS = 15
+# Entry n keeps the first n bytes of a uint64 read from memory.
+_PREFIX_MASKS = np.frombuffer(
+    b"".join(b"\xff" * n + b"\0" * (8 - n) for n in range(9)), dtype=np.uint64
+)
 
 
 @dataclass(frozen=True)
@@ -467,10 +498,15 @@ def _check_row(
         )
 
 
+def _records(text: str) -> Iterator[list[str]]:
+    """csv.reader's records of the text."""
+    return csv.reader(io.StringIO(text, newline=""))
+
+
 def _raise_first_fault(text: str, schema: PanelSchema, positions: dict[str, int]) -> NoReturn:
     """Walk the data rows in file order and raise the first fault, with the
     line its record ends on (or the reader's own csv.Error)."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = _records(text)
     next(reader)
     file_kind = None
     for row in reader:
@@ -490,58 +526,225 @@ class _Codes(dict):
         return code
 
 
+class _Cells:
+    """A file's data rows, one block of rows at a time, in file order.
+
+    Entity, period and flag cells are numbered by their raw text in
+    file-wide ``_Codes``; each block adds its rows' numbers and feature
+    values.
+    """
+
+    def __init__(self) -> None:
+        self.entities, self.labels, self.flags = _Codes(), _Codes(), _Codes()
+        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+
+
+def _width(schema: PanelSchema, positions: dict[str, int]) -> int:
+    """The fewest cells a row needs to hold every schema column."""
+    return max(positions[c] for c in schema.columns) + 1
+
+
 def _codes(cells: Iterable[str], numbering: _Codes, n: int) -> np.ndarray:
     """The number of each of n cells in ``numbering``."""
     return np.fromiter(map(numbering.__getitem__, cells), np.intp, n)
 
 
-def _read_columns(
+def _reader_cells(
     rows: Iterable[list[str]], schema: PanelSchema, positions: dict[str, int]
-) -> PanelColumns | None:
-    """Convert the data rows to PanelColumns, or None if any row may hold a fault.
+) -> _Cells | None:
+    """Tokenize the csv.reader rows, or None if any row may hold a fault.
 
-    Cells are gathered and converted one block of rows at a time.  Entity,
-    period and flag cells are numbered by their distinct raw text, and each
-    distinct text is stripped and checked once.
+    Cells are gathered and converted one block of rows at a time.
     """
     entity_at, period_at, event_at = (
         operator.itemgetter(positions[c])
         for c in (schema.entity_column, schema.period_column, schema.event_column)
     )
     feature_at = [operator.itemgetter(positions[c]) for c in schema.feature_columns]
-    width = max(positions[c] for c in schema.columns) + 1
-    entities, labels, flags = _Codes(), _Codes(), _Codes()
-    entity_codes, label_codes, flag_codes, value_blocks = [], [], [], []
+    width = _width(schema, positions)
+    cells = _Cells()
     rows = iter(rows)
     try:
         while block := list(itertools.islice(rows, _BLOCK_ROWS)):
             n = len(block)
             if min(map(len, block)) < width:
                 return None
-            entity_codes.append(_codes(map(entity_at, block), entities, n))
-            label_codes.append(_codes(map(period_at, block), labels, n))
-            flag_codes.append(_codes(map(event_at, block), flags, n))
             values = np.empty((n, len(feature_at)))
-            for j, cells in enumerate(feature_at):
-                values[:, j] = np.fromiter(map(float, map(cells, block)), np.float64, n)
-            value_blocks.append(values)
+            for j, cell in enumerate(feature_at):
+                values[:, j] = np.fromiter(map(float, map(cell, block)), np.float64, n)
+            cells.blocks.append((
+                _codes(map(entity_at, block), cells.entities, n),
+                _codes(map(period_at, block), cells.labels, n),
+                _codes(map(event_at, block), cells.flags, n),
+                values,
+            ))
     except (ValueError, csv.Error):
         # A cell is not a number, or the reader failed on a later row: an
         # earlier row may still hold the first fault.
         return None
-    if not entities:
-        raise EmptyInput("input has a header but no data rows")
+    return cells
 
-    entity_ids = [raw.strip() for raw in entities]
-    label_texts = [raw.strip() for raw in labels]
-    kinds = [_label_kind(label) for label in label_texts]
-    file_kind = kinds[0]  # the first row's label was numbered first
-    flag_values = [_FLAGS.get(raw.strip()) for raw in flags]
-    values = np.concatenate(value_blocks)
+
+def _lines(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(starts, lengths) of the cells of a block of whole lines, with blank
+    lines dropped, or None if the lines hold different numbers of cells.
+
+    Each is a (cells per line, lines) matrix: row j holds cell j of every line.
+    """
+    ends = np.flatnonzero((buf == _COMMA) | (buf == _NEWLINE))
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts
+    last = np.flatnonzero(buf[ends] == _NEWLINE)  # each line's last cell
+    counts = np.diff(last, prepend=-1)
+    blank = (counts == 1) & (lengths[last] == 0)
+    if blank.any():
+        keep = np.repeat(~blank, counts)
+        starts, lengths, counts = starts[keep], lengths[keep], counts[~blank]
+    if not len(counts):
+        return starts.reshape(0, 0), lengths.reshape(0, 0)
+    if (counts != counts[0]).any():
+        return None
+    return tuple(np.ascontiguousarray(a.reshape(-1, counts[0]).T) for a in (starts, lengths))
+
+
+def _windows(buf: np.ndarray, size: int, dtype) -> np.ndarray:
+    """Item i is the ``size`` bytes of ``buf`` from i on, zero-padded past its end."""
+    padded = np.append(buf, np.zeros(size, dtype=np.uint8))
+    return np.ndarray(len(buf), dtype=dtype, buffer=padded, strides=(1,))
+
+
+def _texts(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each cell's bytes as a zero-padded byte string (a plain file holds no NUL)."""
+    size = max(int(lengths.max()), 1)
+    texts = _windows(buf, size, f"S{size}")[starts]
+    texts.view(np.uint8).reshape(-1, size)[np.arange(size) >= lengths[:, None]] = 0
+    return texts
+
+
+def _number_texts(
+    buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, numbering: _Codes
+) -> np.ndarray:
+    """The number in ``numbering`` of each cell's text.
+
+    Each distinct text is looked up once.  Texts of up to 8 bytes are
+    compared as one uint64 each: their bytes, zero-padded.
+    """
+    if lengths.max() <= 8:
+        keys = _windows(buf, 8, np.uint64)[starts] & _PREFIX_MASKS[lengths]
+    else:
+        keys = _texts(buf, starts, lengths)
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    texts = distinct.view(f"S{distinct.itemsize}").tolist()
+    return np.array([numbering[text.decode("ascii")] for text in texts], dtype=np.intp)[inverse]
+
+
+def _numbers(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    """The float value of each cell, or None if a cell is not a number.
+
+    A cell of 1 to 15 ASCII digits is read by Horner's rule, one digit
+    position at a time across all cells: every partial value is an integer
+    below 10**15 < 2**53, so the float is exact and equals ``float(text)``.
+    Every other cell goes through ``float``.
+    """
+    size = max(int(min(lengths.max(), _MAX_DIGITS)), 1)
+    ends = starts + lengths
+    # Padded in front, so the k-th byte before any cell's end exists.
+    padded = np.append(np.full(size, _ZERO, dtype=np.uint8), buf)
+    values = np.zeros(len(starts))
+    decimal = (lengths > 0) & (lengths <= _MAX_DIGITS)
+    for k in range(size, 0, -1):
+        digit = padded[ends + (size - k)] - np.uint8(_ZERO)
+        digit *= lengths >= k  # a byte before the cell's start is a leading 0
+        decimal &= digit <= 9
+        values *= 10.0
+        values += digit
+    rest = np.flatnonzero(~decimal)
+    if len(rest):
+        texts = _texts(buf, starts[rest], lengths[rest]).tolist()
+        try:
+            values[rest] = np.fromiter(map(float, texts), np.float64, len(rest))
+        except ValueError:
+            return None
+    return values
+
+
+def _is_plain(data: bytes) -> bool:
+    """Whether the file holds, after an optional BOM, only printable ASCII
+    other than the quote character, and line feeds.
+
+    csv.reader splits such a file at every comma and line feed and nowhere
+    else, so its header record is its first line.
+    """
+    return data.translate(None, _PLAIN_BYTES) == (_BOM if data.startswith(_BOM) else b"")
+
+
+def _plain_cells(
+    data: bytes, start: int, schema: PanelSchema, positions: dict[str, int]
+) -> _Cells | None:
+    """Tokenize the data rows of a plain file, from byte ``start`` on, with
+    numpy; or None when csv.reader must tokenize them: the lines of a block
+    differ in length or are short, a cell is longer than
+    ``csv.field_size_limit()`` or ``_LONGEST_CELL``, or a feature cell is
+    not a number (the csv.reader tokenizer then meets the same cell and the
+    fault walk names it).
+
+    The rows are split at every comma and line feed, as csv.reader splits
+    a plain file, in blocks of whole lines of about ``_BLOCK_BYTES`` each.
+    """
+    width, limit = _width(schema, positions), csv.field_size_limit()
+    entity_at, period_at, event_at = (
+        positions[c] for c in (schema.entity_column, schema.period_column, schema.event_column)
+    )
+    feature_at = [positions[c] for c in schema.feature_columns]
+    whole = np.frombuffer(data, dtype=np.uint8)
+    cells = _Cells()
+    while start < len(data):
+        stop = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
+        buf = whole[start:stop]
+        if buf[-1] != _NEWLINE:  # the file's last line has no line feed
+            buf = np.append(buf, np.uint8(_NEWLINE))
+        lines = _lines(buf)
+        if lines is None:
+            return None
+        starts, lengths = lines
+        if starts.shape[1]:
+            if len(starts) < width or lengths.max() > min(limit, _LONGEST_CELL):
+                return None
+            values = np.empty((starts.shape[1], len(feature_at)))
+            for j, at in enumerate(feature_at):
+                column = _numbers(buf, starts[at], lengths[at])
+                if column is None:
+                    return None
+                values[:, j] = column
+            cells.blocks.append((
+                _number_texts(buf, starts[entity_at], lengths[entity_at], cells.entities),
+                _number_texts(buf, starts[period_at], lengths[period_at], cells.labels),
+                _number_texts(buf, starts[event_at], lengths[event_at], cells.flags),
+                values,
+            ))
+        start = stop
+    return cells
+
+
+def _columns(cells: _Cells, schema: PanelSchema) -> PanelColumns | None:
+    """Check the tokenized cells as whole columns and convert them to
+    PanelColumns, or None if any row may hold a fault.
+
+    Each distinct entity, period and flag text is stripped and checked once.
+    """
+    if not cells.entities:
+        raise EmptyInput("input has a header but no data rows")
+    entity_ids = [raw.strip() for raw in cells.entities]
+    label_texts = [raw.strip() for raw in cells.labels]
+    kinds = {_label_kind(label) for label in label_texts}
+    file_kind = kinds.pop() if len(kinds) == 1 else None
+    flag_values = [_FLAGS.get(raw.strip()) for raw in cells.flags]
+    entity_codes, label_codes, flag_codes, values = map(np.concatenate, zip(*cells.blocks))
     if (
         "" in entity_ids
         or file_kind is None
-        or any(kind != file_kind for kind in kinds)
         or None in flag_values
         or not (values >= 0.0).all()
         or not np.isfinite(values).all()
@@ -551,15 +754,15 @@ def _read_columns(
     distinct_ids = sorted(set(entity_ids))
     code = {entity: i for i, entity in enumerate(distinct_ids)}
     ordinal = index_periods(label_texts, file_kind)
-    # Map each block's numbers of raw texts to entity codes, ordinals and flags.
+    # Map the numbers of raw texts to entity codes, ordinals and flags.
     return PanelColumns(
         entity_ids=tuple(distinct_ids),
-        codes=np.array([code[e] for e in entity_ids])[np.concatenate(entity_codes)],
+        codes=np.array([code[e] for e in entity_ids])[entity_codes],
         periods={o: PeriodIndex(o, label) for label, o in ordinal.items()},
-        ordinals=np.array([ordinal[label] for label in label_texts])[np.concatenate(label_codes)],
+        ordinals=np.array([ordinal[label] for label in label_texts])[label_codes],
         features=schema.feature_columns,
         values=values,
-        flags=np.array(flag_values, dtype=np.int8)[np.concatenate(flag_codes)],
+        flags=np.array(flag_values, dtype=np.int8)[flag_codes],
     )
 
 
@@ -570,13 +773,16 @@ def parse_panel_csv(source: Union[bytes, BinaryIO], schema: PanelSchema) -> Pane
     offending line and column.
     """
     data = source if isinstance(source, bytes) else source.read()
-    text = data.decode("utf-8-sig")
-    reader = csv.reader(io.StringIO(text, newline=""))
+    plain = _is_plain(data)
+    if plain:
+        # Only the header line is decoded and read here; the rows of a plain
+        # file may never need csv.reader or a StringIO copy of the text.
+        body = data.find(b"\n") + 1 or len(data)
+        reader = _records(data[:body].decode("utf-8-sig"))
+    else:
+        reader = _records(data.decode("utf-8-sig"))
 
-    header: list[str] | None = None
-    for row in reader:
-        header = row
-        break
+    header = next(reader, None)
     if header is None:
         raise EmptyInput("input has no header row")
 
@@ -590,9 +796,15 @@ def parse_panel_csv(source: Union[bytes, BinaryIO], schema: PanelSchema) -> Pane
     if missing:
         raise MissingColumn(f"columns absent from header: {', '.join(missing)}")
 
-    columns = _read_columns(filter(None, reader), schema, positions)
+    cells = _plain_cells(data, body, schema, positions) if plain else None
+    if cells is None:
+        if plain:
+            reader = _records(data.decode("utf-8-sig"))
+            next(reader)
+        cells = _reader_cells(filter(None, reader), schema, positions)
+    columns = None if cells is None else _columns(cells, schema)
     if columns is None:
-        _raise_first_fault(text, schema, positions)
+        _raise_first_fault(data.decode("utf-8-sig"), schema, positions)
     return PanelDataset.from_columns(schema, columns)
 
 

@@ -40,7 +40,9 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import itertools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -296,23 +298,38 @@ def _positions(block: TimelineBlock) -> tuple[np.ndarray, list[int]]:
     return layout
 
 
-def _running(block: TimelineBlock, x: np.ndarray, start, step) -> np.ndarray:
+def _running(block: TimelineBlock, x: np.ndarray, start, step, fold) -> np.ndarray:
     """Each entity's running fold of its rows of ``x``, aligned with ``x``.
 
     An entity's first row gets ``start(x0)``, each later row
     ``step(previous, x)``, so the fold runs left to right within every
-    entity.  One numpy step per history position serves every entity.
+    entity.  One numpy step per history position serves every entity still
+    running there; once fewer than ``_NUMPY_FOLD_MIN`` are, each one's tail
+    is folded alone by ``itertools.accumulate`` with ``fold``, the same
+    operation on Python floats.
     """
     order, starts = _positions(block)
     xs = x[order]
     folded = np.empty_like(xs)
     acc = start(xs[: starts[1]])
     folded[: starts[1]] = acc
-    for a, b in zip(starts[1:-1], starts[2:]):
+    p = 1
+    while p + 1 < len(starts) and starts[p + 1] - starts[p] >= _NUMPY_FOLD_MIN:
+        a, b = starts[p], starts[p + 1]
         acc = step(acc[: b - a], xs[a:b])
         folded[a:b] = acc
+        p += 1
     table = np.empty_like(folded)
-    table[order] = folded
+    table[order[: starts[p]]] = folded[: starts[p]]
+    if p + 1 < len(starts):
+        # The entities still running are the first ones of position p - 1;
+        # each one's tail starts at the row after it.
+        running = starts[p + 1] - starts[p]
+        rows = order[starts[p - 1] : starts[p - 1] + running] + 1
+        ends = block.offsets[block.columns.codes[rows] + 1]
+        for row, end, initial in zip(rows.tolist(), ends.tolist(), acc[:running].tolist()):
+            tail = itertools.accumulate(x[row:end].tolist(), fold, initial=initial)
+            table[row:end] = list(itertools.islice(tail, 1, None))
     return table
 
 
@@ -322,14 +339,20 @@ def _keep_first_unless_greater(best: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where(x > best, x, best)
 
 
-# Prefix tables, per kind: the row value they fold and their running fold.
-# A sum starts from 0.0 + x0, as Python's sum does, which turns -0.0 into
-# 0.0; count_nonzero counts -0.0 as zero.
+# Prefix tables, per kind: the row value they fold and their running fold,
+# on arrays and on Python floats.  A sum starts from 0.0 + x0, as Python's
+# sum does, which turns -0.0 into 0.0; count_nonzero counts -0.0 as zero;
+# the builtin max, like _keep_first_unless_greater, keeps the first of equal
+# values.
 _TABLES = {
-    "sum": (lambda x: x, lambda x0: 0.0 + x0, np.add),
-    "count": (lambda x: (x != 0.0).astype(np.float64), lambda x0: x0, np.add),
-    "max": (lambda x: x, lambda x0: x0, _keep_first_unless_greater),
+    "sum": (lambda x: x, lambda x0: 0.0 + x0, np.add, operator.add),
+    "count": (lambda x: (x != 0.0).astype(np.float64), lambda x0: x0, np.add, operator.add),
+    "max": (lambda x: x, lambda x0: x0, _keep_first_unless_greater, max),
 }
+# Below this many entities still running at a history position, their tails
+# are folded one entity at a time in Python, which costs per row, not per
+# numpy call, so a few long histories do not pay one numpy round per position.
+_NUMPY_FOLD_MIN = 16
 
 
 def _table(block: TimelineBlock, kind: str, column: int) -> np.ndarray:
@@ -337,9 +360,9 @@ def _table(block: TimelineBlock, kind: str, column: int) -> np.ndarray:
     key = (kind, column)
     table = block.cache.get(key)
     if table is None:
-        value, start, step = _TABLES[kind]
+        value, *folds = _TABLES[kind]
         x = value(block.columns.values[:, column])
-        table = block.cache[key] = _running(block, x, start, step)
+        table = block.cache[key] = _running(block, x, *folds)
     return table
 
 

@@ -1,18 +1,60 @@
+import csv
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from leadframe import panel
 from leadframe.config import load_run_config
+from leadframe.errors import LeadframeError
 from leadframe.panel import PanelSchema, build_timelines, parse_panel_csv
 from leadframe.transform import AggregationPlan, FeatureSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+# The CLI and hash-seed tests start Python subprocesses; they import the
+# package from this checkout too.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+)
 DATA_DIR = REPO_ROOT / "data"
 PANEL_CSV = DATA_DIR / "telecom_panel.csv"
 CONFIG_JSON = DATA_DIR / "telecom_config.json"
+
+
+def parse_outcome(data: bytes, schema: PanelSchema):
+    """The parsed columns, bit for bit, or the type and message of the
+    error; any error the command line does not report escapes."""
+    try:
+        columns = parse_panel_csv(data, schema).columns
+    except (LeadframeError, UnicodeDecodeError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return (
+        columns.entity_ids, columns.periods, columns.features,
+        *((a.dtype.str, a.shape, a.tobytes())
+          for a in (columns.codes, columns.ordinals, columns.values, columns.flags)),
+    )
+
+
+def parse_both_ways(data: bytes, schema: PanelSchema):
+    """(outcome, outcome through csv.reader alone, whether the numpy
+    tokenizer read the rows) for one panel file."""
+    tokenized = []
+    plain_cells = panel._plain_cells
+
+    def spy(*args):
+        cells = plain_cells(*args)
+        tokenized.append(cells is not None)
+        return cells
+
+    with mock.patch.object(panel, "_plain_cells", spy):
+        outcome = parse_outcome(data, schema)
+    with mock.patch.object(panel, "_is_plain", lambda data: False):
+        through_reader = parse_outcome(data, schema)
+    return outcome, through_reader, any(tokenized)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 """Fuzz of the command line: mutated panel, config and model files must end in
-a documented exit code (0, 1 or 2) and never in an escaping exception."""
+a documented exit code (0, 1 or 2) and never in an escaping exception.  A
+mutated panel also parses to the same columns, or the same error, through
+the numpy tokenizer as through csv.reader alone."""
 
 import contextlib
 import io
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIG_JSON, PANEL_CSV
+from conftest import CONFIG_JSON, PANEL_CSV, parse_both_ways
 
 from leadframe.cli import main
 
@@ -18,6 +20,22 @@ FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 # (offset, bytes removed, bytes inserted): covers replacing, inserting and deleting.
 byte_edits = st.lists(
     st.tuples(st.integers(0, 2**16), st.integers(0, 8), st.binary(max_size=6)),
+    min_size=1,
+    max_size=4,
+)
+
+# Small edits that insert only bytes a plain panel holds, mostly digits, so
+# many mutants stay plain and regular and take the numpy tokenizer.
+plain_edits = st.lists(
+    st.tuples(
+        st.integers(0, 2**16),
+        st.integers(0, 2),
+        st.lists(
+            st.sampled_from(["0", "7", "12", "-0", "+3", "007", "1_0", "0.5", "1e3", "9" * 16,
+                             "nan", "x", ",", "\n", "\n\n"]),
+            max_size=2,
+        ).map(lambda pieces: "".join(pieces).encode()),
+    ),
     min_size=1,
     max_size=4,
 )
@@ -124,6 +142,14 @@ def test_mutated_panel(files, edits, command):
     panel = files["root"] / "panel.csv"
     panel.write_bytes(apply_byte_edits(files["panel"], edits))
     run_command(command, files, panel=panel)
+
+
+@FUZZ
+@given(edits=plain_edits | byte_edits)
+def test_tokenizers_agree_on_mutated_panel(files, schema, edits):
+    data = apply_byte_edits(files["panel"], edits)
+    outcome, through_reader, _ = parse_both_ways(data, schema)
+    assert outcome == through_reader
 
 
 @FUZZ

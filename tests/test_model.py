@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from leadframe.errors import (
@@ -13,6 +14,7 @@ from leadframe.errors import (
 from leadframe.model import (
     LogisticModel,
     TrainConfig,
+    _sigmoid,
     loss_and_gradient,
     predict_proba,
     train_logistic,
@@ -302,3 +304,21 @@ class TestLoadRejectsWrongTypes:
         section[key] = value
         with pytest.raises(ParseError, match=key):
             LogisticModel.from_json_dict(doc)
+
+
+def test_training_sigmoid_keeps_the_bits_of_the_gather_scatter_form():
+    def reference(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 745.0, -745.0,
+             745.2, -745.2, 709.8, -709.8, 36.8, -36.8, 5e-324, -5e-324]
+    z = np.concatenate([np.linspace(-800.0, 800.0, 160_001), edges,
+                        np.random.default_rng(0).normal(0.0, 20.0, 40_000)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected, actual = reference(z), _sigmoid(z)
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))

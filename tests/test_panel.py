@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from conftest import parse_both_ways
 from corpus import random_float_panel_rows, random_panel_rows, rows_to_csv_bytes
 from oracle import period_positions
 
@@ -420,6 +421,99 @@ class TestFaultLineNumbers:
         data = csv_bytes("entity,period,a,b,event", "x,1,-1,2,0", f"{huge},2,1,2,0")
         with pytest.raises(BadValue, match="line 2: value '-1'"):
             parse_panel_csv(data, small_schema())
+
+
+HEADER = "entity,period,a,b,event"
+FIELD_LIMIT = csv.field_size_limit()
+# name -> (file, whether the numpy tokenizer reads its rows)
+EDGE_FILES = {
+    "bom": (b"\xef\xbb\xbf" + csv_bytes(HEADER, "x,1,1,2,0", "y,1,3,4,1"), True),
+    "no final newline": (csv_bytes(HEADER, "x,1,1,2,0", "y,1,3,4,1")[:-1], True),
+    "blank lines": (csv_bytes(HEADER, "", "", "x,1,1,2,0", "", "", "y,1,3,4,1", "", ""), True),
+    "signs and leading zeros": (csv_bytes(HEADER, "x,1,-0,+3,0", "x,2,007,1_0,1"), True),
+    "decimals and exponents": (csv_bytes(HEADER, "x,1,1e300,0.1,0", "x,2,.5,5.,0"), True),
+    "15 and 16 digits": (
+        csv_bytes(HEADER, "x,1,999999999999999,1000000000000000,0",
+                  "x,2,123456789012345,1234567890123456,0"),
+        True,
+    ),
+    "2**53 + 1": (csv_bytes(HEADER, "x,1,9007199254740993,18446744073709551617,0"), True),
+    # Digit by digit in float64, this one rounds twice and misses float(text) by 16.
+    "17 digits": (csv_bytes(HEADER, "x,1,81474247932312637,1,0"), True),
+    "month periods": (csv_bytes(HEADER, "x,2016-01,1,2,0", "y,2016-02,1,2,1"), True),
+    "ids over 8 bytes": (
+        csv_bytes(HEADER, "customer-000000001,1,1,2,0", "customer-000000002,1,1,2,1",
+                  "customer-000000001,2,1,2,1"),
+        True,
+    ),
+    "uniform rows wider than the header": (
+        csv_bytes(HEADER, "x,1,1,2,0,p,q", "y,1,1,2,0,r,s"), True
+    ),
+    "ids of 256 bytes": (csv_bytes(HEADER, "x,1,1,2,0", f"{'y' * 256},1,1,2,0"), True),
+    "id of 257 bytes": (csv_bytes(HEADER, "x,1,1,2,0", f"{'y' * 257},1,1,2,0"), False),
+    "cell at the field size limit": (
+        csv_bytes(HEADER, "x,1,1,2,0", f"{'y' * FIELD_LIMIT},1,1,2,0"), False
+    ),
+    "header only": (csv_bytes(HEADER), True),
+    "header without newline": (HEADER.encode(), True),
+    "empty cell": (csv_bytes(HEADER, "x,1,1,2,0", "x,2,,2,0"), False),
+    "non-numeric cell": (csv_bytes(HEADER, "x,1,1,2,0", "x,2,1,two,0"), False),
+    "nan cell": (csv_bytes(HEADER, "x,1,1,2,0", "x,2,1,nan,0"), True),
+    "negative cell": (csv_bytes(HEADER, "x,1,1,2,0", "x,2,1,-2,0"), True),
+    "bad flag": (csv_bytes(HEADER, "x,1,1,2,0", "x,2,1,2,2"), True),
+    "mixed period formats": (csv_bytes(HEADER, "x,1,1,2,0", "x,2016-01,1,2,0"), True),
+    "empty entity": (csv_bytes(HEADER, "x,1,1,2,0", ",2,1,2,0"), True),
+    "short row": (csv_bytes(HEADER, "x,1,1,2,0", "y,1,1"), False),
+    "long row": (csv_bytes(HEADER, "x,1,1,2,0", "y,1,1,2,0,extra"), False),
+    "ragged rows": (csv_bytes(HEADER, "x,1,1,2,0,p", "y,1,1,2,0", "z,1,1,2,0,q,r"), False),
+    "quoted cells": (csv_bytes(HEADER, '"x",1,"1",2,0', "y,1,1,2,0"), False),
+    "quoted newline": (csv_bytes(HEADER, '"x\ny",1,1,2,0', "z,1,-1,2,0"), False),
+    "crlf": (b"entity,period,a,b,event\r\nx,1,1,2,0\r\n", False),
+    "spaces": (csv_bytes(HEADER, " x , 1 , 1 , 2 , 0 "), False),
+    "tab": (csv_bytes(HEADER, "x\t,1,1,2,0"), False),
+    "non-ascii": (csv_bytes(HEADER, "\u00e9,1,1,2,0"), False),
+    "nul": (csv_bytes(HEADER, "x\0,1,1,2,0"), False),
+    "cell over the field size limit": (
+        csv_bytes(HEADER, "x,1,1,2,0", f"{'y' * (FIELD_LIMIT + 1)},1,1,2,0"), False
+    ),
+    "fault before a cell over the field size limit": (
+        csv_bytes(HEADER, "x,1,-1,2,0", f"{'y' * (FIELD_LIMIT + 1)},1,1,2,0"), False
+    ),
+    "bom only": (b"\xef\xbb\xbf", False),
+    "empty file": (b"", False),
+}
+
+
+class TestTokenizerMatchesCsvReader:
+    """A plain file gives the same columns, bit for bit, or the same error
+    through the numpy tokenizer as through csv.reader alone."""
+
+    @pytest.mark.parametrize("rows", [random_panel_rows, random_float_panel_rows])
+    def test_corpus_panels(self, corpus_schema, rows):
+        rng = random.Random(20261019)
+        for _ in range(60):
+            outcome, through_reader, tokenized = parse_both_ways(
+                rows_to_csv_bytes(rows(rng)), corpus_schema
+            )
+            assert tokenized
+            assert outcome == through_reader
+
+    @pytest.mark.parametrize("name", list(EDGE_FILES))
+    def test_edge_files(self, name):
+        data, numpy_reads = EDGE_FILES[name]
+        outcome, through_reader, tokenized = parse_both_ways(data, small_schema())
+        assert outcome == through_reader
+        assert tokenized == numpy_reads
+
+    def test_blocks_of_whole_lines(self):
+        # More than one block, with a blank line, a float and an id over
+        # 8 bytes in a later one.
+        rows = [f"e{i % 97},{i},{i % 13},{i % 7},0" for i in range(1, 60001)]
+        rows[45000] = ""
+        rows[50000] = "entity-number-50001,50001,0.25,1e3,1"
+        outcome, through_reader, tokenized = parse_both_ways(csv_bytes(HEADER, *rows), small_schema())
+        assert tokenized and not isinstance(outcome[0], type)
+        assert outcome == through_reader
 
 
 def test_ambiguous_labels_named_alike_under_every_hash_seed():

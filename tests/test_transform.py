@@ -462,3 +462,48 @@ class TestOneFoldPath:
                     ]
                 checked += 1
         assert checked > 25
+
+
+class TestLongHistories:
+    """Two histories of 20,000 periods beside 18 short ones: the first 40
+    positions fold with numpy for all 20 entities, and the two long tails
+    fold one entity at a time.  The cells match the oracle, and their bits,
+    signs of zero included, match Python's builtins."""
+
+    @staticmethod
+    def builtin_folds(kept):
+        a, b, c = ([row[2][name] for row in kept] for name in FEATURES)
+        total_a, total_b = sum(a), sum(b)
+        return (total_a, float(sum(x != 0.0 for x in b)), max(c), a[-1],
+                total_a / total_b if total_b != 0.0 else 0.0)
+
+    def test_long_tails_match_oracle_and_builtins(self, corpus_schema, corpus_plan):
+        rng = random.Random(20000)
+        histories = [("long0", 20_000, 19_990), ("long1", 20_000, None)]
+        histories += [(f"short{i:02d}", 40, 30 if i % 3 == 0 else None) for i in range(18)]
+        raw = []
+        for entity, length, event_at in histories:
+            for period in range(1, length + 1):
+                features = {
+                    name: float(rng.randint(0, 3)) or rng.choice((0.0, -0.0)) for name in FEATURES
+                }
+                if length > 40:  # a max over zeros alone keeps the first one's sign
+                    features["c"] = -0.0 if period == 1 else rng.choice((0.0, -0.0))
+                raw.append((entity, str(period), features, int(period == event_at)))
+        data = TestOneFoldPath.with_negative_zeros(raw)
+        timelines = build_timelines(parse_panel_csv(data, corpus_schema))
+        events = {entity: event_at for entity, _, event_at in histories}
+        for lead_time in (0, 1, 7):
+            training = build_training_set(
+                timelines, ReferenceFrameConfig(lead_time=lead_time), corpus_plan
+            )
+            expected, dropped = brute_force_training_rows(raw, lead_time, PLAN_TUPLES)
+            assert rows_by_entity(training) == expected
+            assert dropped == []
+            for vector, label in training.rows:
+                event_at = events[vector.entity_id]
+                cut = 20_000 if event_at is None else event_at - lead_time
+                kept = [r for r in raw if r[0] == vector.entity_id and int(r[1]) <= cut]
+                assert [repr(x) for x in vector.values] == [
+                    repr(x) for x in self.builtin_folds(kept)
+                ]
