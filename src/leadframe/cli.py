@@ -23,7 +23,14 @@ from . import config as config_mod
 from .errors import DimensionMismatch, LeadframeError, ParseError
 from .evaluation import lead_time_sweep, write_curve_csv
 from .model import LogisticModel, predict_proba, train_logistic
-from .panel import build_timelines, parse_panel_csv, validate_timeline, write_panel_csv
+from .panel import (
+    build_timelines,
+    csv_cells,
+    csv_line,
+    parse_panel_csv,
+    validate_timeline,
+    write_panel_csv,
+)
 from .synth import SynthConfig, generate_panel
 from .transform import (
     EmptyWindowPolicy,
@@ -137,14 +144,12 @@ def cmd_score(args: argparse.Namespace) -> int:
         )
     timelines = _read_panel(args.input, cfg)
     # Every score is computed before the output is opened, so a failure leaves no file.
-    scores = [
-        (t.entity_id, repr(predict_proba(model, score_features(t, cfg.plan)))) for t in timelines
-    ]
+    scores = [repr(predict_proba(model, score_features(t, cfg.plan))) for t in timelines]
 
     def render(handle) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("entity_id", "probability"))
-        writer.writerows(scores)
+        handle.write(csv_line(("entity_id", "probability")))
+        ids = csv_cells(t.entity_id for t in timelines)
+        handle.writelines(f"{entity},{score}\n" for entity, score in zip(ids, scores))
 
     _write_text(args.output, render)
     logger.info("scored %d entities -> %s", len(timelines), args.output)

@@ -33,9 +33,18 @@ and each distinct entity, period and flag text is looked up once per block.
 Every other file (quotes, carriage returns, spaces, tabs, non-ASCII bytes,
 NUL) goes through csv.reader, and so does a plain file whose rows differ in
 length or are short, that has a cell longer than 256 bytes or
-``csv.field_size_limit()``, or a feature cell that is not a number.  Both tokenizers feed the same
-column checks and the same fault walk, so they give the same columns and
-the same error messages.
+``csv.field_size_limit()``, or a feature cell that is not a number.  Both
+tokenizers feed the same column checks and the same fault walk, so they
+give the same columns and the same error messages.
+
+:func:`write_panel_csv` renders each distinct cell once: each entity id,
+each period label, each distinct value of each feature column and each
+flag, through csv.writer's quoting (:func:`csv_cells`) and the one number
+format.  It stores each column's rendered cells with their separators as
+fixed-width byte records, gathers the records of a block of rows in
+canonical order into a byte matrix, drops the padding by a length mask and
+writes the block, so no Python code runs per cell and the matrix of a block
+stays small.  The bytes equal those of csv.writer writing row by row.
 """
 
 from __future__ import annotations
@@ -86,6 +95,10 @@ _MAX_DIGITS = 15
 _PREFIX_MASKS = np.frombuffer(
     b"".join(b"\xff" * n + b"\0" * (8 - n) for n in range(9)), dtype=np.uint64
 )
+# Bytes of padded cells the panel writer gathers per block: about 16k rows of
+# a synth panel with five feature columns, so the block's byte matrix and its
+# mask stay small whatever the number of rows.
+_WRITE_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -814,35 +827,133 @@ def _format_number(value: float) -> str:
     return repr(value)
 
 
-class _Formatted(dict):
-    """``_format_number`` of each value, computed on first lookup.
+class _Echo:
+    """A stream whose ``write`` returns its argument, so ``csv.writer.writerow``
+    returns the line it renders."""
 
-    Values that compare equal print the same (``-0.0`` and ``0.0`` both
-    print ``0``), so one entry serves every equal value.
+    @staticmethod
+    def write(line: str) -> str:
+        return line
+
+
+def csv_cells(texts: Iterable[str]) -> list[str]:
+    """Each text as one CSV cell, quoted as csv.writer quotes it.
+
+    A text holding a carriage return is always quoted: csv.writer leaves it
+    bare before Python 3.13 (it quotes only the line terminator "\n"), and
+    csv.reader would end the row there.  Every CSV writer of the package
+    renders its free-text cells here, so one rule gives the same bytes on
+    every Python.
     """
+    writer = csv.writer(_Echo(), lineterminator="\n")
+    cells = []
+    for text in texts:
+        # A second, empty cell keeps csv.writer from quoting an empty text as
+        # a row of its own; the line then ends in ",\n".
+        cell = writer.writerow((text, ""))[:-2]
+        if "\r" in cell and not cell.startswith('"'):
+            cell = f'"{cell}"'
+        cells.append(cell)
+    return cells
 
-    def __missing__(self, value: float) -> str:
-        text = self[value] = _format_number(value)
-        return text
+
+def csv_line(texts: Iterable[str]) -> str:
+    """One CSV line of the texts, each rendered by :func:`csv_cells`."""
+    return ",".join(csv_cells(texts)) + "\n"
+
+
+def _cell_table(cells: Sequence[str], separator: str) -> tuple[np.ndarray, np.ndarray]:
+    """(texts, used) for the rendered cells of a column.
+
+    Record ``k`` of ``texts`` holds cell ``k`` and the separator, as UTF-8,
+    and record ``k`` of ``used`` is True on those bytes and False on the
+    padding after them: padding is told by this mask, never by its byte
+    value, since a cell may hold NUL.  Records are as wide as the longest
+    cell, rounded up to a power of two, the widths numpy gathers fastest.
+    """
+    encoded = [(cell + separator).encode("utf-8", "surrogatepass") for cell in cells]
+    lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
+    width = 1 << (int(lengths.max()) - 1).bit_length()
+    texts = np.frombuffer(b"".join(text.ljust(width, b"\0") for text in encoded), np.uint8)
+    used = np.arange(width) < lengths[:, None]
+    return texts.view(f"V{width}"), used.view(f"V{width}").ravel()
+
+
+def _check_writable(columns: PanelColumns, periods: dict[int, str], order: np.ndarray) -> None:
+    """Raise BadValue for the first feature value, in write order, that the
+    parser would refuse: a negative, infinite or NaN value."""
+    bad = ~((columns.values >= 0.0) & (columns.values < np.inf))
+    if not bad.any():
+        return
+    row = order[np.argmax(bad.any(axis=1)[order])]
+    j = int(np.argmax(bad[row]))
+    raise BadValue(
+        f"entity {columns.entity_ids[columns.codes[row]]!r}, period "
+        f"{periods[int(columns.ordinals[row])]!r}: value {repr(float(columns.values[row, j]))!r} "
+        f"in column {columns.features[j]!r} must be finite and non-negative"
+    )
+
+
+def _distinct(column: np.ndarray) -> tuple[list, np.ndarray]:
+    """The column's distinct values, ascending, and each row's position among them."""
+    distinct = np.unique(column)
+    if len(distinct) and 0 <= distinct[0] and distinct[-1] < len(column):
+        keys = distinct.astype(np.intp)
+        if (keys == distinct).all():
+            # Small whole numbers, as counts, ordinals and flags are: a
+            # lookup table by value is cheaper than a binary search per row.
+            lookup = np.zeros(int(keys[-1]) + 1, np.intp)
+            lookup[keys] = np.arange(len(keys))
+            return distinct.tolist(), lookup[column.astype(np.intp)]
+    return distinct.tolist(), np.searchsorted(distinct, column)
 
 
 def write_panel_csv(dataset: PanelDataset, stream: io.TextIOBase) -> None:
-    """Write a dataset in canonical order: entity ascending, then period."""
+    """Write a dataset in canonical order: entity ascending, then period.
+
+    Raises BadValue, before anything is written, if a feature value is
+    negative, infinite or NaN.
+
+    Each distinct cell of each column is rendered once, by :func:`csv_cells`
+    and :func:`_format_number`, into a :func:`_cell_table`.  The rows are
+    then gathered from the tables one block at a time into a byte matrix,
+    whose padding is dropped by the tables' masks.
+    """
     columns = dataset.columns
-    ordered = columns.take(np.lexsort((columns.ordinals, columns.codes)))
-    labels = {ordinal: period.label for ordinal, period in columns.periods.items()}
-    formatted = _Formatted()
+    periods = {ordinal: period.label for ordinal, period in columns.periods.items()}
+    ordinals, period_index = _distinct(columns.ordinals)
+    # Stable, so repeated (entity, period) rows keep their order; the sort
+    # runs through rows already in order, as synth's and most files' are.
+    order = np.argsort(columns.codes * len(ordinals) + period_index, kind="stable")
+    _check_writable(columns, periods, order)
+    stream.write(csv_line(dataset.schema.columns))
+    if not len(order):
+        return
+
     cells = [
-        list(map(columns.entity_ids.__getitem__, ordered.codes.tolist())),
-        list(map(labels.__getitem__, ordered.ordinals.tolist())),
+        (columns.entity_ids, columns.codes),
+        (map(periods.__getitem__, ordinals), period_index),
     ]
-    # One column at a time, so only one column of float objects is alive.
-    cells += [list(map(formatted.__getitem__, ordered.values[:, j].tolist()))
-              for j in range(len(columns.features))]
-    cells.append(list(map(str, ordered.flags.tolist())))
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(dataset.schema.columns)
-    writer.writerows(zip(*cells))
+    for j in range(len(columns.features)):
+        # Values that compare equal print the same: -0.0 and 0.0 both print 0.
+        values, index = _distinct(columns.values[:, j])
+        cells.append((map(_format_number, values), index))
+    flags, flag_index = _distinct(columns.flags)
+    cells.append((map(str, flags), flag_index))
+    tables = [
+        _cell_table(csv_cells(texts), "\n" if j == len(cells) - 1 else ",")
+        for j, (texts, _) in enumerate(cells)
+    ]
+    layout = np.dtype([(f"c{j}", texts.dtype) for j, (texts, _) in enumerate(tables)])
+    block = max(1, _WRITE_BYTES // layout.itemsize)
+    for start in range(0, len(order), block):
+        rows = order[start : start + block]
+        texts, used = np.empty(len(rows), layout), np.empty(len(rows), layout)
+        for name, (cell_texts, cell_used), (_, index) in zip(layout.names, tables, cells):
+            at = index[rows]
+            texts[name], used[name] = cell_texts[at], cell_used[at]
+        text = np.compress(used.view(np.bool_), texts.view(np.uint8)).tobytes()
+        stream.write(text.decode("utf-8", "surrogatepass"))
 
 
 def build_timelines(dataset: PanelDataset) -> tuple[EntityTimeline, ...]:

@@ -56,7 +56,14 @@ from .errors import (
     UnknownColumn,
     check_int,
 )
-from .panel import EntityTimeline, PanelRecord, PeriodIndex, TimelineBlock
+from .panel import (
+    EntityTimeline,
+    PanelRecord,
+    PeriodIndex,
+    TimelineBlock,
+    csv_cells,
+    csv_line,
+)
 
 
 class EmptyWindowPolicy(enum.Enum):
@@ -498,11 +505,15 @@ def build_training_set(
 
 
 def write_training_csv(training: TrainingSet, stream: io.TextIOBase) -> None:
-    """CSV layout: entity_id, one column per feature, then the label."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(("entity_id", *training.feature_names, "label"))
-    for vector, label in training.rows:
-        writer.writerow((vector.entity_id, *[repr(v) for v in vector.values], str(label)))
+    """CSV layout: entity_id, one column per feature, then the label.
+
+    Names and ids are quoted by :func:`csv_cells`; a ``repr`` of a float and
+    a label never need quoting.
+    """
+    stream.write(csv_line(("entity_id", *training.feature_names, "label")))
+    ids = csv_cells(vector.entity_id for vector, _ in training.rows)
+    for entity, (vector, label) in zip(ids, training.rows):
+        stream.write(",".join((entity, *map(repr, vector.values), str(label))) + "\n")
 
 
 def read_training_csv(stream: io.TextIOBase, plan: AggregationPlan) -> TrainingSet:

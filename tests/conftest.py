@@ -1,4 +1,5 @@
 import csv
+import io
 import os
 import sys
 from pathlib import Path
@@ -8,10 +9,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import oracle
+
 from leadframe import panel
 from leadframe.config import load_run_config
 from leadframe.errors import LeadframeError
-from leadframe.panel import PanelSchema, build_timelines, parse_panel_csv
+from leadframe.panel import PanelSchema, build_timelines, parse_panel_csv, write_panel_csv
 from leadframe.transform import AggregationPlan, FeatureSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +58,22 @@ def parse_both_ways(data: bytes, schema: PanelSchema):
     with mock.patch.object(panel, "_is_plain", lambda data: False):
         through_reader = parse_outcome(data, schema)
     return outcome, through_reader, any(tokenized)
+
+
+# csv.writer quotes a carriage return from Python 3.13 on; before, only the
+# package's writers do, so there the row writer's bytes differ on such a cell.
+CSV_WRITER_QUOTES_CR = csv.writer(io.StringIO(), lineterminator="\n").writerow(["\r"]) == 4
+
+
+def write_both_ways(dataset) -> tuple[str, str]:
+    """The dataset as written by write_panel_csv and by the row-by-row
+    reference writer in oracle.py."""
+    texts = []
+    for write in (write_panel_csv, oracle.write_panel_csv):
+        buffer = io.StringIO(newline="")
+        write(dataset, buffer)
+        texts.append(buffer.getvalue())
+    return texts[0], texts[1]
 
 
 @pytest.fixture(scope="session")

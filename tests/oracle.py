@@ -10,11 +10,18 @@ own period ordering, and plan entries described as bare tuples:
 ``scalar_synth_rows`` is the reference for the lockstep synthetic generator.
 It draws each entity from its own scalar ``SplitMix64``, the package's
 definition of the stream, one call per value.
+
+``write_panel_csv`` is the reference for the block panel writer: the
+row-by-row ``csv.writer`` it replaced, with its own number format.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+
+import numpy as np
 
 from leadframe.rng import SplitMix64
 
@@ -167,3 +174,40 @@ def scalar_synth_rows(config, columns):
             features = {column: float(_poisson(rng, mean)) for column in columns}
             rows.append((entity, str(period), features, 1 if period == event_period else 0))
     return rows
+
+
+def _format_number(value: float) -> str:
+    if value == int(value) and abs(value) < 1e15:
+        return str(int(value))
+    return repr(value)
+
+
+class _Formatted(dict):
+    """``_format_number`` of each value, computed on first lookup.
+
+    Values that compare equal print the same (``-0.0`` and ``0.0`` both
+    print ``0``), so one entry serves every equal value.
+    """
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = _format_number(value)
+        return text
+
+
+def write_panel_csv(dataset, stream: io.TextIOBase) -> None:
+    """Write a dataset in canonical order: entity ascending, then period."""
+    columns = dataset.columns
+    ordered = columns.take(np.lexsort((columns.ordinals, columns.codes)))
+    labels = {ordinal: period.label for ordinal, period in columns.periods.items()}
+    formatted = _Formatted()
+    cells = [
+        list(map(columns.entity_ids.__getitem__, ordered.codes.tolist())),
+        list(map(labels.__getitem__, ordered.ordinals.tolist())),
+    ]
+    # One column at a time, so only one column of float objects is alive.
+    cells += [list(map(formatted.__getitem__, ordered.values[:, j].tolist()))
+              for j in range(len(columns.features))]
+    cells.append(list(map(str, ordered.flags.tolist())))
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(dataset.schema.columns)
+    writer.writerows(zip(*cells))

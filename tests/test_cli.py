@@ -659,3 +659,32 @@ class TestReadPanelLogging:
             outputs[level] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert len(outputs["info"]) == 5
         assert outputs["info"] == outputs["warning"]
+
+
+class TestCarriageReturnIds:
+    """An id holding a carriage return survives transform, train and score:
+    every writer quotes it, so each next reader sees one cell."""
+
+    def test_transform_train_score_chain(self, tmp_path):
+        lines = PANEL_CSV.read_text().splitlines()
+        panel = tmp_path / "panel.csv"
+        panel.write_text(
+            "\n".join([lines[0]] + [line.replace("Kumarjit,", '"x\ry",') for line in lines[1:]])
+            + "\n",
+            newline="",
+        )
+        training, model, scores = tmp_path / "train.csv", tmp_path / "model.json", tmp_path / "s.csv"
+        assert run_cli(
+            "transform", "--input", panel, "--config", CONFIG_JSON, "--output", training,
+            "--lead-time", 0,
+        ) == 0
+        assert run_cli("train", "--input", training, "--config", CONFIG_JSON, "--output", model) == 0
+        assert run_cli(
+            "score", "--model", model, "--input", panel, "--config", CONFIG_JSON, "--output", scores,
+        ) == 0
+        for path, width in ((training, 7), (scores, 2)):
+            with open(path, newline="") as handle:
+                rows = list(csv.reader(handle))
+            assert {len(row) for row in rows} == {width}
+            assert "x\ry" in [row[0] for row in rows]
+            assert b'"x\ry",' in path.read_bytes()

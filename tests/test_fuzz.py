@@ -1,19 +1,25 @@
 """Fuzz of the command line: mutated panel, config and model files must end in
 a documented exit code (0, 1 or 2) and never in an escaping exception.  A
 mutated panel also parses to the same columns, or the same error, through
-the numpy tokenizer as through csv.reader alone."""
+the numpy tokenizer as through csv.reader alone, and a mutated panel that
+parses is written in the bytes of the row-by-row reference writer and reads
+back to the same columns."""
 
 import contextlib
+import csv
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIG_JSON, PANEL_CSV, parse_both_ways
+from conftest import CONFIG_JSON, CSV_WRITER_QUOTES_CR, PANEL_CSV, parse_both_ways, write_both_ways
 
 from leadframe.cli import main
+from leadframe.errors import LeadframeError
+from leadframe.panel import parse_panel_csv
 
 FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -150,6 +156,21 @@ def test_tokenizers_agree_on_mutated_panel(files, schema, edits):
     data = apply_byte_edits(files["panel"], edits)
     outcome, through_reader, _ = parse_both_ways(data, schema)
     assert outcome == through_reader
+
+
+@FUZZ
+@given(edits=plain_edits | byte_edits)
+def test_mutated_panel_written_like_row_writer(files, schema, edits):
+    try:
+        dataset = parse_panel_csv(apply_byte_edits(files["panel"], edits), schema)
+    except (LeadframeError, UnicodeDecodeError, csv.Error):
+        return
+    written, reference = write_both_ways(dataset)
+    if CSV_WRITER_QUOTES_CR or not any("\r" in e for e in dataset.columns.entity_ids):
+        assert written == reference
+    columns = dataset.columns
+    canonical = columns.take(np.lexsort((columns.ordinals, columns.codes)))
+    assert parse_panel_csv(written.encode(), schema).columns == canonical
 
 
 @FUZZ

@@ -6,9 +6,10 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from conftest import parse_both_ways
+from conftest import parse_both_ways, write_both_ways
 from corpus import random_float_panel_rows, random_panel_rows, rows_to_csv_bytes
 from oracle import period_positions
 
@@ -20,15 +21,20 @@ from leadframe.errors import (
     MissingColumn,
     ParseError,
 )
+from leadframe import panel
 from leadframe.panel import (
     PanelDataset,
+    PanelRecord,
     PanelSchema,
+    PeriodIndex,
     _format_number,
     build_timelines,
+    csv_cells,
     parse_panel_csv,
     validate_timeline,
     write_panel_csv,
 )
+from leadframe.synth import SynthConfig, generate_panel
 
 import io
 
@@ -534,3 +540,201 @@ def test_ambiguous_labels_named_alike_under_every_hash_seed():
         for seed in range(8)
     }
     assert messages == {"period labels '+2' and '02' denote the same period\n"}
+
+
+def dataset_of(schema: PanelSchema, rows) -> PanelDataset:
+    """A dataset of (entity, period label, ordinal, feature values, flag) rows."""
+    return PanelDataset(
+        schema,
+        (
+            PanelRecord(entity, PeriodIndex(ordinal, label),
+                        dict(zip(schema.feature_columns, values)), flag)
+            for entity, label, ordinal, values, flag in rows
+        ),
+    )
+
+
+def reordered(dataset: PanelDataset, rows) -> PanelDataset:
+    return PanelDataset.from_columns(dataset.schema, dataset.columns.take(np.asarray(rows)))
+
+
+class TestWriterMatchesRowWriter:
+    """The block writer writes the bytes of the row-by-row csv.writer in
+    oracle.py, which it replaced."""
+
+    @pytest.mark.parametrize("rows_of", [random_panel_rows, random_float_panel_rows])
+    def test_corpus_panels_in_any_row_order(self, corpus_schema, rows_of):
+        rng = random.Random(20261018)
+        for _ in range(30):
+            dataset = parse_panel_csv(rows_to_csv_bytes(rows_of(rng)), corpus_schema)
+            n = len(dataset.columns)
+            shuffled = list(range(n))
+            rng.shuffle(shuffled)
+            twice = reordered(dataset, shuffled + shuffled)
+            # Each (entity, period) twice, apart and with other values: the
+            # row writer keeps such rows in row order.
+            twice.columns = dataclasses.replace(
+                twice.columns, values=twice.columns.values + (np.arange(2 * n) >= n)[:, None]
+            )
+            for variant in (
+                dataset,
+                reordered(dataset, shuffled),
+                twice,
+                reordered(dataset, np.repeat(np.arange(n), 2)),  # every row twice, adjacent
+            ):
+                written, reference = write_both_ways(variant)
+                assert written == reference
+
+    @pytest.mark.parametrize(
+        "shape",
+        [dict(n_entities=5000, n_periods=24, ramp_length=3),
+         dict(n_entities=150, n_periods=1000, ramp_length=48)],
+        ids=["5000x24", "150x1000"],
+    )
+    def test_synth_panels_of_the_bench_shapes(self, shape):
+        config = SynthConfig(**shape, event_rate=0.3, signal_strength=3.0, noise_rate=0.5, seed=9)
+        written, reference = write_both_ways(generate_panel(config))
+        assert written == reference
+
+    def test_month_labels(self, corpus_schema):
+        labels = [f"{year}-{month:02d}" for year in (2019, 2020) for month in range(1, 13)]
+        rows = [
+            (f"m{e}", label, ordinal, (float(e), ordinal / 10, 0.0), int(ordinal == 20))
+            for e in range(3)
+            for ordinal, label in enumerate(labels)
+            if (e + ordinal) % 4
+        ]
+        dataset = dataset_of(corpus_schema, rows[::-1])
+        written, reference = write_both_ways(dataset)
+        assert written == reference
+        assert "m2,2020-12,2,2.3,0,0\n" in written
+
+    def test_special_values(self, corpus_schema):
+        special = TestWriteFormatsEachCell.SPECIAL + (
+            0.0, 5e-324, 1.7976931348623157e308, 123.456, 1e15 + 0.5, 2.0**53, 1e14 + 0.5,
+        )
+        rows = [
+            (f"e{i % 4}", str(i), i, (value, special[-1 - i], float(i)), i % 2)
+            for i, value in enumerate(special)
+        ]
+        written, reference = write_both_ways(dataset_of(corpus_schema, rows))
+        assert written == reference
+        assert ",999999999999999," in written and ",1000000000000000.0," in written
+
+    IDS = (
+        "acme, inc", 'say "hi"', '"', "two\nlines", "nul\0byte", "\0", " leading", "trailing ",
+        "Zoë", "日本語", "e" * 257, "", "plain",
+    )
+
+    def test_awkward_ids(self, corpus_schema):
+        rows = [
+            (entity, str(period), period, (float(k), 0.5, 1e16), 0)
+            for k, entity in enumerate(self.IDS)
+            for period in range(1 + k % 3)
+        ]
+        written, reference = write_both_ways(dataset_of(corpus_schema, rows))
+        assert written == reference
+
+    def test_empty_dataset_writes_the_header_only(self, corpus_schema):
+        written, reference = write_both_ways(PanelDataset(corpus_schema, []))
+        assert written == reference == "entity,period,a,b,c,event\n"
+
+    @staticmethod
+    def fixed_width_dataset(schema, n):
+        """n rows whose cells keep one width however many there are."""
+        rows = [
+            (f"E{i // 9:05d}", str(1 + i % 9), i % 9, (float(i % 10), float(i % 7), 1.0), i % 2)
+            for i in range(n)
+        ]
+        return dataset_of(schema, rows)
+
+    @staticmethod
+    def block_writes(dataset):
+        """The text of each write after the header."""
+        writes = []
+
+        class Spy(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        write_panel_csv(dataset, Spy(newline=""))
+        return writes[1:]
+
+    def test_row_counts_at_block_boundaries(self, corpus_schema):
+        full = self.fixed_width_dataset(corpus_schema, 100_000)
+        block = self.block_writes(full)[0].count("\n")
+        assert 10_000 < block < 40_000
+        for n in (block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1):
+            dataset = reordered(full, np.arange(n))
+            writes = self.block_writes(dataset)
+            assert [w.count("\n") for w in writes[:-1]] == [block] * (len(writes) - 1)
+            assert len(writes) == -(-n // block)
+            written, reference = write_both_ways(dataset)
+            assert written == reference
+
+    def test_small_blocks(self, corpus_schema, monkeypatch):
+        monkeypatch.setattr(panel, "_WRITE_BYTES", 40)
+        block = self.block_writes(self.fixed_width_dataset(corpus_schema, 20))[0].count("\n")
+        assert 1 < block < 5
+        for n in range(3 * block + 2):
+            dataset = self.fixed_width_dataset(corpus_schema, n)
+            assert len(self.block_writes(dataset)) == -(-n // block)
+            written, reference = write_both_ways(dataset)
+            assert written == reference
+
+
+class TestCarriageReturnIds:
+    """An id holding a carriage return is quoted, so the panel reads back;
+    csv.writer before Python 3.13 leaves it bare."""
+
+    IDS = ("x\ry", "a\r\nb", 'q"\rz', "r\r\rs", "mid\rdle, with comma")
+
+    def test_cells_are_quoted(self):
+        assert csv_cells(["x\ry", 'q"\rz', "plain", "", "a,b"]) == [
+            '"x\ry"', '"q""\rz"', "plain", "", '"a,b"',
+        ]
+
+    def test_panel_round_trip(self, corpus_schema):
+        rows = [
+            (entity, str(period), period, (float(k), 0.25, 3.0), int(period == 2))
+            for k, entity in enumerate(self.IDS)
+            for period in range(3)
+        ]
+        dataset = dataset_of(corpus_schema, rows)
+        buffer = io.StringIO(newline="")
+        write_panel_csv(dataset, buffer)
+        columns = dataset.columns
+        canonical = reordered(dataset, np.lexsort((columns.ordinals, columns.codes)))
+        assert parse_panel_csv(buffer.getvalue().encode(), corpus_schema) == canonical
+        assert list(csv.reader(io.StringIO(buffer.getvalue(), newline="")))[1][0] == self.IDS[1]
+
+
+class TestWriteRefusesWhatTheParserRefuses:
+    """A value the parser would refuse is a BadValue naming the entity, the
+    period and the column, raised before anything is written."""
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [(float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan"),
+         (-1.0, "-1.0"), (-5e-324, "-5e-324")],
+    )
+    def test_bad_value(self, corpus_schema, value, text):
+        rows = [("a", "1", 0, (1.0, 2.0, 3.0), 0), ("b", "2", 1, (1.0, value, 3.0), 0)]
+        stream = io.StringIO()
+        with pytest.raises(BadValue) as raised:
+            write_panel_csv(dataset_of(corpus_schema, rows), stream)
+        assert str(raised.value) == (
+            f"entity 'b', period '2': value '{text}' in column 'b' must be finite and non-negative"
+        )
+        assert stream.getvalue() == ""
+
+    def test_first_fault_in_write_order(self, corpus_schema):
+        nan = float("nan")
+        rows = [
+            ("z", "1", 0, (nan, 0.0, 0.0), 0),
+            ("a", "2", 1, (0.0, 0.0, -2.0), 0),
+            ("a", "1", 0, (0.0, -1.0, nan), 0),
+        ]
+        with pytest.raises(BadValue, match="^entity 'a', period '1': value '-1.0' in column 'b'"):
+            write_panel_csv(dataset_of(corpus_schema, rows), io.StringIO())
