@@ -189,7 +189,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _write_text(args.output, lambda h: write_panel_csv(dataset, h))
     logger.info(
         "generated %d records for %d entities -> %s",
-        len(dataset.records),
+        len(dataset.columns),
         synth_config.n_entities,
         args.output,
     )

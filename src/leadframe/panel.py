@@ -16,13 +16,15 @@ the sorted sequence of distinct labels observed in the dataset); lead times
 downstream are measured in these ordinals, so calendar gaps in one entity's
 history still count as elapsed periods.
 
-Rows are held as columns (:class:`PanelColumns`): entity codes, period
-ordinals, a float64 feature matrix and event flags.  The parse converts each
-column in blocks of rows and checks whole columns at once; only when a check
-fails does it walk the rows again, in file order, to name the first fault
-and its line.  :func:`build_timelines` sorts the rows once by entity and
-period, and each :class:`EntityTimeline` is a view of one entity's rows.
-``PanelRecord`` objects are made only when ``records`` is read.
+Rows enter only as columns (:class:`PanelColumns`): entity codes, period
+ordinals, a float64 feature matrix and event flags, built by the parse or by
+the generator.  The parse converts each column in blocks of rows and checks
+whole columns at once; only when a check fails does it walk the rows again,
+in file order, to name the first fault and its line.
+:func:`build_timelines` sorts the rows once by entity and period, and each
+:class:`EntityTimeline` is a view of one entity's rows; validation,
+truncation and aggregation read the columns.  ``PanelRecord`` is a
+read-only view of a row, made only when ``records`` is read.
 
 Two tokenizers cut the rows into cells.  A plain file holds, after an
 optional BOM, only printable ASCII other than the quote character, and line
@@ -168,32 +170,6 @@ class PanelColumns:
     values: np.ndarray
     flags: np.ndarray
 
-    @classmethod
-    def from_records(
-        cls, records: Sequence[PanelRecord], features: tuple[str, ...], entity_id: str | None = None
-    ) -> "PanelColumns":
-        """Columns of the records, in their order; with ``entity_id``, every
-        row belongs to that one entity whatever its record says."""
-        if entity_id is None:
-            entity_ids = tuple(sorted({r.entity_id for r in records}))
-            code = {e: i for i, e in enumerate(entity_ids)}
-            codes = [code[r.entity_id] for r in records]
-        else:
-            entity_ids, codes = (entity_id,), [0] * len(records)
-        periods: dict[int, PeriodIndex] = {}
-        for r in records:
-            periods.setdefault(r.period.ordinal, r.period)
-        values = [[r.features[name] for name in features] for r in records]
-        return cls(
-            entity_ids=entity_ids,
-            codes=np.array(codes, dtype=np.intp),
-            periods=periods,
-            ordinals=np.array([r.period.ordinal for r in records], dtype=np.intp),
-            features=features,
-            values=np.array(values, dtype=np.float64).reshape(len(records), len(features)),
-            flags=np.array([r.event_flag for r in records], dtype=np.int8),
-        )
-
     def __len__(self) -> int:
         return len(self.codes)
 
@@ -268,23 +244,18 @@ class _RecordView(Sequence):
         return iter(self._columns.records(0, len(self)))
 
 
+@dataclass
 class PanelDataset:
     """Panel rows, as :class:`PanelColumns` in file order, plus the schema
     they were read under.
 
-    ``records`` is a read-only sequence with an O(1) ``len`` that makes each
-    :class:`PanelRecord` when it is read.
+    Columns are the only way rows enter: the parse and the generator build
+    them.  ``records`` is a read-only sequence with an O(1) ``len`` that
+    makes each :class:`PanelRecord` when it is read.
     """
 
-    def __init__(self, schema: PanelSchema, records: Iterable[PanelRecord]) -> None:
-        self.schema = schema
-        self.columns = PanelColumns.from_records(tuple(records), schema.feature_columns)
-
-    @classmethod
-    def from_columns(cls, schema: PanelSchema, columns: PanelColumns) -> "PanelDataset":
-        dataset = cls.__new__(cls)
-        dataset.schema, dataset.columns = schema, columns
-        return dataset
+    schema: PanelSchema
+    columns: PanelColumns
 
     @property
     def records(self) -> Sequence[PanelRecord]:
@@ -292,13 +263,6 @@ class PanelDataset:
 
     def entity_ids(self) -> list[str]:
         return list(self.columns.entity_ids)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PanelDataset):
-            return NotImplemented
-        return self.schema == other.schema and self.columns == other.columns
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 class TimelineBlock:
@@ -328,37 +292,22 @@ class TimelineBlock:
 
 
 class EntityTimeline:
-    """One entity's records in strictly increasing period order.
+    """One entity's rows in strictly increasing period order.
 
-    A timeline is a view of the rows of entity ``index`` in ``block``.  The
-    timelines from :func:`build_timelines` share one block;
-    ``EntityTimeline(entity_id, records)`` makes a one-entity block from the
-    records, so both kinds fold through the same code.  ``records`` is made
-    on first read and kept.
+    A timeline is a view of the rows of entity ``index`` in ``block``; the
+    timelines from :func:`build_timelines` share one block, and every fact
+    about a timeline is read from the block's columns.  ``records``, a
+    read-only view of the rows as :class:`PanelRecord`, is made on first
+    read and kept.
     """
 
     __slots__ = ("entity_id", "block", "index", "_records")
 
-    def __init__(self, entity_id: str, records: Iterable[PanelRecord]) -> None:
-        records = tuple(records)
-        # A column counts only if every record has it; with no records, no
-        # value is ever read, so none is missing.
-        names = records[0].features if records else {}
-        features = tuple(n for n in names if all(n in r.features for r in records))
-        columns = PanelColumns.from_records(records, features, entity_id)
-        self.entity_id = entity_id
-        self.block = TimelineBlock(columns, np.array([0, len(records)], dtype=np.intp))
-        self.index = 0
-        self._records = records
-
-    @classmethod
-    def _view(cls, block: TimelineBlock, index: int) -> "EntityTimeline":
-        timeline = cls.__new__(cls)
-        timeline.entity_id = block.columns.entity_ids[index]
-        timeline.block = block
-        timeline.index = index
-        timeline._records = None
-        return timeline
+    def __init__(self, block: TimelineBlock, index: int) -> None:
+        self.entity_id = block.columns.entity_ids[index]
+        self.block = block
+        self.index = index
+        self._records: tuple[PanelRecord, ...] | None = None
 
     @property
     def _rows(self) -> tuple[int, int]:
@@ -441,22 +390,6 @@ def index_periods(labels: Iterable[str], kind: str) -> dict[str, int]:
                 )
             seen[value] = label
     return {label: ordinal for ordinal, label in enumerate(distinct)}
-
-
-# Raw row: (entity_id, period_label, features, event_flag), pre-validated.
-RawRow = tuple[str, str, dict[str, float], int]
-
-
-def build_dataset(schema: PanelSchema, rows: Sequence[RawRow], kind: str) -> PanelDataset:
-    """Assemble a dataset from raw rows whose period labels all have the
-    format ``kind`` ("int" or "month"), assigning global period ordinals."""
-    ordinals = index_periods({label for _, label, _, _ in rows}, kind)
-    periods = {label: PeriodIndex(ordinal, label) for label, ordinal in ordinals.items()}
-    return PanelDataset(
-        schema,
-        (PanelRecord(entity, periods[label], features, flag)
-         for entity, label, features, flag in rows),
-    )
 
 
 def _check_row(
@@ -818,7 +751,7 @@ def parse_panel_csv(source: Union[bytes, BinaryIO], schema: PanelSchema) -> Pane
     columns = None if cells is None else _columns(cells, schema)
     if columns is None:
         _raise_first_fault(data.decode("utf-8-sig"), schema, positions)
-    return PanelDataset.from_columns(schema, columns)
+    return PanelDataset(schema, columns)
 
 
 def _format_number(value: float) -> str:
@@ -879,19 +812,50 @@ def _cell_table(cells: Sequence[str], separator: str) -> tuple[np.ndarray, np.nd
     return texts.view(f"V{width}"), used.view(f"V{width}").ravel()
 
 
-def _check_writable(columns: PanelColumns, periods: dict[int, str], order: np.ndarray) -> None:
-    """Raise BadValue for the first feature value, in write order, that the
-    parser would refuse: a negative, infinite or NaN value."""
-    bad = ~((columns.values >= 0.0) & (columns.values < np.inf))
+def _check_writable(
+    schema: PanelSchema, columns: PanelColumns, periods: dict[int, str], order: np.ndarray
+) -> None:
+    """Raise BadValue for the first row, in write order, holding a cell that
+    the parser would refuse or change, naming its first such cell in column
+    order: an empty entity id or one with surrounding whitespace (the parser
+    strips it), a period label that is neither an integer nor YYYY-MM, or is
+    not of the first row's format, a negative, infinite or NaN value, or an
+    event flag other than 0 or 1."""
+    if not len(order):
+        return
+    ids = columns.entity_ids
+    bad_id = np.array([not e or e != e.strip() for e in ids], dtype=bool)
+    kinds = {o: _label_kind(label) if label == label.strip() else None
+             for o, label in periods.items()}
+    file_kind = kinds[int(columns.ordinals[order[0]])]
+    bad_ordinals = [o for o, kind in kinds.items() if kind is None or kind != file_kind]
+    bad = (
+        bad_id[columns.codes]
+        | np.isin(columns.ordinals, bad_ordinals)
+        | ((columns.flags != 0) & (columns.flags != 1))
+    )
+    bad_value = ~((columns.values >= 0.0) & (columns.values < np.inf))
+    if bad_value.any():  # a flat any is far cheaper than one per row
+        bad |= bad_value.any(axis=1)
     if not bad.any():
         return
-    row = order[np.argmax(bad.any(axis=1)[order])]
-    j = int(np.argmax(bad[row]))
-    raise BadValue(
-        f"entity {columns.entity_ids[columns.codes[row]]!r}, period "
-        f"{periods[int(columns.ordinals[row])]!r}: value {repr(float(columns.values[row, j]))!r} "
-        f"in column {columns.features[j]!r} must be finite and non-negative"
-    )
+    row = order[np.argmax(bad[order])]
+    code, ordinal = int(columns.codes[row]), int(columns.ordinals[row])
+    entity, label, kind = ids[code], periods[ordinal], kinds[ordinal]
+    j = int(np.argmax(bad_value[row]))
+    fault = next(message for failed, message in (
+        (not entity, f"empty value in column {schema.entity_column!r}"),
+        (bad_id[code], f"entity id in column {schema.entity_column!r} has surrounding whitespace"),
+        (kind is None, f"unparseable period {label!r} in column {schema.period_column!r} "
+                       "(expected an integer or YYYY-MM)"),
+        (kind != file_kind, f"period {label!r} in column {schema.period_column!r} "
+                            f"does not match the dataset's {file_kind} period format"),
+        (bad_value[row, j], f"value {repr(float(columns.values[row, j]))!r} in column "
+                            f"{columns.features[j]!r} must be finite and non-negative"),
+        (True, f"event flag {str(columns.flags[row])!r} in column {schema.event_column!r} "
+               "must be 0 or 1"),
+    ) if failed)
+    raise BadValue(f"entity {entity!r}, period {label!r}: {fault}")
 
 
 def _distinct(column: np.ndarray) -> tuple[list, np.ndarray]:
@@ -911,8 +875,10 @@ def _distinct(column: np.ndarray) -> tuple[list, np.ndarray]:
 def write_panel_csv(dataset: PanelDataset, stream: io.TextIOBase) -> None:
     """Write a dataset in canonical order: entity ascending, then period.
 
-    Raises BadValue, before anything is written, if a feature value is
-    negative, infinite or NaN.
+    Raises BadValue, before anything is written, if a cell would not read
+    back as it is: an empty id or one with surrounding whitespace, a period
+    label that is not an integer or YYYY-MM or mixes the two formats, a
+    negative, infinite or NaN feature value, or a flag other than 0 or 1.
 
     Each distinct cell of each column is rendered once, by :func:`csv_cells`
     and :func:`_format_number`, into a :func:`_cell_table`.  The rows are
@@ -925,7 +891,7 @@ def write_panel_csv(dataset: PanelDataset, stream: io.TextIOBase) -> None:
     # Stable, so repeated (entity, period) rows keep their order; the sort
     # runs through rows already in order, as synth's and most files' are.
     order = np.argsort(columns.codes * len(ordinals) + period_index, kind="stable")
-    _check_writable(columns, periods, order)
+    _check_writable(dataset.schema, columns, periods, order)
     stream.write(csv_line(dataset.schema.columns))
     if not len(order):
         return
@@ -978,7 +944,7 @@ def build_timelines(dataset: PanelDataset) -> tuple[EntityTimeline, ...]:
     offsets = np.zeros(n_entities + 1, dtype=np.intp)
     np.cumsum(np.bincount(codes, minlength=n_entities), out=offsets[1:])
     block = TimelineBlock(ordered, offsets)
-    return tuple(EntityTimeline._view(block, index) for index in range(n_entities))
+    return tuple(EntityTimeline(block, index) for index in range(n_entities))
 
 
 def validate_timeline(timeline: EntityTimeline) -> ValidationReport:
@@ -988,10 +954,13 @@ def validate_timeline(timeline: EntityTimeline) -> ValidationReport:
     (the transform tolerates both, see the truncation rules).
     """
     findings: list[Finding] = []
-    records = timeline.records
+    columns = timeline.block.columns
     ordinals = timeline.ordinals
 
-    if records:
+    def label(position: int) -> str:
+        return columns.periods[ordinals[position]].label
+
+    if ordinals:
         gaps = (ordinals[-1] - ordinals[0] + 1) - len(ordinals)
         if gaps:
             findings.append(
@@ -999,16 +968,15 @@ def validate_timeline(timeline: EntityTimeline) -> ValidationReport:
                     level="info",
                     code="period_gaps",
                     message=(
-                        f"{gaps} unobserved period(s) between "
-                        f"{records[0].period.label} and {records[-1].period.label}"
+                        f"{gaps} unobserved period(s) between {label(0)} and {label(-1)}"
                     ),
                 )
             )
 
     event = timeline.event_index
     if event is not None:
-        label = records[event].period.label
-        n_flagged = sum(r.event_flag for r in records[event:])
+        start = timeline._rows[0]
+        n_flagged = int(columns.flags[start + event : start + len(ordinals)].sum())
         if n_flagged > 1:
             findings.append(
                 Finding(
@@ -1016,12 +984,12 @@ def validate_timeline(timeline: EntityTimeline) -> ValidationReport:
                     code="multiple_events",
                     message=(
                         f"{n_flagged} records carry the event flag; only the first "
-                        f"({label}) is treated as the event"
+                        f"({label(event)}) is treated as the event"
                     ),
                 )
             )
-        # Ordinals strictly increase, so every later record is a later period.
-        trailing = len(records) - event - 1
+        # Ordinals strictly increase, so every later row is a later period.
+        trailing = len(ordinals) - event - 1
         if trailing:
             findings.append(
                 Finding(
@@ -1029,7 +997,7 @@ def validate_timeline(timeline: EntityTimeline) -> ValidationReport:
                     code="records_after_event",
                     message=(
                         f"{trailing} record(s) after the first event flag "
-                        f"({label}) are ignored by the transform"
+                        f"({label(event)}) are ignored by the transform"
                     ),
                 )
             )

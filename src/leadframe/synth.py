@@ -166,4 +166,4 @@ def generate_panel(config: SynthConfig) -> PanelDataset:
         values=counts.astype(np.float64),
         flags=(ordinals + 1 == event_period[row_entity]).astype(np.int8),
     )
-    return PanelDataset.from_columns(schema, panel)
+    return PanelDataset(schema, panel)

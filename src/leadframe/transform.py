@@ -181,11 +181,24 @@ class FeatureVector:
 
 @dataclass(frozen=True)
 class TruncatedTimeline:
-    """The kept record window and the label it implies."""
+    """The window kept at the reference frame, the first ``length`` rows of
+    ``timeline``, and the label it implies.
 
-    entity_id: str
-    records: tuple[PanelRecord, ...]
+    The window is read from the timeline's block; ``records`` is a read-only
+    view of its rows as PanelRecords.
+    """
+
+    timeline: EntityTimeline
+    length: int
     label: int
+
+    @property
+    def entity_id(self) -> str:
+        return self.timeline.entity_id
+
+    @property
+    def records(self) -> tuple[PanelRecord, ...]:
+        return self.timeline.records[: self.length]
 
 
 @dataclass(frozen=True)
@@ -226,8 +239,9 @@ def _training_set(
 
 def detect_event_time(timeline: EntityTimeline) -> PeriodIndex | None:
     """Period of the first record whose event flag is set, if any."""
-    index = timeline.event_index
-    return None if index is None else timeline.records[index].period
+    row = int(timeline.block.first_event[timeline.index])
+    columns = timeline.block.columns
+    return None if row < 0 else columns.periods[int(columns.ordinals[row])]
 
 
 def _period_keys(block: TimelineBlock) -> tuple[np.ndarray, int, int]:
@@ -281,7 +295,7 @@ def truncate_at_reference(
     the caller applies the empty-window policy.
     """
     k, label = _cutoffs(timeline.block, np.array([timeline.index]), config.lead_time)
-    return TruncatedTimeline(timeline.entity_id, timeline.records[: k[0]], label=int(label[0]))
+    return TruncatedTimeline(timeline, int(k[0]), int(label[0]))
 
 
 def _positions(block: TimelineBlock) -> tuple[np.ndarray, list[int]]:
@@ -439,7 +453,12 @@ def _check_finite(
 
 def aggregate(truncated: TruncatedTimeline, plan: AggregationPlan) -> FeatureVector:
     """Fold a truncated window into one feature vector (zeros when empty)."""
-    return score_features(EntityTimeline(truncated.entity_id, truncated.records), plan)
+    timeline = truncated.timeline
+    values = _fold(
+        timeline.block, np.array([timeline.index]), np.array([truncated.length]), plan
+    )
+    _check_finite([timeline], values, plan)
+    return FeatureVector(entity_id=timeline.entity_id, values=tuple(values[0].tolist()))
 
 
 def score_features(timeline: EntityTimeline, plan: AggregationPlan) -> FeatureVector:

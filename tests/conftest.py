@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import io
 import os
 import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -14,7 +16,15 @@ import oracle
 from leadframe import panel
 from leadframe.config import load_run_config
 from leadframe.errors import LeadframeError
-from leadframe.panel import PanelSchema, build_timelines, parse_panel_csv, write_panel_csv
+from leadframe.panel import (
+    PanelColumns,
+    PanelDataset,
+    PanelSchema,
+    PeriodIndex,
+    build_timelines,
+    parse_panel_csv,
+    write_panel_csv,
+)
 from leadframe.transform import AggregationPlan, FeatureSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +68,31 @@ def parse_both_ways(data: bytes, schema: PanelSchema):
     with mock.patch.object(panel, "_is_plain", lambda data: False):
         through_reader = parse_outcome(data, schema)
     return outcome, through_reader, any(tokenized)
+
+
+def dataset_of(schema: PanelSchema, rows) -> PanelDataset:
+    """A dataset of (entity, period label, ordinal, feature values, flag)
+    rows, in their order."""
+    entity_ids = sorted({row[0] for row in rows})
+    code = {entity: i for i, entity in enumerate(entity_ids)}
+    return PanelDataset(schema, PanelColumns(
+        entity_ids=tuple(entity_ids),
+        codes=np.array([code[row[0]] for row in rows], dtype=np.intp),
+        periods={ordinal: PeriodIndex(ordinal, label) for _, label, ordinal, _, _ in rows},
+        ordinals=np.array([row[2] for row in rows], dtype=np.intp),
+        features=schema.feature_columns,
+        values=np.array([row[3] for row in rows], dtype=np.float64).reshape(
+            len(rows), len(schema.feature_columns)
+        ),
+        flags=np.array([row[4] for row in rows], dtype=np.int8),
+    ))
+
+
+def timelines_without_rows(schema: PanelSchema, entity_ids) -> tuple:
+    """One timeline with no rows for each of the sorted entity ids."""
+    dataset = dataset_of(schema, [])
+    dataset.columns = dataclasses.replace(dataset.columns, entity_ids=tuple(entity_ids))
+    return build_timelines(dataset)
 
 
 # csv.writer quotes a carriage return from Python 3.13 on; before, only the

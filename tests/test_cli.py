@@ -7,8 +7,10 @@ import sys
 import pytest
 
 from conftest import CONFIG_JSON, PANEL_CSV
+from test_golden import VALIDATE_PANEL
 
 from leadframe.cli import main
+from leadframe.panel import PanelColumns
 
 
 def run_cli(*argv):
@@ -688,3 +690,41 @@ class TestCarriageReturnIds:
             assert {len(row) for row in rows} == {width}
             assert "x\ry" in [row[0] for row in rows]
             assert b'"x\ry",' in path.read_bytes()
+
+
+class TestCommandsReadColumnsOnly:
+    """Every command runs on the panel's columns alone: with
+    ``PanelColumns.records`` raising, each exits as before and writes the
+    same bytes."""
+
+    @staticmethod
+    def run_every_command(out, capsys):
+        out.mkdir()
+        findings = out / "findings.csv"
+        findings.write_text(VALIDATE_PANEL, encoding="utf-8")
+        codes = [
+            run_cli("validate", "--input", PANEL_CSV, "--config", CONFIG_JSON),
+            run_cli("validate", "--input", findings, "--config", CONFIG_JSON),
+            run_cli("transform", "--input", PANEL_CSV, "--config", CONFIG_JSON,
+                    "--output", out / "training.csv"),
+            run_cli("train", "--input", out / "training.csv", "--config", CONFIG_JSON,
+                    "--output", out / "model.json"),
+            run_cli("score", "--model", out / "model.json", "--input", PANEL_CSV,
+                    "--config", CONFIG_JSON, "--output", out / "scores.csv"),
+            run_cli("sweep", "--input", PANEL_CSV, "--config", CONFIG_JSON,
+                    "--output", out / "curve.csv"),
+            run_cli("synth", "--output", out / "synth.csv",
+                    "--entities", 40, "--periods", 9, "--seed", 5),
+        ]
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        return codes, capsys.readouterr().out, files
+
+    def test_no_command_reads_records(self, tmp_path, capsys, monkeypatch):
+        before = self.run_every_command(tmp_path / "before", capsys)
+        assert before[0] == [0, 1, 0, 0, 0, 0, 0]
+
+        def refuse(*args):
+            raise AssertionError("a command read PanelColumns.records")
+
+        monkeypatch.setattr(PanelColumns, "records", refuse)
+        assert self.run_every_command(tmp_path / "after", capsys) == before

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import timelines_without_rows
 from corpus import FEATURES
 from oracle import brute_force_pairwise_auc
 
@@ -16,7 +17,7 @@ from leadframe.evaluation import (
     write_curve_csv,
 )
 from leadframe.model import LogisticModel, TrainConfig
-from leadframe.panel import EntityTimeline, build_timelines
+from leadframe.panel import PanelSchema, build_timelines
 from leadframe.synth import SynthConfig, default_schema, generate_panel
 from leadframe.transform import (
     AggregationPlan,
@@ -46,7 +47,8 @@ def scored_set(scores, labels):
 
 
 def dummy_timelines(n):
-    return tuple(EntityTimeline(entity_id=f"t{i:03d}", records=()) for i in range(n))
+    schema = PanelSchema("entity", "period", "event", ("a",))
+    return timelines_without_rows(schema, [f"t{i:03d}" for i in range(n)])
 
 
 class TestSplit:

@@ -4,6 +4,10 @@ The digests pin the bytes each command writes, so a refactor of the
 generator, the transform, the model or the evaluation that changes any
 output byte fails here.
 
+The ``validate`` digests pin its report lines on stdout and its exit code,
+on the bundled panel and on a small panel whose timelines have gaps, more
+than one event flag and records after the first event.
+
 The ``synth`` panel digest covers pure-Python code (SplitMix64, Knuth's
 Poisson, ``repr`` of floats) and is portable.  The ``model.json``,
 ``scores.csv`` and ``curve.csv`` digests go through numpy's floating-point
@@ -13,6 +17,7 @@ with (numpy 2.4.6, x86-64) and may differ in the last bit on another one.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -36,6 +41,25 @@ PIPELINE = {
         "scores.csv": "efe459afa6b18edc2b46de401a55abc52317ebc7e35cb20e99f9a6df8f318c07",
         "curve.csv": "fc23dd458b3640e05e2eba0d881aa11b7f7a8bcbd7ce6ec3952a744a8ecd8199",
     },
+}
+
+VALIDATE_PANEL = """\
+customer,month,outbound_calls,complaints,interruptions,resolution_time,promotions,churn
+a,2016-01,1,0,0,0,0,0
+a,2016-04,2,1,0,0,1,0
+b,2016-02,0,0,1,3,0,1
+b,2016-03,0,0,0,0,0,1
+b,2016-05,1,0,0,0,0,0
+c,2016-01,0,2,1,1,0,0
+c,2016-03,0,0,0,0,0,1
+c,2016-05,3,0,0,0,0,0
+d,2016-02,4,0,2,5,0,0
+d,2016-03,1,1,0,0,0,1
+"""
+# (exit code, SHA-256 of stdout) of ``validate`` on each panel.
+VALIDATE = {
+    "bundled": (0, "6fdec4c7dac3f0f2e5b3eb0504aa85eb41cd2300aba7a7872f85552c4a76c1a3"),
+    "findings": (1, "acf0a03b911e62412995b1e0506cb344a476de371cb1db5041499bedc1793dfc"),
 }
 
 
@@ -70,3 +94,18 @@ def test_pipeline_digests(source, tmp_path, synth_panel):
         "--output", out / "scores.csv")
     run("sweep", "--input", panel, "--config", CONFIG_JSON, "--output", out / "curve.csv")
     assert {name: sha256(out / name) for name in PIPELINE[source]} == PIPELINE[source]
+
+
+@pytest.mark.parametrize("source", sorted(VALIDATE))
+def test_validate_digests(source, tmp_path, capsys):
+    panel = PANEL_CSV
+    if source == "findings":
+        panel = tmp_path / "panel.csv"
+        panel.write_text(VALIDATE_PANEL, encoding="utf-8")
+    code = main(["validate", "--input", str(panel), "--config", str(CONFIG_JSON)])
+    out = capsys.readouterr().out
+    if source == "findings":
+        assert {"period_gaps", "multiple_events", "records_after_event"} <= {
+            finding["code"] for line in out.splitlines() for finding in json.loads(line)["findings"]
+        }
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == VALIDATE[source]

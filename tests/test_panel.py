@@ -9,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import parse_both_ways, write_both_ways
+from conftest import dataset_of, parse_both_ways, write_both_ways
 from corpus import random_float_panel_rows, random_panel_rows, rows_to_csv_bytes
+import oracle
 from oracle import period_positions
 
 from leadframe.errors import (
@@ -24,9 +25,7 @@ from leadframe.errors import (
 from leadframe import panel
 from leadframe.panel import (
     PanelDataset,
-    PanelRecord,
     PanelSchema,
-    PeriodIndex,
     _format_number,
     build_timelines,
     csv_cells,
@@ -223,9 +222,9 @@ class TestTimelines:
             build_timelines(parse_panel_csv(data, small_schema()))
 
     def test_order_insensitive(self, fixture_dataset, fixture_timelines, schema):
-        shuffled = list(fixture_dataset.records)
+        shuffled = list(range(len(fixture_dataset.columns)))
         random.Random(13).shuffle(shuffled)
-        rebuilt = build_timelines(type(fixture_dataset)(schema, tuple(shuffled)))
+        rebuilt = build_timelines(reordered(fixture_dataset, shuffled))
         assert rebuilt == fixture_timelines
 
     def test_round_trip(self, fixture_dataset, schema):
@@ -357,13 +356,13 @@ class TestWriteFormatsEachCell:
         for _ in range(20):
             raw = random_float_panel_rows(rng)
             dataset = parse_panel_csv(rows_to_csv_bytes(raw), corpus_schema)
-            special = itertools.cycle(self.SPECIAL)
-            records = tuple(
-                dataclasses.replace(r, features={**r.features, "a": next(special)}) if i % 2 else r
-                for i, r in enumerate(dataset.records)
-            )
+            values = dataset.columns.values.copy()
+            odd = values[1::2, corpus_schema.feature_columns.index("a")]
+            odd[:] = list(itertools.islice(itertools.cycle(self.SPECIAL), len(odd)))
+            edited = PanelDataset(corpus_schema, dataclasses.replace(dataset.columns, values=values))
+            records = edited.records
             buffer = io.StringIO()
-            write_panel_csv(PanelDataset(corpus_schema, records), buffer)
+            write_panel_csv(edited, buffer)
             header, *rows = csv.reader(io.StringIO(buffer.getvalue()))
             assert header == list(corpus_schema.columns)
             ordered = sorted(records, key=lambda r: (r.entity_id, r.period.ordinal))
@@ -542,20 +541,8 @@ def test_ambiguous_labels_named_alike_under_every_hash_seed():
     assert messages == {"period labels '+2' and '02' denote the same period\n"}
 
 
-def dataset_of(schema: PanelSchema, rows) -> PanelDataset:
-    """A dataset of (entity, period label, ordinal, feature values, flag) rows."""
-    return PanelDataset(
-        schema,
-        (
-            PanelRecord(entity, PeriodIndex(ordinal, label),
-                        dict(zip(schema.feature_columns, values)), flag)
-            for entity, label, ordinal, values, flag in rows
-        ),
-    )
-
-
 def reordered(dataset: PanelDataset, rows) -> PanelDataset:
-    return PanelDataset.from_columns(dataset.schema, dataset.columns.take(np.asarray(rows)))
+    return PanelDataset(dataset.schema, dataset.columns.take(np.asarray(rows)))
 
 
 class TestWriterMatchesRowWriter:
@@ -621,9 +608,12 @@ class TestWriterMatchesRowWriter:
         assert written == reference
         assert ",999999999999999," in written and ",1000000000000000.0," in written
 
+    # The writer refuses an empty id and one with surrounding whitespace
+    # (TestWriteRefusesWhatTheParserRefuses), since the parser refuses or
+    # strips it.
     IDS = (
-        "acme, inc", 'say "hi"', '"', "two\nlines", "nul\0byte", "\0", " leading", "trailing ",
-        "Zoë", "日本語", "e" * 257, "", "plain",
+        "acme, inc", 'say "hi"', '"', "two\nlines", "nul\0byte", "\0", "inner space",
+        "Zoë", "日本語", "e" * 257, "plain",
     )
 
     def test_awkward_ids(self, corpus_schema):
@@ -636,7 +626,7 @@ class TestWriterMatchesRowWriter:
         assert written == reference
 
     def test_empty_dataset_writes_the_header_only(self, corpus_schema):
-        written, reference = write_both_ways(PanelDataset(corpus_schema, []))
+        written, reference = write_both_ways(dataset_of(corpus_schema, []))
         assert written == reference == "entity,period,a,b,c,event\n"
 
     @staticmethod
@@ -728,6 +718,69 @@ class TestWriteRefusesWhatTheParserRefuses:
             f"entity 'b', period '2': value '{text}' in column 'b' must be finite and non-negative"
         )
         assert stream.getvalue() == ""
+
+    @pytest.mark.parametrize(
+        "row, fault",
+        [
+            (("", "2", 1, (1.0, 2.0, 3.0), 0), "empty value in column 'entity'"),
+            ((" b", "2", 1, (1.0, 2.0, 3.0), 0),
+             "entity id in column 'entity' has surrounding whitespace"),
+            (("b ", "2", 1, (1.0, 2.0, 3.0), 0),
+             "entity id in column 'entity' has surrounding whitespace"),
+            (("b\t", "2", 1, (1.0, 2.0, 3.0), 0),
+             "entity id in column 'entity' has surrounding whitespace"),
+            (("b", "2", 1, (1.0, 2.0, 3.0), 2), "event flag '2' in column 'event' must be 0 or 1"),
+            (("b", "2", 1, (1.0, 2.0, 3.0), -1), "event flag '-1' in column 'event' must be 0 or 1"),
+            (("b", "Q1", 1, (1.0, 2.0, 3.0), 0),
+             "unparseable period 'Q1' in column 'period' (expected an integer or YYYY-MM)"),
+            (("b", " 2", 1, (1.0, 2.0, 3.0), 0),
+             "unparseable period ' 2' in column 'period' (expected an integer or YYYY-MM)"),
+            (("b", "2\n", 1, (1.0, 2.0, 3.0), 0),
+             "unparseable period '2\\n' in column 'period' (expected an integer or YYYY-MM)"),
+            (("b", "2016-02", 1, (1.0, 2.0, 3.0), 0),
+             "period '2016-02' in column 'period' does not match the dataset's int period format"),
+        ],
+        ids=["empty-id", "leading-space", "trailing-space", "trailing-tab", "flag-2",
+             "flag-minus-1", "label-Q1", "label-space", "label-newline", "mixed-labels"],
+    )
+    def test_bad_cell(self, corpus_schema, row, fault):
+        dataset = dataset_of(corpus_schema, [("a", "1", 0, (1.0, 2.0, 3.0), 0), row])
+        stream = io.StringIO()
+        with pytest.raises(BadValue) as raised:
+            write_panel_csv(dataset, stream)
+        assert str(raised.value) == f"entity {row[0]!r}, period {row[1]!r}: {fault}"
+        assert stream.getvalue() == ""
+        # Written row by row, the cell is refused by the parser or reads back changed.
+        reference = io.StringIO(newline="")
+        oracle.write_panel_csv(dataset, reference)
+        try:
+            columns = parse_panel_csv(reference.getvalue().encode(), corpus_schema).columns
+        except BadValue:
+            return
+        assert (columns.entity_ids, [p.label for p in columns.periods.values()]) != (
+            dataset.columns.entity_ids, [p.label for p in dataset.columns.periods.values()]
+        )
+
+    def test_first_faulty_row_in_write_order_and_its_first_cell(self, corpus_schema):
+        rows = [
+            ("b", "1", 0, (1.0, 2.0, 3.0), 2),
+            ("a ", "Q1", 1, (-1.0, 2.0, 3.0), 5),
+            ("a", "2", 2, (1.0, -2.0, 3.0), 7),
+        ]
+        with pytest.raises(BadValue, match="^entity 'a', period '2': value '-2.0' in column 'b'"):
+            write_panel_csv(dataset_of(corpus_schema, rows), io.StringIO())
+        with pytest.raises(
+            BadValue, match="^entity 'a ', period 'Q1': entity id in column 'entity' has"
+        ):
+            write_panel_csv(dataset_of(corpus_schema, rows[:2]), io.StringIO())
+        with pytest.raises(BadValue, match="^entity 'b', period 'Q1': unparseable period 'Q1'"):
+            write_panel_csv(dataset_of(corpus_schema, [rows[0][:1] + rows[1][1:]]), io.StringIO())
+        # The period format is the first written row's, not the first given row's.
+        mixed = [("b", "2016-02", 1, (1.0, 2.0, 3.0), 0), ("a", "1", 0, (1.0, 2.0, 3.0), 0)]
+        with pytest.raises(
+            BadValue, match="^entity 'b', period '2016-02': period '2016-02' .* int period format"
+        ):
+            write_panel_csv(dataset_of(corpus_schema, mixed), io.StringIO())
 
     def test_first_fault_in_write_order(self, corpus_schema):
         nan = float("nan")

@@ -4,11 +4,11 @@ import warnings
 
 import pytest
 
-from oracle import scalar_synth_rows
+from oracle import period_positions, scalar_synth_rows
 
 from leadframe.cli import main
 from leadframe.errors import InvalidConfig
-from leadframe.panel import build_dataset, build_timelines, parse_panel_csv, write_panel_csv
+from leadframe.panel import PeriodIndex, build_timelines, parse_panel_csv, write_panel_csv
 from leadframe.synth import FEATURE_COLUMNS, SynthConfig, default_schema, generate_panel
 from leadframe.transform import (
     AggregationPlan,
@@ -172,7 +172,19 @@ class TestLockstepMatchesScalar:
         cfg = config(**overrides, seed=seed)
         rows = scalar_synth_rows(cfg, FEATURE_COLUMNS)
         generated = generate_panel(cfg)
-        assert generated == build_dataset(default_schema(), rows, "int")
+        positions = period_positions(rows)
+        assert generated.schema == default_schema()
+        assert generated.columns.entity_ids == tuple(sorted({row[0] for row in rows}))
+        assert generated.columns.features == default_schema().feature_columns
+        assert generated.columns.periods == {
+            ordinal: PeriodIndex(ordinal, label) for label, ordinal in positions.items()
+        }
+        assert len(generated.records) == len(rows)
+        for record, (entity, label, features, flag) in zip(generated.records, rows):
+            assert record.entity_id == entity
+            assert record.period == PeriodIndex(positions[label], label)
+            assert record.features == features
+            assert record.event_flag == flag
         lines = [",".join(default_schema().columns)] + [
             ",".join([entity, label, *(str(int(features[c])) for c in FEATURE_COLUMNS), str(flag)])
             for entity, label, features, flag in rows

@@ -1,9 +1,12 @@
+import dataclasses
 import io
 import math
 import random
 
+import numpy as np
 import pytest
 
+from conftest import timelines_without_rows
 from corpus import (
     FEATURES,
     PLAN_TUPLES,
@@ -15,7 +18,7 @@ from oracle import brute_force_full_history, brute_force_training_rows
 
 from leadframe.errors import InvalidConfig, UnknownColumn
 from leadframe.evaluation import split_entities
-from leadframe.panel import EntityTimeline, build_timelines, parse_panel_csv
+from leadframe.panel import PanelDataset, build_timelines, parse_panel_csv
 from leadframe.transform import (
     AggregationPlan,
     EmptyWindowPolicy,
@@ -136,8 +139,10 @@ class TestAggregate:
         prabhu = aggregate(truncate_at_reference(timeline_of("Prabhu"), LEAD_1), plan)
         assert prabhu.values == (2.0, 1.0, 0.0, 0.0, 0.0)
 
-    def test_empty_window_gives_zeros(self, plan):
-        window = TruncatedTimeline(entity_id="ghost", records=(), label=1)
+    def test_empty_window_gives_zeros(self, schema, plan):
+        (ghost,) = timelines_without_rows(schema, ["ghost"])
+        window = TruncatedTimeline(ghost, 0, label=1)
+        assert window.entity_id == "ghost"
         assert aggregate(window, plan).values == (0.0,) * 5
 
     def test_each_kind(self, corpus_schema, corpus_plan):
@@ -319,19 +324,19 @@ class TestProperties:
                 else:
                     assert rows == baseline
 
-    def test_sum_additive_over_window_partitions(self, timeline_of, corpus_schema):
+    def test_sum_additive_over_window_partitions(self, timeline_of, fixture_dataset):
         plan = AggregationPlan((FeatureSpec.sum("total", "outbound_calls"),))
         timeline = timeline_of("Aasheesh")
-        whole = aggregate(
-            TruncatedTimeline("Aasheesh", timeline.records, 0), plan
-        ).values[0]
-        for cut in range(len(timeline.records) + 1):
-            left = aggregate(
-                TruncatedTimeline("Aasheesh", timeline.records[:cut], 0), plan
-            ).values[0]
-            right = aggregate(
-                TruncatedTimeline("Aasheesh", timeline.records[cut:], 0), plan
-            ).values[0]
+        n = len(timeline.records)
+        whole = aggregate(TruncatedTimeline(timeline, n, 0), plan).values[0]
+        for cut in range(n + 1):
+            left = aggregate(TruncatedTimeline(timeline, cut, 0), plan).values[0]
+            # The rows after the cut, as the whole timeline of a dataset of their own.
+            start = int(timeline.block.offsets[timeline.index]) + cut
+            rows = np.arange(start, start + n - cut)
+            suffix = PanelDataset(fixture_dataset.schema, timeline.block.columns.take(rows))
+            (rest,) = [t for t in build_timelines(suffix) if t.entity_id == "Aasheesh"]
+            right = aggregate(TruncatedTimeline(rest, n - cut, 0), plan).values[0]
             assert left + right == whole
 
 
@@ -435,6 +440,19 @@ class TestOneFoldPath:
             lines.append(",".join([entity, label, *cells, str(flag)]))
         return ("\n".join(lines) + "\n").encode("utf-8")
 
+    @staticmethod
+    def alone(timeline, schema):
+        """The timeline rebuilt as the only entity of a dataset of its own rows."""
+        offsets = timeline.block.offsets
+        rows = np.arange(offsets[timeline.index], offsets[timeline.index + 1])
+        columns = dataclasses.replace(
+            timeline.block.columns.take(rows),
+            entity_ids=(timeline.entity_id,),
+            codes=np.zeros(len(rows), dtype=np.intp),
+        )
+        (rebuilt,) = build_timelines(PanelDataset(schema, columns))
+        return rebuilt
+
     def test_rebuilt_timelines_fold_alike(self, corpus_schema, corpus_plan):
         rng = random.Random(2026)
         checked = 0
@@ -443,7 +461,7 @@ class TestOneFoldPath:
             for row in raw[::3]:
                 row[2]["a"] = -0.0
             parsed = build_timelines(parse_panel_csv(self.with_negative_zeros(raw), corpus_schema))
-            rebuilt = tuple(EntityTimeline(t.entity_id, t.records) for t in parsed)
+            rebuilt = tuple(self.alone(t, corpus_schema) for t in parsed)
             subsets = [(parsed, rebuilt)]
             if len(parsed) >= 2:
                 subsets += zip(
