@@ -795,32 +795,54 @@ def csv_line(texts: Iterable[str]) -> str:
     return ",".join(csv_cells(texts)) + "\n"
 
 
-def _cell_table(cells: Sequence[str], separator: str) -> tuple[np.ndarray, np.ndarray]:
-    """(texts, used) for the rendered cells of a column.
-
-    Record ``k`` of ``texts`` holds cell ``k`` and the separator, as UTF-8,
-    and record ``k`` of ``used`` is True on those bytes and False on the
-    padding after them: padding is told by this mask, never by its byte
-    value, since a cell may hold NUL.  Records are as wide as the longest
-    cell, rounded up to a power of two, the widths numpy gathers fastest.
-    """
+def _encode(cells: Iterable[str], separator: str) -> tuple[np.ndarray, np.ndarray]:
+    """(data, lengths): each rendered cell and the separator, as UTF-8, one
+    after another in ``data``, and the byte length of each."""
     encoded = [(cell + separator).encode("utf-8", "surrogatepass") for cell in cells]
     lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
-    width = 1 << (int(lengths.max()) - 1).bit_length()
-    texts = np.frombuffer(b"".join(text.ljust(width, b"\0") for text in encoded), np.uint8)
+    return np.frombuffer(b"".join(encoded), np.uint8), lengths
+
+
+def _record_widths(lengths: np.ndarray) -> np.ndarray:
+    """The record width for cells of these byte lengths: each rounded up to a
+    power of two, the widths numpy gathers fastest."""
+    return np.left_shift(1, np.frexp(lengths - 1)[1].astype(np.intp))
+
+
+def _cell_table(data: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(texts, used) for the encoded cells of a column, as :func:`_encode`
+    gives them.
+
+    Record ``k`` of ``texts`` holds cell ``k``, and record ``k`` of ``used``
+    is True on its bytes and False on the padding after them: padding is
+    told by this mask, never by its byte value, since a cell may hold NUL.
+    Records are as wide as the longest cell's record width.
+    """
+    width = int(_record_widths(lengths).max())
     used = np.arange(width) < lengths[:, None]
-    return texts.view(f"V{width}"), used.view(f"V{width}").ravel()
+    texts = np.zeros(used.shape, np.uint8)
+    texts[used] = data
+    return texts.view(f"V{width}").ravel(), used.view(f"V{width}").ravel()
 
 
 def _check_writable(
-    schema: PanelSchema, columns: PanelColumns, periods: dict[int, str], order: np.ndarray
+    schema: PanelSchema,
+    columns: PanelColumns,
+    periods: dict[int, str],
+    ordinals: list[int],
+    order: np.ndarray,
 ) -> None:
     """Raise BadValue for the first row, in write order, holding a cell that
     the parser would refuse or change, naming its first such cell in column
     order: an empty entity id or one with surrounding whitespace (the parser
     strips it), a period label that is neither an integer nor YYYY-MM, or is
     not of the first row's format, a negative, infinite or NaN value, or an
-    event flag other than 0 or 1."""
+    event flag other than 0 or 1.
+
+    Then raise it if the labels of the written ``ordinals`` (distinct,
+    ascending) would not read back in that order: two integer labels of one
+    period, in the parser's words, or two periods whose labels are alike or
+    in the other order."""
     if not len(order):
         return
     ids = columns.entity_ids
@@ -838,6 +860,14 @@ def _check_writable(
     if bad_value.any():  # a flat any is far cheaper than one per row
         bad |= bad_value.any(axis=1)
     if not bad.any():
+        labels = [periods[o] for o in ordinals]
+        read_back = index_periods(labels, file_kind)
+        for before, after in itertools.pairwise(labels):
+            if read_back[after] <= read_back[before]:
+                raise BadValue(
+                    f"period labels {before!r} then {after!r} in column "
+                    f"{schema.period_column!r} do not read back in that order"
+                )
         return
     row = order[np.argmax(bad[order])]
     code, ordinal = int(columns.codes[row]), int(columns.ordinals[row])
@@ -878,12 +908,15 @@ def write_panel_csv(dataset: PanelDataset, stream: io.TextIOBase) -> None:
     Raises BadValue, before anything is written, if a cell would not read
     back as it is: an empty id or one with surrounding whitespace, a period
     label that is not an integer or YYYY-MM or mixes the two formats, a
-    negative, infinite or NaN feature value, or a flag other than 0 or 1.
+    negative, infinite or NaN feature value, or a flag other than 0 or 1; or
+    if the period labels would read back as other periods or in another
+    order than the dataset's ordinals.
 
     Each distinct cell of each column is rendered once, by :func:`csv_cells`
-    and :func:`_format_number`, into a :func:`_cell_table`.  The rows are
-    then gathered from the tables one block at a time into a byte matrix,
-    whose padding is dropped by the tables' masks.
+    and :func:`_format_number`, into a :func:`_cell_table`; the entity table
+    is made per block from the block's own ids.  The rows are then gathered
+    from the tables one block at a time into a byte matrix, whose padding is
+    dropped by the tables' masks.
     """
     columns = dataset.columns
     periods = {ordinal: period.label for ordinal, period in columns.periods.items()}
@@ -891,15 +924,15 @@ def write_panel_csv(dataset: PanelDataset, stream: io.TextIOBase) -> None:
     # Stable, so repeated (entity, period) rows keep their order; the sort
     # runs through rows already in order, as synth's and most files' are.
     order = np.argsort(columns.codes * len(ordinals) + period_index, kind="stable")
-    _check_writable(dataset.schema, columns, periods, order)
+    _check_writable(dataset.schema, columns, periods, ordinals, order)
     stream.write(csv_line(dataset.schema.columns))
     if not len(order):
         return
 
-    cells = [
-        (columns.entity_ids, columns.codes),
-        (map(periods.__getitem__, ordinals), period_index),
-    ]
+    id_data, id_lengths = _encode(csv_cells(columns.entity_ids), ",")
+    id_starts = np.concatenate(([0], np.cumsum(id_lengths)))
+    id_widths = _record_widths(id_lengths)
+    cells = [(map(periods.__getitem__, ordinals), period_index)]
     for j in range(len(columns.features)):
         # Values that compare equal print the same: -0.0 and 0.0 both print 0.
         values, index = _distinct(columns.values[:, j])
@@ -907,16 +940,36 @@ def write_panel_csv(dataset: PanelDataset, stream: io.TextIOBase) -> None:
     flags, flag_index = _distinct(columns.flags)
     cells.append((map(str, flags), flag_index))
     tables = [
-        _cell_table(csv_cells(texts), "\n" if j == len(cells) - 1 else ",")
+        _cell_table(*_encode(csv_cells(texts), "\n" if j == len(cells) - 1 else ","))
         for j, (texts, _) in enumerate(cells)
     ]
-    layout = np.dtype([(f"c{j}", texts.dtype) for j, (texts, _) in enumerate(tables)])
-    block = max(1, _WRITE_BYTES // layout.itemsize)
-    for start in range(0, len(order), block):
-        rows = order[start : start + block]
-        texts, used = np.empty(len(rows), layout), np.empty(len(rows), layout)
-        for name, (cell_texts, cell_used), (_, index) in zip(layout.names, tables, cells):
-            at = index[rows]
+    rest = sum(texts.itemsize for texts, _ in tables)
+    start = 0
+    while start < len(order):
+        # Rows are sorted by entity, so a long id widens only the blocks of
+        # its own rows: each block pads its ids to the widest among them.
+        first = columns.codes[order[start]]
+        size = min(max(1, _WRITE_BYTES // (rest + id_widths[first])), len(order) - start)
+        last = columns.codes[order[start + size - 1]] + 1
+        if id_widths[first:last].max() > id_widths[first]:
+            # Fewer rows fit: keep the most, and at least one, that fit with
+            # their ids padded to the widest among them.
+            widest = np.maximum.accumulate(id_widths[columns.codes[order[start : start + size]]])
+            fits = (widest + rest) * np.arange(1, size + 1) <= _WRITE_BYTES
+            size = max(1, int(np.count_nonzero(fits)))
+        rows = order[start : start + size]
+        start += size
+        codes = columns.codes[rows]
+        last = codes[-1] + 1
+        block_tables = [
+            _cell_table(id_data[id_starts[first] : id_starts[last]], id_lengths[first:last]),
+            *tables,
+        ]
+        # Made one at a time, so only one column's row indexes are held.
+        indexes = itertools.chain([codes - first], (index[rows] for _, index in cells))
+        layout = np.dtype([(f"c{j}", texts.dtype) for j, (texts, _) in enumerate(block_tables)])
+        texts, used = np.empty(size, layout), np.empty(size, layout)
+        for name, (cell_texts, cell_used), at in zip(layout.names, block_tables, indexes):
             texts[name], used[name] = cell_texts[at], cell_used[at]
         text = np.compress(used.view(np.bool_), texts.view(np.uint8)).tobytes()
         stream.write(text.decode("utf-8", "surrogatepass"))

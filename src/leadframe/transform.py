@@ -16,7 +16,8 @@ timelines' block keeps prefix tables aligned with its sorted rows, which
 restart at every entity: a running sum, a running nonzero count and a
 running max (``last`` is the column itself).  A window's aggregate is then
 one gather at its last row, so every lead time of a sweep reuses one sort
-and one set of tables.
+and one set of tables.  A table takes one numpy accumulate per band of
+entities of similar history length (:func:`_running`).
 
 Aggregations fold a window into one feature vector: sums, nonzero counts,
 maxima, the most recent value, and ratio-of-sums (total numerator over total
@@ -40,9 +41,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
-import itertools
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -298,82 +297,82 @@ def truncate_at_reference(
     return TruncatedTimeline(timeline, int(k[0]), int(label[0]))
 
 
-def _positions(block: TimelineBlock) -> tuple[np.ndarray, list[int]]:
-    """The block's rows in position-major order, and where each position starts.
+def _bands(block: TimelineBlock) -> list[np.ndarray]:
+    """The block's entities with rows, longest history first, cut into bands;
+    kept in the block's cache.
 
-    Position p holds the p-th row of every entity with more than p rows, the
-    longest histories first, so the entities still running at position p
-    are the first ones of position p - 1.
+    A band holds the entities longer than half of its longest history, so
+    padding every history of a band to its longest at most doubles its rows,
+    and there are about log2(longest history) bands.
     """
-    layout = block.cache.get("positions")
-    if layout is None:
-        offsets, codes = block.offsets, block.columns.codes
-        lengths = np.diff(offsets)
-        rank = np.empty_like(lengths)
-        rank[np.argsort(-lengths, kind="stable")] = np.arange(len(lengths))
-        position = np.arange(len(codes)) - offsets[codes]
-        order = np.lexsort((rank[codes], position))
-        starts = np.zeros(int(lengths.max(initial=0)) + 1, dtype=np.intp)
-        np.cumsum(np.bincount(position), out=starts[1:])
-        layout = block.cache["positions"] = (order, starts.tolist())
-    return layout
+    bands = block.cache.get("bands")
+    if bands is None:
+        lengths = np.diff(block.offsets)
+        order = np.argsort(-lengths, kind="stable")
+        negated = -lengths[order]  # ascending, as searchsorted needs
+        start, stop, bands = 0, int(np.searchsorted(negated, 0)), []
+        while start < stop:
+            # The band ends at the first history of at most half its longest.
+            end = int(np.searchsorted(negated, -(-negated[start] // 2)))
+            bands.append(order[start:end])
+            start = end
+        block.cache["bands"] = bands
+    return bands
 
 
-def _running(block: TimelineBlock, x: np.ndarray, start, step, fold) -> np.ndarray:
+def _first_zeros(band: np.ndarray) -> np.ndarray:
+    """Each cell's first zero down its column up to it, where there is one."""
+    positions = np.arange(len(band))[:, None]
+    first = np.minimum.accumulate(np.where(band == 0.0, positions, len(band) - 1), axis=0)
+    return np.take_along_axis(band, first, axis=0)
+
+
+def _running(block: TimelineBlock, x: np.ndarray, fold: np.ufunc) -> np.ndarray:
     """Each entity's running fold of its rows of ``x``, aligned with ``x``.
 
-    An entity's first row gets ``start(x0)``, each later row
-    ``step(previous, x)``, so the fold runs left to right within every
-    entity.  One numpy step per history position serves every entity still
-    running there; once fewer than ``_NUMPY_FOLD_MIN`` are, each one's tail
-    is folded alone by ``itertools.accumulate`` with ``fold``, the same
-    operation on Python floats.
+    Each band of :func:`_bands` is gathered into a (position x entity)
+    matrix, each history padded past its end by repeating its last row, and
+    folded in place by one ``fold.accumulate`` down its positions, which
+    folds left to right within every entity as the builtins do.  The padding
+    lies after every real cell, so it never reaches one; it is scattered to
+    a spare last slot of the table, which is dropped.
+
+    A sum starts from ``0.0 + x0``, as Python's sum does.  Python's max
+    keeps the first of equal values and numpy's maximum may not; the only
+    equal but distinct finite values are -0.0 and 0.0, so a running max of
+    zero takes the sign of the first zero up to it, the one Python's max
+    keeps: every value before that zero is negative and none after it is
+    greater.
     """
-    order, starts = _positions(block)
-    xs = x[order]
-    folded = np.empty_like(xs)
-    acc = start(xs[: starts[1]])
-    folded[: starts[1]] = acc
-    p = 1
-    while p + 1 < len(starts) and starts[p + 1] - starts[p] >= _NUMPY_FOLD_MIN:
-        a, b = starts[p], starts[p + 1]
-        acc = step(acc[: b - a], xs[a:b])
-        folded[a:b] = acc
-        p += 1
-    table = np.empty_like(folded)
-    table[order[: starts[p]]] = folded[: starts[p]]
-    if p + 1 < len(starts):
-        # The entities still running are the first ones of position p - 1;
-        # each one's tail starts at the row after it.
-        running = starts[p + 1] - starts[p]
-        rows = order[starts[p - 1] : starts[p - 1] + running] + 1
-        ends = block.offsets[block.columns.codes[rows] + 1]
-        for row, end, initial in zip(rows.tolist(), ends.tolist(), acc[:running].tolist()):
-            tail = itertools.accumulate(x[row:end].tolist(), fold, initial=initial)
-            table[row:end] = list(itertools.islice(tail, 1, None))
-    return table
+    offsets = block.offsets
+    table = np.empty(len(x) + 1)
+    for entities in _bands(block):
+        starts, ends = offsets[entities], offsets[entities + 1]
+        positions = np.arange(ends[0] - starts[0])[:, None]
+        # Built and folded in place: each fresh matrix costs page faults and
+        # raises the peak memory.
+        rows = np.add(positions, starts)
+        np.minimum(rows, ends - 1, out=rows)
+        band = x[rows]
+        if fold is np.add:
+            band[0] += 0.0
+        # Without a sign bit in the band, every zero is 0.0 and equal values
+        # have equal bits.
+        zeros = _first_zeros(band) if fold is np.maximum and np.signbit(band).any() else None
+        fold.accumulate(band, axis=0, out=band)
+        if zeros is not None:
+            np.copysign(band, zeros, out=band, where=band == 0.0)
+        rows[positions >= ends - starts] = len(x)
+        table[rows] = band
+    return table[:-1]
 
 
-def _keep_first_unless_greater(best: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Python's max: a later value wins only if strictly greater, so the
-    first of equal values (-0.0 before 0.0) stays."""
-    return np.where(x > best, x, best)
-
-
-# Prefix tables, per kind: the row value they fold and their running fold,
-# on arrays and on Python floats.  A sum starts from 0.0 + x0, as Python's
-# sum does, which turns -0.0 into 0.0; count_nonzero counts -0.0 as zero;
-# the builtin max, like _keep_first_unless_greater, keeps the first of equal
-# values.
+# Prefix tables, per kind: the row value they fold and the ufunc folding it.
 _TABLES = {
-    "sum": (lambda x: x, lambda x0: 0.0 + x0, np.add, operator.add),
-    "count": (lambda x: (x != 0.0).astype(np.float64), lambda x0: x0, np.add, operator.add),
-    "max": (lambda x: x, lambda x0: x0, _keep_first_unless_greater, max),
+    "sum": (lambda x: x, np.add),
+    "count": (lambda x: (x != 0.0).astype(np.float64), np.add),
+    "max": (lambda x: x, np.maximum),
 }
-# Below this many entities still running at a history position, their tails
-# are folded one entity at a time in Python, which costs per row, not per
-# numpy call, so a few long histories do not pay one numpy round per position.
-_NUMPY_FOLD_MIN = 16
 
 
 def _table(block: TimelineBlock, kind: str, column: int) -> np.ndarray:
@@ -381,9 +380,8 @@ def _table(block: TimelineBlock, kind: str, column: int) -> np.ndarray:
     key = (kind, column)
     table = block.cache.get(key)
     if table is None:
-        value, *folds = _TABLES[kind]
-        x = value(block.columns.values[:, column])
-        table = block.cache[key] = _running(block, x, *folds)
+        value, fold = _TABLES[kind]
+        table = block.cache[key] = _running(block, value(block.columns.values[:, column]), fold)
     return table
 
 

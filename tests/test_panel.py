@@ -663,6 +663,38 @@ class TestWriterMatchesRowWriter:
             written, reference = write_both_ways(dataset)
             assert written == reference
 
+    @staticmethod
+    def with_long_id(dataset, where, length):
+        """The dataset with the id at ``where`` made ``length`` characters
+        long, keeping the ids in order."""
+        ids = list(dataset.columns.entity_ids)
+        k = {"first": 0, "middle": len(ids) // 2, "last": len(ids) - 1}[where]
+        ids[k] = ids[k].ljust(length, "x")
+        assert ids == sorted(ids)
+        columns = dataclasses.replace(dataset.columns, entity_ids=tuple(ids))
+        return PanelDataset(dataset.schema, columns)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_one_long_id_narrows_only_its_blocks(self, corpus_schema, where):
+        dataset = self.fixed_width_dataset(corpus_schema, 50_000)
+        long = self.with_long_id(dataset, where, 20_000)
+        writes = self.block_writes(long)
+        assert len(writes) <= len(self.block_writes(dataset)) + 2
+        written, reference = write_both_ways(long)
+        assert written == reference
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("length", [20, 100])
+    def test_long_ids_across_small_blocks(self, corpus_schema, monkeypatch, where, length):
+        # A 100-character id alone overflows a block, so its rows go one by one.
+        monkeypatch.setattr(panel, "_WRITE_BYTES", 64)
+        dataset = self.fixed_width_dataset(corpus_schema, 60)
+        for n in (1, 10, 17, 60):
+            written, reference = write_both_ways(
+                self.with_long_id(reordered(dataset, np.arange(n)), where, length)
+            )
+            assert written == reference
+
     def test_small_blocks(self, corpus_schema, monkeypatch):
         monkeypatch.setattr(panel, "_WRITE_BYTES", 40)
         block = self.block_writes(self.fixed_width_dataset(corpus_schema, 20))[0].count("\n")
@@ -760,6 +792,41 @@ class TestWriteRefusesWhatTheParserRefuses:
         assert (columns.entity_ids, [p.label for p in columns.periods.values()]) != (
             dataset.columns.entity_ids, [p.label for p in dataset.columns.periods.values()]
         )
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (("2", "02"), "period labels '02' and '2' denote the same period"),
+            (("5", "3"), "period labels '5' then '3' in column 'period' do not read back in "
+                         "that order"),
+            (("2016-05", "2016-03"), "period labels '2016-05' then '2016-03' in column 'period' "
+                                     "do not read back in that order"),
+            (("4", "4"), "period labels '4' then '4' in column 'period' do not read back in "
+                         "that order"),
+        ],
+        ids=["one-integer", "ints-out-of-order", "months-out-of-order", "one-label-twice"],
+    )
+    def test_labels_that_do_not_read_back(self, corpus_schema, labels, message):
+        rows = [
+            (entity, label, ordinal, (1.0, 2.0, 3.0), 0)
+            for entity in ("a", "b")
+            for ordinal, label in enumerate(labels)
+        ]
+        dataset = dataset_of(corpus_schema, rows)
+        stream = io.StringIO()
+        with pytest.raises(BadValue) as raised:
+            write_panel_csv(dataset, stream)
+        assert str(raised.value) == message
+        assert stream.getvalue() == ""
+        # Written row by row, in the rows' order, the labels are refused or
+        # read back as other ordinals.
+        reference = io.StringIO(newline="")
+        oracle.write_panel_csv(dataset, reference)
+        try:
+            columns = parse_panel_csv(reference.getvalue().encode(), corpus_schema).columns
+        except BadValue:
+            return
+        assert columns.ordinals.tolist() != [row[2] for row in rows]
 
     def test_first_faulty_row_in_write_order_and_its_first_cell(self, corpus_schema):
         rows = [

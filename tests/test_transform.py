@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import timelines_without_rows
+from conftest import dataset_of, timelines_without_rows
 from corpus import (
     FEATURES,
     PLAN_TUPLES,
@@ -483,10 +483,10 @@ class TestOneFoldPath:
 
 
 class TestLongHistories:
-    """Two histories of 20,000 periods beside 18 short ones: the first 40
-    positions fold with numpy for all 20 entities, and the two long tails
-    fold one entity at a time.  The cells match the oracle, and their bits,
-    signs of zero included, match Python's builtins."""
+    """Two histories of 20,000 periods beside 18 of 40: the two long ones
+    fold in one band of their own, padded to nothing, and the short ones in
+    another.  The cells match the oracle, and their bits, signs of zero
+    included, match Python's builtins."""
 
     @staticmethod
     def builtin_folds(kept):
@@ -525,3 +525,122 @@ class TestLongHistories:
                 assert [repr(x) for x in vector.values] == [
                     repr(x) for x in self.builtin_folds(kept)
                 ]
+
+
+class TestBandEdges:
+    """Histories whose lengths sit at the cuts between the fold's bands, one
+    long history beside many one-row ones, and entities with no rows, built
+    from columns.  The cells match the oracle, and their bits, signs of zero
+    included, match Python's builtins; an entity with no rows gets zeros."""
+
+    # A band holds the histories longer than half its longest.
+    CUTS = (1, 2, 3, 4, 5, 8, 9, 16, 17)
+
+    @staticmethod
+    def history(rng, entity, length, event_at):
+        """Raw rows of periods 1..length, with zeros of either sign."""
+        return [
+            (entity, str(period),
+             {name: float(rng.randint(0, 3)) or rng.choice((0.0, -0.0)) for name in FEATURES},
+             int(period == event_at))
+            for period in range(1, length + 1)
+        ]
+
+    @staticmethod
+    def timelines(schema, raw, rowless):
+        """Timelines of the raw rows, whose labels are the periods 1..n, and
+        of the ``rowless`` entities, which have none."""
+        dataset = dataset_of(schema, [
+            (entity, label, int(label) - 1, tuple(features[c] for c in FEATURES), flag)
+            for entity, label, features, flag in raw
+        ])
+        ids = sorted({*dataset.columns.entity_ids, *rowless})
+        code = {entity: i for i, entity in enumerate(ids)}
+        recode = np.array([code[entity] for entity in dataset.columns.entity_ids], dtype=np.intp)
+        dataset.columns = dataclasses.replace(
+            dataset.columns, entity_ids=tuple(ids), codes=recode[dataset.columns.codes]
+        )
+        return build_timelines(dataset)
+
+    def check(self, schema, plan, raw, rowless, lead_times, expected_of):
+        timelines = self.timelines(schema, raw, rowless)
+        histories = {}
+        for row in raw:
+            histories.setdefault(row[0], []).append(row)
+        for lead_time in lead_times:
+            training = build_training_set(timelines, ReferenceFrameConfig(lead_time=lead_time), plan)
+            rows = rows_by_entity(training)
+            assert {entity: rows.pop(entity) for entity in rowless} == {
+                entity: ((0.0,) * len(plan.specs), 0) for entity in rowless
+            }
+            expected, dropped = expected_of(raw, lead_time)
+            assert rows == expected
+            assert list(training.report.dropped) == dropped
+            for vector, _ in training.rows:
+                if vector.entity_id in rowless:
+                    continue
+                history = histories[vector.entity_id]
+                event_at = next((int(r[1]) for r in history if r[3]), None)
+                cut = math.inf if event_at is None else event_at - lead_time
+                kept = [r for r in history if int(r[1]) <= cut]
+                assert [repr(x) for x in vector.values] == [
+                    repr(x) for x in TestLongHistories.builtin_folds(kept)
+                ]
+
+    def test_lengths_at_band_cuts(self, corpus_schema, corpus_plan):
+        rng = random.Random(1717)
+        rowless = ("a-none", "h08-none", "z-none")
+        # Each cut length is the longest of some panel, so each starts a band.
+        for top in range(len(self.CUTS)):
+            raw = []
+            for length in self.CUTS[: top + 1]:
+                for i, event_at in enumerate((None, length, (length + 1) // 2)):
+                    raw += self.history(rng, f"h{length:02d}-{i}", length, event_at)
+            self.check(
+                corpus_schema, corpus_plan, raw, rowless, (0, 1, 3),
+                lambda raw, lead_time: brute_force_training_rows(raw, lead_time, PLAN_TUPLES),
+            )
+
+    def test_one_long_history_beside_one_row_ones(self, corpus_schema, corpus_plan):
+        rng = random.Random(100_000)
+        raw = self.history(rng, "long", 100_000, 99_990)
+        for i in range(10_000):
+            period = rng.randint(1, 100_000)
+            raw += [(f"one{i:05d}", str(period), row[2], int(i % 7 == 0))
+                    for row in self.history(rng, "", 1, None)]
+
+        def expected_of(raw, lead_time):
+            # The brute force is quadratic in entities x rows, so it runs on
+            # each entity alone.  That is exact here: a one-row window does
+            # not depend on the other periods, and the long history holds
+            # every period.
+            expected, dropped = {}, []
+            by_entity = {}
+            for row in raw:
+                by_entity.setdefault(row[0], []).append(row)
+            for rows in by_entity.values():
+                alone, alone_dropped = brute_force_training_rows(rows, lead_time, PLAN_TUPLES)
+                expected.update(alone)
+                dropped += alone_dropped
+            return expected, sorted(dropped)
+
+        self.check(corpus_schema, corpus_plan, raw, ("empty",), (0, 1, 7), expected_of)
+
+    @pytest.mark.parametrize(
+        "column, folded",
+        [((-1.0, -0.0, 0.0), "-0.0"), ((-0.0, -1.0, 0.0), "-0.0"),
+         ((-1.0, 0.0, -0.0), "0.0"), ((-2.0, -1.0, -3.0), "-1.0")],
+    )
+    def test_max_of_negatives_and_zeros(self, corpus_schema, column, folded):
+        # Each entity holds a prefix of the column: every running max.
+        rows = [
+            (f"p{k}", str(period), period - 1, (0.0, 0.0, value), 0)
+            for k in range(1, len(column) + 1)
+            for period, value in enumerate(column[:k], start=1)
+        ]
+        plan = AggregationPlan((FeatureSpec.max("max_c", "c"),))
+        timelines = build_timelines(dataset_of(corpus_schema, rows))
+        assert [repr(score_features(t, plan).values[0]) for t in timelines] == [
+            repr(max(column[:k])) for k in range(1, len(column) + 1)
+        ]
+        assert repr(score_features(timelines[-1], plan).values[0]) == folded
