@@ -374,16 +374,28 @@ def _label_kind(label: str) -> str | None:
     return None
 
 
+_NINES_COMPLEMENT = str.maketrans("0123456789", "9876543210")
+
+
+def _int_value(label: str) -> tuple[int, int, str]:
+    """A key by which integer labels compare as their values do, exact for
+    any number of digits (``int`` refuses more than 4,300)."""
+    digits = label.lstrip("+-").lstrip("0")
+    if label.startswith("-") and digits:
+        return -1, -len(digits), digits.translate(_NINES_COMPLEMENT)
+    return int(bool(digits)), len(digits), digits
+
+
 def index_periods(labels: Iterable[str], kind: str) -> dict[str, int]:
     """Map each distinct period label to its global chronological ordinal."""
     # Labels of one integer ("2", "+2", "02") are ordered by text, so the
     # error below names the same pair whatever order the set holds them in.
-    by_value = (lambda label: (int(label), label)) if kind == "int" else str
+    by_value = (lambda label: (_int_value(label), label)) if kind == "int" else str
     distinct = sorted(set(labels), key=by_value)
     if kind == "int":
-        seen: dict[int, str] = {}
+        seen: dict[tuple[int, int, str], str] = {}
         for label in distinct:
-            value = int(label)
+            value = _int_value(label)
             if value in seen and seen[value] != label:
                 raise BadValue(
                     f"period labels {seen[value]!r} and {label!r} denote the same period"
@@ -929,9 +941,15 @@ def write_panel_csv(dataset: PanelDataset, stream: io.TextIOBase) -> None:
     if not len(order):
         return
 
-    id_data, id_lengths = _encode(csv_cells(columns.entity_ids), ",")
+    # The ids of the entities with rows, each encoded once; an entity's
+    # position among them is its record in the id tables.
+    has_rows = np.zeros(len(columns.entity_ids), np.bool_)
+    has_rows[columns.codes] = True
+    ids = itertools.compress(csv_cells(columns.entity_ids), has_rows.tolist())
+    id_data, id_lengths = _encode(ids, ",")
     id_starts = np.concatenate(([0], np.cumsum(id_lengths)))
     id_widths = _record_widths(id_lengths)
+    id_position = np.cumsum(has_rows) - 1
     cells = [(map(periods.__getitem__, ordinals), period_index)]
     for j in range(len(columns.features)):
         # Values that compare equal print the same: -0.0 and 0.0 both print 0.
@@ -947,26 +965,24 @@ def write_panel_csv(dataset: PanelDataset, stream: io.TextIOBase) -> None:
     start = 0
     while start < len(order):
         # Rows are sorted by entity, so a long id widens only the blocks of
-        # its own rows: each block pads its ids to the widest among them.
-        first = columns.codes[order[start]]
-        size = min(max(1, _WRITE_BYTES // (rest + id_widths[first])), len(order) - start)
-        last = columns.codes[order[start + size - 1]] + 1
-        if id_widths[first:last].max() > id_widths[first]:
-            # Fewer rows fit: keep the most, and at least one, that fit with
-            # their ids padded to the widest among them.
-            widest = np.maximum.accumulate(id_widths[columns.codes[order[start : start + size]]])
-            fits = (widest + rest) * np.arange(1, size + 1) <= _WRITE_BYTES
-            size = max(1, int(np.count_nonzero(fits)))
-        rows = order[start : start + size]
+        # its own rows.  A block takes the most rows, and at least one, that
+        # fit with their ids padded to the widest among them: no more than
+        # fit at its first id's width.  Its id table holds only their ids.
+        first = id_position[columns.codes[order[start]]]
+        rows = order[start : start + max(1, _WRITE_BYTES // (rest + id_widths[first]))]
+        entity = id_position[columns.codes[rows]] - first
+        widest = np.maximum.accumulate(id_widths[first : first + entity[-1] + 1])[entity]
+        fits = (widest + rest) * np.arange(1, len(rows) + 1) <= _WRITE_BYTES
+        size = max(1, int(np.count_nonzero(fits)))
+        rows, entity = rows[:size], entity[:size]
         start += size
-        codes = columns.codes[rows]
-        last = codes[-1] + 1
+        last = first + entity[-1] + 1
         block_tables = [
             _cell_table(id_data[id_starts[first] : id_starts[last]], id_lengths[first:last]),
             *tables,
         ]
         # Made one at a time, so only one column's row indexes are held.
-        indexes = itertools.chain([codes - first], (index[rows] for _, index in cells))
+        indexes = itertools.chain([entity], (index[rows] for _, index in cells))
         layout = np.dtype([(f"c{j}", texts.dtype) for j, (texts, _) in enumerate(block_tables)])
         texts, used = np.empty(size, layout), np.empty(size, layout)
         for name, (cell_texts, cell_used), at in zip(layout.names, block_tables, indexes):

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,25 @@ class TestParse:
         dataset = parse_panel_csv(data, small_schema())
         ordered = sorted(dataset.records, key=lambda r: r.period.ordinal)
         assert [r.period.label for r in ordered] == ["2", "9", "10"]
+
+    def test_integer_periods_of_any_length_sort_numerically(self):
+        # More digits than int() converts from text (4,300).
+        zeros, nines = "0" * 4400, "9" * 4400
+        labels = [f"+{nines}", f"-{nines}", f"{zeros}7", "-8", f"-{zeros}", "12", f"1{zeros}"]
+        data = csv_bytes("entity,period,a,b,event", *(f"x,{label},1,1,0" for label in labels))
+        dataset = parse_panel_csv(data, small_schema())
+        ordered = sorted(dataset.records, key=lambda r: r.period.ordinal)
+        assert [r.period.label for r in ordered] == [
+            f"-{nines}", "-8", f"-{zeros}", f"{zeros}7", "12", f"+{nines}", f"1{zeros}"
+        ]
+
+    @pytest.mark.parametrize(
+        "digits", ["0" * 4400 + "1", "1" + "0" * 4400], ids=["leading-zeros", "trailing-zeros"]
+    )
+    def test_long_integer_labels_of_one_period_rejected(self, digits):
+        data = csv_bytes("entity,period,a,b,event", f"x,{digits},1,1,0", f"y,+{digits},1,1,0")
+        with pytest.raises(BadValue, match="same period"):
+            parse_panel_csv(data, small_schema())
 
     def test_crlf_and_bom_accepted(self):
         data = b"\xef\xbb\xbfentity,period,a,b,event\r\nx,1,1,2,0\r\n"
@@ -678,9 +698,36 @@ class TestWriterMatchesRowWriter:
     def test_one_long_id_narrows_only_its_blocks(self, corpus_schema, where):
         dataset = self.fixed_width_dataset(corpus_schema, 50_000)
         long = self.with_long_id(dataset, where, 20_000)
-        writes = self.block_writes(long)
+        tracemalloc.start()
+        try:
+            writes = self.block_writes(long)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert len(writes) <= len(self.block_writes(dataset)) + 2
+        # Each block's byte matrix stays near _WRITE_BYTES.
+        assert peak < 16 << 20
         written, reference = write_both_ways(long)
+        assert written == reference
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_long_ids_of_entities_without_rows(self, corpus_schema, where):
+        # A dataset of some of another's rows keeps every id, so an entity
+        # may have no rows: its id widens no block and costs no memory.
+        dataset = self.fixed_width_dataset(corpus_schema, 50_000)
+        long = self.with_long_id(dataset, where, 5_000)
+        lengths = [len(entity) for entity in long.columns.entity_ids]
+        rows = np.flatnonzero(long.columns.codes != lengths.index(5_000))
+        without, plain = reordered(long, rows), reordered(dataset, rows)
+        tracemalloc.start()
+        try:
+            writes = self.block_writes(without)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(writes) == len(self.block_writes(plain))
+        assert peak < 16 << 20
+        written, reference = write_both_ways(without)
         assert written == reference
 
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -803,8 +850,11 @@ class TestWriteRefusesWhatTheParserRefuses:
                                      "do not read back in that order"),
             (("4", "4"), "period labels '4' then '4' in column 'period' do not read back in "
                          "that order"),
+            (("1", "0" * 4400 + "1"), f"period labels '{'0' * 4400}1' and '1' denote the same "
+                                      "period"),
         ],
-        ids=["one-integer", "ints-out-of-order", "months-out-of-order", "one-label-twice"],
+        ids=["one-integer", "ints-out-of-order", "months-out-of-order", "one-label-twice",
+             "one-long-integer"],
     )
     def test_labels_that_do_not_read_back(self, corpus_schema, labels, message):
         rows = [
