@@ -32,7 +32,14 @@ from .evaluation import (
     split_entities,
     write_curve_csv,
 )
-from .model import LogisticModel, TrainConfig, loss_and_gradient, predict_proba, train_logistic
+from .model import (
+    LogisticModel,
+    TrainConfig,
+    loss_and_gradient,
+    predict_proba,
+    train_logistic,
+    train_logistic_batch,
+)
 from .panel import (
     EntityTimeline,
     PanelDataset,

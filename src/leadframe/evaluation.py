@@ -3,7 +3,8 @@
 Splitting is by entity, never by row, so no entity contributes to both
 training and testing.  The sweep reuses one split across every lead time;
 the only thing that varies between curve points is where the reference
-frame is planted.
+frame is planted.  It trains every point's model in one batched gradient
+descent, and each model is bit-identical to training it alone.
 """
 
 from __future__ import annotations
@@ -16,8 +17,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, TooFewEntities, check_int, check_real
-from .model import LogisticModel, TrainConfig, predict_proba, train_logistic
+from .errors import (
+    DimensionMismatch,
+    InvalidConfig,
+    LeadframeError,
+    TooFewEntities,
+    check_int,
+    check_real,
+)
+# bench/tracer.py wraps this module's train_logistic and predict_proba by name
+# to time them, so both names stay importable here even though the sweep trains
+# through train_logistic_each.
+from .model import (  # noqa: F401
+    LogisticModel,
+    TrainConfig,
+    predict_proba,
+    train_logistic,
+    train_logistic_each,
+)
 from .panel import EntityTimeline
 from .rng import SplitMix64
 from .transform import (
@@ -182,18 +199,24 @@ def lead_time_sweep(
 
     A lead time that leaves the training side without both classes (or the
     test side empty) yields a point with absent metrics and an explanatory
-    flag instead of failing the sweep.
+    flag instead of failing the sweep.  Every other point's model is trained
+    in one batch; errors are raised in lead-time order, as if each point were
+    built, trained and evaluated before the next.
     """
     check_lead_times(lead_times, "lead_times")
     train_timelines, test_timelines = split_entities(timelines, test_fraction, seed)
-    points = []
+    built = []
+    failure = None
     for lead_time in sorted(set(lead_times)):
         config = ReferenceFrameConfig(
             lead_time=lead_time, empty_window_policy=empty_window_policy
         )
-        train_set = build_training_set(train_timelines, config, plan)
-        test_set = build_training_set(test_timelines, config, plan)
-
+        try:
+            train_set = build_training_set(train_timelines, config, plan)
+            test_set = build_training_set(test_timelines, config, plan)
+        except LeadframeError as exc:
+            failure = exc  # raised once the earlier lead times are evaluated
+            break
         flags = []
         if not train_set.report.events:
             flags.append("no_events_retained")
@@ -201,21 +224,30 @@ def lead_time_sweep(
             flags.append("no_nonevents_retained")
         if not test_set.rows:
             flags.append("empty_test_set")
+        built.append((lead_time, train_set, test_set, tuple(flags)))
 
-        if flags:
-            metrics = None
-        else:
-            fitted = train_logistic(train_set, train_config)
-            metrics = evaluate(fitted, test_set, threshold)
+    fitted = iter(
+        train_logistic_each([train for _, train, _, flags in built if not flags], train_config)
+    )
+    points = []
+    for lead_time, train_set, test_set, flags in built:
+        metrics = None
+        if not flags:
+            model = next(fitted)
+            if isinstance(model, LeadframeError):
+                raise model
+            metrics = evaluate(model, test_set, threshold)
         points.append(
             CurvePoint(
                 lead_time=lead_time,
                 metrics=metrics,
                 train_size=len(train_set.rows),
                 test_size=len(test_set.rows),
-                flags=tuple(flags),
+                flags=flags,
             )
         )
+    if failure is not None:
+        raise failure
     return TradeoffCurve(points=tuple(points))
 
 

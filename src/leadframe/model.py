@@ -5,7 +5,9 @@ log-likelihood with an L2 penalty on the weights (never the intercept),
 starting from all zeros.  Training is deterministic given the data and
 config, per-feature standardization is fitted on the training rows and
 persisted with the model, and the analytic gradient is exposed so it can be
-checked against finite differences.
+checked against finite differences.  Several models train in one batched
+descent, each bit-identical to training it alone; training one model is
+the batch of one.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import (
     DegenerateLabels,
     DimensionMismatch,
     InvalidConfig,
+    LeadframeError,
     NonFiniteValue,
     ParseError,
     check_int,
@@ -166,22 +169,119 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     # Not merged with predict_proba: np.exp and math.exp differ in the last bit on some inputs.
     # e = exp(-|z|) never overflows: exp(-z) where z >= 0, else exp(z).
     # np.minimum returns z itself when z is nan, so a nan keeps its sign bit.
+    # Then sigmoid(z) is 1 / (1 + e) where z >= 0, else e / (1 + e): one division either way.
     e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _gradient(
-    Xs: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray, l2: float
-) -> tuple[float, np.ndarray]:
-    """Gradient of the penalized mean NLL at decision values z = Xs @ w + b,
-    as (d/d intercept, d/d weights)."""
-    residual = _sigmoid(z) - y
-    return residual.mean(), Xs.T @ residual / Xs.shape[0] + l2 * w
+class _Stack:
+    """The standardized rows of one or more models, stacked into one matrix.
+
+    Each model's rows are a contiguous slice, so its decision values and its
+    gradient reductions are the same numpy calls on the same shapes as for
+    the model alone, and they keep their bits; only the elementwise steps run
+    once over the whole stack.  ``np.add.reduceat`` and zero padding to a
+    common length would each change the bits of a model's sums.
+    """
+
+    def __init__(self, parts: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
+        sizes = [len(y) for _, y in parts]
+        self.Xs = np.concatenate([Xs for Xs, _ in parts])
+        self.y = np.concatenate([y for _, y in parts])
+        self.model_of = np.repeat(np.arange(len(parts)), sizes)
+        self.n = np.array(sizes, dtype=np.float64)
+        self.z = np.empty(len(self.y))
+        self.r = np.empty(len(self.y))
+        self.G = np.empty((len(parts), self.Xs.shape[1]))
+        self.sums = np.empty(len(parts))
+        ends = np.cumsum(sizes).tolist()
+        self.members = [
+            (self.Xs[a:e], self.Xs[a:e].T, self.z[a:e], self.r[a:e], self.G[k])
+            for k, (a, e) in enumerate(zip([0] + ends, ends))
+        ]
+
+    def gradient(self, W: np.ndarray, b: np.ndarray, l2: float) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient of each model's penalized mean NLL at its decision values
+        z = Xs @ W[k] + b[k], as (d/d intercepts, d/d weights).  The decision
+        values are left in ``z``."""
+        for (Xs_k, _, z_k, _, _), w_k in zip(self.members, W):
+            np.matmul(Xs_k, w_k, out=z_k)
+        self.z += b[self.model_of]
+        np.subtract(_sigmoid(self.z), self.y, out=self.r)
+        for k, (_, XsT_k, _, r_k, g_k) in enumerate(self.members):
+            self.sums[k] = np.add.reduce(r_k)
+            np.matmul(XsT_k, r_k, out=g_k)
+        return self.sums / self.n, self.G / self.n[:, None] + l2 * W
+
+
+def _descend(stack: _Stack, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and intercepts of every stacked model after ``epochs`` steps
+    from all zeros."""
+    W = np.zeros(stack.G.shape)
+    b = np.zeros(stack.n.shape)
+    for _ in range(config.epochs):
+        grad_b, grad_W = stack.gradient(W, b, config.l2_penalty)
+        W -= config.learning_rate * grad_W
+        b -= config.learning_rate * grad_b
+    return W, b
 
 
 # Overflow is detected by the finiteness checks on the results, so numpy's
 # own warnings would only repeat the error on stderr.
 @np.errstate(over="ignore", invalid="ignore")
+def train_logistic_each(
+    sets: Sequence[TrainingSet], config: TrainConfig
+) -> tuple[Union[LogisticModel, LeadframeError], ...]:
+    """Train every set in one gradient descent; each member is the model
+    that training the set alone gives, bit for bit, or the error it raises.
+
+    Sets are stacked by feature count, and a set that fails its checks
+    before the descent is left out of it.
+    """
+    outcomes: list[Union[LogisticModel, LeadframeError, None]] = [None] * len(sets)
+    groups: dict[int, list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]] = {}
+    for i, data in enumerate(sets):
+        try:
+            X, y = _design_matrix(data)
+            if X.shape[0] == 0 or set(y.tolist()) != {0.0, 1.0}:
+                raise DegenerateLabels("training data must contain both labels")
+            means, stds = _fit_scaling(X)
+        except LeadframeError as exc:
+            outcomes[i] = exc
+            continue
+        groups.setdefault(X.shape[1], []).append((i, (X - means) / stds, y, means, stds))
+
+    for members in groups.values():
+        W, b = _descend(_Stack([(Xs, y) for _, Xs, y, _, _ in members]), config)
+        for (i, _, _, means, stds), w, intercept in zip(members, W, b.tolist()):
+            if not (np.isfinite(w).all() and math.isfinite(intercept)):
+                outcomes[i] = InvalidConfig(
+                    "training produced non-finite weights; lower learning_rate or rescale features"
+                )
+                continue
+            outcomes[i] = LogisticModel(
+                feature_names=sets[i].feature_names,
+                weights=tuple(w.tolist()),
+                intercept=intercept,
+                means=tuple(means.tolist()),
+                stds=tuple(stds.tolist()),
+                train_config=config,
+            )
+    return tuple(outcomes)
+
+
+def train_logistic_batch(
+    sets: Sequence[TrainingSet], config: TrainConfig
+) -> tuple[LogisticModel, ...]:
+    """Train every set in one gradient descent, each model bit-identical to
+    training it alone; raises the first set's error, in order, if any fails."""
+    outcomes = train_logistic_each(sets, config)
+    for outcome in outcomes:
+        if isinstance(outcome, LeadframeError):
+            raise outcome
+    return outcomes
+
+
 def train_logistic(data: TrainingSet, config: TrainConfig) -> LogisticModel:
     """Fit scaling plus weights by full-batch gradient descent.
 
@@ -190,32 +290,7 @@ def train_logistic(data: TrainingSet, config: TrainConfig) -> LogisticModel:
     Zero initialization makes the starting loss ln 2 and the run reproducible;
     the seed is carried along for provenance only.
     """
-    X, y = _design_matrix(data)
-    if X.shape[0] == 0 or set(y.tolist()) != {0.0, 1.0}:
-        raise DegenerateLabels("training data must contain both labels")
-
-    means, stds = _fit_scaling(X)
-    Xs = (X - means) / stds
-
-    w = np.zeros(Xs.shape[1])
-    b = 0.0
-    for _ in range(config.epochs):
-        grad_b, grad_w = _gradient(Xs, y, Xs @ w + b, w, config.l2_penalty)
-        w = w - config.learning_rate * grad_w
-        b = b - config.learning_rate * grad_b
-    if not (np.isfinite(w).all() and math.isfinite(b)):
-        raise InvalidConfig(
-            "training produced non-finite weights; lower learning_rate or rescale features"
-        )
-
-    return LogisticModel(
-        feature_names=data.feature_names,
-        weights=tuple(float(v) for v in w),
-        intercept=float(b),
-        means=tuple(float(v) for v in means),
-        stds=tuple(float(v) for v in stds),
-        train_config=config,
-    )
+    return train_logistic_batch((data,), config)[0]
 
 
 _P_MIN = 1e-15
@@ -262,8 +337,9 @@ def loss_and_gradient(model: LogisticModel, data: TrainingSet) -> tuple[float, l
         raise DimensionMismatch("loss is undefined on an empty training set")
     w = np.array(model.weights)
     Xs = (X - np.array(model.means)) / np.array(model.stds)
-    z = Xs @ w + model.intercept
     l2 = model.train_config.l2_penalty if model.train_config is not None else 0.0
+    stack = _Stack([(Xs, y)])
+    grad_b, grad_W = stack.gradient(w[None], np.array([model.intercept]), l2)
+    z = stack.z
     loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * np.dot(w, w))
-    grad_b, grad_w = _gradient(Xs, y, z, w, l2)
-    return loss, [float(grad_b)] + [float(g) for g in grad_w]
+    return loss, [float(grad_b[0])] + grad_W[0].tolist()

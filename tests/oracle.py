@@ -13,6 +13,10 @@ definition of the stream, one call per value.
 
 ``write_panel_csv`` is the reference for the block panel writer: the
 row-by-row ``csv.writer`` it replaced, with its own number format.
+
+``train_logistic_loop`` is the reference for the batched trainer: the
+one-model gradient-descent loop it replaced, with its own scaling and
+sigmoid.
 """
 
 from __future__ import annotations
@@ -211,3 +215,39 @@ def write_panel_csv(dataset, stream: io.TextIOBase) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(dataset.schema.columns)
     writer.writerows(zip(*cells))
+
+
+def _loop_sigmoid(z):
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def train_logistic_loop(data, config):
+    """Train one model alone, epoch by epoch, as ``train_logistic`` did before
+    models were batched; returns (weights, intercept, means, stds) as floats.
+
+    Only valid sets are expected: both labels present, finite scaling.
+    """
+    m = len(data.feature_names)
+    X = np.array([v.values for v, _ in data.rows], dtype=np.float64).reshape(len(data.rows), m)
+    y = np.array([label for _, label in data.rows], dtype=np.float64)
+    means = X.mean(axis=0)
+    stds = X.std(axis=0)
+    stds = np.where(stds == 0.0, 1.0, stds)
+    Xs = (X - means) / stds
+
+    w = np.zeros(Xs.shape[1])
+    b = 0.0
+    for _ in range(config.epochs):
+        residual = _loop_sigmoid(Xs @ w + b) - y
+        grad_b = residual.mean()
+        grad_w = Xs.T @ residual / Xs.shape[0] + config.l2_penalty * w
+        w = w - config.learning_rate * grad_w
+        b = b - config.learning_rate * grad_b
+    return (
+        tuple(float(v) for v in w),
+        float(b),
+        tuple(float(v) for v in means),
+        tuple(float(v) for v in stds),
+    )

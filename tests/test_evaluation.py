@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import itertools
 import math
 import random
 
@@ -8,21 +10,31 @@ from conftest import timelines_without_rows
 from corpus import FEATURES
 from oracle import brute_force_pairwise_auc
 
+from leadframe import evaluation
 from leadframe.config import EvalSettings
-from leadframe.errors import DimensionMismatch, InvalidConfig, TooFewEntities
+from leadframe.errors import (
+    DimensionMismatch,
+    InvalidConfig,
+    LeadframeError,
+    NonFiniteValue,
+    TooFewEntities,
+)
 from leadframe.evaluation import (
+    CurvePoint,
+    TradeoffCurve,
     evaluate,
     lead_time_sweep,
     split_entities,
     write_curve_csv,
 )
-from leadframe.model import LogisticModel, TrainConfig
+from leadframe.model import LogisticModel, TrainConfig, train_logistic
 from leadframe.panel import PanelSchema, build_timelines
 from leadframe.synth import SynthConfig, default_schema, generate_panel
 from leadframe.transform import (
     AggregationPlan,
     FeatureSpec,
     FeatureVector,
+    ReferenceFrameConfig,
     TrainingSet,
     TransformReport,
 )
@@ -258,3 +270,88 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[2].startswith("50,,,,")
         assert "no_events_retained" in lines[2]
+
+
+def sequential_sweep(timelines, plan, lead_times, train_config, test_fraction, seed):
+    """The sweep as it ran before its models were batched: each point is
+    built, trained alone and evaluated before the next."""
+    train, test = split_entities(timelines, test_fraction, seed)
+    points = []
+    for lead_time in sorted(set(lead_times)):
+        frame = ReferenceFrameConfig(lead_time=lead_time)
+        train_set = evaluation.build_training_set(train, frame, plan)
+        test_set = evaluation.build_training_set(test, frame, plan)
+        flags = tuple(
+            flag
+            for flag, raised in (
+                ("no_events_retained", not train_set.report.events),
+                ("no_nonevents_retained", not train_set.report.non_events),
+                ("empty_test_set", not test_set.rows),
+            )
+            if raised
+        )
+        metrics = None
+        if not flags:
+            metrics = evaluation.evaluate(train_logistic(train_set, train_config), test_set)
+        points.append(
+            CurvePoint(lead_time, metrics, len(train_set.rows), len(test_set.rows), flags)
+        )
+    return TradeoffCurve(tuple(points))
+
+
+def outcome(sweep, *args):
+    try:
+        return sweep(*args)
+    except LeadframeError as exc:
+        return type(exc), str(exc)
+
+
+class TestSweepMatchesSequentialSweep:
+    """Batching the training changes no point of the curve and no error,
+    nor which of several errors is raised."""
+
+    LEAD_TIMES = [0, 1, 2, 50]
+
+    def test_every_point_equal(self, synth_timelines, recency_plan):
+        args = (synth_timelines, recency_plan, self.LEAD_TIMES, TRAIN_CONFIG, 0.25, 3)
+        curve = lead_time_sweep(*args)
+        assert curve == sequential_sweep(*args)
+        assert curve.points[-1].metrics is None
+        assert all(point.metrics is not None for point in curve.points[:-1])
+
+    @pytest.mark.parametrize("build_fault, train_fault, evaluate_fault", [
+        faults for faults in itertools.product([None, 0, 1, 2], repeat=3)
+        if sum(fault is not None for fault in faults) >= 2
+    ])
+    def test_first_error_in_lead_time_order(
+        self, monkeypatch, synth_timelines, recency_plan, build_fault, train_fault, evaluate_fault
+    ):
+        train_ids = {t.entity_id for t in split_entities(synth_timelines, 0.25, 3)[0]}
+        build, score = evaluation.build_training_set, evaluation.evaluate
+
+        lead_of = {}
+
+        def faulty_build(timelines, frame, plan):
+            if frame.lead_time == build_fault:
+                raise NonFiniteValue(f"build fault at lead {build_fault}")
+            built = build(timelines, frame, plan)
+            if frame.lead_time == train_fault and {t.entity_id for t in timelines} == train_ids:
+                # Two rows at the largest finite value overflow the column mean.
+                rows = [(dataclasses.replace(v, values=(1.7e308,) * len(v.values)), label)
+                        for v, label in built.rows[:2]]
+                built = dataclasses.replace(built, rows=(*rows, *built.rows[2:]))
+            lead_of[id(built)] = frame.lead_time
+            return built
+
+        def faulty_evaluate(model, test, threshold=0.5):
+            if lead_of[id(test)] == evaluate_fault:
+                raise NonFiniteValue(f"evaluate fault at lead {evaluate_fault}")
+            return score(model, test, threshold)
+
+        monkeypatch.setattr(evaluation, "build_training_set", faulty_build)
+        monkeypatch.setattr(evaluation, "evaluate", faulty_evaluate)
+        config = TrainConfig(epochs=20, learning_rate=0.5)
+        args = (synth_timelines, recency_plan, self.LEAD_TIMES, config, 0.25, 3)
+        expected = outcome(sequential_sweep, *args)
+        assert isinstance(expected, tuple)
+        assert outcome(lead_time_sweep, *args) == expected

@@ -1,8 +1,18 @@
+import json
 import math
+import os
 import random
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle
 
 from leadframe.errors import (
     DegenerateLabels,
@@ -18,6 +28,8 @@ from leadframe.model import (
     loss_and_gradient,
     predict_proba,
     train_logistic,
+    train_logistic_batch,
+    train_logistic_each,
 )
 from leadframe.panel import build_timelines, parse_panel_csv
 from leadframe.transform import (
@@ -322,3 +334,152 @@ def test_training_sigmoid_keeps_the_bits_of_the_gather_scatter_form():
     with np.errstate(over="ignore", invalid="ignore"):
         expected, actual = reference(z), _sigmoid(z)
     assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def random_training_set(rng, n, m):
+    """n >= 2 rows of m features at scales from 1e-3 to 1e3, with both labels."""
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, m)
+    X = (rng.normal(size=(n, m)) + rng.normal(size=m)) * scales
+    if m > 1 and rng.random() < 0.3:
+        X[:, 0] = X[0, 0]  # a constant column
+    labels = rng.integers(0, 2, n)
+    labels[:2] = (0, 1)
+    return make_training_set(
+        [f"f{j}" for j in range(m)],
+        [(tuple(row), label) for row, label in zip(X.tolist(), labels.tolist())],
+    )
+
+
+def model_bits(weights, intercept, means, stds):
+    return [float(v).hex() for v in (*weights, intercept, *means, *stds)]
+
+
+def fitted_bits(model):
+    return model_bits(model.weights, model.intercept, model.means, model.stds)
+
+
+class TestBatch:
+    """A batch trains every set in one descent, and each member keeps the
+    bits of the one-model loop in oracle.py."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(2, 400), min_size=1, max_size=6),
+        widths=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+        epochs=st.integers(0, 40),
+        learning_rate=st.sampled_from([0.05, 0.5, 2.0]),
+        l2_penalty=st.sampled_from([0.0, 0.001, 0.1]),
+    )
+    def test_members_equal_the_one_model_loop(
+        self, sizes, widths, seed, epochs, learning_rate, l2_penalty
+    ):
+        rng = np.random.default_rng(seed)
+        sets = [
+            random_training_set(rng, n, widths[i % len(widths)]) for i, n in enumerate(sizes)
+        ]
+        config = TrainConfig(epochs=epochs, learning_rate=learning_rate, l2_penalty=l2_penalty)
+        batch = train_logistic_batch(sets, config)
+        assert len(batch) == len(sets)
+        for data, model in zip(sets, batch):
+            assert fitted_bits(model) == model_bits(*oracle.train_logistic_loop(data, config))
+            assert model.feature_names == data.feature_names
+            assert model.train_config == config
+
+    def test_fixture_equals_the_one_model_loop(self, fixture_training, run_config):
+        model = train_logistic(fixture_training, run_config.train)
+        expected = oracle.train_logistic_loop(fixture_training, run_config.train)
+        assert fitted_bits(model) == model_bits(*expected)
+
+    def test_empty_batch(self):
+        assert train_logistic_batch((), TrainConfig()) == ()
+        assert train_logistic_each((), TrainConfig()) == ()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_one_diverging_member(self):
+        # The first and last sets start at a zero gradient (balanced labels,
+        # feature uncorrelated with them) and stay at zero; the middle one
+        # overflows.
+        still = make_training_set(["x"], [((-1.0,), 0), ((1.0,), 0), ((-1.0,), 1), ((1.0,), 1)])
+        diverging = make_training_set(["x"], [((0.0,), 0), ((1.0,), 1), ((2.0,), 1)])
+        config = TrainConfig(epochs=50, learning_rate=1e308, l2_penalty=10.0)
+        with pytest.raises(InvalidConfig) as alone:
+            train_logistic(diverging, config)
+        with pytest.raises(InvalidConfig) as batched:
+            train_logistic_batch((still, diverging, still), config)
+        assert str(batched.value) == str(alone.value)
+        assert "non-finite" in str(alone.value)
+
+        first, error, last = train_logistic_each((still, diverging, still), config)
+        assert first == last == train_logistic(still, config)
+        assert first.weights == (0.0,) and first.intercept == 0.0
+        assert type(error) is InvalidConfig and str(error) == str(alone.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_first_failing_member_raises(self):
+        diverging = make_training_set(["x"], [((0.0,), 0), ((1.0,), 1), ((2.0,), 1)])
+        one_class = make_training_set(["x"], [((0.0,), 1), ((1.0,), 1)])
+        config = TrainConfig(epochs=50, learning_rate=1e308, l2_penalty=10.0)
+        with pytest.raises(DegenerateLabels):
+            train_logistic_batch((one_class, diverging), config)
+        with pytest.raises(InvalidConfig, match="non-finite"):
+            train_logistic_batch((diverging, one_class), config)
+
+    def test_members_of_other_widths(self):
+        rng = np.random.default_rng(11)
+        sets = [random_training_set(rng, n, m) for n, m in [(30, 3), (7, 1), (50, 3), (9, 1)]]
+        config = TrainConfig(epochs=25, learning_rate=0.5, l2_penalty=0.001)
+        alone = [train_logistic(data, config) for data in sets]
+        assert train_logistic_batch(sets, config) == tuple(alone)
+
+
+def batch_equals_members():
+    """Whether a batch of varied sets trains each member to the bits it gets alone."""
+    rng = np.random.default_rng(20261018)
+    sets = [random_training_set(rng, n, 10) for n in (105, 101, 99, 2, 333, 128, 129)]
+    sets += [random_training_set(rng, n, 5) for n in (17, 250)]
+    config = TrainConfig(epochs=100, learning_rate=0.5, l2_penalty=0.001)
+    batch = train_logistic_batch(sets, config)
+    return all(
+        fitted_bits(model) == fitted_bits(train_logistic(data, config))
+        for data, model in zip(sets, batch)
+    )
+
+
+_CPU_SETTING_CHILD = """
+import json, sys, warnings
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    import numpy
+rejected = [str(w.message) for w in caught if issubclass(w.category, ImportWarning)]
+if rejected:
+    print(json.dumps({"rejected": rejected}))
+    raise SystemExit
+sys.path.insert(0, sys.argv[1])
+import test_model
+print(json.dumps({"equal": test_model.batch_equals_members()}))
+"""
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"OPENBLAS_CORETYPE": "Haswell"},
+        {"NPY_DISABLE_CPU_FEATURES": "X86_V4"},
+        {"NPY_DISABLE_CPU_FEATURES": "X86_V4,X86_V3", "OPENBLAS_CORETYPE": "Prescott"},
+    ],
+)
+def test_batch_equals_members_under_other_cpu_kernels(setting):
+    """OpenBLAS and numpy pick their kernels per CPU; on each kernel a
+    batch must still equal its members trained alone."""
+    result = subprocess.run(
+        [sys.executable, "-c", _CPU_SETTING_CHILD, str(Path(__file__).resolve().parent)],
+        capture_output=True, text=True, env={**os.environ, **setting},
+    )
+    if result.returncode == -signal.SIGILL:
+        pytest.skip(f"this CPU cannot run the kernels {setting} selects")
+    assert result.returncode == 0, result.stderr
+    outcome = json.loads(result.stdout.splitlines()[-1])
+    if "rejected" in outcome:
+        pytest.skip(f"numpy rejects {setting} on this CPU: {outcome['rejected']}")
+    assert outcome == {"equal": True}
