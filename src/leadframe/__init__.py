@@ -37,6 +37,7 @@ from .model import (
     TrainConfig,
     loss_and_gradient,
     predict_proba,
+    predict_proba_matrix,
     train_logistic,
     train_logistic_batch,
 )
@@ -67,6 +68,7 @@ from .transform import (
     build_training_set,
     detect_event_time,
     read_training_csv,
+    score_feature_matrix,
     score_features,
     truncate_at_reference,
     write_training_csv,

@@ -22,7 +22,15 @@ from pathlib import Path
 from . import config as config_mod
 from .errors import DimensionMismatch, LeadframeError, ParseError
 from .evaluation import lead_time_sweep, write_curve_csv
-from .model import LogisticModel, predict_proba, train_logistic
+# bench/tracer.py wraps this module's score_features and predict_proba by name
+# to time them, so both names stay importable here even though score folds and
+# predicts every entity in one call each.
+from .model import (  # noqa: F401
+    LogisticModel,
+    predict_proba,
+    predict_proba_matrix,
+    train_logistic,
+)
 from .panel import (
     build_timelines,
     csv_cells,
@@ -32,10 +40,11 @@ from .panel import (
     write_panel_csv,
 )
 from .synth import SynthConfig, generate_panel
-from .transform import (
+from .transform import (  # noqa: F401
     EmptyWindowPolicy,
     build_training_set,
     read_training_csv,
+    score_feature_matrix,
     score_features,
     write_training_csv,
 )
@@ -130,7 +139,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         training = read_training_csv(handle, cfg.plan)
     model = train_logistic(training, cfg.train)
     model.save(args.output)
-    logger.info("trained on %d rows -> %s", len(training.rows), args.output)
+    logger.info("trained on %d rows -> %s", len(training), args.output)
     return 0
 
 
@@ -144,12 +153,12 @@ def cmd_score(args: argparse.Namespace) -> int:
         )
     timelines = _read_panel(args.input, cfg)
     # Every score is computed before the output is opened, so a failure leaves no file.
-    scores = [repr(predict_proba(model, score_features(t, cfg.plan))) for t in timelines]
+    scores = predict_proba_matrix(model, score_feature_matrix(timelines, cfg.plan))
 
     def render(handle) -> None:
         handle.write(csv_line(("entity_id", "probability")))
         ids = csv_cells(t.entity_id for t in timelines)
-        handle.writelines(f"{entity},{score}\n" for entity, score in zip(ids, scores))
+        handle.writelines(f"{entity},{score!r}\n" for entity, score in zip(ids, scores))
 
     _write_text(args.output, render)
     logger.info("scored %d entities -> %s", len(timelines), args.output)

@@ -27,11 +27,12 @@ from .errors import (
 )
 # bench/tracer.py wraps this module's train_logistic and predict_proba by name
 # to time them, so both names stay importable here even though the sweep trains
-# through train_logistic_each.
+# through train_logistic_each and evaluate predicts through predict_proba_matrix.
 from .model import (  # noqa: F401
     LogisticModel,
     TrainConfig,
     predict_proba,
+    predict_proba_matrix,
     train_logistic,
     train_logistic_each,
 )
@@ -108,11 +109,11 @@ def evaluate(model: LogisticModel, test: TrainingSet, threshold: float = 0.5) ->
             f"test features {test.feature_names!r} do not match model "
             f"features {model.feature_names!r}"
         )
-    if not test.rows:
+    if not len(test):
         raise DimensionMismatch("cannot evaluate on an empty test set")
 
-    scores = [predict_proba(model, vector) for vector, _ in test.rows]
-    labels = [label for _, label in test.rows]
+    scores = predict_proba_matrix(model, test.values)
+    labels = test.labels.tolist()
 
     confusion = Counter((score >= threshold, label) for score, label in zip(scores, labels))
     tp, fp = confusion[True, 1], confusion[True, 0]
@@ -222,7 +223,7 @@ def lead_time_sweep(
             flags.append("no_events_retained")
         if not train_set.report.non_events:
             flags.append("no_nonevents_retained")
-        if not test_set.rows:
+        if not len(test_set):
             flags.append("empty_test_set")
         built.append((lead_time, train_set, test_set, tuple(flags)))
 
@@ -241,8 +242,8 @@ def lead_time_sweep(
             CurvePoint(
                 lead_time=lead_time,
                 metrics=metrics,
-                train_size=len(train_set.rows),
-                test_size=len(test_set.rows),
+                train_size=len(train_set),
+                test_size=len(test_set),
                 flags=flags,
             )
         )

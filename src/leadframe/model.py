@@ -7,7 +7,9 @@ config, per-feature standardization is fitted on the training rows and
 persisted with the model, and the analytic gradient is exposed so it can be
 checked against finite differences.  Several models train in one batched
 descent, each bit-identical to training it alone; training one model is
-the batch of one.
+the batch of one.  Prediction runs on a feature matrix, one column at a
+time, in the bits of adding up each row alone; predicting one vector is the
+matrix of one row.
 """
 
 from __future__ import annotations
@@ -140,18 +142,16 @@ class LogisticModel:
 
 
 def _design_matrix(data: TrainingSet) -> tuple[np.ndarray, np.ndarray]:
+    """The set's feature matrix, checked against its feature names, and its
+    labels as floats."""
     if not data.feature_names:
         raise DimensionMismatch("training data declares no features")
     m = len(data.feature_names)
-    for vector, _ in data.rows:
-        if len(vector.values) != m:
-            raise DimensionMismatch(
-                f"row for entity {vector.entity_id!r} has {len(vector.values)} "
-                f"features, expected {m}"
-            )
-    X = np.array([v.values for v, _ in data.rows], dtype=np.float64).reshape(len(data.rows), m)
-    y = np.array([label for _, label in data.rows], dtype=np.float64)
-    return X, y
+    if data.values.shape[1] != m:
+        raise DimensionMismatch(
+            f"training data has {data.values.shape[1]} features per row, expected {m}"
+        )
+    return data.values, data.labels.astype(np.float64)
 
 
 def _fit_scaling(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,20 +297,7 @@ _P_MIN = 1e-15
 _P_MAX = math.nextafter(1.0, 0.0)
 
 
-def predict_proba(model: LogisticModel, x: Union[FeatureVector, Sequence[float]]) -> float:
-    """Event probability for one feature vector, strictly inside (0, 1)."""
-    values = x.values if isinstance(x, FeatureVector) else tuple(x)
-    if len(values) != len(model.weights):
-        raise DimensionMismatch(
-            f"feature vector has {len(values)} values, model expects {len(model.weights)}"
-        )
-    z = model.intercept
-    for value, weight, mean, std in zip(values, model.weights, model.means, model.stds):
-        z += weight * (value - mean) / std
-    if math.isnan(z):
-        raise NonFiniteValue(
-            "decision value is nan: the feature values overflow the model's scaling"
-        )
+def _probability(z: float) -> float:
     # Not merged with _sigmoid: math.exp and np.exp differ in the last bit on some inputs.
     if z >= 0:
         p = 1.0 / (1.0 + math.exp(-z))
@@ -318,6 +305,37 @@ def predict_proba(model: LogisticModel, x: Union[FeatureVector, Sequence[float]]
         ez = math.exp(z)
         p = ez / (1.0 + ez)
     return min(max(p, _P_MIN), _P_MAX)
+
+
+# A nan decision value is refused below, so numpy's own warnings would only
+# repeat the error on stderr.
+@np.errstate(over="ignore", invalid="ignore")
+def predict_proba_matrix(model: LogisticModel, X: np.ndarray) -> list[float]:
+    """Event probability for each row of a feature matrix, strictly inside (0, 1).
+
+    The decision value adds one scaled feature at a time to the intercept,
+    left to right, one column of the matrix at a time, so each row's value
+    has the bits of adding up that row alone.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[1] != len(model.weights):
+        raise DimensionMismatch(
+            f"feature vector has {X.shape[1]} values, model expects {len(model.weights)}"
+        )
+    z = np.full(len(X), model.intercept)
+    for j, (weight, mean, std) in enumerate(zip(model.weights, model.means, model.stds)):
+        z += weight * (X[:, j] - mean) / std
+    if np.isnan(z).any():
+        raise NonFiniteValue(
+            "decision value is nan: the feature values overflow the model's scaling"
+        )
+    return list(map(_probability, z.tolist()))
+
+
+def predict_proba(model: LogisticModel, x: Union[FeatureVector, Sequence[float]]) -> float:
+    """Event probability for one feature vector: the matrix of one row."""
+    values = x.values if isinstance(x, FeatureVector) else tuple(x)
+    return predict_proba_matrix(model, np.array([values], dtype=np.float64))[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")

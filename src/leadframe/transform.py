@@ -34,16 +34,25 @@ denominator, 0 when the denominator total is 0); an empty window folds to
 An aggregate that overflows to inf or nan, although every input value is
 finite, raises NonFiniteValue and never reaches an output; the error names
 the first such entity, in entity order, and feature, in plan order.
+
+A training set is held as columns: the kept entity ids, an (n x m) float64
+matrix of their features and an array of their labels.  Its ``rows``, one
+(FeatureVector, label) pair per entity, are a view made on first use, for
+tests and tools; no command reads them.  The training CSV is written a
+column at a time, each distinct value rendered once, and read a column at a
+time; scoring folds every timeline in one call (:func:`score_feature_matrix`).
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import functools
 import io
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -216,24 +225,62 @@ class TransformReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingSet:
+    """One labeled row per entity, as columns: ``values[i]`` holds entity
+    ``entity_ids[i]``'s features in plan order and ``labels[i]`` its 0/1 label.
+
+    ``values`` is a C-ordered float64 (n x m) matrix, whose layout fixes the
+    bits of the sums computed over it, and ``labels`` an integer array.
+    """
+
     plan: AggregationPlan
-    rows: tuple[tuple[FeatureVector, int], ...]
+    entity_ids: tuple[str, ...]
+    values: np.ndarray
+    labels: np.ndarray
     report: TransformReport
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entity_ids", tuple(self.entity_ids))
+        object.__setattr__(self, "values", np.ascontiguousarray(self.values, dtype=np.float64))
+        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
+        n = len(self.entity_ids)
+        if self.values.ndim != 2 or len(self.values) != n or self.labels.shape != (n,):
+            raise DimensionMismatch(
+                f"training set of {n} ids has a {self.values.shape} matrix and "
+                f"{self.labels.shape} labels"
+            )
+
+    def __len__(self) -> int:
+        return len(self.entity_ids)
 
     @property
     def feature_names(self) -> tuple[str, ...]:
         return self.plan.output_names
 
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[FeatureVector, int], ...]:
+        """A read-only view of the rows as (FeatureVector, label) pairs, made
+        on first use."""
+        return tuple(
+            (FeatureVector(entity_id=entity, values=tuple(row)), label)
+            for entity, row, label in zip(
+                self.entity_ids, self.values.tolist(), self.labels.tolist()
+            )
+        )
+
 
 def _training_set(
-    plan: AggregationPlan, rows: list[tuple[FeatureVector, int]], dropped: Sequence[str] = ()
+    plan: AggregationPlan,
+    entity_ids: Sequence[str],
+    values: np.ndarray,
+    labels: np.ndarray,
+    dropped: Sequence[str] = (),
 ) -> TrainingSet:
-    """A training set whose report counts the 0/1 labels of its rows."""
-    events = sum(label for _, label in rows)
-    report = TransformReport(events, len(rows) - events, tuple(dropped))
-    return TrainingSet(plan=plan, rows=tuple(rows), report=report)
+    """A training set whose report counts its 0/1 labels."""
+    events = int(np.count_nonzero(labels))
+    report = TransformReport(events, len(labels) - events, tuple(dropped))
+    return TrainingSet(plan, entity_ids, values, labels, report)
 
 
 def detect_event_time(timeline: EntityTimeline) -> PeriodIndex | None:
@@ -459,25 +506,53 @@ def aggregate(truncated: TruncatedTimeline, plan: AggregationPlan) -> FeatureVec
     return FeatureVector(entity_id=timeline.entity_id, values=tuple(values[0].tolist()))
 
 
-def score_features(timeline: EntityTimeline, plan: AggregationPlan) -> FeatureVector:
-    """Aggregate an entity's full history to date (the scoring-time view).
+def _by_block(
+    timelines: Sequence[EntityTimeline],
+) -> list[tuple[TimelineBlock, list[int], np.ndarray]]:
+    """The timelines grouped by block: each block, the positions of its
+    timelines in ``timelines`` and their entity indexes in the block."""
+    by_block: dict[int, tuple[TimelineBlock, list[int]]] = {}
+    for position, timeline in enumerate(timelines):
+        by_block.setdefault(id(timeline.block), (timeline.block, []))[1].append(position)
+    return [
+        (block, positions, np.array([timelines[p].index for p in positions], dtype=np.intp))
+        for block, positions in by_block.values()
+    ]
 
-    The whole block is folded on the first call for a plan, so scoring every
-    timeline of a panel folds once.
-    """
-    block = timeline.block
+
+def _full_history(block: TimelineBlock, plan: AggregationPlan) -> np.ndarray:
+    """Every entity's whole history folded under a plan, one row per entity
+    of the block; kept in the block's cache for the last plan folded."""
     full = block.cache.get("full_history")
     if full is None or (full[0] is not plan and full[0] != plan):
         entities = np.arange(len(block.offsets) - 1)
-        values = _fold(block, entities, np.diff(block.offsets), plan)
         full = block.cache["full_history"] = (
-            plan, values, values.tolist(), np.isfinite(values).all(axis=1).tolist()
+            plan, _fold(block, entities, np.diff(block.offsets), plan)
         )
-    _, values, rows, finite = full
-    index = timeline.index
-    if not finite[index]:
-        _check_finite([timeline], values[index : index + 1], plan)
-    return FeatureVector(entity_id=timeline.entity_id, values=tuple(rows[index]))
+    return full[1]
+
+
+def score_feature_matrix(
+    timelines: Sequence[EntityTimeline], plan: AggregationPlan
+) -> np.ndarray:
+    """Each timeline's full history to date aggregated (the scoring-time
+    view), one row per timeline in their order.
+
+    Each block is folded once per plan.  Raises UnknownColumn or
+    NonFiniteValue for the first timeline, then spec, whose value is not
+    finite.
+    """
+    values = np.empty((len(timelines), len(plan.specs)))
+    for block, positions, entities in _by_block(timelines):
+        values[positions] = _full_history(block, plan)[entities]
+    _check_finite(timelines, values, plan)
+    return values
+
+
+def score_features(timeline: EntityTimeline, plan: AggregationPlan) -> FeatureVector:
+    """One timeline's row of :func:`score_feature_matrix`."""
+    values = score_feature_matrix([timeline], plan)
+    return FeatureVector(entity_id=timeline.entity_id, values=tuple(values[0].tolist()))
 
 
 def build_training_set(
@@ -495,11 +570,7 @@ def build_training_set(
     k = np.zeros(len(ordered), dtype=np.intp)
     labels = np.zeros(len(ordered), dtype=np.intp)
     values = np.zeros((len(ordered), len(plan.specs)))
-    by_block: dict[int, tuple[TimelineBlock, list[int]]] = {}
-    for position, timeline in enumerate(ordered):
-        by_block.setdefault(id(timeline.block), (timeline.block, []))[1].append(position)
-    for block, positions in by_block.values():
-        entities = np.array([ordered[p].index for p in positions], dtype=np.intp)
+    for block, positions, entities in _by_block(ordered):
         k[positions], labels[positions] = _cutoffs(block, entities, config.lead_time)
         values[positions] = _fold(block, entities, k[positions], plan)
 
@@ -512,29 +583,62 @@ def build_training_set(
     kept_timelines = [ordered[p] for p in kept.tolist()]
     kept_values = values[kept]
     _check_finite(kept_timelines, kept_values, plan)
-    rows = [
-        (FeatureVector(entity_id=timeline.entity_id, values=tuple(row)), label)
-        for timeline, row, label in zip(
-            kept_timelines, kept_values.tolist(), labels[kept].tolist()
-        )
-    ]
-    return _training_set(plan, rows, dropped)
+    ids = [timeline.entity_id for timeline in kept_timelines]
+    return _training_set(plan, ids, kept_values, labels[kept], dropped)
+
+
+def _column_cells(column: np.ndarray, render: Callable[[object], str]) -> list[str]:
+    """``render`` of each value of a column, called once per distinct value.
+
+    Values are told apart by their bits, not by ``==``: -0.0 equals 0.0, but
+    their reprs differ.
+    """
+    distinct, index = np.unique(column.view(np.int64), return_inverse=True)
+    texts = list(map(render, distinct.view(column.dtype).tolist()))
+    return [texts[i] for i in index.tolist()]
 
 
 def write_training_csv(training: TrainingSet, stream: io.TextIOBase) -> None:
     """CSV layout: entity_id, one column per feature, then the label.
 
     Names and ids are quoted by :func:`csv_cells`; a ``repr`` of a float and
-    a label never need quoting.
+    a label never need quoting.  Each column is rendered on its own, each
+    distinct value once, and the rows are joined from the columns.
     """
     stream.write(csv_line(("entity_id", *training.feature_names, "label")))
-    ids = csv_cells(vector.entity_id for vector, _ in training.rows)
-    for entity, (vector, label) in zip(ids, training.rows):
-        stream.write(",".join((entity, *map(repr, vector.values), str(label))) + "\n")
+    columns = [csv_cells(training.entity_ids)]
+    columns += [_column_cells(column, repr) for column in training.values.T]
+    columns.append(_column_cells(training.labels, lambda label: f"{label}\n"))
+    stream.write("".join(map(",".join, zip(*columns))))
+
+
+def _raise_first_fault(rows: list[list[str]], width: int) -> NoReturn:
+    """Walk the data rows in file order and raise the first fault."""
+    for row in rows:
+        if len(row) != width:
+            raise ParseError(f"training CSV row has {len(row)} cells, expected {width}")
+        try:
+            values = [float(v) for v in row[1:-1]]
+            label = int(row[-1])
+        except ValueError as exc:
+            raise ParseError(f"training CSV row {row!r}: {exc}") from None
+        if label not in (0, 1):
+            raise ParseError(f"training CSV label must be 0 or 1, got {row[-1]!r}")
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"training CSV row {row!r}: feature values must be finite")
+    raise AssertionError("a column check failed, but no row holds a fault")
 
 
 def read_training_csv(stream: io.TextIOBase, plan: AggregationPlan) -> TrainingSet:
-    """Read a training-set CSV back under a plan with matching output names."""
+    """Read a training-set CSV back under a plan with matching output names.
+
+    Blank lines are skipped.  Cells are converted a whole column at a time
+    by Python's own ``float`` and ``int``, so surrounding whitespace, ``+``
+    and ``1_0`` read as they do there.  On any fault the rows are walked in
+    file order and the first row's first fault is raised: a wrong cell
+    count, then an unparseable value or label, then a label other than 0 or
+    1, then a non-finite value.
+    """
     reader = csv.reader(stream)
     header = next(reader, None)
     expected = ["entity_id", *plan.output_names, "label"]
@@ -542,20 +646,18 @@ def read_training_csv(stream: io.TextIOBase, plan: AggregationPlan) -> TrainingS
         raise DimensionMismatch(
             f"training CSV header {header!r} does not match plan columns {expected!r}"
         )
-    rows: list[tuple[FeatureVector, int]] = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(expected):
-            raise ParseError(f"training CSV row has {len(row)} cells, expected {len(expected)}")
-        try:
-            values = tuple(float(v) for v in row[1:-1])
-            label = int(row[-1])
-        except ValueError as exc:
-            raise ParseError(f"training CSV row {row!r}: {exc}") from None
-        if label not in (0, 1):
-            raise ParseError(f"training CSV label must be 0 or 1, got {row[-1]!r}")
-        if not all(math.isfinite(v) for v in values):
-            raise ParseError(f"training CSV row {row!r}: feature values must be finite")
-        rows.append((FeatureVector(entity_id=row[0], values=values), label))
-    return _training_set(plan, rows)
+    rows = [row for row in reader if row]
+    width = len(expected)
+    if any(len(row) != width for row in rows):
+        _raise_first_fault(rows, width)
+    cells = list(zip(*rows)) or [()] * width
+    values = np.empty((len(rows), width - 2))
+    try:
+        for j, column in enumerate(cells[1:-1]):
+            values[:, j] = np.fromiter(map(float, column), np.float64, len(rows))
+        labels = np.fromiter(map(int, cells[-1]), np.int64, len(rows))
+    except (ValueError, OverflowError):
+        _raise_first_fault(rows, width)
+    if ((labels != 0) & (labels != 1)).any() or not np.isfinite(values).all():
+        _raise_first_fault(rows, width)
+    return _training_set(plan, cells[0], values, labels)

@@ -25,7 +25,7 @@ from leadframe.panel import (
     parse_panel_csv,
     write_panel_csv,
 )
-from leadframe.transform import AggregationPlan, FeatureSpec
+from leadframe.transform import AggregationPlan, FeatureSpec, TrainingSet, TransformReport
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 # The CLI and hash-seed tests start Python subprocesses; they import the
@@ -98,6 +98,18 @@ def timelines_without_rows(schema: PanelSchema, entity_ids) -> tuple:
 # csv.writer quotes a carriage return from Python 3.13 on; before, only the
 # package's writers do, so there the row writer's bytes differ on such a cell.
 CSV_WRITER_QUOTES_CR = csv.writer(io.StringIO(), lineterminator="\n").writerow(["\r"]) == 4
+
+
+def training_set_of(plan: AggregationPlan, rows) -> TrainingSet:
+    """A training set of (FeatureVector, label) rows, in their order."""
+    values = np.array([vector.values for vector, _ in rows], dtype=np.float64)
+    return TrainingSet(
+        plan=plan,
+        entity_ids=tuple(vector.entity_id for vector, _ in rows),
+        values=values.reshape(len(rows), len(plan.specs)),
+        labels=np.array([label for _, label in rows], dtype=np.int64),
+        report=TransformReport(),
+    )
 
 
 def write_both_ways(dataset) -> tuple[str, str]:

@@ -17,6 +17,9 @@ row-by-row ``csv.writer`` it replaced, with its own number format.
 ``train_logistic_loop`` is the reference for the batched trainer: the
 one-model gradient-descent loop it replaced, with its own scaling and
 sigmoid.
+
+``write_training_csv`` is the reference for the column training-set writer:
+the row-by-row loop it replaced, with its own cell quoting.
 """
 
 from __future__ import annotations
@@ -251,3 +254,24 @@ def train_logistic_loop(data, config):
         tuple(float(v) for v in means),
         tuple(float(v) for v in stds),
     )
+
+
+def _training_cell(text):
+    """One CSV cell as csv.writer renders it, with a carriage return always
+    quoted (csv.writer leaves it bare before Python 3.13)."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow((text, ""))
+    cell = line.getvalue()[:-2]
+    if "\r" in cell and not cell.startswith('"'):
+        cell = f'"{cell}"'
+    return cell
+
+
+def write_training_csv(training, stream: io.TextIOBase) -> None:
+    """Write a training set one row at a time, as ``write_training_csv`` did
+    before it wrote columns."""
+    header = ("entity_id", *training.feature_names, "label")
+    stream.write(",".join(map(_training_cell, header)) + "\n")
+    for vector, label in training.rows:
+        cells = (_training_cell(vector.entity_id), *map(repr, vector.values), str(label))
+        stream.write(",".join(cells) + "\n")

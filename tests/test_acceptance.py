@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import CONFIG_JSON, PANEL_CSV
+from conftest import CONFIG_JSON, PANEL_CSV, training_set_of
 from corpus import PLAN_TUPLES, random_panel_rows, rows_to_csv_bytes
 from oracle import brute_force_training_rows
 
@@ -33,8 +33,6 @@ from leadframe.transform import (
     FeatureSpec,
     FeatureVector,
     ReferenceFrameConfig,
-    TrainingSet,
-    TransformReport,
     build_training_set,
     score_features,
     truncate_at_reference,
@@ -239,7 +237,7 @@ def test_gate_5_numerics(run_config, fixture_timelines):
                 )
                 for i in range(n)
             )
-            data = TrainingSet(plan=plan, rows=rows, report=TransformReport())
+            data = training_set_of(plan, rows)
             config = TrainConfig(
                 epochs=1, learning_rate=0.1, l2_penalty=rng.choice([0.0, 0.05, 0.5])
             )

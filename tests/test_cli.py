@@ -8,9 +8,12 @@ import pytest
 
 from conftest import CONFIG_JSON, PANEL_CSV
 from test_golden import VALIDATE_PANEL
+from test_transform import READ_FAULTS
 
 from leadframe.cli import main
+from leadframe.errors import DimensionMismatch
 from leadframe.panel import PanelColumns
+from leadframe.transform import TrainingSet
 
 
 def run_cli(*argv):
@@ -693,9 +696,9 @@ class TestCarriageReturnIds:
 
 
 class TestCommandsReadColumnsOnly:
-    """Every command runs on the panel's columns alone: with
-    ``PanelColumns.records`` raising, each exits as before and writes the
-    same bytes."""
+    """Every command runs on the panel's and the training set's columns
+    alone: with ``PanelColumns.records`` or ``TrainingSet.rows`` raising,
+    each exits as before and writes the same bytes."""
 
     @staticmethod
     def run_every_command(out, capsys):
@@ -728,3 +731,42 @@ class TestCommandsReadColumnsOnly:
 
         monkeypatch.setattr(PanelColumns, "records", refuse)
         assert self.run_every_command(tmp_path / "after", capsys) == before
+
+    def test_no_command_reads_training_rows(self, tmp_path, capsys, monkeypatch):
+        before = self.run_every_command(tmp_path / "before", capsys)
+
+        def refuse(self):
+            raise AssertionError("a command read TrainingSet.rows")
+
+        monkeypatch.setattr(TrainingSet, "rows", property(refuse))
+        assert self.run_every_command(tmp_path / "after", capsys) == before
+
+
+class TestTrainingCsvFaults:
+    """``train`` exits 1 on a header that does not match the plan and 2 on
+    any other fault of the training CSV, printing the reader's message and
+    writing no model."""
+
+    @pytest.fixture()
+    def two_feature_config(self, tmp_path):
+        doc = json.loads(CONFIG_JSON.read_text())
+        doc["plan"] = [
+            {"name": "a", "kind": "sum", "column": "outbound_calls"},
+            {"name": "b", "kind": "sum", "column": "complaints"},
+        ]
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize(
+        "text, expected", [case[1:] for case in READ_FAULTS], ids=[case[0] for case in READ_FAULTS]
+    )
+    def test_exit_code_and_message(self, tmp_path, capsys, two_feature_config, text, expected):
+        training, model = tmp_path / "training.csv", tmp_path / "model.json"
+        training.write_text(text, encoding="utf-8", newline="")
+        code = run_cli("train", "--input", training, "--config", two_feature_config,
+                       "--output", model)
+        kind, message = expected
+        assert code == (1 if kind is DimensionMismatch else 2)
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not model.exists()

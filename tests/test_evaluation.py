@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import timelines_without_rows
+from conftest import timelines_without_rows, training_set_of
 from corpus import FEATURES
 from oracle import brute_force_pairwise_auc
 
@@ -35,8 +35,6 @@ from leadframe.transform import (
     FeatureSpec,
     FeatureVector,
     ReferenceFrameConfig,
-    TrainingSet,
-    TransformReport,
 )
 
 IDENTITY_MODEL = LogisticModel(
@@ -55,7 +53,7 @@ def scored_set(scores, labels):
         (FeatureVector(f"e{i}", (float(score),)), int(label))
         for i, (score, label) in enumerate(zip(scores, labels))
     )
-    return TrainingSet(plan=plan, rows=rows, report=TransformReport())
+    return training_set_of(plan, rows)
 
 
 def dummy_timelines(n):
@@ -163,11 +161,7 @@ class TestEvaluate:
             evaluate(model, other)
 
     def test_empty_test_set_rejected(self):
-        empty = TrainingSet(
-            plan=AggregationPlan((FeatureSpec.sum("score", "score"),)),
-            rows=(),
-            report=TransformReport(),
-        )
+        empty = training_set_of(AggregationPlan((FeatureSpec.sum("score", "score"),)), ())
         with pytest.raises(DimensionMismatch):
             evaluate(IDENTITY_MODEL, empty)
 
@@ -337,9 +331,9 @@ class TestSweepMatchesSequentialSweep:
             built = build(timelines, frame, plan)
             if frame.lead_time == train_fault and {t.entity_id for t in timelines} == train_ids:
                 # Two rows at the largest finite value overflow the column mean.
-                rows = [(dataclasses.replace(v, values=(1.7e308,) * len(v.values)), label)
-                        for v, label in built.rows[:2]]
-                built = dataclasses.replace(built, rows=(*rows, *built.rows[2:]))
+                values = built.values.copy()
+                values[:2] = 1.7e308
+                built = dataclasses.replace(built, values=values)
             lead_of[id(built)] = frame.lead_time
             return built
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from conftest import training_set_of
 
 from leadframe.errors import (
     DegenerateLabels,
@@ -37,8 +38,6 @@ from leadframe.transform import (
     FeatureSpec,
     FeatureVector,
     ReferenceFrameConfig,
-    TrainingSet,
-    TransformReport,
     build_training_set,
 )
 
@@ -49,7 +48,7 @@ def make_training_set(names, rows):
         (FeatureVector(f"e{i}", tuple(values)), label)
         for i, (values, label) in enumerate(rows)
     )
-    return TrainingSet(plan=plan, rows=packed, report=TransformReport())
+    return training_set_of(plan, packed)
 
 
 def make_model(names, weights, intercept, means=None, stds=None, config=None):

@@ -5,7 +5,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from conftest import dataset_of, timelines_without_rows
 from corpus import (
     FEATURES,
@@ -16,7 +19,13 @@ from corpus import (
 )
 from oracle import brute_force_full_history, brute_force_training_rows
 
-from leadframe.errors import InvalidConfig, UnknownColumn
+from leadframe.errors import (
+    DimensionMismatch,
+    InvalidConfig,
+    LeadframeError,
+    ParseError,
+    UnknownColumn,
+)
 from leadframe.evaluation import split_entities
 from leadframe.panel import PanelDataset, build_timelines, parse_panel_csv
 from leadframe.transform import (
@@ -24,6 +33,8 @@ from leadframe.transform import (
     EmptyWindowPolicy,
     FeatureSpec,
     ReferenceFrameConfig,
+    TrainingSet,
+    TransformReport,
     TruncatedTimeline,
     aggregate,
     build_training_set,
@@ -261,6 +272,177 @@ class TestSerialization:
         buffer.seek(0)
         reread = read_training_csv(buffer, plan)
         assert reread.rows == training.rows
+
+
+READ_PLAN = AggregationPlan((FeatureSpec.sum("a", "a"), FeatureSpec.sum("b", "b")))
+READ_HEADER = "entity_id,a,b,label\n"
+
+
+def conversion_error(convert, text):
+    """The message of the ValueError that ``convert(text)`` raises."""
+    with pytest.raises(ValueError) as info:
+        convert(text)
+    return str(info.value)
+
+
+def cells_fault(n):
+    return ParseError, f"training CSV row has {n} cells, expected 4"
+
+
+def conversion_fault(row, convert, cell):
+    return ParseError, f"training CSV row {row!r}: {conversion_error(convert, cell)}"
+
+
+def label_fault(cell):
+    return ParseError, f"training CSV label must be 0 or 1, got {cell!r}"
+
+
+def finite_fault(row):
+    return ParseError, f"training CSV row {row!r}: feature values must be finite"
+
+
+LONG_LABEL = "1" + "0" * 4400
+
+# (name, file text, the error's type and message); each row a reader must refuse.
+READ_FAULTS = [
+    ("header-mismatch", "entity_id,a,label\nx,1,0\n", (
+        DimensionMismatch,
+        "training CSV header ['entity_id', 'a', 'label'] does not match plan "
+        "columns ['entity_id', 'a', 'b', 'label']",
+    )),
+    ("no-header", "", (
+        DimensionMismatch,
+        "training CSV header None does not match plan columns ['entity_id', 'a', 'b', 'label']",
+    )),
+    ("too-few-cells", READ_HEADER + "x,1,0\n", cells_fault(3)),
+    ("too-many-cells", READ_HEADER + "x,1,2,0,5\n", cells_fault(5)),
+    ("unparseable-float", READ_HEADER + "x,1,abc,0\n",
+     conversion_fault(["x", "1", "abc", "0"], float, "abc")),
+    ("empty-float", READ_HEADER + "x,,2,0\n", conversion_fault(["x", "", "2", "0"], float, "")),
+    ("non-integer-label", READ_HEADER + "x,1,2,0.5\n",
+     conversion_fault(["x", "1", "2", "0.5"], int, "0.5")),
+    ("label-2", READ_HEADER + "x,1,2,2\n", label_fault("2")),
+    ("label-underscored-10", READ_HEADER + "x,1,2,1_0\n", label_fault("1_0")),
+    ("label-beyond-int64", READ_HEADER + "x,1,2,99999999999999999999\n",
+     label_fault("99999999999999999999")),
+    ("label-beyond-digit-limit", READ_HEADER + f"x,1,2,{LONG_LABEL}\n",
+     conversion_fault(["x", "1", "2", LONG_LABEL], int, LONG_LABEL)),
+    ("inf", READ_HEADER + "x,inf,2,0\n", finite_fault(["x", "inf", "2", "0"])),
+    ("minus-inf", READ_HEADER + "x,1,-inf,1\n", finite_fault(["x", "1", "-inf", "1"])),
+    ("nan", READ_HEADER + "x,1,nan,0\n", finite_fault(["x", "1", "nan", "0"])),
+    ("overflow-to-inf", READ_HEADER + "x,1e999,2,0\n", finite_fault(["x", "1e999", "2", "0"])),
+    ("earlier-label-before-later-float", READ_HEADER + "x,1,2,2\ny,abc,2,0\n", label_fault("2")),
+    ("earlier-nan-before-later-cells", READ_HEADER + "x,nan,2,0\ny,1\n",
+     finite_fault(["x", "nan", "2", "0"])),
+    ("earlier-cells-before-later-label", READ_HEADER + "x,1\ny,1,2,5\n", cells_fault(2)),
+    ("later-row-after-good-rows", READ_HEADER + "x,1,2,0\ny,3,4,1\nz,5,inf,0\n",
+     finite_fault(["z", "5", "inf", "0"])),
+    ("label-before-non-finite-in-one-row", READ_HEADER + "x,nan,2,7\n", label_fault("7")),
+    ("float-before-label-in-one-row", READ_HEADER + "x,abc,2,7\n",
+     conversion_fault(["x", "abc", "2", "7"], float, "abc")),
+]
+
+# (name, file text, rows as (id, value reprs, label), events, non-events).
+READ_ACCEPTED = [
+    ("blank-lines-skipped", READ_HEADER + "\nx,1,2,0\n\n\ny,3,4,1\n\n",
+     [("x", ["1.0", "2.0"], 0), ("y", ["3.0", "4.0"], 1)], 1, 1),
+    ("whitespace-and-underscores", READ_HEADER + "x, 1 ,1_0, 1 \n",
+     [("x", ["1.0", "10.0"], 1)], 1, 0),
+    ("signs", READ_HEADER + "x,+1,-0.0,+1\ny,-2.5,+0,-0\n",
+     [("x", ["1.0", "-0.0"], 1), ("y", ["-2.5", "0.0"], 0)], 1, 1),
+    ("quoted-ids", READ_HEADER + '"a,b",1,2,0\n"q""r",5e-324,1e308,1\n',
+     [("a,b", ["1.0", "2.0"], 0), ('q"r', ["5e-324", "1e+308"], 1)], 1, 1),
+    ("header-whitespace", " entity_id , a,b ,label\nx,1,2,0\n", [("x", ["1.0", "2.0"], 0)], 0, 1),
+    ("no-rows", READ_HEADER, [], 0, 0),
+]
+
+
+def read_outcome(text):
+    """The rows and report counts a training CSV reads as, or the type and
+    message of the error it raises."""
+    try:
+        training = read_training_csv(io.StringIO(text), READ_PLAN)
+    except LeadframeError as exc:
+        return type(exc), str(exc)
+    rows = [(v.entity_id, [repr(x) for x in v.values], label) for v, label in training.rows]
+    return rows, training.report.events, training.report.non_events
+
+
+class TestReadTrainingCsv:
+    """The reader's every fault, with its message, and what it accepts."""
+
+    @pytest.mark.parametrize(
+        "text, expected", [case[1:] for case in READ_FAULTS], ids=[case[0] for case in READ_FAULTS]
+    )
+    def test_fault(self, text, expected):
+        assert read_outcome(text) == expected
+
+    @pytest.mark.parametrize(
+        "text, rows, events, non_events",
+        [case[1:] for case in READ_ACCEPTED],
+        ids=[case[0] for case in READ_ACCEPTED],
+    )
+    def test_accepted(self, text, rows, events, non_events):
+        assert read_outcome(text) == (rows, events, non_events)
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    1e308, -1e308, 1.7976931348623157e308, 0.1, 1 / 3, 1e16, 1e-7, 123456789.0,
+]
+
+
+@st.composite
+def training_sets(draw):
+    """A training set whose ids need quoting and whose columns repeat a few
+    values, among them floats at the edges and -0.0 beside 0.0."""
+    m = draw(st.integers(1, 4))
+    names = draw(st.permutations(["f0", "a,b", 'q"r', "f\u00e9", "x\ry"]))[:m]
+    plan = AggregationPlan(tuple(FeatureSpec.sum(name, "a") for name in names))
+    pool = draw(st.lists(
+        st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=6,
+    ))
+    n = draw(st.integers(0, 25))
+    values = draw(st.lists(st.sampled_from(pool), min_size=n * m, max_size=n * m))
+    ids = draw(st.lists(
+        st.text(st.sampled_from(list('ab ,"\r\n\u00e9\u20ac\U0001f600')) | st.characters(),
+                max_size=6),
+        min_size=n, max_size=n,
+    ))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    matrix = np.array(values, dtype=np.float64).reshape(n, m)
+    return TrainingSet(plan, tuple(ids), matrix, np.array(labels), TransformReport())
+
+
+class TestWriterMatchesRowWriter:
+    """The column writer gives the row writer's bytes, and its output reads
+    back bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(training=training_sets())
+    def test_bytes_and_round_trip(self, training):
+        mine, theirs = io.StringIO(newline=""), io.StringIO(newline="")
+        write_training_csv(training, mine)
+        oracle.write_training_csv(training, theirs)
+        assert mine.getvalue() == theirs.getvalue()
+
+        mine.seek(0)
+        reread = read_training_csv(mine, training.plan)
+        assert reread.entity_ids == training.entity_ids
+        assert reread.values.shape == training.values.shape
+        assert np.array_equal(reread.values.view(np.uint64), training.values.view(np.uint64))
+        assert reread.labels.tolist() == training.labels.tolist()
+
+    def test_negative_zero_keeps_its_sign(self):
+        plan = AggregationPlan((FeatureSpec.sum("x", "a"),))
+        training = TrainingSet(
+            plan, ("p", "m", "p2"), np.array([[0.0], [-0.0], [0.0]]), np.array([0, 1, 0]),
+            TransformReport(),
+        )
+        buffer = io.StringIO()
+        write_training_csv(training, buffer)
+        assert buffer.getvalue() == "entity_id,x,label\np,0.0,0\nm,-0.0,1\np2,0.0,0\n"
 
 
 class TestProperties:
