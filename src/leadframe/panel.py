@@ -994,25 +994,29 @@ def write_panel_csv(dataset: PanelDataset, stream: io.TextIOBase) -> None:
 def build_timelines(dataset: PanelDataset) -> tuple[EntityTimeline, ...]:
     """Group records into per-entity timelines sorted by period.
 
-    One stable sort by (entity, period) orders every row; each timeline is a
-    view of its entity's rows.  Raises DuplicateObservation if an (entity,
-    period) pair repeats; silent last-wins would corrupt every downstream
-    aggregate.
+    One stable sort by (entity, period) orders every row, unless the rows
+    already come strictly in that order, as every written panel's do; each
+    timeline is a view of its entity's rows.  Raises DuplicateObservation if
+    an (entity, period) pair repeats; silent last-wins would corrupt every
+    downstream aggregate.
     """
     columns = dataset.columns
-    ordered = columns.take(np.lexsort((columns.ordinals, columns.codes)))
-    codes, ordinals = ordered.codes, ordered.ordinals
-    repeats = np.flatnonzero((codes[1:] == codes[:-1]) & (ordinals[1:] == ordinals[:-1]))
-    if len(repeats):
-        row = int(repeats[0]) + 1
-        raise DuplicateObservation(
-            f"entity {columns.entity_ids[codes[row]]!r} observed twice in period "
-            f"{columns.periods[int(ordinals[row])].label!r}"
-        )
+    codes, ordinals = columns.codes, columns.ordinals
+    same_entity = codes[1:] == codes[:-1]
+    if not ((codes[1:] > codes[:-1]) | (same_entity & (ordinals[1:] > ordinals[:-1]))).all():
+        columns = columns.take(np.lexsort((ordinals, codes)))
+        codes, ordinals = columns.codes, columns.ordinals
+        repeats = np.flatnonzero((codes[1:] == codes[:-1]) & (ordinals[1:] == ordinals[:-1]))
+        if len(repeats):
+            row = int(repeats[0]) + 1
+            raise DuplicateObservation(
+                f"entity {columns.entity_ids[codes[row]]!r} observed twice in period "
+                f"{columns.periods[int(ordinals[row])].label!r}"
+            )
     n_entities = len(columns.entity_ids)
     offsets = np.zeros(n_entities + 1, dtype=np.intp)
     np.cumsum(np.bincount(codes, minlength=n_entities), out=offsets[1:])
-    block = TimelineBlock(ordered, offsets)
+    block = TimelineBlock(columns, offsets)
     return tuple(EntityTimeline(block, index) for index in range(n_entities))
 
 

@@ -16,11 +16,16 @@ order.  A Poisson count is Knuth's: multiply uniforms into a product that
 starts at 1 until it is <= ``exp(-mean)``, and count the uniforms before the
 last; a mean <= 0 gives 0 and draws nothing.
 
-All entities are drawn in lockstep on numpy ``uint64`` states, one uniform
-per still-drawing entity per step, and each consumes exactly the stream
-defined above.  ``tests/oracle.py`` keeps the scalar reference generator,
-one ``SplitMix64`` per entity and one call per value, and the tests require
-both to give the same records and bytes.
+All entities are drawn together on numpy ``uint64`` states, a chunk of
+steps at a time.  A stream's ``j``-th state is its seed plus ``j`` times the
+SplitMix64 increment, so one array operation gives every entity the
+uniforms of a whole chunk, and the Poisson counts then walk through the
+chunk one step at a time, each entity multiplying in only its own next
+uniform.  An entity that finishes inside a chunk ignores the rest of it, so
+each entity consumes exactly the stream defined above, uniform for uniform.
+``tests/oracle.py`` keeps the scalar reference generator, one ``SplitMix64``
+per entity and one call per value, and the tests require both to give the
+same records and bytes.
 """
 
 from __future__ import annotations
@@ -77,52 +82,107 @@ class SynthConfig:
         check_int(self.seed, "seed must fit in an unsigned 64-bit integer", high=2**64)
 
 
+# Steps drawn per chunk.  A longer chunk spreads each chunk's own numpy calls
+# over more steps, but an entity that finishes inside one still steps to its
+# end.  On 5,000 entities × 24 periods 16 was as fast as 24 and faster than
+# 32; on 150 entities × 1,000 periods 24 and 32 were 5-20% faster.
+_CHUNK = 16
+# The state offsets of one chunk's steps, 1 .. _CHUNK times GOLDEN.  Every
+# uint64 product and sum here is array arithmetic: numpy wraps that silently
+# but warns when a scalar uint64 operation overflows, and the tests turn
+# warnings into errors.
+_CHUNK_STEPS = np.arange(1, _CHUNK + 1, dtype=np.uint64)[:, None] * GOLDEN
+
+
 def _draw_counts(
     states: np.ndarray, kinds: np.ndarray, offsets: np.ndarray, means: tuple[float, float]
 ) -> np.ndarray:
-    """Knuth Poisson counts for every cell of every entity, drawn in lockstep.
+    """Knuth Poisson counts for every cell of every entity, a chunk of steps at a time.
 
     ``kinds`` holds each cell's index into ``means``, entity by entity, and
     entity ``e`` owns the cells ``offsets[e]:offsets[e + 1]`` and draws them
     in order from the stream whose current state is ``states[e]``.  A cell
-    with a mean <= 0 is 0 and consumes nothing.  Every step, each entity
-    that still has cells to draw multiplies one uniform into its current
-    product and finishes its current cell once the product reaches
-    ``exp(-mean)``.
+    with a mean <= 0 is 0 and consumes nothing.
+
+    Entity ``e``'s ``j``-th uniform comes from state ``states[e] + j * GOLDEN``,
+    so each chunk computes ``_CHUNK`` uniforms per entity in one array.
+    Every step of the chunk, each entity multiplies its next uniform into
+    its product and, once the product reaches its cell's threshold
+    ``exp(-mean)``, marks the step done, resets the product and moves on to
+    its next cell.  After an entity's last cell sits a sentinel threshold of
+    -1, which no product reaches, so an entity that runs out of cells
+    mid-chunk stays put and never uses the rest of the chunk's uniforms;
+    finished entities leave once per chunk.  Every entity starts at step 0,
+    so a cell's count is the step at which it was done less the step its
+    entity's previous cell was done, minus 1.
     """
-    counts = np.zeros(len(kinds), dtype=np.int64)
-    drawn = np.flatnonzero(np.array([mean > 0.0 for mean in means])[kinds])
-    thresholds = np.array([math.exp(-mean) for mean in means])[kinds[drawn]]
-    # Each entity's drawn cells, as positions in `drawn`.
-    cell = np.searchsorted(drawn, offsets[:-1])
-    stop = np.searchsorted(drawn, offsets[1:])
+    table = np.array([math.exp(-mean) for mean in means])
+    positive = np.array([mean > 0.0 for mean in means])
+    if positive.all():
+        # Every cell is drawn.
+        drawn, thresholds = None, table[kinds]
+        cell, stop = offsets[:-1], offsets[1:]
+    else:
+        drawn = np.flatnonzero(positive[kinds])
+        thresholds = table[kinds[drawn]]
+        # Each entity's drawn cells, as positions in `drawn`.
+        cell = np.searchsorted(drawn, offsets[:-1])
+        stop = np.searchsorted(drawn, offsets[1:])
     running = cell < stop
     states, cell, stop = states[running], cell[running], stop[running]
+    # One sentinel after each drawing entity's cells: the r-th entity's
+    # cells shift right by r.
+    thresholds = np.insert(thresholds, stop, -1.0)
+    cell = cell + np.arange(len(cell))
+    threshold = thresholds[cell]
     product = np.ones(len(cell))
-    started = np.zeros(len(cell), dtype=np.int64)  # step at which `cell` began
+    # ends[1 + i]: the step at which cell i of `thresholds` was done; -1
+    # before the first cell and at each sentinel, where an entity starts.
+    ends = np.full(len(thresholds) + 1, -1, dtype=np.int64)
     step = 0
     while len(cell):
-        states += GOLDEN
-        product *= uniforms(states)
-        done = product <= thresholds[cell]
-        if done.any():
-            counts[drawn[cell[done]]] = step - started[done]
-            started[done] = step + 1
-            product[done] = 1.0
-            cell += done
-            running = cell < stop
-            if not running.all():
-                states, cell, stop = states[running], cell[running], stop[running]
-                product, started = product[running], started[running]
-        step += 1
-    return counts
+        chunk = states + _CHUNK_STEPS
+        states = chunk[-1]
+        first = cell.copy()
+        done = np.empty(chunk.shape, dtype=bool)
+        for u, flags in zip(uniforms(chunk), done):
+            product *= u
+            np.less_equal(product, threshold, out=flags)
+            # Where done, the product (<= its threshold <= 1) restarts at 1;
+            # elsewhere it is >= 0 and stays.  Unlike a masked copy, this
+            # does not branch on the flags.
+            np.maximum(product, flags, out=product)
+            cell += flags
+            # The sentinel keeps `cell` in bounds; "clip" spares take a buffer.
+            np.take(thresholds, cell, out=threshold, mode="clip")
+        # The done steps, entity by entity and so cell by cell: entity r
+        # finished its cells first[r] .. cell[r] - 1, in that order.
+        finished = cell - first
+        steps = np.flatnonzero(done.T.ravel()) % _CHUNK
+        slots = np.repeat(cell + 1 - np.cumsum(finished), finished) + np.arange(len(steps))
+        ends[slots] = steps + step
+        step += _CHUNK
+        running = threshold >= 0.0
+        if not running.all():
+            states, cell, product, threshold = (
+                states[running], cell[running], product[running], threshold[running]
+            )
+    cells = thresholds >= 0.0  # not the sentinels
+    del thresholds
+    counts = np.diff(ends)[cells]
+    counts -= 1
+    if drawn is None:
+        return counts
+    all_counts = np.zeros(len(kinds), dtype=np.int64)
+    all_counts[drawn] = counts
+    return all_counts
 
 
 def generate_panel(config: SynthConfig) -> PanelDataset:
     """Generate a panel dataset under the fixture-compatible schema.
 
-    Every entity draws in lockstep on numpy ``uint64`` states; the stream
-    each one consumes is the one the module docstring defines.
+    Every entity draws on numpy ``uint64`` states, all of them together;
+    the stream each one consumes is the one the module docstring defines.
     """
     schema = default_schema()
     columns = schema.feature_columns

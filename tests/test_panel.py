@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dataset_of, parse_both_ways, write_both_ways
+from conftest import CONFIG_JSON, dataset_of, parse_both_ways, write_both_ways
 from corpus import random_float_panel_rows, random_panel_rows, rows_to_csv_bytes
 import oracle
 from oracle import period_positions
@@ -24,6 +24,7 @@ from leadframe.errors import (
     ParseError,
 )
 from leadframe import panel
+from leadframe.cli import main
 from leadframe.panel import (
     PanelDataset,
     PanelSchema,
@@ -240,6 +241,68 @@ class TestTimelines:
         data = csv_bytes("entity,period,a,b,event", "x,1,1,1,0", "x,1,2,2,0")
         with pytest.raises(DuplicateObservation, match="'x'"):
             build_timelines(parse_panel_csv(data, small_schema()))
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["x,1,1,1,0", "x,2,1,1,0", "x,2,2,2,0", "y,1,1,1,0"],
+             "entity 'x' observed twice in period '2'"),
+            (["x,1,1,1,0", "y,1,1,1,0", "y,1,2,2,0"], "entity 'y' observed twice in period '1'"),
+            (["y,3,1,1,0", "x,1,1,1,0", "y,3,2,2,0"], "entity 'y' observed twice in period '3'"),
+        ],
+        ids=["sorted-otherwise", "sorted-otherwise-last", "unsorted"],
+    )
+    def test_duplicate_observation_names_entity_and_period(self, lines, message):
+        data = csv_bytes("entity,period,a,b,event", *lines)
+        with pytest.raises(DuplicateObservation) as raised:
+            build_timelines(parse_panel_csv(data, small_schema()))
+        assert str(raised.value) == message
+
+    def test_rows_in_order_are_not_copied(self, fixture_dataset, schema):
+        in_order = reordered(fixture_dataset, np.lexsort(
+            (fixture_dataset.columns.ordinals, fixture_dataset.columns.codes)))
+        timelines = build_timelines(in_order)
+        assert timelines[0].block.columns is in_order.columns
+        assert build_timelines(fixture_dataset)[0].block.columns is not fixture_dataset.columns
+
+    def test_every_row_order_gives_the_sorted_timelines(self):
+        rows = [("a", "1", 0, (1.0, 2.0), 0), ("a", "10", 9, (3.0, 4.0), 0),
+                ("b", "1", 0, (5.0, 6.0), 0), ("b", "5", 4, (7.0, 8.0), 0),
+                ("b", "10", 9, (9.0, 10.0), 1)]
+        expected = build_timelines(dataset_of(small_schema(), rows))
+        for order in itertools.permutations(rows):
+            dataset = dataset_of(small_schema(), list(order))
+            timelines = build_timelines(dataset)
+            assert timelines == expected
+            assert (timelines[0].block.columns is dataset.columns) == (list(order) == rows)
+
+    def test_shuffled_file_gives_the_sorted_files_timelines_and_bytes(self, tmp_path, schema):
+        written = tmp_path / "sorted.csv"
+        assert main(["synth", "--output", str(written), "--entities", "60", "--periods", "12",
+                     "--seed", "3"]) == 0
+        header, *lines = written.read_text(encoding="utf-8").splitlines(keepends=True)
+        random.Random(5).shuffle(lines)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text(header + "".join(lines), encoding="utf-8")
+        assert build_timelines(parse_panel_csv(shuffled.read_bytes(), schema)) == build_timelines(
+            parse_panel_csv(written.read_bytes(), schema))
+        outputs = {}
+        for panel_csv in (written, shuffled):
+            out = tmp_path / panel_csv.stem
+            out.mkdir()
+            for argv in (
+                ["transform", "--input", panel_csv, "--config", CONFIG_JSON,
+                 "--output", out / "training.csv"],
+                ["train", "--input", out / "training.csv", "--config", CONFIG_JSON,
+                 "--output", out / "model.json"],
+                ["score", "--model", out / "model.json", "--input", panel_csv,
+                 "--config", CONFIG_JSON, "--output", out / "scores.csv"],
+                ["sweep", "--input", panel_csv, "--config", CONFIG_JSON,
+                 "--output", out / "curve.csv"],
+            ):
+                assert main([str(arg) for arg in argv]) == 0
+            outputs[panel_csv.stem] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert outputs["shuffled"] == outputs["sorted"]
 
     def test_order_insensitive(self, fixture_dataset, fixture_timelines, schema):
         shuffled = list(range(len(fixture_dataset.columns)))

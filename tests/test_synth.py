@@ -1,15 +1,18 @@
 import io
 import statistics
 import warnings
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import period_positions, scalar_synth_rows
 
 from leadframe.cli import main
 from leadframe.errors import InvalidConfig
 from leadframe.panel import PeriodIndex, build_timelines, parse_panel_csv, write_panel_csv
-from leadframe.synth import FEATURE_COLUMNS, SynthConfig, default_schema, generate_panel
+from leadframe.synth import _CHUNK, FEATURE_COLUMNS, SynthConfig, default_schema, generate_panel
 from leadframe.transform import (
     AggregationPlan,
     FeatureSpec,
@@ -192,6 +195,82 @@ class TestLockstepMatchesScalar:
         buffer = io.StringIO()
         write_panel_csv(generated, buffer)
         assert buffer.getvalue() == "\n".join(lines) + "\n"
+
+
+def assert_draws_scalar_stream(cfg):
+    """generate_panel gives the scalar generator's records and CSV bytes."""
+    rows = scalar_synth_rows(cfg, FEATURE_COLUMNS)
+    generated = generate_panel(cfg)
+    positions = period_positions(rows)
+    assert len(generated.records) == len(rows)
+    for record, (entity, label, features, flag) in zip(generated.records, rows):
+        assert (record.entity_id, record.period, record.features, record.event_flag) == (
+            entity, PeriodIndex(positions[label], label), features, flag
+        )
+    lines = [",".join(default_schema().columns)] + [
+        ",".join([entity, label, *(str(int(features[c])) for c in FEATURE_COLUMNS), str(flag)])
+        for entity, label, features, flag in rows
+    ]
+    buffer = io.StringIO()
+    write_panel_csv(generated, buffer)
+    assert buffer.getvalue() == "\n".join(lines) + "\n"
+    return rows
+
+
+def poisson_steps(rows):
+    """Uniforms each entity spends on its Poisson counts, when every cell is drawn."""
+    steps = Counter()
+    for entity, _, features, _ in rows:
+        steps[entity] += sum(int(count) + 1 for count in features.values())
+    return sorted(steps.values())
+
+
+@st.composite
+def synth_configs(draw):
+    def mean(*fixed):
+        value = draw(st.sampled_from([*fixed, None]))
+        return draw(st.floats(0.0, 20.0)) if value is None else value
+
+    n_periods = draw(st.integers(2, 80))
+    return SynthConfig(
+        n_entities=draw(st.integers(1, 40)),
+        n_periods=n_periods,
+        event_rate=draw(st.floats(0.01, 0.99)),
+        ramp_length=draw(st.integers(1, n_periods - 1)),
+        signal_strength=mean(0.0, 3.0),
+        noise_rate=mean(0.0, 0.5, 40.0),
+        # Eight drawn bytes spread over all 64 bits; drawn integers would
+        # stay small.
+        seed=draw(st.binary(min_size=8, max_size=8).map(lambda b: int.from_bytes(b, "big"))),
+    )
+
+
+class TestChunkedDrawMatchesScalar:
+    """The draw advances every entity a chunk of steps at a time; each still
+    consumes its own stream exactly, wherever its cells end in a chunk."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(synth_configs())
+    def test_any_config(self, cfg):
+        assert_draws_scalar_stream(cfg)
+
+    def test_last_draws_end_chunks(self):
+        cfg = config(n_entities=6, n_periods=10, seed=10)
+        steps = poisson_steps(assert_draws_scalar_stream(cfg))
+        # One entity that finishes before the last, and the last, both draw
+        # their last uniform on the last step of a chunk.
+        assert steps[-1] % _CHUNK == 0
+        assert any(n % _CHUNK == 0 for n in steps[:-1])
+
+    def test_one_entity_outlives_the_others_by_chunks(self):
+        cfg = config(n_entities=8, n_periods=40, event_rate=0.9, seed=15)
+        steps = poisson_steps(assert_draws_scalar_stream(cfg))
+        assert steps[-1] - steps[-2] >= 4 * _CHUNK
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_few_entities_with_long_histories(self, seed):
+        cfg = config(n_entities=3, n_periods=400, ramp_length=48, seed=seed)
+        assert len(assert_draws_scalar_stream(cfg)) > 400
 
 
 def test_synth_at_largest_seed_writes_nothing_to_stderr(tmp_path, capsys):
