@@ -1,8 +1,10 @@
+import bisect
 import csv
 import dataclasses
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -604,6 +606,109 @@ class TestTokenizerMatchesCsvReader:
         assert outcome == through_reader
 
 
+def block_starts(data: bytes) -> list[int]:
+    """The byte at which each block of the numpy tokenizer starts: blocks
+    hold whole lines and end at the first line feed ``_BLOCK_BYTES`` or
+    more bytes after their start."""
+    start, starts = data.find(b"\n") + 1, []
+    while start < len(data):
+        starts.append(start)
+        start = data.find(b"\n", start + panel._BLOCK_BYTES) + 1 or len(data)
+    return starts
+
+
+def blocks_holding(data: bytes, text: bytes) -> list[int]:
+    """The index of the block of each line that starts with ``text``."""
+    starts = block_starts(data)
+    lines = [m.start() + 1 for m in re.finditer(b"\n" + re.escape(text), data)]
+    return [bisect.bisect_right(starts, at) - 1 for at in lines]
+
+
+class TestTokenizerAcrossBlocks:
+    """Files of several numpy blocks: texts are coded by keys kept for the
+    whole file, so a text first seen in a later block, or seen again after
+    a block without it, reads as csv.reader reads it."""
+
+    @staticmethod
+    def numpy_outcome(data: bytes):
+        assert len(block_starts(data)) >= 3
+        outcome, through_reader, tokenized = parse_both_ways(data, small_schema())
+        assert tokenized
+        assert outcome == through_reader
+        return outcome
+
+    def test_id_recurring_in_blocks_apart_in_an_unsorted_file(self):
+        rows = [f"u{i:05d},{1 + i % 24},{i % 13},{i % 7},0" for i in range(45000)]
+        random.Random(14).shuffle(rows)
+        rows[100], rows[-100] = "again,1,1,2,0", "again,2,3,4,1"
+        data = csv_bytes(HEADER, *rows)
+        first, last = blocks_holding(data, b"again,")
+        assert last - first >= 2
+        entity_ids, _, _, codes = self.numpy_outcome(data)[:4]
+        again = entity_ids.index("again")
+        assert np.count_nonzero(np.frombuffer(codes[2], codes[0]) == again) == 2
+
+    def test_label_and_flag_first_seen_in_a_late_block(self):
+        rows = [f"e{i % 500:03d},{1 + i // 500},{i % 13},{i % 7},0" for i in range(40000)]
+        rows[-10] = "e990,999,1,2,1"
+        data = csv_bytes(HEADER, *rows)
+        assert blocks_holding(data, b"e990,999,") == [len(block_starts(data)) - 1]
+        earlier = data[: block_starts(data)[-1]].split(b"\n")[1:]
+        assert not any(line.endswith(b",1") for line in earlier)
+        _, periods, _, _, _, _, flags = self.numpy_outcome(data)
+        assert "999" in {period.label for period in periods.values()}
+        assert np.frombuffer(flags[2], flags[0]).sum() == 1
+
+    def test_ids_of_8_bytes_and_ids_of_9_that_share_them(self):
+        # Block by block: ids of 8 bytes only (keys), of 9 (whole texts),
+        # both, then 8 again.
+        def entity(i):
+            base = f"id{i % 800:06d}"
+            long = 15000 <= i < 45000 or (45000 <= i < 60000 and i % 5 == 0)
+            return base + "x" if long else base
+
+        rows = [f"{entity(i)},{1 + i // 800},{i % 13},{i % 7},0" for i in range(75000)]
+        data = csv_bytes(HEADER, *rows)
+        lengths = [
+            {len(line.split(b",")[0]) for line in data[a:b].splitlines()}
+            for a, b in itertools.pairwise(block_starts(data) + [len(data)])
+        ]
+        assert {8} in lengths and {9} in lengths and {8, 9} in lengths
+        entity_ids = self.numpy_outcome(data)[0]
+        assert "id000001" in entity_ids and "id000001x" in entity_ids
+
+    def test_labels_of_one_period_in_different_blocks(self):
+        rows = [f"e{i % 500:03d},{1 + i % 9},{i % 13},{i % 7},0" for i in range(40000)]
+        rows[-10] = "e990,02,1,2,0"
+        data = csv_bytes(HEADER, *rows)
+        assert blocks_holding(data, b"e990,02,") == [len(block_starts(data)) - 1]
+        assert self.numpy_outcome(data) == (
+            BadValue, "period labels '02' and '2' denote the same period"
+        )
+
+    # Lines of 16 bytes: a block of 2**18 bytes holds 16,384 of them, and
+    # ends at the line feed of the next one.
+    FIXED_ROWS = [f"e{i % 1000:03d},{1001 + i // 1000},{i % 10},{i % 7},0" for i in range(50000)]
+
+    @pytest.mark.parametrize("where", ["last line of a block", "first line of a block"])
+    def test_blank_line_at_a_block_boundary(self, where):
+        assert {len(row) for row in self.FIXED_ROWS} == {15}
+        boundary = block_starts(csv_bytes(HEADER, *self.FIXED_ROWS))[1]
+        at = boundary - 16 if where == "last line of a block" else boundary
+        plain = csv_bytes(HEADER, *self.FIXED_ROWS)
+        data = plain[:at] + b"\n" + plain[at:]
+        stop = block_starts(data)[1]
+        if where == "last line of a block":
+            assert data[stop - 2 : stop] == b"\n\n"
+        else:
+            assert data[stop : stop + 1] == b"\n" and data[stop - 2 : stop - 1] != b"\n"
+        assert self.numpy_outcome(data) == self.numpy_outcome(plain)
+
+    def test_no_final_line_feed(self):
+        data = csv_bytes(HEADER, *self.FIXED_ROWS)
+        assert self.numpy_outcome(data[:-1]) == self.numpy_outcome(data)
+
+
 def test_ambiguous_labels_named_alike_under_every_hash_seed():
     # A set of strings iterates in an order that depends on the process's
     # hash seed; the error must not.
@@ -840,6 +945,37 @@ class TestCarriageReturnIds:
         canonical = reordered(dataset, np.lexsort((columns.ordinals, columns.codes)))
         assert parse_panel_csv(buffer.getvalue().encode(), corpus_schema) == canonical
         assert list(csv.reader(io.StringIO(buffer.getvalue(), newline="")))[1][0] == self.IDS[1]
+
+
+def writer_cell(text: str) -> str:
+    """The cell csv.writer writes for the text, with a carriage return
+    quoted."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow((text, ""))
+    cell = line.getvalue()[:-2]
+    return f'"{cell}"' if "\r" in cell and not cell.startswith('"') else cell
+
+
+class TestCsvCellsMatchCsvWriter:
+    """csv_cells returns a text that holds none of the characters csv.writer
+    quotes as it is, and quotes every other text as csv.writer does."""
+
+    TEXTS = (
+        ",", '"', "\r", "\n", "\r\n", "a,b", 'say "hi"', "x\ry", "two\nlines", '",\r\n',
+        "", "plain", "inner space", " padded ", "tab\there", "nul\0byte", "\0",
+        "Zoë", "日本語", "emoji \U0001f600", "\u2028", "\x85", "\x7f",
+    )
+
+    def test_special_empty_and_non_ascii_texts(self):
+        assert csv_cells(self.TEXTS) == [writer_cell(text) for text in self.TEXTS]
+
+    def test_every_character_alone_and_inside_a_text(self):
+        texts = [t for c in range(0x3000) for t in (chr(c), f"a{chr(c)}b")]
+        cells = csv_cells(texts)
+        assert cells == [writer_cell(text) for text in texts]
+        assert {t for t, cell in zip(texts, cells) if cell != t} == {
+            t for c in ',"\r\n' for t in (c, f"a{c}b")
+        }
 
 
 class TestWriteRefusesWhatTheParserRefuses:

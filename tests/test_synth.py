@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import parse_both_ways
 from oracle import period_positions, scalar_synth_rows
 
 from leadframe.cli import main
@@ -284,3 +285,29 @@ def test_synth_at_largest_seed_writes_nothing_to_stderr(tmp_path, capsys):
         ])
     assert code == 0
     assert capsys.readouterr().err == ""
+
+
+class TestWrittenPanelsTakeTheNumpyTokenizer:
+    """Every panel `synth` writes is plain, so the parse reads it with the
+    numpy tokenizer; a silent fall back to csv.reader would give the same
+    columns, only slower, and no other test would fail."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # churn-monthly and synth-panel at smoke size
+            ["--entities", "120", "--periods", "24", "--ramp-length", "3"],
+            # device-hourly at smoke size
+            ["--entities", "24", "--periods", "240", "--ramp-length", "48"],
+            ["--entities", "1", "--periods", "24"],
+            # churn-monthly at full size: nine blocks
+            ["--entities", "5000", "--periods", "24", "--ramp-length", "3"],
+        ],
+        ids=["120x24", "24x240", "1x24", "5000x24"],
+    )
+    def test_synth_panels(self, tmp_path, args):
+        path = tmp_path / "panel.csv"
+        assert main(["synth", "--output", str(path), "--seed", "3", *args]) == 0
+        outcome, through_reader, tokenized = parse_both_ways(path.read_bytes(), default_schema())
+        assert tokenized
+        assert outcome == through_reader
