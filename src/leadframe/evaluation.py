@@ -9,7 +9,6 @@ descent, and each model is bit-identical to training it alone.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from collections import Counter
@@ -36,7 +35,7 @@ from .model import (  # noqa: F401
     train_logistic,
     train_logistic_each,
 )
-from .panel import EntityTimeline
+from .panel import EntityTimeline, csv_line
 from .rng import SplitMix64
 from .transform import (
     AggregationPlan,
@@ -253,10 +252,12 @@ def lead_time_sweep(
 
 
 def write_curve_csv(curve: TradeoffCurve, stream: io.TextIOBase) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(
+    """One line per point; absent metrics are empty cells, and the point's
+    and its metrics' flags are joined by ``|``.  Cells are quoted by
+    :func:`csv_line`, as in every other CSV the package writes."""
+    stream.write(csv_line(
         ("lead_time", "accuracy", "precision", "recall", "auc", "train_size", "test_size", "flags")
-    )
+    ))
     for point in curve.points:
         merged = list(point.flags)
         if point.metrics is None:
@@ -265,6 +266,6 @@ def write_curve_csv(curve: TradeoffCurve, stream: io.TextIOBase) -> None:
             m = point.metrics
             cells = [repr(m.accuracy), repr(m.precision), repr(m.recall), repr(m.auc)]
             merged.extend(m.flags)
-        writer.writerow(
+        stream.write(csv_line(
             (str(point.lead_time), *cells, str(point.train_size), str(point.test_size), "|".join(merged))
-        )
+        ))

@@ -141,19 +141,6 @@ class LogisticModel:
         return cls.from_json_dict(load_json(path))
 
 
-def _design_matrix(data: TrainingSet) -> tuple[np.ndarray, np.ndarray]:
-    """The set's feature matrix, checked against its feature names, and its
-    labels as floats."""
-    if not data.feature_names:
-        raise DimensionMismatch("training data declares no features")
-    m = len(data.feature_names)
-    if data.values.shape[1] != m:
-        raise DimensionMismatch(
-            f"training data has {data.values.shape[1]} features per row, expected {m}"
-        )
-    return data.values, data.labels.astype(np.float64)
-
-
 def _fit_scaling(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     means = X.mean(axis=0)
     stds = X.std(axis=0)
@@ -242,7 +229,7 @@ def train_logistic_each(
     groups: dict[int, list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]] = {}
     for i, data in enumerate(sets):
         try:
-            X, y = _design_matrix(data)
+            X, y = data.values, data.labels.astype(np.float64)
             if X.shape[0] == 0 or set(y.tolist()) != {0.0, 1.0}:
                 raise DegenerateLabels("training data must contain both labels")
             means, stds = _fit_scaling(X)
@@ -350,7 +337,7 @@ def loss_and_gradient(model: LogisticModel, data: TrainingSet) -> tuple[float, l
             f"data features {data.feature_names!r} do not match model "
             f"features {model.feature_names!r}"
         )
-    X, y = _design_matrix(data)
+    X, y = data.values, data.labels.astype(np.float64)
     if X.shape[0] == 0:
         raise DimensionMismatch("loss is undefined on an empty training set")
     w = np.array(model.weights)

@@ -967,18 +967,20 @@ def _check_writable(
     raise BadValue(f"entity {entity!r}, period {label!r}: {fault}")
 
 
-def _distinct(column: np.ndarray) -> tuple[list, np.ndarray]:
-    """The column's distinct values, ascending, and each row's position among them."""
-    distinct = np.unique(column)
-    if len(distinct) and 0 <= distinct[0] and distinct[-1] < len(column):
-        keys = distinct.astype(np.intp)
-        if (keys == distinct).all():
-            # Small whole numbers, as counts, ordinals and flags are: a
-            # lookup table by value is cheaper than a binary search per row.
-            lookup = np.zeros(int(keys[-1]) + 1, np.intp)
-            lookup[keys] = np.arange(len(keys))
-            return distinct.tolist(), lookup[column.astype(np.intp)]
-    return distinct.tolist(), np.searchsorted(distinct, column)
+def distinct_values(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column's distinct values, ascending, and each row's position
+    among them, as ``np.unique(column, return_inverse=True)`` gives them.
+
+    Small whole numbers, as counts, ordinals, flags and labels are, are
+    looked up in a table of the values present, which is cheaper than a sort.
+    """
+    if len(column) and 0 <= column.min() and column.max() < len(column):
+        keys = column.astype(np.intp)
+        if (keys == column).all():
+            present = np.bincount(keys) > 0
+            lookup = np.cumsum(present) - 1
+            return np.flatnonzero(present).astype(column.dtype), lookup[keys]
+    return np.unique(column, return_inverse=True)
 
 
 def write_panel_csv(dataset: PanelDataset, stream: io.TextIOBase) -> None:
@@ -999,7 +1001,8 @@ def write_panel_csv(dataset: PanelDataset, stream: io.TextIOBase) -> None:
     """
     columns = dataset.columns
     periods = {ordinal: period.label for ordinal, period in columns.periods.items()}
-    ordinals, period_index = _distinct(columns.ordinals)
+    distinct_ordinals, period_index = distinct_values(columns.ordinals)
+    ordinals = distinct_ordinals.tolist()
     # Stable, so repeated (entity, period) rows keep their order; the sort
     # runs through rows already in order, as synth's and most files' are.
     order = np.argsort(columns.codes * len(ordinals) + period_index, kind="stable")
@@ -1020,10 +1023,10 @@ def write_panel_csv(dataset: PanelDataset, stream: io.TextIOBase) -> None:
     cells = [(map(periods.__getitem__, ordinals), period_index)]
     for j in range(len(columns.features)):
         # Values that compare equal print the same: -0.0 and 0.0 both print 0.
-        values, index = _distinct(columns.values[:, j])
-        cells.append((map(_format_number, values), index))
-    flags, flag_index = _distinct(columns.flags)
-    cells.append((map(str, flags), flag_index))
+        values, index = distinct_values(columns.values[:, j])
+        cells.append((map(_format_number, values.tolist()), index))
+    flags, flag_index = distinct_values(columns.flags)
+    cells.append((map(str, flags.tolist()), flag_index))
     tables = [
         _cell_table(*_encode(csv_cells(texts), "\n" if j == len(cells) - 1 else ","))
         for j, (texts, _) in enumerate(cells)

@@ -14,10 +14,12 @@ per entity: the number of its rows whose ordinal is at most T - lead_time,
 or the whole history without an event.  For each column a plan reads, the
 timelines' block keeps prefix tables aligned with its sorted rows, which
 restart at every entity: a running sum, a running nonzero count and a
-running max (``last`` is the column itself).  A window's aggregate is then
-one gather at its last row, so every lead time of a sweep reuses one sort
-and one set of tables.  A table takes one numpy accumulate per band of
-entities of similar history length (:func:`_running`).
+running max (``last`` is the column itself), keyed by the aggregation
+kind that reads them.  A window's aggregate is then one gather at its last
+row, so every lead time of a sweep reuses one sort and one set of tables.
+A table takes one numpy accumulate per band of entities of similar history
+length (:func:`_running`).  The block's cache holds only such facts about
+its rows, never a result of a plan.
 
 Aggregations fold a window into one feature vector: sums, nonzero counts,
 maxima, the most recent value, and ratio-of-sums (total numerator over total
@@ -40,7 +42,8 @@ matrix of their features and an array of their labels.  Its ``rows``, one
 (FeatureVector, label) pair per entity, are a view made on first use, for
 tests and tools; no command reads them.  The training CSV is written a
 column at a time, each distinct value rendered once, and read a column at a
-time; scoring folds every timeline in one call (:func:`score_feature_matrix`).
+time; scoring folds each block's timelines over their whole histories by
+the same gather, one call per block (:func:`score_feature_matrix`).
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from .panel import (
     TimelineBlock,
     csv_cells,
     csv_line,
+    distinct_values,
 )
 
 
@@ -231,7 +235,9 @@ class TrainingSet:
     ``entity_ids[i]``'s features in plan order and ``labels[i]`` its 0/1 label.
 
     ``values`` is a C-ordered float64 (n x m) matrix, whose layout fixes the
-    bits of the sums computed over it, and ``labels`` an integer array.
+    bits of the sums computed over it, and ``labels`` an integer array.  A
+    matrix of another shape than (ids x plan features), or labels of
+    another length, raise DimensionMismatch.
     """
 
     plan: AggregationPlan
@@ -244,11 +250,11 @@ class TrainingSet:
         object.__setattr__(self, "entity_ids", tuple(self.entity_ids))
         object.__setattr__(self, "values", np.ascontiguousarray(self.values, dtype=np.float64))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        n = len(self.entity_ids)
-        if self.values.ndim != 2 or len(self.values) != n or self.labels.shape != (n,):
+        n, m = len(self.entity_ids), len(self.plan.specs)
+        if self.values.shape != (n, m) or self.labels.shape != (n,):
             raise DimensionMismatch(
-                f"training set of {n} ids has a {self.values.shape} matrix and "
-                f"{self.labels.shape} labels"
+                f"training set of {n} ids and {m} features has a {self.values.shape} "
+                f"matrix and {self.labels.shape} labels"
             )
 
     def __len__(self) -> int:
@@ -416,13 +422,13 @@ def _running(block: TimelineBlock, x: np.ndarray, fold: np.ufunc) -> np.ndarray:
 
 # Prefix tables, per kind: the row value they fold and the ufunc folding it.
 _TABLES = {
-    "sum": (lambda x: x, np.add),
-    "count": (lambda x: (x != 0.0).astype(np.float64), np.add),
-    "max": (lambda x: x, np.maximum),
+    AggKind.SUM: (lambda x: x, np.add),
+    AggKind.COUNT_NONZERO: (lambda x: (x != 0.0).astype(np.float64), np.add),
+    AggKind.MAX: (lambda x: x, np.maximum),
 }
 
 
-def _table(block: TimelineBlock, kind: str, column: int) -> np.ndarray:
+def _table(block: TimelineBlock, kind: AggKind, column: int) -> np.ndarray:
     """The block's prefix table of one kind for one feature column, kept in its cache."""
     key = (kind, column)
     table = block.cache.get(key)
@@ -453,17 +459,13 @@ def _fold(
             values[:, s] = math.nan
             continue
         j = index[spec.column]
-        if spec.kind is AggKind.SUM:
-            folded = _table(block, "sum", j)[last]
-        elif spec.kind is AggKind.COUNT_NONZERO:
-            folded = _table(block, "count", j)[last]
-        elif spec.kind is AggKind.MAX:
-            folded = _table(block, "max", j)[last]
+        if spec.kind in _TABLES:
+            folded = _table(block, spec.kind, j)[last]
         elif spec.kind is AggKind.LAST:
             folded = columns.values[last, j]
         else:  # RATIO_OF_SUMS: 0 when the denominator total is 0
-            numerator = _table(block, "sum", j)[last]
-            denominator = _table(block, "sum", index[spec.denominator])[last]
+            numerator = _table(block, AggKind.SUM, j)[last]
+            denominator = _table(block, AggKind.SUM, index[spec.denominator])[last]
             folded = np.divide(
                 numerator, denominator, out=np.zeros_like(numerator), where=denominator != 0.0
             )
@@ -520,31 +522,21 @@ def _by_block(
     ]
 
 
-def _full_history(block: TimelineBlock, plan: AggregationPlan) -> np.ndarray:
-    """Every entity's whole history folded under a plan, one row per entity
-    of the block; kept in the block's cache for the last plan folded."""
-    full = block.cache.get("full_history")
-    if full is None or (full[0] is not plan and full[0] != plan):
-        entities = np.arange(len(block.offsets) - 1)
-        full = block.cache["full_history"] = (
-            plan, _fold(block, entities, np.diff(block.offsets), plan)
-        )
-    return full[1]
-
-
 def score_feature_matrix(
     timelines: Sequence[EntityTimeline], plan: AggregationPlan
 ) -> np.ndarray:
     """Each timeline's full history to date aggregated (the scoring-time
     view), one row per timeline in their order.
 
-    Each block is folded once per plan.  Raises UnknownColumn or
+    Each block's timelines are folded over their whole lengths in one
+    call, as :func:`aggregate` folds one window.  Raises UnknownColumn or
     NonFiniteValue for the first timeline, then spec, whose value is not
     finite.
     """
     values = np.empty((len(timelines), len(plan.specs)))
     for block, positions, entities in _by_block(timelines):
-        values[positions] = _full_history(block, plan)[entities]
+        lengths = block.offsets[entities + 1] - block.offsets[entities]
+        values[positions] = _fold(block, entities, lengths, plan)
     _check_finite(timelines, values, plan)
     return values
 
@@ -593,7 +585,7 @@ def _column_cells(column: np.ndarray, render: Callable[[object], str]) -> list[s
     Values are told apart by their bits, not by ``==``: -0.0 equals 0.0, but
     their reprs differ.
     """
-    distinct, index = np.unique(column.view(np.int64), return_inverse=True)
+    distinct, index = distinct_values(column.view(np.int64))
     texts = list(map(render, distinct.view(column.dtype).tolist()))
     return [texts[i] for i in index.tolist()]
 

@@ -20,6 +20,9 @@ sigmoid.
 
 ``write_training_csv`` is the reference for the column training-set writer:
 the row-by-row loop it replaced, with its own cell quoting.
+
+``write_curve_csv`` is the reference for the curve writer: the
+``csv.writer`` loop it replaced.
 """
 
 from __future__ import annotations
@@ -275,3 +278,23 @@ def write_training_csv(training, stream: io.TextIOBase) -> None:
     for vector, label in training.rows:
         cells = (_training_cell(vector.entity_id), *map(repr, vector.values), str(label))
         stream.write(",".join(cells) + "\n")
+
+
+def write_curve_csv(curve, stream: io.TextIOBase) -> None:
+    """Write a tradeoff curve through ``csv.writer``, as ``write_curve_csv``
+    did before it quoted through ``csv_cells``."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(
+        ("lead_time", "accuracy", "precision", "recall", "auc", "train_size", "test_size", "flags")
+    )
+    for point in curve.points:
+        merged = list(point.flags)
+        if point.metrics is None:
+            cells = ["", "", "", ""]
+        else:
+            m = point.metrics
+            cells = [repr(m.accuracy), repr(m.precision), repr(m.recall), repr(m.auc)]
+            merged.extend(m.flags)
+        writer.writerow(
+            (str(point.lead_time), *cells, str(point.train_size), str(point.test_size), "|".join(merged))
+        )

@@ -5,7 +5,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from conftest import timelines_without_rows, training_set_of
 from corpus import FEATURES
 from oracle import brute_force_pairwise_auc
@@ -21,6 +24,7 @@ from leadframe.errors import (
 )
 from leadframe.evaluation import (
     CurvePoint,
+    Metrics,
     TradeoffCurve,
     evaluate,
     lead_time_sweep,
@@ -264,6 +268,59 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[2].startswith("50,,,,")
         assert "no_events_retained" in lines[2]
+
+
+EXTREME_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 1e16, 1e-05, 0.1, 1 / 3, math.inf, -math.inf, math.nan,
+)
+# A carriage return is left out: csv.writer quotes it only from Python 3.13 on,
+# and csv_cells always does.
+FLAGS = st.lists(
+    st.sampled_from(["single_class", "no_events_retained", "empty_test_set"])
+    | st.text("ab_|,\"\n ", max_size=4),
+    max_size=3,
+).map(tuple)
+
+
+@st.composite
+def curves(draw):
+    points = []
+    for lead_time in draw(st.lists(st.integers(0, 10**20), max_size=5)):
+        metrics = None
+        if draw(st.booleans()):
+            scores = [draw(st.sampled_from(EXTREME_FLOATS) | st.floats()) for _ in range(4)]
+            counts = [draw(st.integers(0, 10**6)) for _ in range(4)]
+            metrics = Metrics(*scores, *counts, threshold=0.5, flags=draw(FLAGS))
+        sizes = [draw(st.integers(0, 10**6)) for _ in range(2)]
+        points.append(CurvePoint(lead_time, metrics, *sizes, flags=draw(FLAGS)))
+    return TradeoffCurve(tuple(points))
+
+
+class TestCurveWriterMatchesCsvWriter:
+    """write_curve_csv gives the bytes of the csv.writer loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(curve=curves())
+    def test_bytes(self, curve):
+        mine, theirs = io.StringIO(newline=""), io.StringIO(newline="")
+        write_curve_csv(curve, mine)
+        oracle.write_curve_csv(curve, theirs)
+        assert mine.getvalue() == theirs.getvalue()
+
+    def test_absent_metrics_and_merged_flags(self):
+        metrics = Metrics(-0.0, 5e-324, 1.7976931348623157e308, math.nan, 1, 2, 3, 4, 0.5,
+                          ("single_class",))
+        curve = TradeoffCurve((
+            CurvePoint(0, metrics, 10, 4, ("a,b",)),
+            CurvePoint(6, None, 10, 0, ("no_events_retained", "empty_test_set")),
+        ))
+        buffer = io.StringIO(newline="")
+        write_curve_csv(curve, buffer)
+        assert buffer.getvalue().splitlines()[1:] == [
+            '0,-0.0,5e-324,1.7976931348623157e+308,nan,10,4,"a,b|single_class"',
+            "6,,,,,10,0,no_events_retained|empty_test_set",
+        ]
 
 
 def sequential_sweep(timelines, plan, lead_times, train_config, test_fraction, seed):

@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CONFIG_JSON, dataset_of, parse_both_ways, write_both_ways
 from corpus import random_float_panel_rows, random_panel_rows, rows_to_csv_bytes
@@ -33,6 +35,7 @@ from leadframe.panel import (
     _format_number,
     build_timelines,
     csv_cells,
+    distinct_values,
     parse_panel_csv,
     validate_timeline,
     write_panel_csv,
@@ -1107,3 +1110,41 @@ class TestWriteRefusesWhatTheParserRefuses:
         ]
         with pytest.raises(BadValue, match="^entity 'a', period '1': value '-1.0' in column 'b'"):
             write_panel_csv(dataset_of(corpus_schema, rows), io.StringIO())
+
+
+@st.composite
+def distinct_columns(draw):
+    """A column of one of the kinds the writers pass to distinct_values:
+    whole numbers in and out of [0, n) and below 0, floats with both signs of
+    zero, int8 flags, or the int64 bits of floats."""
+    n = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["int64", "float64", "int8", "bits"]))
+    if kind == "int64":
+        low = draw(st.integers(-3, 2 * n + 3))
+        cells = st.integers(low - 3, low + n + 3)
+    elif kind == "float64":
+        cells = st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, -1.0, float(n), float(n - 1)])
+    elif kind == "int8":
+        cells = st.integers(-2, 3)
+    else:
+        cells = st.integers(0, n + 2) | st.floats(width=64).map(
+            lambda x: int(np.float64(x).view(np.int64))
+        )
+    dtype = np.int64 if kind == "bits" else np.dtype(kind)
+    return np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=dtype)
+
+
+class TestDistinctValues:
+    """distinct_values gives np.unique's values and positions, with or
+    without its lookup table."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(column=distinct_columns())
+    def test_matches_unique(self, column):
+        values, positions = distinct_values(column)
+        expected_values, expected_positions = np.unique(column, return_inverse=True)
+        assert values.dtype == column.dtype
+        # -0.0 == 0.0: np.unique keeps whichever sorts first, so compare by ==.
+        assert np.array_equal(values, expected_values)
+        assert positions.tolist() == expected_positions.tolist()
+        assert np.array_equal(values[positions], column)

@@ -40,6 +40,7 @@ from leadframe.transform import (
     build_training_set,
     detect_event_time,
     read_training_csv,
+    score_feature_matrix,
     score_features,
     truncate_at_reference,
     write_training_csv,
@@ -253,6 +254,47 @@ class TestScoreFeatures:
         raw = [("z", "1", {"a": 0.0, "b": 0.0, "c": 0.0}, 0)]
         (timeline,) = timelines_from_rows(raw, corpus_schema)
         assert score_features(timeline, corpus_plan).values == (0.0,) * 5
+
+
+class TestScoreFeatureMatrix:
+    """Scoring folds exactly the timelines asked for, in their order, from
+    however many blocks they come."""
+
+    @staticmethod
+    def renamed(raw, prefix):
+        return [(prefix + entity, *rest) for entity, *rest in raw]
+
+    def test_shuffled_subsets_of_two_builds(self, corpus_schema, corpus_plan):
+        rng = random.Random(35)
+        for _ in range(30):
+            raws = [
+                self.renamed(random_float_panel_rows(rng), prefix) for prefix in ("p", "q")
+            ]
+            expected = {}
+            for raw in raws:
+                expected.update(brute_force_full_history(raw, PLAN_TUPLES))
+            # Two build_timelines calls: two blocks, each with its own tables.
+            timelines = [t for raw in raws for t in timelines_from_rows(raw, corpus_schema)]
+            chosen = rng.sample(timelines, rng.randint(1, len(timelines)))
+            matrix = score_feature_matrix(chosen, corpus_plan)
+            assert matrix.shape == (len(chosen), len(PLAN_TUPLES))
+            assert [tuple(row) for row in matrix.tolist()] == [
+                expected[t.entity_id] for t in chosen
+            ]
+
+
+class TestTrainingSetShape:
+    """A training set refuses a matrix that does not hold one column per
+    plan feature and one row per id."""
+
+    PLAN = AggregationPlan((FeatureSpec.sum("x", "a"), FeatureSpec.max("y", "a")))
+
+    @pytest.mark.parametrize("shape", [(2, 1), (2, 3), (0, 3), (2,), (3, 2)])
+    def test_wrong_shape_refused(self, shape):
+        with pytest.raises(DimensionMismatch, match=r"2 ids and 2 features"):
+            TrainingSet(
+                self.PLAN, ("p", "q"), np.zeros(shape), np.array([0, 1]), TransformReport()
+            )
 
 
 class TestSerialization:
