@@ -26,21 +26,24 @@ in file order, to name the first fault and its line.
 truncation and aggregation read the columns.  ``PanelRecord`` is a
 read-only view of a row, made only when ``records`` is read.
 
-Two tokenizers cut the rows into cells.  A plain file holds, after an
-optional BOM, only printable ASCII other than the quote character, and line
-feeds.  csv.reader would split it at every comma and line feed and nowhere
-else, so numpy does that directly, in blocks of whole lines.  Each block is
-copied once, padded, and split once into a table of cell ends, from which
-every column reads its cells: a feature cell of 1 to 15 digits is converted
-by digit arithmetic, any other by ``float``; an entity, period or flag text
-of up to 8 bytes is coded by a key kept for the whole file, so each distinct
-one is looked up once per file, and a longer one once per block.
-Every other file (quotes, carriage returns, spaces, tabs, non-ASCII bytes,
-NUL) goes through csv.reader, and so does a plain file whose rows differ in
-length or are short, that has a cell longer than 256 bytes or
-``csv.field_size_limit()``, or a feature cell that is not a number.  Both
-tokenizers feed the same column checks and the same fault walk, so they
-give the same columns and the same error messages.
+Two tokenizers cut the rows into cells.  Each numbers the entity, period
+and flag texts in one file-wide numbering per column, and fills one array of
+those numbers and one feature matrix, both made once for as many rows as
+the file has line breaks, block by block in place.  A plain file holds,
+after an optional BOM, only printable ASCII other than the quote character,
+and line feeds.  csv.reader would split it at every comma and line feed and
+nowhere else, so numpy does that directly, in blocks of whole lines.  Each
+block is copied once, padded, and split once into a table of cell ends,
+from which every column reads its cells: a feature cell of 1 to 15 digits
+is converted by digit arithmetic, any other by ``float``; a text is keyed by
+its bytes, runs of equal keys count once, and each distinct key of a block
+is looked up once in the file-wide numbering.  Every other file (quotes,
+carriage returns, spaces, tabs, non-ASCII bytes, NUL) goes through
+csv.reader, and so does a plain file whose rows differ in length or are
+short, that has a cell longer than 256 bytes or ``csv.field_size_limit()``,
+or a feature cell that is not a number.  Both tokenizers feed the same
+column checks and the same fault walk, so they give the same columns and
+the same error messages.
 
 :func:`write_panel_csv` renders each distinct cell once: each entity id,
 each period label, each distinct value of each feature column and each
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import functools
 import io
 import itertools
 import math
@@ -399,20 +403,15 @@ def _int_value(label: str) -> tuple[int, int, str]:
 
 def index_periods(labels: Iterable[str], kind: str) -> dict[str, int]:
     """Map each distinct period label to its global chronological ordinal."""
+    if kind != "int":
+        return {label: ordinal for ordinal, label in enumerate(sorted(set(labels)))}
     # Labels of one integer ("2", "+2", "02") are ordered by text, so the
     # error below names the same pair whatever order the set holds them in.
-    by_value = (lambda label: (_int_value(label), label)) if kind == "int" else str
-    distinct = sorted(set(labels), key=by_value)
-    if kind == "int":
-        seen: dict[tuple[int, int, str], str] = {}
-        for label in distinct:
-            value = _int_value(label)
-            if value in seen and seen[value] != label:
-                raise BadValue(
-                    f"period labels {seen[value]!r} and {label!r} denote the same period"
-                )
-            seen[value] = label
-    return {label: ordinal for ordinal, label in enumerate(distinct)}
+    pairs = sorted((_int_value(label), label) for label in set(labels))
+    for (value, label), (next_value, next_label) in itertools.pairwise(pairs):
+        if value == next_value:
+            raise BadValue(f"period labels {label!r} and {next_label!r} denote the same period")
+    return {label: ordinal for ordinal, (_, label) in enumerate(pairs)}
 
 
 def _check_row(
@@ -490,22 +489,33 @@ def _raise_first_fault(text: str, schema: PanelSchema, positions: dict[str, int]
 class _Codes(dict):
     """Numbers each distinct key 0, 1, 2, ... in order of first lookup."""
 
-    def __missing__(self, key: str) -> int:
+    def __missing__(self, key: str | bytes) -> int:
         code = self[key] = len(self)
         return code
 
 
 class _Cells:
-    """A file's data rows, one block of rows at a time, in file order.
+    """A file's data rows, tokenized one block of rows at a time, in file order.
 
     Entity, period and flag cells are numbered by their raw text in
-    file-wide ``_Codes``; each block adds its rows' numbers and feature
-    values.
+    file-wide ``_Codes``: csv.reader's cells by their str, the numpy
+    tokenizer's by their ASCII bytes.  Row i of the first ``rows`` holds the
+    numbers ``codes[:, i]`` and the feature values ``values[i]``.  Both
+    arrays are made once, for as many rows as the file has lines, and each
+    block fills its own rows.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, lines: int, features: int) -> None:
         self.entities, self.labels, self.flags = _Codes(), _Codes(), _Codes()
-        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        self.codes = np.empty((3, lines), dtype=np.intp)
+        self.values = np.empty((lines, features))
+        self.rows = 0
+
+    def block(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The codes and values of the next n rows, to be filled."""
+        start = self.rows
+        self.rows += n
+        return self.codes[:, start : self.rows], self.values[start : self.rows]
 
 
 def _width(schema: PanelSchema, positions: dict[str, int]) -> int:
@@ -513,17 +523,13 @@ def _width(schema: PanelSchema, positions: dict[str, int]) -> int:
     return max(positions[c] for c in schema.columns) + 1
 
 
-def _codes(cells: Iterable[str], numbering: _Codes, n: int) -> np.ndarray:
-    """The number of each of n cells in ``numbering``."""
-    return np.fromiter(map(numbering.__getitem__, cells), np.intp, n)
+def _reader_cells(text: str, schema: PanelSchema, positions: dict[str, int]) -> _Cells | None:
+    """Tokenize the data rows of the text with csv.reader, or None if any
+    row may hold a fault.
 
-
-def _reader_cells(
-    rows: Iterable[list[str]], schema: PanelSchema, positions: dict[str, int]
-) -> _Cells | None:
-    """Tokenize the csv.reader rows, or None if any row may hold a fault.
-
-    Cells are gathered and converted one block of rows at a time.
+    Cells are gathered and converted one block of rows at a time.  The
+    reader ends a record at a line feed, a carriage return or the two
+    together, so the text holds no more rows than such line breaks, plus one.
     """
     entity_at, period_at, event_at = (
         operator.itemgetter(positions[c])
@@ -531,22 +537,22 @@ def _reader_cells(
     )
     feature_at = [operator.itemgetter(positions[c]) for c in schema.feature_columns]
     width = _width(schema, positions)
-    cells = _Cells()
-    rows = iter(rows)
+    lines = text.count("\n") + text.count("\r") - text.count("\r\n") + 1
+    cells = _Cells(lines, len(feature_at))
+    numberings = ((entity_at, cells.entities), (period_at, cells.labels), (event_at, cells.flags))
+    reader = _records(text)
+    next(reader)
+    rows = filter(None, reader)
     try:
         while block := list(itertools.islice(rows, _BLOCK_ROWS)):
             n = len(block)
             if min(map(len, block)) < width:
                 return None
-            values = np.empty((n, len(feature_at)))
+            codes, values = cells.block(n)
             for j, cell in enumerate(feature_at):
                 values[:, j] = np.fromiter(map(float, map(cell, block)), np.float64, n)
-            cells.blocks.append((
-                _codes(map(entity_at, block), cells.entities, n),
-                _codes(map(period_at, block), cells.labels, n),
-                _codes(map(event_at, block), cells.flags, n),
-                values,
-            ))
+            for row, (cell, numbering) in zip(codes, numberings):
+                row[:] = np.fromiter(map(numbering.__getitem__, map(cell, block)), np.intp, n)
     except (ValueError, csv.Error):
         # A cell is not a number, or the reader failed on a later row: an
         # earlier row may still hold the first fault.
@@ -612,62 +618,32 @@ def _texts(padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.nd
     return texts
 
 
-class _TextKeys:
-    """A file-wide numbering of one text column's cells in ``numbering``.
+def _number(
+    numbering: _Codes, padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """The number in ``numbering`` of the text of each cell of a padded block.
 
-    A text of up to 8 bytes has a key: its bytes, zero-padded, read as one
-    uint64 (a plain file holds no NUL, so no two texts share a key).
-    ``keys`` is sorted, and ``numbers[i]`` is the number of the text of
-    ``keys[i]``; only keys not seen in an earlier block are sorted and
-    looked up in ``numbering``.
+    A cell's key is its zero-padded bytes: one uint64 if no cell of the
+    column in this block is longer than 8 bytes, else a byte string from
+    :func:`_texts` (a plain file holds no NUL, so no two texts share a key).
+    Each run of equal keys, as the ids of a file sorted by entity make,
+    counts once; the distinct keys of the runs are sorted, each is looked up
+    once by its bytes, and the numbers are mapped back to every cell.
     """
-
-    def __init__(self, numbering: _Codes) -> None:
-        self.numbering = numbering
-        # The last key is no text's (a plain file holds no byte 0xff), so
-        # every search lands on an entry.
-        self.keys = np.array([np.iinfo(np.uint64).max], dtype=np.uint64)
-        self.numbers = np.array([-1], dtype=np.intp)
-
-    def number(self, padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """The number of the text of each cell of a padded block.
-
-        Where keys come in runs, as the ids of a file sorted by entity do,
-        each run is looked up once.  In a block with a text longer than 8
-        bytes, each distinct text is looked up once.
-        """
-        if lengths.max() > 8:
-            distinct, inverse = np.unique(_texts(padded, starts, lengths), return_inverse=True)
-            texts = [text.decode("ascii") for text in distinct.tolist()]
-            return np.array([self.numbering[text] for text in texts], dtype=np.intp)[inverse]
+    if lengths.max() > 8:
+        keys = _texts(padded, starts, lengths)
+    else:
         windows = np.ndarray(len(padded) - 7, dtype=np.uint64, buffer=padded, strides=(1,))
         keys = windows[starts] & _PREFIX_MASKS[lengths]
-        change = keys[1:] != keys[:-1]
-        # Collapsing runs pays only where few neighbours differ.  On 6,000
-        # keys of a block against 1,000 (5,000) known ones, looking up every
-        # key against collapsing took 81 (97) against 122 (141) us where
-        # every key differs from the one before, 76 against 33 us where 1 in
-        # 10 does, and about even at 7 in 10 (2-CPU Xeon).  A panel's labels
-        # change every row; its ids and flags, in under 1 row in 20.
-        if 4 * np.count_nonzero(change) >= 3 * len(keys):
-            return self._lookup(keys)
-        heads = np.concatenate(([0], np.flatnonzero(change) + 1))
-        return np.repeat(self._lookup(keys[heads]), np.diff(heads, append=len(keys)))
-
-    def _lookup(self, keys: np.ndarray) -> np.ndarray:
-        """The number of each key's text, adding the keys not yet seen."""
-        at = np.searchsorted(self.keys, keys)
-        # The new keys, sorted and made distinct without np.unique, which
-        # imports numpy.ma on its first call without return_inverse.
-        new = np.sort(keys[self.keys[at] != keys])
-        if len(new):
-            new = new[np.concatenate(([True], new[1:] != new[:-1]))]
-            texts = [text.decode("ascii") for text in new.view("S8").tolist()]
-            place = np.searchsorted(self.keys, new)
-            self.keys = np.insert(self.keys, place, new)
-            self.numbers = np.insert(self.numbers, place, [self.numbering[t] for t in texts])
-            at = np.searchsorted(self.keys, keys)
-        return self.numbers[at]
+    heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    runs = keys[heads]
+    # Sorted and made distinct without np.unique, which imports numpy.ma on
+    # its first call without return_inverse.
+    distinct = np.sort(runs)
+    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+    texts = distinct.view(f"S{distinct.itemsize}").tolist()
+    numbers = np.fromiter(map(numbering.__getitem__, texts), np.intp, len(texts))
+    return np.repeat(numbers[np.searchsorted(distinct, runs)], np.diff(heads, append=len(keys)))
 
 
 def _numbers(padded: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
@@ -724,8 +700,8 @@ def _plain_cells(
     a plain file, in blocks of whole lines of about ``_BLOCK_BYTES`` each.
     Each block is copied once (:func:`_padded_block`) and split once into
     a table of cell ends (:func:`_cell_ends`), from which every column
-    reads its cells; entity, period and flag texts are coded against
-    file-wide :class:`_TextKeys`.
+    reads its cells; entity, period and flag texts are numbered by
+    :func:`_number`.
     """
     width, limit = _width(schema, positions), min(csv.field_size_limit(), _LONGEST_CELL)
     entity_at, period_at, event_at = (
@@ -733,8 +709,9 @@ def _plain_cells(
     )
     feature_at = [positions[c] for c in schema.feature_columns]
     whole = np.frombuffer(data, dtype=np.uint8)
-    cells = _Cells()
-    entities, labels, flags = map(_TextKeys, (cells.entities, cells.labels, cells.flags))
+    # A row is a line, and every line but a last one ends in a line feed.
+    cells = _Cells(data.count(b"\n", start) + 1, len(feature_at))
+    numberings = ((entity_at, cells.entities), (period_at, cells.labels), (event_at, cells.flags))
     while start < len(data):
         stop = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
         padded = _padded_block(whole, start, stop)
@@ -750,19 +727,21 @@ def _plain_cells(
         lengths -= 1
         if lengths.max() > limit:
             return None
-        values = np.empty((table.shape[1], len(feature_at)))
+        codes, values = cells.block(table.shape[1])
         for j, at in enumerate(feature_at):
             column = _numbers(padded, table[at + 1], lengths[at])
             if column is None:
                 return None
             values[:, j] = column
-        cells.blocks.append((
-            entities.number(padded, table[entity_at] + 1, lengths[entity_at]),
-            labels.number(padded, table[period_at] + 1, lengths[period_at]),
-            flags.number(padded, table[event_at] + 1, lengths[event_at]),
-            values,
-        ))
+        for row, (at, numbering) in zip(codes, numberings):
+            row[:] = _number(numbering, padded, table[at] + 1, lengths[at])
     return cells
+
+
+def _stripped(numbering: _Codes) -> list[str]:
+    """Each numbered text, stripped; a plain file's bytes are decoded here,
+    once per distinct text."""
+    return [(raw.decode("ascii") if isinstance(raw, bytes) else raw).strip() for raw in numbering]
 
 
 def _columns(cells: _Cells, schema: PanelSchema) -> PanelColumns | None:
@@ -771,14 +750,15 @@ def _columns(cells: _Cells, schema: PanelSchema) -> PanelColumns | None:
 
     Each distinct entity, period and flag text is stripped and checked once.
     """
-    if not cells.entities:
+    if not cells.rows:
         raise EmptyInput("input has a header but no data rows")
-    entity_ids = [raw.strip() for raw in cells.entities]
-    label_texts = [raw.strip() for raw in cells.labels]
+    entity_ids = _stripped(cells.entities)
+    label_texts = _stripped(cells.labels)
     kinds = {_label_kind(label) for label in label_texts}
     file_kind = kinds.pop() if len(kinds) == 1 else None
-    flag_values = [_FLAGS.get(raw.strip()) for raw in cells.flags]
-    entity_codes, label_codes, flag_codes, values = map(np.concatenate, zip(*cells.blocks))
+    flag_values = [_FLAGS.get(raw) for raw in _stripped(cells.flags)]
+    entity_codes, label_codes, flag_codes = cells.codes[:, : cells.rows]
+    values = cells.values[: cells.rows]
     if (
         "" in entity_ids
         or file_kind is None
@@ -810,16 +790,15 @@ def parse_panel_csv(source: Union[bytes, BinaryIO], schema: PanelSchema) -> Pane
     offending line and column.
     """
     data = source if isinstance(source, bytes) else source.read()
+    # The whole text, decoded at most once: the rows of a plain file may
+    # never need csv.reader or a decoded copy of the text.
+    text = functools.cache(lambda: data.decode("utf-8-sig"))
     plain = _is_plain(data)
     if plain:
-        # Only the header line is decoded and read here; the rows of a plain
-        # file may never need csv.reader or a StringIO copy of the text.
         body = data.find(b"\n") + 1 or len(data)
-        reader = _records(data[:body].decode("utf-8-sig"))
+        header = next(_records(data[:body].decode("utf-8-sig")), None)
     else:
-        reader = _records(data.decode("utf-8-sig"))
-
-    header = next(reader, None)
+        header = next(_records(text()), None)
     if header is None:
         raise EmptyInput("input has no header row")
 
@@ -835,13 +814,10 @@ def parse_panel_csv(source: Union[bytes, BinaryIO], schema: PanelSchema) -> Pane
 
     cells = _plain_cells(data, body, schema, positions) if plain else None
     if cells is None:
-        if plain:
-            reader = _records(data.decode("utf-8-sig"))
-            next(reader)
-        cells = _reader_cells(filter(None, reader), schema, positions)
+        cells = _reader_cells(text(), schema, positions)
     columns = None if cells is None else _columns(cells, schema)
     if columns is None:
-        _raise_first_fault(data.decode("utf-8-sig"), schema, positions)
+        _raise_first_fault(text(), schema, positions)
     return PanelDataset(schema, columns)
 
 

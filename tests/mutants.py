@@ -136,6 +136,34 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "numbering-searches-right",
+        "panel.py",
+        "numbers[np.searchsorted(distinct, runs)]",
+        'numbers[np.searchsorted(distinct, runs, side="right")]',
+        ("tests/test_panel.py::TestTokenizerMatchesCsvReader",),
+    ),
+    Mutant(
+        "numbering-keys-unmasked",
+        "panel.py",
+        "keys = windows[starts] & _PREFIX_MASKS[lengths]",
+        "keys = windows[starts]",
+        ("tests/test_panel.py::TestTokenizerMatchesCsvReader",),
+    ),
+    Mutant(
+        "plain-rows-miss-last-line",
+        "panel.py",
+        'data.count(b"\\n", start) + 1',
+        'data.count(b"\\n", start)',
+        ("tests/test_panel.py::TestTokenizerAcrossBlocks::test_no_final_line_feed",),
+    ),
+    Mutant(
+        "reader-rows-from-line-feeds",
+        "panel.py",
+        'text.count("\\n") + text.count("\\r") - text.count("\\r\\n") + 1',
+        'text.count("\\n") + 1',
+        ("tests/test_panel.py::TestParse::test_carriage_returns_alone_end_rows",),
+    ),
+    Mutant(
         "score-lengths-off-by-one",
         "transform.py",
         "lengths = block.offsets[entities + 1] - block.offsets[entities]",

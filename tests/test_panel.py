@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIG_JSON, dataset_of, parse_both_ways, write_both_ways
+from conftest import CONFIG_JSON, dataset_of, parse_both_ways, parse_outcome, write_both_ways
 from corpus import random_float_panel_rows, random_panel_rows, rows_to_csv_bytes
 import oracle
 from oracle import period_positions
@@ -153,6 +153,13 @@ class TestParse:
         dataset = parse_panel_csv(data, small_schema())
         assert len(dataset.records) == 1
         assert dataset.records[0].features == {"a": 1.0, "b": 2.0}
+
+    def test_carriage_returns_alone_end_rows(self):
+        # csv.reader ends a row at a carriage return too, so a file without
+        # a line feed still holds one row per line.
+        lf = csv_bytes("entity,period,a,b,event", "x,1,1,2,0", "x,2,3,4,1", "y,1,5,6,0", "y,2,7,8,0")
+        for twin in (lf.replace(b"\n", b"\r"), lf.replace(b"\n", b"\r\n")):
+            assert parse_outcome(twin, small_schema()) == parse_outcome(lf, small_schema())
 
     def test_extra_columns_ignored(self):
         data = csv_bytes("entity,period,junk,a,b,event", "x,1,zzz,1,2,0")
@@ -710,6 +717,31 @@ class TestTokenizerAcrossBlocks:
     def test_no_final_line_feed(self):
         data = csv_bytes(HEADER, *self.FIXED_ROWS)
         assert self.numpy_outcome(data[:-1]) == self.numpy_outcome(data)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [dict(n_entities=5000, n_periods=24, ramp_length=3),
+     dict(n_entities=150, n_periods=1000, ramp_length=48)],
+    ids=["5000x24", "150x1000"],
+)
+def test_parse_holds_little_beyond_its_columns(shape):
+    # The row columns are made once, for the file's lines, and filled block
+    # by block: the parse's peak stays under the file's bytes plus twice
+    # the bytes of the columns it returns.
+    config = SynthConfig(**shape, event_rate=0.3, signal_strength=3.0, noise_rate=0.5, seed=0)
+    dataset, text = generate_panel(config), io.StringIO(newline="")
+    write_panel_csv(dataset, text)
+    data, schema = text.getvalue().encode(), dataset.schema
+    parse_panel_csv(data, schema)
+    tracemalloc.start()
+    try:
+        columns = parse_panel_csv(data, schema).columns
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (columns.codes, columns.ordinals, columns.values, columns.flags))
+    assert peak < len(data) + 2 * held
 
 
 def test_ambiguous_labels_named_alike_under_every_hash_seed():
