@@ -3,8 +3,9 @@
 Splitting is by entity, never by row, so no entity contributes to both
 training and testing.  The sweep reuses one split across every lead time;
 the only thing that varies between curve points is where the reference
-frame is planted.  It trains every point's model in one batched gradient
-descent, and each model is bit-identical to training it alone.
+frame is planted.  It builds every point's training and test sets in one
+fold per side and trains every point's model in one batched gradient
+descent; each set and each model is bit-identical to making it alone.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ from .errors import (
     check_int,
     check_real,
 )
-# bench/tracer.py wraps this module's train_logistic and predict_proba by name
-# to time them, so both names stay importable here even though the sweep trains
-# through train_logistic_each and evaluate predicts through predict_proba_matrix.
+# bench/tracer.py wraps this module's train_logistic, predict_proba and
+# build_training_set by name to time them, so those names stay importable here
+# even though the sweep trains through train_logistic_each and builds through
+# build_training_sets, and evaluate predicts through predict_proba_matrix.  The
+# tests' sequential sweep builds through build_training_set too.
 from .model import (  # noqa: F401
     LogisticModel,
     TrainConfig,
@@ -37,12 +40,13 @@ from .model import (  # noqa: F401
 )
 from .panel import EntityTimeline, csv_line
 from .rng import SplitMix64
-from .transform import (
+from .transform import (  # noqa: F401
     AggregationPlan,
     EmptyWindowPolicy,
     ReferenceFrameConfig,
     TrainingSet,
     build_training_set,
+    build_training_sets,
 )
 
 
@@ -199,24 +203,28 @@ def lead_time_sweep(
 
     A lead time that leaves the training side without both classes (or the
     test side empty) yields a point with absent metrics and an explanatory
-    flag instead of failing the sweep.  Every other point's model is trained
+    flag instead of failing the sweep.  Every point's training and test sets
+    are built in one batch per side, and every other point's model is trained
     in one batch; errors are raised in lead-time order, as if each point were
     built, trained and evaluated before the next.
     """
     check_lead_times(lead_times, "lead_times")
     train_timelines, test_timelines = split_entities(timelines, test_fraction, seed)
+    lead_times = sorted(set(lead_times))
+    configs = [
+        ReferenceFrameConfig(lead_time=lead_time, empty_window_policy=empty_window_policy)
+        for lead_time in lead_times
+    ]
+    sides = zip(
+        build_training_sets(train_timelines, configs, plan),
+        build_training_sets(test_timelines, configs, plan),
+    )
     built = []
     failure = None
-    for lead_time in sorted(set(lead_times)):
-        config = ReferenceFrameConfig(
-            lead_time=lead_time, empty_window_policy=empty_window_policy
-        )
-        try:
-            train_set = build_training_set(train_timelines, config, plan)
-            test_set = build_training_set(test_timelines, config, plan)
-        except LeadframeError as exc:
-            failure = exc  # raised once the earlier lead times are evaluated
-            break
+    for lead_time, (train_set, test_set) in zip(lead_times, sides):
+        failure = next((s for s in (train_set, test_set) if isinstance(s, LeadframeError)), None)
+        if failure is not None:
+            break  # raised once the earlier lead times are evaluated
         flags = []
         if not train_set.report.events:
             flags.append("no_events_retained")

@@ -284,9 +284,9 @@ class TimelineBlock:
     """Panel rows sorted by entity, then period, with each entity's rows.
 
     Entity ``e`` owns rows ``offsets[e]:offsets[e + 1]`` of ``columns``.
-    ``cache`` keeps what the transform derives from the rows (prefix tables,
-    search keys), so every timeline of the block and every lead time of a
-    sweep shares one copy.
+    ``cache`` keeps what the transform derives from the rows alone (the
+    search keys that cut its windows), so every timeline of the block and
+    every lead time of a sweep shares one copy.
     """
 
     def __init__(self, columns: PanelColumns, offsets: np.ndarray) -> None:

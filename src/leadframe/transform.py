@@ -11,15 +11,15 @@ measured in global period ordinals so calendar gaps still shift the cut.
 
 Every window is a prefix of the entity's history, so a cut is one index k
 per entity: the number of its rows whose ordinal is at most T - lead_time,
-or the whole history without an event.  For each column a plan reads, the
-timelines' block keeps prefix tables aligned with its sorted rows, which
-restart at every entity: a running sum, a running nonzero count and a
-running max (``last`` is the column itself), keyed by the aggregation
-kind that reads them.  A window's aggregate is then one gather at its last
-row, so every lead time of a sweep reuses one sort and one set of tables.
-A table takes one numpy accumulate per band of entities of similar history
-length (:func:`_running`).  The block's cache holds only such facts about
-its rows, never a result of a plan.
+or the whole history without an event.  A fold takes the windows it is
+asked for, of one lead time or of every lead time of a sweep
+(:func:`build_training_sets`), and folds each entity once, up to its
+longest window.  For each column a plan reads it makes a table of running
+sums, nonzero counts or maxima (``last`` reads the column itself), one
+numpy accumulate per band of entities of similar window length
+(:func:`_running`), reads every window at its last row and lets the table
+go.  The block's cache holds only the keys that cut windows, never a table
+or a result of a plan.
 
 Aggregations fold a window into one feature vector: sums, nonzero counts,
 maxima, the most recent value, and ratio-of-sums (total numerator over total
@@ -53,6 +53,7 @@ import enum
 import functools
 import io
 import math
+from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import NoReturn
@@ -62,6 +63,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidConfig,
+    LeadframeError,
     NonFiniteValue,
     ParseError,
     UnknownColumn,
@@ -350,27 +352,42 @@ def truncate_at_reference(
     return TruncatedTimeline(timeline, int(k[0]), int(label[0]))
 
 
-def _bands(block: TimelineBlock) -> list[np.ndarray]:
-    """The block's entities with rows, longest history first, cut into bands;
-    kept in the block's cache.
+def _windows(
+    offsets: np.ndarray, owners: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, list[tuple[int, int, int]], np.ndarray]:
+    """The fold's layout for windows of ``lengths`` rows of entities ``owners``.
 
-    A band holds the entities longer than half of its longest history, so
-    padding every history of a band to its longest at most doubles its rows,
-    and there are about log2(longest history) bands.
+    Each entity is folded once, up to its longest window.  The entities,
+    longest first, are cut into bands of those longer than half the band's
+    longest, so padding at most doubles a band's cells.  Returns the block
+    row each cell of the band-major table reads (a history is padded by
+    repeating its last row), each band's (start, length, width) in the
+    table, and the cell where each window's last row lands.
     """
-    bands = block.cache.get("bands")
-    if bands is None:
-        lengths = np.diff(block.offsets)
-        order = np.argsort(-lengths, kind="stable")
-        negated = -lengths[order]  # ascending, as searchsorted needs
-        start, stop, bands = 0, int(np.searchsorted(negated, 0)), []
-        while start < stop:
-            # The band ends at the first history of at most half its longest.
-            end = int(np.searchsorted(negated, -(-negated[start] // 2)))
-            bands.append(order[start:end])
-            start = end
-        block.cache["bands"] = bands
-    return bands
+    longest = np.zeros(len(offsets) - 1, dtype=np.intp)
+    np.maximum.at(longest, owners, lengths)
+    order = np.argsort(-longest, kind="stable")
+    negated = -longest[order]  # ascending, as searchsorted needs
+    start, stop, members = 0, int(np.searchsorted(negated, 0)), []
+    while start < stop:
+        # The band ends at the first entity of at most half its longest.
+        end = int(np.searchsorted(negated, -(-negated[start] // 2)))
+        members.append(order[start:end])
+        start = end
+    rows = np.empty(sum(int(longest[m[0]]) * len(m) for m in members), dtype=np.intp)
+    first = np.zeros_like(longest)  # each entity's cell at position 0,
+    width = np.zeros_like(longest)  # and the width of its band
+    bands, start = [], 0
+    for entities in members:
+        length, n = int(longest[entities[0]]), len(entities)
+        band = rows[start : start + length * n].reshape(length, n)
+        np.add(np.arange(length)[:, None], offsets[entities], out=band)
+        np.minimum(band, offsets[entities] + longest[entities] - 1, out=band)
+        first[entities] = start + np.arange(n)
+        width[entities] = n
+        bands.append((start, length, n))
+        start += length * n
+    return rows, bands, first[owners] + (lengths - 1) * width[owners]
 
 
 def _first_zeros(band: np.ndarray) -> np.ndarray:
@@ -380,15 +397,23 @@ def _first_zeros(band: np.ndarray) -> np.ndarray:
     return np.take_along_axis(band, first, axis=0)
 
 
-def _running(block: TimelineBlock, x: np.ndarray, fold: np.ufunc) -> np.ndarray:
-    """Each entity's running fold of its rows of ``x``, aligned with ``x``.
+# The fold of each kind that a table serves: the row value and the ufunc folding it.
+_TABLES = {
+    AggKind.SUM: (lambda x: x, np.add),
+    AggKind.COUNT_NONZERO: (lambda x: (x != 0.0).astype(np.float64), np.add),
+    AggKind.MAX: (lambda x: x, np.maximum),
+}
 
-    Each band of :func:`_bands` is gathered into a (position x entity)
-    matrix, each history padded past its end by repeating its last row, and
-    folded in place by one ``fold.accumulate`` down its positions, which
-    folds left to right within every entity as the builtins do.  The padding
-    lies after every real cell, so it never reaches one; it is scattered to
-    a spare last slot of the table, which is dropped.
+
+def _running(
+    column: np.ndarray, rows: np.ndarray, bands: list[tuple[int, int, int]], kind: AggKind
+) -> np.ndarray:
+    """The band-major table of running folds of one kind of ``column``.
+
+    The column is gathered through ``rows`` of :func:`_windows`, and each
+    band, a (position x entity) matrix, is folded in place by one
+    ``fold.accumulate`` down its positions, which folds left to right
+    within every entity as the builtins do; padding follows every cell read.
 
     A sum starts from ``0.0 + x0``, as Python's sum does.  Python's max
     keeps the first of equal values and numpy's maximum may not; the only
@@ -397,16 +422,10 @@ def _running(block: TimelineBlock, x: np.ndarray, fold: np.ufunc) -> np.ndarray:
     keeps: every value before that zero is negative and none after it is
     greater.
     """
-    offsets = block.offsets
-    table = np.empty(len(x) + 1)
-    for entities in _bands(block):
-        starts, ends = offsets[entities], offsets[entities + 1]
-        positions = np.arange(ends[0] - starts[0])[:, None]
-        # Built and folded in place: each fresh matrix costs page faults and
-        # raises the peak memory.
-        rows = np.add(positions, starts)
-        np.minimum(rows, ends - 1, out=rows)
-        band = x[rows]
+    value, fold = _TABLES[kind]
+    table = value(column[rows])
+    for start, length, width in bands:
+        band = table[start : start + length * width].reshape(length, width)
         if fold is np.add:
             band[0] += 0.0
         # Without a sign bit in the band, every zero is 0.0 and equal values
@@ -415,62 +434,61 @@ def _running(block: TimelineBlock, x: np.ndarray, fold: np.ufunc) -> np.ndarray:
         fold.accumulate(band, axis=0, out=band)
         if zeros is not None:
             np.copysign(band, zeros, out=band, where=band == 0.0)
-        rows[positions >= ends - starts] = len(x)
-        table[rows] = band
-    return table[:-1]
-
-
-# Prefix tables, per kind: the row value they fold and the ufunc folding it.
-_TABLES = {
-    AggKind.SUM: (lambda x: x, np.add),
-    AggKind.COUNT_NONZERO: (lambda x: (x != 0.0).astype(np.float64), np.add),
-    AggKind.MAX: (lambda x: x, np.maximum),
-}
-
-
-def _table(block: TimelineBlock, kind: AggKind, column: int) -> np.ndarray:
-    """The block's prefix table of one kind for one feature column, kept in its cache."""
-    key = (kind, column)
-    table = block.cache.get(key)
-    if table is None:
-        value, fold = _TABLES[kind]
-        table = block.cache[key] = _running(block, value(block.columns.values[:, column]), fold)
     return table
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _fold(
-    block: TimelineBlock, entities: np.ndarray, k: np.ndarray, plan: AggregationPlan
-) -> np.ndarray:
-    """One row of feature values per entity, folding its first k rows.
+    block: TimelineBlock, entities: np.ndarray, k: np.ndarray, plan: AggregationPlan,
+    out: np.ndarray, at: np.ndarray,
+) -> None:
+    """Write into row ``at[i]`` of ``out`` the feature values that fold the
+    first ``k[i]`` rows of entity ``entities[i]``.
 
-    An empty window folds to 0.0 for every kind.  A spec naming a column the
-    block lacks gives nan, which _check_finite reports as UnknownColumn.
+    An empty window folds to 0.0 for every kind, so its row of ``out``,
+    zeros, is left as it is.  A spec naming a column the block lacks writes
+    nan, which _check_finite reports as UnknownColumn.  Each table is made
+    for these windows alone, read at their cells and let go.
     """
-    values = np.zeros((len(entities), len(plan.specs)))
     columns = block.columns
     if not len(columns):
-        return values  # no row: every window is empty and no value is read
+        return  # no row: every window is empty and no value is read
     index = columns.feature_index
-    kept = np.flatnonzero(k > 0)
-    last = block.offsets[entities[kept]] + k[kept] - 1  # each window's last row
+    kept = k > 0
+    rows, bands, cells = _windows(block.offsets, entities[kept], k[kept])
+    last = rows[cells]  # each window's last row
+    into = at[kept]
+    # Each table is read once; a read is kept until the last spec using it.
+    uses = Counter(
+        (AggKind.SUM, name) if spec.kind is AggKind.RATIO_OF_SUMS else (spec.kind, name)
+        for spec in plan.specs
+        for name in spec.referenced_columns()
+    )
+    reads: dict[tuple[AggKind, str], np.ndarray] = {}
+
+    def read(kind: AggKind, name: str) -> np.ndarray:
+        key = (kind, name)
+        if key not in reads:
+            reads[key] = _running(columns.values[:, index[name]], rows, bands, kind)[cells]
+        uses[key] -= 1
+        return reads[key] if uses[key] else reads.pop(key)
+
     for s, spec in enumerate(plan.specs):
         if any(name not in index for name in spec.referenced_columns()):
-            values[:, s] = math.nan
+            out[at, s] = math.nan
             continue
         j = index[spec.column]
         if spec.kind in _TABLES:
-            folded = _table(block, spec.kind, j)[last]
+            folded = read(spec.kind, spec.column)
         elif spec.kind is AggKind.LAST:
             folded = columns.values[last, j]
         else:  # RATIO_OF_SUMS: 0 when the denominator total is 0
-            numerator = _table(block, AggKind.SUM, j)[last]
-            denominator = _table(block, AggKind.SUM, index[spec.denominator])[last]
+            numerator = read(AggKind.SUM, spec.column)
+            denominator = read(AggKind.SUM, spec.denominator)
             folded = np.divide(
                 numerator, denominator, out=np.zeros_like(numerator), where=denominator != 0.0
             )
-        values[kept, s] = folded
-    return values
+        out[into, s] = folded
 
 
 def _check_finite(
@@ -501,23 +519,23 @@ def _check_finite(
 def aggregate(truncated: TruncatedTimeline, plan: AggregationPlan) -> FeatureVector:
     """Fold a truncated window into one feature vector (zeros when empty)."""
     timeline = truncated.timeline
-    values = _fold(
-        timeline.block, np.array([timeline.index]), np.array([truncated.length]), plan
-    )
+    values = np.zeros((1, len(plan.specs)))
+    entity, length = np.array([timeline.index]), np.array([truncated.length])
+    _fold(timeline.block, entity, length, plan, values, np.zeros(1, dtype=np.intp))
     _check_finite([timeline], values, plan)
     return FeatureVector(entity_id=timeline.entity_id, values=tuple(values[0].tolist()))
 
 
 def _by_block(
     timelines: Sequence[EntityTimeline],
-) -> list[tuple[TimelineBlock, list[int], np.ndarray]]:
+) -> list[tuple[TimelineBlock, np.ndarray, np.ndarray]]:
     """The timelines grouped by block: each block, the positions of its
     timelines in ``timelines`` and their entity indexes in the block."""
     by_block: dict[int, tuple[TimelineBlock, list[int]]] = {}
     for position, timeline in enumerate(timelines):
         by_block.setdefault(id(timeline.block), (timeline.block, []))[1].append(position)
     return [
-        (block, positions, np.array([timelines[p].index for p in positions], dtype=np.intp))
+        (block, np.array(positions), np.array([timelines[p].index for p in positions]))
         for block, positions in by_block.values()
     ]
 
@@ -533,10 +551,10 @@ def score_feature_matrix(
     NonFiniteValue for the first timeline, then spec, whose value is not
     finite.
     """
-    values = np.empty((len(timelines), len(plan.specs)))
+    values = np.zeros((len(timelines), len(plan.specs)))
     for block, positions, entities in _by_block(timelines):
         lengths = block.offsets[entities + 1] - block.offsets[entities]
-        values[positions] = _fold(block, entities, lengths, plan)
+        _fold(block, entities, lengths, plan, values, positions)
     _check_finite(timelines, values, plan)
     return values
 
@@ -547,8 +565,55 @@ def score_features(timeline: EntityTimeline, plan: AggregationPlan) -> FeatureVe
     return FeatureVector(entity_id=timeline.entity_id, values=tuple(values[0].tolist()))
 
 
+def build_training_sets(
+    timelines: Sequence[EntityTimeline],
+    configs: Sequence[ReferenceFrameConfig],
+    plan: AggregationPlan,
+) -> tuple[TrainingSet | LeadframeError, ...]:
+    """Transform timelines into one training set per config; each member is
+    the set that building under its config alone gives, bit for bit, or the
+    error that raises.
+
+    Every config's windows of a block are folded in one call, so each
+    history is folded once, up to its longest window.  The members'
+    matrices are consecutive rows of one matrix, written in place.
+    """
+    ordered = sorted(timelines, key=lambda t: t.entity_id)
+    groups = _by_block(ordered)
+    k = np.zeros((len(configs), len(ordered)), dtype=np.intp)
+    labels = np.zeros(len(ordered), dtype=np.intp)
+    for block, positions, entities in groups:
+        for i, config in enumerate(configs):
+            k[i, positions], labels[positions] = _cutoffs(block, entities, config.lead_time)
+    drop = np.array([c.empty_window_policy is EmptyWindowPolicy.DROP for c in configs], dtype=bool)
+    dropped = drop[:, None] & (labels == 1) & (k == 0)
+    # Each kept window's row: config by config, in entity order.
+    slots = np.cumsum(~dropped).reshape(dropped.shape) - 1
+    values = np.zeros((dropped.size - int(dropped.sum()), len(plan.specs)))
+    for block, positions, entities in groups:
+        windows = ~dropped[:, positions]
+        owners = np.broadcast_to(entities, windows.shape)[windows]
+        _fold(block, owners, k[:, positions][windows], plan, values, slots[:, positions][windows])
+
+    outcomes: list[TrainingSet | LeadframeError] = []
+    stop = 0
+    for i in range(len(configs)):
+        kept = np.flatnonzero(~dropped[i])
+        members = [ordered[p] for p in kept.tolist()]
+        start, stop = stop, stop + len(members)
+        try:
+            _check_finite(members, values[start:stop], plan)
+        except LeadframeError as exc:
+            outcomes.append(exc)
+            continue
+        ids = [timeline.entity_id for timeline in members]
+        gone = [ordered[p].entity_id for p in np.flatnonzero(dropped[i]).tolist()]
+        outcomes.append(_training_set(plan, ids, values[start:stop], labels[kept], gone))
+    return tuple(outcomes)
+
+
 def build_training_set(
-    timelines: tuple[EntityTimeline, ...] | list[EntityTimeline],
+    timelines: Sequence[EntityTimeline],
     config: ReferenceFrameConfig,
     plan: AggregationPlan,
 ) -> TrainingSet:
@@ -558,25 +623,10 @@ def build_training_set(
     DROP policy, or kept as all-zero rows under EMIT_ZEROS.  Output rows are
     ordered by entity id regardless of input order.
     """
-    ordered = sorted(timelines, key=lambda t: t.entity_id)
-    k = np.zeros(len(ordered), dtype=np.intp)
-    labels = np.zeros(len(ordered), dtype=np.intp)
-    values = np.zeros((len(ordered), len(plan.specs)))
-    for block, positions, entities in _by_block(ordered):
-        k[positions], labels[positions] = _cutoffs(block, entities, config.lead_time)
-        values[positions] = _fold(block, entities, k[positions], plan)
-
-    emptied = (labels == 1) & (k == 0)
-    if config.empty_window_policy is EmptyWindowPolicy.DROP:
-        kept = np.flatnonzero(~emptied)
-        dropped = [ordered[p].entity_id for p in np.flatnonzero(emptied)]
-    else:
-        kept, dropped = np.arange(len(ordered)), []
-    kept_timelines = [ordered[p] for p in kept.tolist()]
-    kept_values = values[kept]
-    _check_finite(kept_timelines, kept_values, plan)
-    ids = [timeline.entity_id for timeline in kept_timelines]
-    return _training_set(plan, ids, kept_values, labels[kept], dropped)
+    (outcome,) = build_training_sets(timelines, (config,), plan)
+    if isinstance(outcome, LeadframeError):
+        raise outcome
+    return outcome
 
 
 def _column_cells(column: np.ndarray, render: Callable[[object], str]) -> list[str]:

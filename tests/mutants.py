@@ -42,11 +42,21 @@ MUTANTS = (
         ("tests/test_transform.py::TestBandEdges::test_max_of_negatives_and_zeros",),
     ),
     Mutant(
-        "padding-reaches-table",
+        "window-cell-past-its-end",
         "transform.py",
-        "        rows[positions >= ends - starts] = len(x)\n",
-        "",
+        "first[owners] + (lengths - 1) * width[owners]",
+        "first[owners] + lengths * width[owners]",
         ("tests/test_transform.py::TestBandEdges",),
+    ),
+    Mutant(
+        "entity-folded-to-its-last-window",
+        "transform.py",
+        "np.maximum.at(longest, owners, lengths)",
+        "longest[owners] = lengths",
+        (
+            "tests/test_transform.py::TestBuildTrainingSets"
+            "::test_overflow_only_in_the_longer_windows",
+        ),
     ),
     Mutant(
         "last-zero-not-first",
@@ -86,8 +96,8 @@ MUTANTS = (
     Mutant(
         "ratio-numerator-counts",
         "transform.py",
-        "numerator = _table(block, AggKind.SUM, j)[last]",
-        "numerator = _table(block, AggKind.COUNT_NONZERO, j)[last]",
+        "numerator = read(AggKind.SUM, spec.column)",
+        "numerator = read(AggKind.COUNT_NONZERO, spec.column)",
         ("tests/test_transform.py::TestAggregate",),
     ),
     Mutant(

@@ -378,14 +378,17 @@ class TestSweepMatchesSequentialSweep:
         self, monkeypatch, synth_timelines, recency_plan, build_fault, train_fault, evaluate_fault
     ):
         train_ids = {t.entity_id for t in split_entities(synth_timelines, 0.25, 3)[0]}
-        build, score = evaluation.build_training_set, evaluation.evaluate
+        build, builds = evaluation.build_training_set, evaluation.build_training_sets
+        score = evaluation.evaluate
 
         lead_of = {}
 
-        def faulty_build(timelines, frame, plan):
+        def inject(timelines, frame, built):
+            """The built set with this test's faults: an error in its place
+            at the build fault's lead, a set that cannot be trained at the
+            train fault's."""
             if frame.lead_time == build_fault:
-                raise NonFiniteValue(f"build fault at lead {build_fault}")
-            built = build(timelines, frame, plan)
+                return NonFiniteValue(f"build fault at lead {build_fault}")
             if frame.lead_time == train_fault and {t.entity_id for t in timelines} == train_ids:
                 # Two rows at the largest finite value overflow the column mean.
                 values = built.values.copy()
@@ -394,12 +397,25 @@ class TestSweepMatchesSequentialSweep:
             lead_of[id(built)] = frame.lead_time
             return built
 
+        def faulty_build(timelines, frame, plan):
+            built = inject(timelines, frame, build(timelines, frame, plan))
+            if isinstance(built, LeadframeError):
+                raise built
+            return built
+
+        def faulty_builds(timelines, frames, plan):
+            return tuple(
+                inject(timelines, frame, built)
+                for frame, built in zip(frames, builds(timelines, frames, plan))
+            )
+
         def faulty_evaluate(model, test, threshold=0.5):
             if lead_of[id(test)] == evaluate_fault:
                 raise NonFiniteValue(f"evaluate fault at lead {evaluate_fault}")
             return score(model, test, threshold)
 
         monkeypatch.setattr(evaluation, "build_training_set", faulty_build)
+        monkeypatch.setattr(evaluation, "build_training_sets", faulty_builds)
         monkeypatch.setattr(evaluation, "evaluate", faulty_evaluate)
         config = TrainConfig(epochs=20, learning_rate=0.5)
         args = (synth_timelines, recency_plan, self.LEAD_TIMES, config, 0.25, 3)
