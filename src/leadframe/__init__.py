@@ -39,7 +39,6 @@ from .model import (
     predict_proba,
     predict_proba_matrix,
     train_logistic,
-    train_logistic_batch,
 )
 from .panel import (
     EntityTimeline,

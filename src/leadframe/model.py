@@ -257,18 +257,6 @@ def train_logistic_each(
     return tuple(outcomes)
 
 
-def train_logistic_batch(
-    sets: Sequence[TrainingSet], config: TrainConfig
-) -> tuple[LogisticModel, ...]:
-    """Train every set in one gradient descent, each model bit-identical to
-    training it alone; raises the first set's error, in order, if any fails."""
-    outcomes = train_logistic_each(sets, config)
-    for outcome in outcomes:
-        if isinstance(outcome, LeadframeError):
-            raise outcome
-    return outcomes
-
-
 def train_logistic(data: TrainingSet, config: TrainConfig) -> LogisticModel:
     """Fit scaling plus weights by full-batch gradient descent.
 
@@ -277,7 +265,10 @@ def train_logistic(data: TrainingSet, config: TrainConfig) -> LogisticModel:
     Zero initialization makes the starting loss ln 2 and the run reproducible;
     the seed is carried along for provenance only.
     """
-    return train_logistic_batch((data,), config)[0]
+    (outcome,) = train_logistic_each((data,), config)
+    if isinstance(outcome, LeadframeError):
+        raise outcome
+    return outcome
 
 
 _P_MIN = 1e-15

@@ -59,15 +59,13 @@ from __future__ import annotations
 
 import codecs
 import csv
-import functools
 import io
 import itertools
 import math
-import operator
 import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import BinaryIO, NoReturn, Union
 
 import numpy as np
@@ -284,15 +282,14 @@ class TimelineBlock:
     """Panel rows sorted by entity, then period, with each entity's rows.
 
     Entity ``e`` owns rows ``offsets[e]:offsets[e + 1]`` of ``columns``.
-    ``cache`` keeps what the transform derives from the rows alone (the
-    search keys that cut its windows), so every timeline of the block and
-    every lead time of a sweep shares one copy.
+    Facts derived from the rows alone are made on first read and kept, so
+    every timeline of the block and every lead time of a sweep shares one
+    copy.
     """
 
     def __init__(self, columns: PanelColumns, offsets: np.ndarray) -> None:
         self.columns = columns
         self.offsets = offsets
-        self.cache: dict = {}
 
     @cached_property
     def first_event(self) -> np.ndarray:
@@ -304,6 +301,15 @@ class TimelineBlock:
         result = np.full(len(self.offsets) - 1, -1, dtype=np.intp)
         result[entities[first]] = rows[first]
         return result
+
+    @cached_property
+    def period_keys(self) -> tuple[np.ndarray, int, int]:
+        """(keys, low, span): row keys ``code * span + ordinal - low``, which
+        strictly increase along the rows; the transform cuts windows by
+        searching them."""
+        low = int(self.columns.ordinals.min())
+        span = int(self.columns.ordinals.max()) - low + 2
+        return self.columns.codes * span + (self.columns.ordinals - low), low, span
 
 
 class EntityTimeline:
@@ -495,20 +501,28 @@ class _Codes(dict):
 
 
 class _Cells:
-    """A file's data rows, tokenized one block of rows at a time, in file order.
+    """A file's data rows, tokenized one block of rows at a time, in file
+    order, and the column layout both tokenizers read them by.
 
-    Entity, period and flag cells are numbered by their raw text in
-    file-wide ``_Codes``: csv.reader's cells by their str, the numpy
-    tokenizer's by their ASCII bytes.  Row i of the first ``rows`` holds the
-    numbers ``codes[:, i]`` and the feature values ``values[i]``.  Both
-    arrays are made once, for as many rows as the file has lines, and each
-    block fills its own rows.
+    ``width`` is the fewest cells a row needs to hold every schema column and
+    ``features`` the position of each feature column.  ``texts`` holds the
+    position of the entity, period and flag columns, each with the file-wide
+    ``_Codes`` that numbers its cells by their raw text: csv.reader's cells
+    by their str, the numpy tokenizer's by their ASCII bytes.  Row i of the
+    first ``rows`` holds the numbers ``codes[:, i]`` and the feature values
+    ``values[i]``.  Both arrays are made once, for as many rows as the file
+    has lines, and each block fills its own rows.
     """
 
-    def __init__(self, lines: int, features: int) -> None:
-        self.entities, self.labels, self.flags = _Codes(), _Codes(), _Codes()
+    def __init__(self, lines: int, schema: PanelSchema, positions: dict[str, int]) -> None:
+        self.width = max(positions[c] for c in schema.columns) + 1
+        self.features = [positions[c] for c in schema.feature_columns]
+        self.texts = tuple(
+            (positions[c], _Codes())
+            for c in (schema.entity_column, schema.period_column, schema.event_column)
+        )
         self.codes = np.empty((3, lines), dtype=np.intp)
-        self.values = np.empty((lines, features))
+        self.values = np.empty((lines, len(self.features)))
         self.rows = 0
 
     def block(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -516,11 +530,6 @@ class _Cells:
         start = self.rows
         self.rows += n
         return self.codes[:, start : self.rows], self.values[start : self.rows]
-
-
-def _width(schema: PanelSchema, positions: dict[str, int]) -> int:
-    """The fewest cells a row needs to hold every schema column."""
-    return max(positions[c] for c in schema.columns) + 1
 
 
 def _reader_cells(text: str, schema: PanelSchema, positions: dict[str, int]) -> _Cells | None:
@@ -531,28 +540,22 @@ def _reader_cells(text: str, schema: PanelSchema, positions: dict[str, int]) -> 
     reader ends a record at a line feed, a carriage return or the two
     together, so the text holds no more rows than such line breaks, plus one.
     """
-    entity_at, period_at, event_at = (
-        operator.itemgetter(positions[c])
-        for c in (schema.entity_column, schema.period_column, schema.event_column)
-    )
-    feature_at = [operator.itemgetter(positions[c]) for c in schema.feature_columns]
-    width = _width(schema, positions)
     lines = text.count("\n") + text.count("\r") - text.count("\r\n") + 1
-    cells = _Cells(lines, len(feature_at))
-    numberings = ((entity_at, cells.entities), (period_at, cells.labels), (event_at, cells.flags))
+    cells = _Cells(lines, schema, positions)
     reader = _records(text)
     next(reader)
     rows = filter(None, reader)
     try:
         while block := list(itertools.islice(rows, _BLOCK_ROWS)):
             n = len(block)
-            if min(map(len, block)) < width:
+            if min(map(len, block)) < cells.width:
                 return None
+            columns = list(zip(*block))
             codes, values = cells.block(n)
-            for j, cell in enumerate(feature_at):
-                values[:, j] = np.fromiter(map(float, map(cell, block)), np.float64, n)
-            for row, (cell, numbering) in zip(codes, numberings):
-                row[:] = np.fromiter(map(numbering.__getitem__, map(cell, block)), np.intp, n)
+            for j, at in enumerate(cells.features):
+                values[:, j] = np.fromiter(map(float, columns[at]), np.float64, n)
+            for row, (at, numbering) in zip(codes, cells.texts):
+                row[:] = np.fromiter(map(numbering.__getitem__, columns[at]), np.intp, n)
     except (ValueError, csv.Error):
         # A cell is not a number, or the reader failed on a later row: an
         # earlier row may still hold the first fault.
@@ -703,15 +706,10 @@ def _plain_cells(
     reads its cells; entity, period and flag texts are numbered by
     :func:`_number`.
     """
-    width, limit = _width(schema, positions), min(csv.field_size_limit(), _LONGEST_CELL)
-    entity_at, period_at, event_at = (
-        positions[c] for c in (schema.entity_column, schema.period_column, schema.event_column)
-    )
-    feature_at = [positions[c] for c in schema.feature_columns]
+    limit = min(csv.field_size_limit(), _LONGEST_CELL)
     whole = np.frombuffer(data, dtype=np.uint8)
     # A row is a line, and every line but a last one ends in a line feed.
-    cells = _Cells(data.count(b"\n", start) + 1, len(feature_at))
-    numberings = ((entity_at, cells.entities), (period_at, cells.labels), (event_at, cells.flags))
+    cells = _Cells(data.count(b"\n", start) + 1, schema, positions)
     while start < len(data):
         stop = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
         padded = _padded_block(whole, start, stop)
@@ -721,19 +719,19 @@ def _plain_cells(
             return None
         if not table.shape[1]:
             continue
-        if len(table) <= width:
+        if len(table) <= cells.width:
             return None
         lengths = np.diff(table, axis=0)
         lengths -= 1
         if lengths.max() > limit:
             return None
         codes, values = cells.block(table.shape[1])
-        for j, at in enumerate(feature_at):
+        for j, at in enumerate(cells.features):
             column = _numbers(padded, table[at + 1], lengths[at])
             if column is None:
                 return None
             values[:, j] = column
-        for row, (at, numbering) in zip(codes, numberings):
+        for row, (at, numbering) in zip(codes, cells.texts):
             row[:] = _number(numbering, padded, table[at] + 1, lengths[at])
     return cells
 
@@ -752,11 +750,10 @@ def _columns(cells: _Cells, schema: PanelSchema) -> PanelColumns | None:
     """
     if not cells.rows:
         raise EmptyInput("input has a header but no data rows")
-    entity_ids = _stripped(cells.entities)
-    label_texts = _stripped(cells.labels)
+    entity_ids, label_texts, flag_texts = (_stripped(numbering) for _, numbering in cells.texts)
     kinds = {_label_kind(label) for label in label_texts}
     file_kind = kinds.pop() if len(kinds) == 1 else None
-    flag_values = [_FLAGS.get(raw) for raw in _stripped(cells.flags)]
+    flag_values = [_FLAGS.get(raw) for raw in flag_texts]
     entity_codes, label_codes, flag_codes = cells.codes[:, : cells.rows]
     values = cells.values[: cells.rows]
     if (
@@ -792,7 +789,7 @@ def parse_panel_csv(source: Union[bytes, BinaryIO], schema: PanelSchema) -> Pane
     data = source if isinstance(source, bytes) else source.read()
     # The whole text, decoded at most once: the rows of a plain file may
     # never need csv.reader or a decoded copy of the text.
-    text = functools.cache(lambda: data.decode("utf-8-sig"))
+    text = cache(lambda: data.decode("utf-8-sig"))
     plain = _is_plain(data)
     if plain:
         body = data.find(b"\n") + 1 or len(data)

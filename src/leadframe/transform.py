@@ -18,8 +18,8 @@ longest window.  For each column a plan reads it makes a table of running
 sums, nonzero counts or maxima (``last`` reads the column itself), one
 numpy accumulate per band of entities of similar window length
 (:func:`_running`), reads every window at its last row and lets the table
-go.  The block's cache holds only the keys that cut windows, never a table
-or a result of a plan.
+go.  The block keeps only the keys that cut windows
+(``TimelineBlock.period_keys``), never a table or a result of a plan.
 
 Aggregations fold a window into one feature vector: sums, nonzero counts,
 maxima, the most recent value, and ratio-of-sums (total numerator over total
@@ -298,19 +298,6 @@ def detect_event_time(timeline: EntityTimeline) -> PeriodIndex | None:
     return None if row < 0 else columns.periods[int(columns.ordinals[row])]
 
 
-def _period_keys(block: TimelineBlock) -> tuple[np.ndarray, int, int]:
-    """(keys, low, span): row keys ``code * span + ordinal - low``, which
-    increase along the block's rows; kept in the block's cache."""
-    found = block.cache.get("period_keys")
-    if found is None:
-        columns = block.columns
-        low = int(columns.ordinals.min())
-        span = int(columns.ordinals.max()) - low + 2
-        keys = columns.codes * span + (columns.ordinals - low)
-        found = block.cache["period_keys"] = (keys, low, span)
-    return found
-
-
 def _cutoffs(
     block: TimelineBlock, entities: np.ndarray, lead_time: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -329,7 +316,7 @@ def _cutoffs(
         # still sorts after every key of the entities before it, so k is 0.
         # Any shift of span or more cuts below every ordinal, so the lead time
         # is capped at span before it meets int64 arithmetic.
-        keys, low, span = _period_keys(block)
+        keys, low, span = block.period_keys
         shift = min(lead_time, span)
         cut = np.maximum(block.columns.ordinals[event_rows[events]] - low - shift, -1)
         owner = entities[events]

@@ -174,6 +174,20 @@ MUTANTS = (
         ("tests/test_panel.py::TestParse::test_carriage_returns_alone_end_rows",),
     ),
     Mutant(
+        "row-keys-collide",
+        "panel.py",
+        "- low + 2",
+        "- low",
+        ("tests/test_transform.py::TestTruncate",),
+    ),
+    Mutant(
+        "cells-width-one-short",
+        "panel.py",
+        "max(positions[c] for c in schema.columns) + 1",
+        "max(positions[c] for c in schema.columns)",
+        ("tests/test_panel.py::TestFirstFault",),
+    ),
+    Mutant(
         "score-lengths-off-by-one",
         "transform.py",
         "lengths = block.offsets[entities + 1] - block.offsets[entities]",

@@ -29,7 +29,6 @@ from leadframe.model import (
     loss_and_gradient,
     predict_proba,
     train_logistic,
-    train_logistic_batch,
     train_logistic_each,
 )
 from leadframe.panel import build_timelines, parse_panel_csv
@@ -378,7 +377,7 @@ class TestBatch:
             random_training_set(rng, n, widths[i % len(widths)]) for i, n in enumerate(sizes)
         ]
         config = TrainConfig(epochs=epochs, learning_rate=learning_rate, l2_penalty=l2_penalty)
-        batch = train_logistic_batch(sets, config)
+        batch = train_logistic_each(sets, config)
         assert len(batch) == len(sets)
         for data, model in zip(sets, batch):
             assert fitted_bits(model) == model_bits(*oracle.train_logistic_loop(data, config))
@@ -391,7 +390,6 @@ class TestBatch:
         assert fitted_bits(model) == model_bits(*expected)
 
     def test_empty_batch(self):
-        assert train_logistic_batch((), TrainConfig()) == ()
         assert train_logistic_each((), TrainConfig()) == ()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -404,9 +402,6 @@ class TestBatch:
         config = TrainConfig(epochs=50, learning_rate=1e308, l2_penalty=10.0)
         with pytest.raises(InvalidConfig) as alone:
             train_logistic(diverging, config)
-        with pytest.raises(InvalidConfig) as batched:
-            train_logistic_batch((still, diverging, still), config)
-        assert str(batched.value) == str(alone.value)
         assert "non-finite" in str(alone.value)
 
         first, error, last = train_logistic_each((still, diverging, still), config)
@@ -419,17 +414,22 @@ class TestBatch:
         diverging = make_training_set(["x"], [((0.0,), 0), ((1.0,), 1), ((2.0,), 1)])
         one_class = make_training_set(["x"], [((0.0,), 1), ((1.0,), 1)])
         config = TrainConfig(epochs=50, learning_rate=1e308, l2_penalty=10.0)
-        with pytest.raises(DegenerateLabels):
-            train_logistic_batch((one_class, diverging), config)
-        with pytest.raises(InvalidConfig, match="non-finite"):
-            train_logistic_batch((diverging, one_class), config)
+        with pytest.raises(DegenerateLabels) as degenerate_alone:
+            train_logistic(one_class, config)
+        with pytest.raises(InvalidConfig, match="non-finite") as diverging_alone:
+            train_logistic(diverging, config)
+        degenerate, error = train_logistic_each((one_class, diverging), config)
+        assert type(degenerate) is DegenerateLabels
+        assert str(degenerate) == str(degenerate_alone.value)
+        assert type(error) is InvalidConfig and "non-finite" in str(error)
+        assert str(error) == str(diverging_alone.value)
 
     def test_members_of_other_widths(self):
         rng = np.random.default_rng(11)
         sets = [random_training_set(rng, n, m) for n, m in [(30, 3), (7, 1), (50, 3), (9, 1)]]
         config = TrainConfig(epochs=25, learning_rate=0.5, l2_penalty=0.001)
         alone = [train_logistic(data, config) for data in sets]
-        assert train_logistic_batch(sets, config) == tuple(alone)
+        assert train_logistic_each(sets, config) == tuple(alone)
 
 
 def batch_equals_members():
@@ -438,7 +438,7 @@ def batch_equals_members():
     sets = [random_training_set(rng, n, 10) for n in (105, 101, 99, 2, 333, 128, 129)]
     sets += [random_training_set(rng, n, 5) for n in (17, 250)]
     config = TrainConfig(epochs=100, learning_rate=0.5, l2_penalty=0.001)
-    batch = train_logistic_batch(sets, config)
+    batch = train_logistic_each(sets, config)
     return all(
         fitted_bits(model) == fitted_bits(train_logistic(data, config))
         for data, model in zip(sets, batch)

@@ -192,6 +192,7 @@ FIRST_FAULT = [
     ("y,2,1,1e999,0", "line 3: value '1e999' in column 'b' must be finite and non-negative"),
     ("y,2,nan", "line 3: value 'nan' in column 'a' must be finite and non-negative"),
     ("y,2,1", "line 3: row too short for column 'b'"),
+    ("y,2,1,1", "line 3: row too short for column 'event'"),
     ("y,2,1,1,true", "line 3: event flag 'true' in column 'event' must be 0 or 1"),
 ]
 
@@ -203,6 +204,15 @@ class TestFirstFault:
         with pytest.raises(BadValue) as excinfo:
             parse_panel_csv(data, small_schema())
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+    def test_every_row_short(self, newline):
+        # The rows are all of one length, so a tokenizer's width check is the
+        # first to refuse them: numpy's for LF, csv.reader's for CRLF.
+        data = csv_bytes("entity,period,a,b,event", "x,1,1,1", "y,1,2,2").replace(b"\n", newline)
+        with pytest.raises(BadValue) as excinfo:
+            parse_panel_csv(data, small_schema())
+        assert str(excinfo.value) == "line 2: row too short for column 'event'"
 
     def test_finite_cells_whose_sum_overflows_are_accepted(self):
         data = csv_bytes("entity,period,a,b,event", " x , 1 , 1e308 , 1e308 , 1 ")

@@ -63,6 +63,17 @@ def timelines_from_rows(raw_rows, corpus_schema):
     return build_timelines(dataset)
 
 
+def assert_cut_keys_between_entities(block):
+    """The row keys that cut windows strictly increase along the rows, and
+    the clipped cut key of entity e, ``e * span - 1``, sorts after every key
+    of the entities before e and before every key of e itself."""
+    keys, _, span = block.period_keys
+    codes = block.columns.codes
+    assert (keys[1:] > keys[:-1]).all()
+    assert (keys < (codes + 1) * span - 1).all()
+    assert (keys > codes * span - 1).all()
+
+
 class TestDetect:
     def test_event_entities(self, timeline_of):
         assert detect_event_time(timeline_of("Kumarjit")).label == "2016-10"
@@ -120,6 +131,25 @@ class TestTruncate:
         (timeline,) = timelines_from_rows(raw, corpus_schema)
         window = truncate_at_reference(timeline, LEAD_0)
         assert [r.period.label for r in window.records] == ["1", "2"]
+
+    @pytest.mark.parametrize("rows", ["synth", "fixture", "shuffled", "late-subset"])
+    def test_cut_keys_fall_between_entities(self, fixture_dataset, rows):
+        if rows == "synth":
+            dataset = generate_panel(SynthConfig(
+                n_entities=300, n_periods=24, event_rate=0.3, ramp_length=3,
+                signal_strength=3.0, noise_rate=0.5, seed=0,
+            ))
+        else:
+            dataset = fixture_dataset
+        columns = dataset.columns
+        if rows == "shuffled":
+            columns = columns.take(np.random.default_rng(0).permutation(len(columns)))
+        elif rows == "late-subset":
+            # Entities whose rows all lie before the subset keep no row.
+            columns = columns.take(np.flatnonzero(columns.ordinals >= 10))
+            assert columns.ordinals.min() == 10
+        (block,) = {t.block for t in build_timelines(PanelDataset(dataset.schema, columns))}
+        assert_cut_keys_between_entities(block)
 
     def test_window_can_empty(self, corpus_schema):
         raw = [("x", "1", {"a": 1.0, "b": 1.0, "c": 1.0}, 1)]
@@ -946,6 +976,8 @@ class TestBuildTrainingSets:
         assert [exact_outcome(outcome) for outcome in batch] == [
             exact_outcome(build_outcome(timelines, config, corpus_plan)) for config in configs
         ]
+        for block in {t.block for t in timelines if len(t.block.columns)}:
+            assert_cut_keys_between_entities(block)
 
     def test_overflow_only_in_the_longer_windows(self, corpus_schema, corpus_plan):
         # x's window holds 4 - lead rows of 1e308: a sum of two overflows.
@@ -984,9 +1016,9 @@ class TestSweepBuildMemory:
     """A sweep's builds hold little memory: the 12 lead times of the
     device-hourly benchmark, train and test sides, from fresh timelines of
     a seed-0 synth panel.  Each fold's tables live only for its call, and
-    the block's cache keeps nothing but its search keys.  Holding every
-    table for the block's rows peaks at 11.2 MB on 150 x 1,000 and 7.4 MB
-    on 5,000 x 24."""
+    the block keeps no table, only its first events and search keys.
+    Holding every table for the block's rows peaks at 11.2 MB on
+    150 x 1,000 and 7.4 MB on 5,000 x 24."""
 
     LEAD_TIMES = (0, 1, 2, 3, 6, 12, 24, 48, 72, 96, 120, 168)
     FEATURES = default_schema().feature_columns
@@ -1010,4 +1042,6 @@ class TestSweepBuildMemory:
             tracemalloc.stop()
         assert all(isinstance(outcome, TrainingSet) for side in built for outcome in side)
         assert peak < limit_mb * 1e6
-        assert list(timelines[0].block.cache) == ["period_keys"]
+        assert set(vars(timelines[0].block)) == {
+            "columns", "offsets", "first_event", "period_keys"
+        }
