@@ -26,24 +26,31 @@ in file order, to name the first fault and its line.
 truncation and aggregation read the columns.  ``PanelRecord`` is a
 read-only view of a row, made only when ``records`` is read.
 
-Two tokenizers cut the rows into cells.  Each numbers the entity, period
-and flag texts in one file-wide numbering per column, and fills one array of
-those numbers and one feature matrix, both made once for as many rows as
-the file has line breaks, block by block in place.  A plain file holds,
-after an optional BOM, only printable ASCII other than the quote character,
-and line feeds.  csv.reader would split it at every comma and line feed and
-nowhere else, so numpy does that directly, in blocks of whole lines.  Each
-block is copied once, padded, and split once into a table of cell ends,
-from which every column reads its cells: a feature cell of 1 to 15 digits
-is converted by digit arithmetic, any other by ``float``; a text is keyed by
-its bytes, runs of equal keys count once, and each distinct key of a block
-is looked up once in the file-wide numbering.  Every other file (quotes,
-carriage returns, spaces, tabs, non-ASCII bytes, NUL) goes through
+Two tokenizers cut the rows into cells.  Each fills one code array for
+each of the entity, period and flag columns and one feature matrix, all
+made once for as many rows as the file has line breaks and filled block by
+block in place, and leaves each code the position of its stripped text
+among the column's distinct texts, sorted; the entity codes and period
+ordinals are these arrays, with no second copy.  A plain file holds, after
+an optional BOM, only printable ASCII other than the quote character, and
+line feeds.  csv.reader would split it at every comma and line feed and
+nowhere else, so numpy does that directly, and the file is never held
+whole: a scan reads it a chunk at a time to check that it is plain and
+count its lines, then each block of whole lines is read straight into one
+padded buffer and split once into cell ends, from which every column reads
+its cells.  A feature cell of 1 to 15 digits is converted by digit
+arithmetic, any other by ``float``; a text is keyed by its bytes, runs of
+equal keys count once, and each block codes its texts by its own distinct
+keys.  Once the file is read, each text column's keys are ranked once, in
+byte order, which is str order here, its codes are remapped in place, and
+only its distinct texts are decoded.  Every other file (quotes, carriage
+returns, spaces, tabs, non-ASCII bytes, NUL) is read whole and goes through
 csv.reader, and so does a plain file whose rows differ in length or are
-short, that has a cell longer than 256 bytes or ``csv.field_size_limit()``,
-or a feature cell that is not a number.  Both tokenizers feed the same
-column checks and the same fault walk, so they give the same columns and
-the same error messages.
+short, that has a cell longer than 256 bytes or ``csv.field_size_limit()``
+or a feature cell that is not a number, or that grows, shrinks or gains
+lines between the scan and the read of its rows.  Both tokenizers feed the
+same column checks and the same fault walk, so they give the same columns
+and the same error messages.
 
 :func:`write_panel_csv` renders each distinct cell once: each entity id,
 each period label, each distinct value of each feature column and each
@@ -495,7 +502,7 @@ def _raise_first_fault(text: str, schema: PanelSchema, positions: dict[str, int]
 class _Codes(dict):
     """Numbers each distinct key 0, 1, 2, ... in order of first lookup."""
 
-    def __missing__(self, key: str | bytes) -> int:
+    def __missing__(self, key: str) -> int:
         code = self[key] = len(self)
         return code
 
@@ -504,44 +511,60 @@ class _Cells:
     """A file's data rows, tokenized one block of rows at a time, in file
     order, and the column layout both tokenizers read them by.
 
-    ``width`` is the fewest cells a row needs to hold every schema column and
-    ``features`` the position of each feature column.  ``texts`` holds the
-    position of the entity, period and flag columns, each with the file-wide
-    ``_Codes`` that numbers its cells by their raw text: csv.reader's cells
-    by their str, the numpy tokenizer's by their ASCII bytes.  Row i of the
-    first ``rows`` holds the numbers ``codes[:, i]`` and the feature values
-    ``values[i]``.  Both arrays are made once, for as many rows as the file
-    has lines, and each block fills its own rows.
+    ``width`` is the fewest cells a row needs to hold every schema column,
+    ``features`` the position of each feature column and ``texts`` the
+    position of the entity, period and flag columns.  Row i of the first
+    ``rows`` holds the feature values ``values[i]`` and, in each text
+    column's array of ``codes``, the position of its stripped text in that
+    column's ``distinct`` texts, which are sorted and which the tokenizer
+    sets once every row is read.  The arrays are made once, for as many
+    rows as the file has lines, and each block fills its own rows; the
+    entity and period codes become the parsed columns themselves.
     """
 
     def __init__(self, lines: int, schema: PanelSchema, positions: dict[str, int]) -> None:
         self.width = max(positions[c] for c in schema.columns) + 1
         self.features = [positions[c] for c in schema.feature_columns]
-        self.texts = tuple(
-            (positions[c], _Codes())
-            for c in (schema.entity_column, schema.period_column, schema.event_column)
-        )
-        self.codes = np.empty((3, lines), dtype=np.intp)
+        self.texts = [
+            positions[c] for c in (schema.entity_column, schema.period_column, schema.event_column)
+        ]
+        self.codes = tuple(np.empty(lines, dtype=np.intp) for _ in self.texts)
         self.values = np.empty((lines, len(self.features)))
+        self.distinct: list[list[str]] = []
         self.rows = 0
 
-    def block(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def block(self, n: int) -> tuple[list[np.ndarray], np.ndarray]:
         """The codes and values of the next n rows, to be filled."""
         start = self.rows
         self.rows += n
-        return self.codes[:, start : self.rows], self.values[start : self.rows]
+        return [codes[start : self.rows] for codes in self.codes], self.values[start : self.rows]
+
+
+def _rank_texts(codes: np.ndarray, numbering: _Codes) -> list[str]:
+    """The distinct stripped texts of a numbering, sorted; each code, a
+    number of ``numbering``, is replaced in place by its text's position
+    among them."""
+    stripped = [raw.strip() for raw in numbering]
+    texts = sorted(set(stripped))
+    rank = {text: i for i, text in enumerate(texts)}
+    ranks = np.fromiter(map(rank.__getitem__, stripped), np.intp, len(stripped))
+    np.take(ranks, codes, out=codes, mode="clip")
+    return texts
 
 
 def _reader_cells(text: str, schema: PanelSchema, positions: dict[str, int]) -> _Cells | None:
     """Tokenize the data rows of the text with csv.reader, or None if any
     row may hold a fault.
 
-    Cells are gathered and converted one block of rows at a time.  The
-    reader ends a record at a line feed, a carriage return or the two
-    together, so the text holds no more rows than such line breaks, plus one.
+    Cells are gathered and converted one block of rows at a time; each
+    text column's raw texts are numbered for the whole file and ranked
+    once every row is read.  The reader ends a record at a line feed, a
+    carriage return or the two together, so the text holds no more rows
+    than such line breaks, plus one.
     """
     lines = text.count("\n") + text.count("\r") - text.count("\r\n") + 1
     cells = _Cells(lines, schema, positions)
+    numberings = [_Codes() for _ in cells.texts]
     reader = _records(text)
     next(reader)
     rows = filter(None, reader)
@@ -554,39 +577,57 @@ def _reader_cells(text: str, schema: PanelSchema, positions: dict[str, int]) -> 
             codes, values = cells.block(n)
             for j, at in enumerate(cells.features):
                 values[:, j] = np.fromiter(map(float, columns[at]), np.float64, n)
-            for row, (at, numbering) in zip(codes, cells.texts):
+            for row, at, numbering in zip(codes, cells.texts, numberings):
                 row[:] = np.fromiter(map(numbering.__getitem__, columns[at]), np.intp, n)
     except (ValueError, csv.Error):
         # A cell is not a number, or the reader failed on a later row: an
         # earlier row may still hold the first fault.
         return None
+    cells.distinct = [
+        _rank_texts(codes[: cells.rows], numbering)
+        for codes, numbering in zip(cells.codes, numberings)
+    ]
     return cells
 
 
-def _padded_block(whole: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Bytes ``start:stop`` of the file, ending in a line feed, in one copy
-    with ``_FRONT`` zero bytes before them and ``_BACK`` after.
+def _blocks(handle: BinaryIO, size: int) -> Iterator[np.ndarray | None]:
+    """The next ``size`` bytes of a plain file, in blocks of whole lines,
+    each read straight into one reused buffer with ``_FRONT`` zero bytes
+    before the block and ``_BACK`` after it; or a last None if the file
+    ends sooner.
 
-    Every column of the block reads its cells from this copy.
+    A block ends at the first line feed ``_BLOCK_BYTES`` or more bytes past
+    its start: its first ``_BLOCK_BYTES`` bytes are read in one call and
+    the rest of that line by ``readline``.  The buffer has room for a rest
+    of ``_BACK`` bytes, and grows for a longer one.  Every column of the
+    block reads its cells from this buffer.
     """
-    body = whole[start:stop]
-    end = _FRONT + len(body)
-    padded = np.empty(end + 1 + _BACK, dtype=np.uint8)
-    padded[:_FRONT] = 0
-    padded[_FRONT:end] = body
-    padded[end:] = 0
-    if body[-1] != _NEWLINE:  # the file's last line has no line feed
-        padded[end] = _NEWLINE
-    return padded
+    buffer = np.zeros(_FRONT + _BLOCK_BYTES + _BACK + 1 + _BACK, dtype=np.uint8)
+    while size > 0:
+        first = min(size, _BLOCK_BYTES)
+        if handle.readinto(buffer[_FRONT : _FRONT + first]) != first:
+            yield None
+            return
+        rest = np.frombuffer(handle.readline(size - first), dtype=np.uint8)
+        size -= first + len(rest)
+        start, end = _FRONT + first, _FRONT + first + len(rest)
+        if len(buffer) < end + 1 + _BACK:
+            buffer = np.concatenate((buffer[:start], np.empty(len(rest) + 1 + _BACK, np.uint8)))
+        buffer[start:end] = rest
+        buffer[end : end + 1 + _BACK] = 0
+        if buffer[end - 1] != _NEWLINE:  # the file's last line has no line feed
+            buffer[end] = _NEWLINE
+        yield buffer[: end + 1 + _BACK]
 
 
-def _cell_ends(padded: np.ndarray) -> np.ndarray | None:
-    """The cell-end table of a padded block, with blank lines dropped, or
-    None if its lines hold different numbers of cells.
+def _cell_ends(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(before, ends) for the lines of a padded block, with blank lines
+    dropped, or None if its lines hold different numbers of cells.
 
-    Column i is line i.  Row 0 holds the position before the line's first
-    byte and row j + 1 the position of the comma or line feed that ends its
-    cell j, so cell j spans ``table[j] + 1`` to ``table[j + 1]``.
+    ``before[i]`` is the position before line i's first byte and
+    ``ends[i, j]`` that of the comma or line feed that ends its cell j, so
+    cell j spans ``ends[i, j - 1] + 1`` (``before[i] + 1`` for j = 0) to
+    ``ends[i, j]``.  ``ends`` is a lines × cells view of one array.
     """
     newline = padded == _NEWLINE
     delimiter = padded == _COMMA
@@ -601,15 +642,27 @@ def _cell_ends(padded: np.ndarray) -> np.ndarray | None:
         ends = np.delete(ends, np.searchsorted(ends, feeds[blank]))
         before, feeds = before[~blank], feeds[~blank]
         if not len(feeds):
-            return before.reshape(1, 0)
+            return before, ends.reshape(0, 0)
     cells = len(ends) // len(feeds)
     # Uniform lines end at every cells-th end, and there only.
     if len(ends) != cells * len(feeds) or (ends[cells - 1 :: cells] != feeds).any():
         return None
-    table = np.empty((cells + 1, len(feeds)), dtype=np.intp)
-    table[0] = before
-    table[1:] = ends.reshape(-1, cells).T
-    return table
+    return before, ends.reshape(-1, cells)
+
+
+def _spans(
+    before: np.ndarray, ends: np.ndarray, width: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(j, first byte, length) of each line's cell j, for j = 0 to
+    ``width`` - 1, from :func:`_cell_ends`: each column of ``ends`` is read
+    once, and only one column's spans are made at a time."""
+    first = before + 1
+    for at in range(width):
+        after = ends[:, at] + 1
+        length = after - first
+        length -= 1
+        yield at, first, length
+        first = after
 
 
 def _texts(padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -621,17 +674,25 @@ def _texts(padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.nd
     return texts
 
 
-def _number(
-    numbering: _Codes, padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, ascending: sorted and made distinct without
+    np.unique, which imports numpy.ma on its first call without
+    return_inverse."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+
+
+def _block_codes(
+    padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """The number in ``numbering`` of the text of each cell of a padded block.
+    """The distinct keys, ascending, of one text column's cells in a padded
+    block; each cell's position among them goes into ``out``.
 
     A cell's key is its zero-padded bytes: one uint64 if no cell of the
     column in this block is longer than 8 bytes, else a byte string from
-    :func:`_texts` (a plain file holds no NUL, so no two texts share a key).
-    Each run of equal keys, as the ids of a file sorted by entity make,
-    counts once; the distinct keys of the runs are sorted, each is looked up
-    once by its bytes, and the numbers are mapped back to every cell.
+    :func:`_texts` (a plain file holds no NUL, so no two texts share a
+    key).  Each run of equal keys, as the ids of a file sorted by entity
+    make, counts once.
     """
     if lengths.max() > 8:
         keys = _texts(padded, starts, lengths)
@@ -640,16 +701,38 @@ def _number(
         keys = windows[starts] & _PREFIX_MASKS[lengths]
     heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     runs = keys[heads]
-    # Sorted and made distinct without np.unique, which imports numpy.ma on
-    # its first call without return_inverse.
-    distinct = np.sort(runs)
-    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
-    texts = distinct.view(f"S{distinct.itemsize}").tolist()
-    numbers = np.fromiter(map(numbering.__getitem__, texts), np.intp, len(texts))
-    return np.repeat(numbers[np.searchsorted(distinct, runs)], np.diff(heads, append=len(keys)))
+    distinct = _sorted_distinct(runs)
+    out[:] = np.repeat(np.searchsorted(distinct, runs), np.diff(heads, append=len(keys)))
+    return distinct
 
 
-def _numbers(padded: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+def _rank_keys(codes: np.ndarray, blocks: list[tuple[int, int, np.ndarray]]) -> list[str]:
+    """The distinct texts of one text column of a plain file, sorted.
+
+    ``blocks`` holds the rows ``start:stop`` of each block and the block's
+    distinct keys, which its codes index.  The keys of every block are
+    ranked once, in byte order, which is str order for a plain file; each
+    block's codes are replaced in place by their keys' ranks, and only the
+    distinct texts are decoded.  A plain file holds nothing that ``strip``
+    removes.
+    """
+    keys = [distinct for _, _, distinct in blocks]
+    if all(distinct.dtype == np.uint64 for distinct in keys):
+        # Read as big-endian numbers, keys of up to 8 bytes order as their
+        # bytes do, and they sort faster than byte strings.
+        keys = [distinct.view(">u8").astype(np.uint64) for distinct in keys]
+        ranked = _sorted_distinct(np.concatenate(keys))
+        texts = ranked.astype(">u8").view("S8")
+    else:
+        keys = [k.view("S8") if k.dtype == np.uint64 else k for k in keys]
+        ranked = texts = _sorted_distinct(np.concatenate(keys))
+    for (start, stop, _), distinct in zip(blocks, keys):
+        rows = codes[start:stop]
+        np.take(np.searchsorted(ranked, distinct), rows, out=rows, mode="clip")
+    return [text.decode("ascii") for text in texts.tolist()]
+
+
+def _numbers(padded: np.ndarray, first: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
     """The float value of each cell, or None if a cell is not a number.
 
     A cell of 1 to 15 ASCII digits is read by Horner's rule, one digit
@@ -658,9 +741,10 @@ def _numbers(padded: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.nd
     Every other cell goes through ``float``.
     """
     size = max(int(min(lengths.max(), _MAX_DIGITS)), 1)
-    values = np.zeros(len(ends))
+    values = np.zeros(len(first))
     decimal = (lengths > 0) & (lengths <= _MAX_DIGITS)
-    at = ends - size  # the k-th byte before each cell's end, for k = size, ..., 1
+    at = first - size  # the k-th byte before each cell's end, for k = size, ..., 1
+    at += lengths
     for k in range(size, 0, -1):
         digit = padded[at]
         digit -= np.uint8(_ZERO)
@@ -671,7 +755,7 @@ def _numbers(padded: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.nd
         at += 1
     rest = np.flatnonzero(~decimal)
     if len(rest):
-        texts = _texts(padded, ends[rest] - lengths[rest], lengths[rest]).tolist()
+        texts = _texts(padded, first[rest], lengths[rest]).tolist()
         try:
             values[rest] = np.fromiter(map(float, texts), np.float64, len(rest))
         except ValueError:
@@ -680,100 +764,130 @@ def _numbers(padded: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.nd
 
 
 def _is_plain(data: bytes) -> bool:
-    """Whether the file holds, after an optional BOM, only printable ASCII
-    other than the quote character, and line feeds.
+    """Whether the bytes are only printable ASCII other than the quote
+    character, and line feeds.
 
-    csv.reader splits such a file at every comma and line feed and nowhere
-    else, so its header record is its first line.
+    csv.reader splits a file of such bytes, after an optional BOM, at every
+    comma and line feed and nowhere else, so its header record is its first
+    line.
     """
-    return data.translate(None, _PLAIN_BYTES) == (_BOM if data.startswith(_BOM) else b"")
+    return not data.translate(None, _PLAIN_BYTES)
+
+
+def _scan(handle: BinaryIO) -> tuple[bool, int, int]:
+    """(plain, line feeds, bytes) of the file from the handle's position:
+    whether it is plain, after an optional BOM at that position, and if so
+    how many line feeds and bytes it holds.  It is read one chunk of
+    ``_BLOCK_BYTES`` at a time, and reading stops at the first chunk that is
+    not plain."""
+    chunk = handle.read(_BLOCK_BYTES)
+    plain = _is_plain(chunk[len(_BOM) :] if chunk.startswith(_BOM) else chunk)
+    feeds = size = 0
+    while plain and chunk:
+        feeds += chunk.count(b"\n")
+        size += len(chunk)
+        chunk = handle.read(_BLOCK_BYTES)
+        plain = _is_plain(chunk)
+    return plain, feeds, size
 
 
 def _plain_cells(
-    data: bytes, start: int, schema: PanelSchema, positions: dict[str, int]
+    handle: BinaryIO, size: int, lines: int, schema: PanelSchema, positions: dict[str, int]
 ) -> _Cells | None:
-    """Tokenize the data rows of a plain file, from byte ``start`` on, with
-    numpy; or None when csv.reader must tokenize them: the lines of a block
-    differ in length or are short, a cell is longer than
-    ``csv.field_size_limit()`` or ``_LONGEST_CELL``, or a feature cell is
-    not a number (the csv.reader tokenizer then meets the same cell and the
-    fault walk names it).
+    """Tokenize the next ``size`` bytes of a plain file, its data rows, in
+    at most ``lines`` lines, with numpy; or None when csv.reader must
+    tokenize them: the lines of a block differ in length or are short, a
+    cell is longer than ``csv.field_size_limit()`` or ``_LONGEST_CELL``, a
+    feature cell is not a number (the csv.reader tokenizer then meets the
+    same cell and the fault walk names it), or the file is not as long as
+    ``size`` or holds more lines, as when it changed since it was scanned.
 
     The rows are split at every comma and line feed, as csv.reader splits
     a plain file, in blocks of whole lines of about ``_BLOCK_BYTES`` each.
-    Each block is copied once (:func:`_padded_block`) and split once into
-    a table of cell ends (:func:`_cell_ends`), from which every column
-    reads its cells; entity, period and flag texts are numbered by
-    :func:`_number`.
+    Each block is read once into a padded buffer (:func:`_blocks`) and split
+    once into cell ends (:func:`_cell_ends`), from which every column reads
+    its cells.  Each block codes its entity, period and flag texts by its
+    own distinct keys (:func:`_block_codes`), and once the file is read
+    each column's keys are ranked once (:func:`_rank_keys`).
     """
     limit = min(csv.field_size_limit(), _LONGEST_CELL)
-    whole = np.frombuffer(data, dtype=np.uint8)
-    # A row is a line, and every line but a last one ends in a line feed.
-    cells = _Cells(data.count(b"\n", start) + 1, schema, positions)
-    while start < len(data):
-        stop = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
-        padded = _padded_block(whole, start, stop)
-        start = stop
-        table = _cell_ends(padded)
-        if table is None:
+    cells = _Cells(lines, schema, positions)
+    # Per text column: the rows of each block and the block's distinct keys.
+    column_keys: list[list[tuple[int, int, np.ndarray]]] = [[] for _ in cells.texts]
+    for padded in _blocks(handle, size):
+        if padded is None:
             return None
-        if not table.shape[1]:
+        split = _cell_ends(padded)
+        if split is None:
+            return None
+        before, ends = split
+        n = len(before)
+        if not n:
             continue
-        if len(table) <= cells.width:
+        if ends.shape[1] < cells.width or cells.rows + n > len(cells.values):
             return None
-        lengths = np.diff(table, axis=0)
-        lengths -= 1
-        if lengths.max() > limit:
+        # No cell is longer than its line, and few lines are longer than the limit.
+        if (ends[:, -1] - before).max() > limit + 1 and (
+            np.diff(ends, axis=1, prepend=before[:, None]).max() > limit + 1
+        ):
             return None
-        codes, values = cells.block(table.shape[1])
-        for j, at in enumerate(cells.features):
-            column = _numbers(padded, table[at + 1], lengths[at])
-            if column is None:
-                return None
-            values[:, j] = column
-        for row, (at, numbering) in zip(codes, cells.texts):
-            row[:] = _number(numbering, padded, table[at] + 1, lengths[at])
+        start = cells.rows
+        codes, values = cells.block(n)
+        features = dict(zip(cells.features, values.T))
+        texts = dict(zip(cells.texts, zip(codes, column_keys)))
+        for at, first, length in _spans(before, ends, cells.width):
+            if at in features:
+                column = _numbers(padded, first, length)
+                if column is None:
+                    return None
+                features[at][:] = column
+            elif at in texts:
+                row, keys = texts[at]
+                keys.append((start, cells.rows, _block_codes(padded, first, length, row)))
+    if handle.read(1):  # the file grew since the scan
+        return None
+    cells.distinct = [
+        _rank_keys(codes, keys) if keys else [] for codes, keys in zip(cells.codes, column_keys)
+    ]
     return cells
-
-
-def _stripped(numbering: _Codes) -> list[str]:
-    """Each numbered text, stripped; a plain file's bytes are decoded here,
-    once per distinct text."""
-    return [(raw.decode("ascii") if isinstance(raw, bytes) else raw).strip() for raw in numbering]
 
 
 def _columns(cells: _Cells, schema: PanelSchema) -> PanelColumns | None:
     """Check the tokenized cells as whole columns and convert them to
     PanelColumns, or None if any row may hold a fault.
 
-    Each distinct entity, period and flag text is stripped and checked once.
+    Each distinct entity, period and flag text is checked once.  The
+    entity codes are the codes of the sorted ids; period codes are
+    ordinals once integer labels, sorted as text, are ranked by value in
+    place.
     """
     if not cells.rows:
         raise EmptyInput("input has a header but no data rows")
-    entity_ids, label_texts, flag_texts = (_stripped(numbering) for _, numbering in cells.texts)
+    entity_ids, label_texts, flag_texts = cells.distinct
+    entity_codes, label_codes, flag_codes = (codes[: cells.rows] for codes in cells.codes)
+    values = cells.values[: cells.rows]
     kinds = {_label_kind(label) for label in label_texts}
     file_kind = kinds.pop() if len(kinds) == 1 else None
-    flag_values = [_FLAGS.get(raw) for raw in flag_texts]
-    entity_codes, label_codes, flag_codes = cells.codes[:, : cells.rows]
-    values = cells.values[: cells.rows]
+    flag_values = [_FLAGS.get(text) for text in flag_texts]
+    # An empty id sorts first; a NaN makes min and max NaN, and neither
+    # makes a temporary the size of the matrix.
     if (
-        "" in entity_ids
+        not entity_ids[0]
         or file_kind is None
         or None in flag_values
-        or not (values >= 0.0).all()
-        or not np.isfinite(values).all()
+        or not (values.min() >= 0.0 and values.max() < np.inf)
     ):
         return None
 
-    distinct_ids = sorted(set(entity_ids))
-    code = {entity: i for i, entity in enumerate(distinct_ids)}
     ordinal = index_periods(label_texts, file_kind)
-    # Map the numbers of raw texts to entity codes, ordinals and flags.
+    if file_kind == "int":
+        ranks = np.fromiter(map(ordinal.__getitem__, label_texts), np.intp, len(label_texts))
+        np.take(ranks, label_codes, out=label_codes, mode="clip")
     return PanelColumns(
-        entity_ids=tuple(distinct_ids),
-        codes=np.array([code[e] for e in entity_ids])[entity_codes],
+        entity_ids=tuple(entity_ids),
+        codes=entity_codes,
         periods={o: PeriodIndex(o, label) for label, o in ordinal.items()},
-        ordinals=np.array([ordinal[label] for label in label_texts])[label_codes],
+        ordinals=label_codes,
         features=schema.feature_columns,
         values=values,
         flags=np.array(flag_values, dtype=np.int8)[flag_codes],
@@ -783,17 +897,28 @@ def _columns(cells: _Cells, schema: PanelSchema) -> PanelColumns | None:
 def parse_panel_csv(source: Union[bytes, BinaryIO], schema: PanelSchema) -> PanelDataset:
     """Parse a panel CSV into a :class:`PanelDataset`.
 
-    Raises MissingColumn, BadValue, or EmptyInput; error messages name the
-    offending line and column.
+    A file handle is read from its position, in two passes: a scan, then
+    the rows, each a block at a time; a handle that cannot seek is read
+    whole first.  Raises MissingColumn, BadValue, or EmptyInput; error
+    messages name the offending line and column.
     """
-    data = source if isinstance(source, bytes) else source.read()
-    # The whole text, decoded at most once: the rows of a plain file may
-    # never need csv.reader or a decoded copy of the text.
-    text = cache(lambda: data.decode("utf-8-sig"))
-    plain = _is_plain(data)
+    handle = io.BytesIO(source) if isinstance(source, bytes) else source
+    if not handle.seekable():
+        handle = io.BytesIO(handle.read())
+    origin = handle.tell()
+    plain, feeds, size = _scan(handle)
+    handle.seek(origin)
+
+    @cache
+    def text() -> str:
+        """The whole text, read and decoded at most once: the rows of a
+        plain file may never need csv.reader or a decoded copy of them."""
+        handle.seek(origin)
+        return handle.read().decode("utf-8-sig")
+
     if plain:
-        body = data.find(b"\n") + 1 or len(data)
-        header = next(_records(data[:body].decode("utf-8-sig")), None)
+        line = handle.readline()
+        header = next(_records(line.decode("utf-8-sig")), None)
     else:
         header = next(_records(text()), None)
     if header is None:
@@ -809,7 +934,11 @@ def parse_panel_csv(source: Union[bytes, BinaryIO], schema: PanelSchema) -> Pane
     if missing:
         raise MissingColumn(f"columns absent from header: {', '.join(missing)}")
 
-    cells = _plain_cells(data, body, schema, positions) if plain else None
+    cells = None
+    if plain:
+        # A row is a line, and every line but a last one ends in a line feed.
+        lines = feeds - line.endswith(b"\n") + 1
+        cells = _plain_cells(handle, size - len(line), lines, schema, positions)
     if cells is None:
         cells = _reader_cells(text(), schema, positions)
     columns = None if cells is None else _columns(cells, schema)

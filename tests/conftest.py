@@ -38,11 +38,11 @@ PANEL_CSV = DATA_DIR / "telecom_panel.csv"
 CONFIG_JSON = DATA_DIR / "telecom_config.json"
 
 
-def parse_outcome(data: bytes, schema: PanelSchema):
+def parse_outcome(source, schema: PanelSchema):
     """The parsed columns, bit for bit, or the type and message of the
     error; any error the command line does not report escapes."""
     try:
-        columns = parse_panel_csv(data, schema).columns
+        columns = parse_panel_csv(source, schema).columns
     except (LeadframeError, UnicodeDecodeError, csv.Error) as exc:
         return type(exc), str(exc)
     return (
@@ -54,20 +54,86 @@ def parse_outcome(data: bytes, schema: PanelSchema):
 
 def parse_both_ways(data: bytes, schema: PanelSchema):
     """(outcome, outcome through csv.reader alone, whether the numpy
-    tokenizer read the rows) for one panel file."""
-    tokenized = []
-    plain_cells = panel._plain_cells
+    tokenizer read the rows) for one panel file.
 
-    def spy(*args):
-        cells = plain_cells(*args)
-        tokenized.append(cells is not None)
-        return cells
+    Through csv.reader alone, csv.reader's tokenizer, and no other, reads
+    the rows of every file whose rows the first parse reached.
+    """
+    calls = []
 
-    with mock.patch.object(panel, "_plain_cells", spy):
+    def spy(name):
+        tokenize = getattr(panel, name)
+
+        def spied(*args):
+            cells = tokenize(*args)
+            calls.append((name, cells is not None))
+            return cells
+
+        return mock.patch.object(panel, name, spied)
+
+    with spy("_plain_cells"), spy("_reader_cells"):
         outcome = parse_outcome(data, schema)
-    with mock.patch.object(panel, "_is_plain", lambda data: False):
+    tokenized, reached = ("_plain_cells", True) in calls, bool(calls)
+    calls.clear()
+    with spy("_plain_cells"), spy("_reader_cells"), mock.patch.object(
+        panel, "_is_plain", lambda data: False
+    ):
         through_reader = parse_outcome(data, schema)
-    return outcome, through_reader, any(tokenized)
+    assert [name for name, _ in calls] == ["_reader_cells"] * reached
+    return outcome, through_reader, tokenized
+
+
+class Unseekable(io.RawIOBase):
+    """A stream of the bytes that cannot seek, as a pipe is."""
+
+    def __init__(self, data: bytes) -> None:
+        self._data = io.BytesIO(data)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        return self._data.readinto(buffer)
+
+
+class ChangingFile(io.FileIO):
+    """A file that holds ``scanned`` until the parse first seeks, after its
+    scan, and ``data`` from then on."""
+
+    def __init__(self, path: Path, scanned: bytes, data: bytes) -> None:
+        path.write_bytes(scanned)
+        super().__init__(path, "rb")
+        self.path, self.data, self.changed = path, data, False
+
+    def seek(self, *args) -> int:
+        if not self.changed:
+            self.path.write_bytes(self.data)
+            self.changed = True
+        return super().seek(*args)
+
+
+def parse_every_way(data: bytes, schema: PanelSchema, directory: Path) -> list:
+    """The outcome of parsing the file from bytes, from an io.BytesIO, from
+    a file in ``directory``, from a stream that cannot seek, and from a file
+    that grows, one that shrinks and one that holds fewer lines but as many
+    bytes at the parse's scan as at its read of the rows."""
+    path = directory / "panel.csv"
+    path.write_bytes(data)
+    body = data.find(b"\n") + 1
+    handles = (
+        lambda: io.BytesIO(data),
+        lambda: open(path, "rb"),
+        lambda: io.BufferedReader(Unseekable(data)),
+        lambda: ChangingFile(directory / "grows.csv", data[: len(data) // 2], data),
+        lambda: ChangingFile(directory / "shrinks.csv", data + data[body:], data),
+        lambda: ChangingFile(directory / "joins.csv", data.replace(b"\n", b","), data),
+    )
+    outcomes = [parse_outcome(data, schema)]
+    for handle in handles:
+        with handle() as source:
+            outcomes.append(parse_outcome(source, schema))
+            assert getattr(source, "changed", True)
+    return outcomes
 
 
 def dataset_of(schema: PanelSchema, rows) -> PanelDataset:

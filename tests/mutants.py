@@ -148,8 +148,8 @@ MUTANTS = (
     Mutant(
         "numbering-searches-right",
         "panel.py",
-        "numbers[np.searchsorted(distinct, runs)]",
-        'numbers[np.searchsorted(distinct, runs, side="right")]',
+        "np.repeat(np.searchsorted(distinct, runs),",
+        'np.repeat(np.searchsorted(distinct, runs, side="right"),',
         ("tests/test_panel.py::TestTokenizerMatchesCsvReader",),
     ),
     Mutant(
@@ -162,9 +162,16 @@ MUTANTS = (
     Mutant(
         "plain-rows-miss-last-line",
         "panel.py",
-        'data.count(b"\\n", start) + 1',
-        'data.count(b"\\n", start)',
+        'lines = feeds - line.endswith(b"\\n") + 1',
+        'lines = feeds - line.endswith(b"\\n")',
         ("tests/test_panel.py::TestTokenizerAcrossBlocks::test_no_final_line_feed",),
+    ),
+    Mutant(
+        "block-drops-carried-line",
+        "panel.py",
+        "np.frombuffer(handle.readline(size - first), dtype=np.uint8)",
+        "np.frombuffer(handle.readline(size - first)[:0], dtype=np.uint8)",
+        ("tests/test_panel.py::TestTokenizerAcrossBlocks",),
     ),
     Mutant(
         "reader-rows-from-line-feeds",

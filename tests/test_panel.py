@@ -14,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIG_JSON, dataset_of, parse_both_ways, parse_outcome, write_both_ways
+from conftest import (
+    CONFIG_JSON,
+    dataset_of,
+    parse_both_ways,
+    parse_every_way,
+    parse_outcome,
+    write_both_ways,
+)
 from corpus import random_float_panel_rows, random_panel_rows, rows_to_csv_bytes
 import oracle
 from oracle import period_positions
@@ -729,29 +736,98 @@ class TestTokenizerAcrossBlocks:
         assert self.numpy_outcome(data[:-1]) == self.numpy_outcome(data)
 
 
-@pytest.mark.parametrize(
+class TestParseFromHandles:
+    """A file parses alike, to the same columns bit for bit or to the same
+    error, from bytes, an io.BytesIO, a file, a stream that cannot seek, and
+    a file that changes between the parse's scan and its read of the rows
+    (:func:`conftest.parse_every_way`)."""
+
+    @pytest.mark.parametrize("rows", [random_panel_rows, random_float_panel_rows])
+    def test_corpus_panels(self, corpus_schema, rows, tmp_path):
+        rng = random.Random(20261019)
+        for _ in range(60):
+            outcomes = parse_every_way(rows_to_csv_bytes(rows(rng)), corpus_schema, tmp_path)
+            assert outcomes == outcomes[:1] * len(outcomes)
+
+    @pytest.mark.parametrize("name", list(EDGE_FILES))
+    def test_edge_files(self, name, tmp_path):
+        outcomes = parse_every_way(EDGE_FILES[name][0], small_schema(), tmp_path)
+        assert outcomes == outcomes[:1] * len(outcomes)
+
+
+class TestHandlesAcrossBlocks(TestTokenizerAcrossBlocks):
+    """The files of several numpy blocks parse alike from bytes and from
+    every handle of :class:`TestParseFromHandles`."""
+
+    @pytest.fixture(autouse=True)
+    def directory(self, tmp_path):
+        self.tmp_path = tmp_path
+
+    def numpy_outcome(self, data: bytes):
+        outcomes = parse_every_way(data, small_schema(), self.tmp_path)
+        assert outcomes == outcomes[:1] * len(outcomes)
+        return super().numpy_outcome(data)
+
+    def test_lines_longer_than_the_room_after_a_block(self):
+        # The rest of a block's last line, past _BLOCK_BYTES, may be longer
+        # than the _BACK bytes the buffer keeps for it; so may a line.
+        extra = ",".join(["x" * panel._BACK] * 3)
+        rows = [f"e{i % 50:02d},{1 + i // 50},{i % 13},{i % 7},0,{extra}" for i in range(2000)]
+        entity_ids = self.numpy_outcome(csv_bytes(HEADER, *rows))[0]
+        assert entity_ids == tuple(f"e{i:02d}" for i in range(50))
+
+
+SYNTH_SHAPES = pytest.mark.parametrize(
     "shape",
     [dict(n_entities=5000, n_periods=24, ramp_length=3),
      dict(n_entities=150, n_periods=1000, ramp_length=48)],
     ids=["5000x24", "150x1000"],
 )
+
+
+def synth_panel(shape) -> tuple[bytes, PanelSchema]:
+    """A panel file of the seed-0 synth panel of the shape, and its schema."""
+    config = SynthConfig(**shape, event_rate=0.3, signal_strength=3.0, noise_rate=0.5, seed=0)
+    dataset, text = generate_panel(config), io.StringIO(newline="")
+    write_panel_csv(dataset, text)
+    return text.getvalue().encode(), dataset.schema
+
+
+def traced_parse(source, schema) -> tuple[int, int]:
+    """(peak traced bytes of the parse, bytes of the columns it returns)."""
+    tracemalloc.start()
+    try:
+        columns = parse_panel_csv(source, schema).columns
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, sum(a.nbytes for a in (columns.codes, columns.ordinals, columns.values, columns.flags))
+
+
+@SYNTH_SHAPES
 def test_parse_holds_little_beyond_its_columns(shape):
     # The row columns are made once, for the file's lines, and filled block
     # by block: the parse's peak stays under the file's bytes plus twice
     # the bytes of the columns it returns.
-    config = SynthConfig(**shape, event_rate=0.3, signal_strength=3.0, noise_rate=0.5, seed=0)
-    dataset, text = generate_panel(config), io.StringIO(newline="")
-    write_panel_csv(dataset, text)
-    data, schema = text.getvalue().encode(), dataset.schema
+    data, schema = synth_panel(shape)
     parse_panel_csv(data, schema)
-    tracemalloc.start()
-    try:
-        columns = parse_panel_csv(data, schema).columns
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    held = sum(a.nbytes for a in (columns.codes, columns.ordinals, columns.values, columns.flags))
+    peak, held = traced_parse(data, schema)
     assert peak < len(data) + 2 * held
+
+
+@SYNTH_SHAPES
+def test_parse_of_a_file_holds_a_block_not_the_file(shape, tmp_path):
+    # Read from a file, the parse holds one block of it at a time, so its
+    # peak stays under twice the bytes of the columns it returns, whatever
+    # the file's size.
+    data, schema = synth_panel(shape)
+    path = tmp_path / "panel.csv"
+    path.write_bytes(data)
+    with open(path, "rb") as handle:
+        parse_panel_csv(handle, schema)
+    with open(path, "rb") as handle:
+        peak, held = traced_parse(handle, schema)
+    assert peak < 2 * held
 
 
 def test_ambiguous_labels_named_alike_under_every_hash_seed():
