@@ -51,8 +51,9 @@ from .panel import (
     parse_panel_csv,
     validate_timeline,
     write_panel_csv,
+    write_panel_rows,
 )
-from .synth import SynthConfig, default_schema, generate_panel
+from .synth import SynthConfig, default_schema, generate_blocks, generate_panel
 from .transform import (
     AggKind,
     AggregationPlan,

@@ -35,22 +35,24 @@ ordinals are these arrays, with no second copy.  A plain file holds, after
 an optional BOM, only printable ASCII other than the quote character, and
 line feeds.  csv.reader would split it at every comma and line feed and
 nowhere else, so numpy does that directly, and the file is never held
-whole: a scan reads it a chunk at a time to check that it is plain and
-count its lines, then each block of whole lines is read straight into one
-padded buffer and split once into cell ends, from which every column reads
-its cells.  A feature cell of 1 to 15 digits is converted by digit
-arithmetic, any other by ``float``; a text is keyed by its bytes, runs of
-equal keys count once, and each block codes its texts by its own distinct
-keys.  Once the file is read, each text column's keys are ranked once, in
-byte order, which is str order here, its codes are remapped in place, and
-only its distinct texts are decoded.  Every other file (quotes, carriage
-returns, spaces, tabs, non-ASCII bytes, NUL) is read whole and goes through
-csv.reader, and so does a plain file whose rows differ in length or are
-short, that has a cell longer than 256 bytes or ``csv.field_size_limit()``
-or a feature cell that is not a number, or that grows, shrinks or gains
-lines between the scan and the read of its rows.  Both tokenizers feed the
-same column checks and the same fault walk, so they give the same columns
-and the same error messages.
+whole: a scan reads it a chunk at a time to count its lines, then the
+header line and each block of whole lines are checked to be plain as they
+are read, each block into one padded buffer, where it is split once into
+cell ends, from which every column reads its cells.  A feature cell of 1
+to 15 digits is converted by digit arithmetic, any other by ``float``; a
+text is keyed by its bytes, runs of equal keys count once, and each block
+codes its texts by its own distinct keys.  Once the file is read, each
+text column's keys are ranked once, in byte order, which is str order
+here, its codes are remapped in place, and only its distinct texts are
+decoded.  Every other file (quotes, carriage returns, spaces, tabs,
+non-ASCII bytes, NUL) is read whole and goes through csv.reader once its
+header line or a block of its rows is found not plain, and so does a
+plain file whose rows differ in length or are short, that has a cell
+longer than 256 bytes or ``csv.field_size_limit()`` or a feature cell that
+is not a number, or that grows, shrinks or gains lines between the scan
+and the read of its rows.  Both tokenizers feed the same column checks
+and the same fault walk, so they give the same columns and the same error
+messages.
 
 :func:`write_panel_csv` renders each distinct cell once: each entity id,
 each period label, each distinct value of each feature column and each
@@ -60,6 +62,9 @@ fixed-width byte records, gathers the records of a block of rows in
 canonical order into a byte matrix, drops the padding by a length mask and
 writes the block, so no Python code runs per cell and the matrix of a block
 stays small.  The bytes equal those of csv.writer writing row by row.
+:func:`write_panel_rows` writes the same rows without the header line;
+since each cell is rendered on its own, ``synth`` writes a panel one block
+of entities at a time below one header, in the bytes of the whole panel.
 """
 
 from __future__ import annotations
@@ -121,6 +126,10 @@ _QUOTED_CHARACTERS = re.compile('[,"\r\n]')
 # a synth panel with five feature columns, so the block's byte matrix and its
 # mask stay small whatever the number of rows.
 _WRITE_BYTES = 1 << 19
+# Bytes of a block's byte matrix the writer compacts per np.compress call,
+# which makes an 8-byte index per byte kept: 64 KiB keeps that index under
+# 512 KiB, where a whole block's would be about 2.6 MB, fresh for each block.
+_COMPRESS_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -591,24 +600,29 @@ def _reader_cells(text: str, schema: PanelSchema, positions: dict[str, int]) -> 
 
 
 def _blocks(handle: BinaryIO, size: int) -> Iterator[np.ndarray | None]:
-    """The next ``size`` bytes of a plain file, in blocks of whole lines,
-    each read straight into one reused buffer with ``_FRONT`` zero bytes
-    before the block and ``_BACK`` after it; or a last None if the file
-    ends sooner.
+    """The next ``size`` bytes of a file, in blocks of whole lines, each
+    copied into one reused buffer with ``_FRONT`` zero bytes before the
+    block and ``_BACK`` after it; or a last None if the file ends sooner or
+    a block is not plain (:func:`_is_plain`).
 
     A block ends at the first line feed ``_BLOCK_BYTES`` or more bytes past
     its start: its first ``_BLOCK_BYTES`` bytes are read in one call and
-    the rest of that line by ``readline``.  The buffer has room for a rest
-    of ``_BACK`` bytes, and grows for a longer one.  Every column of the
-    block reads its cells from this buffer.
+    the rest of that line by ``readline``.  Plainness is judged on these
+    bytes, the ones the rows are read from, so a file that changed since
+    its scan is judged as it is now.  The buffer has room for a rest of
+    ``_BACK`` bytes, and grows for a longer one.  Every column of the block
+    reads its cells from this buffer.
     """
     buffer = np.zeros(_FRONT + _BLOCK_BYTES + _BACK + 1 + _BACK, dtype=np.uint8)
     while size > 0:
         first = min(size, _BLOCK_BYTES)
-        if handle.readinto(buffer[_FRONT : _FRONT + first]) != first:
+        head = handle.read(first)
+        tail = handle.readline(size - first)
+        if len(head) != first or not (_is_plain(head) and _is_plain(tail)):
             yield None
             return
-        rest = np.frombuffer(handle.readline(size - first), dtype=np.uint8)
+        buffer[_FRONT : _FRONT + first] = np.frombuffer(head, dtype=np.uint8)
+        rest = np.frombuffer(tail, dtype=np.uint8)
         size -= first + len(rest)
         start, end = _FRONT + first, _FRONT + first + len(rest)
         if len(buffer) < end + 1 + _BACK:
@@ -774,33 +788,27 @@ def _is_plain(data: bytes) -> bool:
     return not data.translate(None, _PLAIN_BYTES)
 
 
-def _scan(handle: BinaryIO) -> tuple[bool, int, int]:
-    """(plain, line feeds, bytes) of the file from the handle's position:
-    whether it is plain, after an optional BOM at that position, and if so
-    how many line feeds and bytes it holds.  It is read one chunk of
-    ``_BLOCK_BYTES`` at a time, and reading stops at the first chunk that is
-    not plain."""
-    chunk = handle.read(_BLOCK_BYTES)
-    plain = _is_plain(chunk[len(_BOM) :] if chunk.startswith(_BOM) else chunk)
+def _scan(handle: BinaryIO) -> tuple[int, int]:
+    """(line feeds, bytes) of the file from the handle's position, read one
+    chunk of ``_BLOCK_BYTES`` at a time."""
     feeds = size = 0
-    while plain and chunk:
+    while chunk := handle.read(_BLOCK_BYTES):
         feeds += chunk.count(b"\n")
         size += len(chunk)
-        chunk = handle.read(_BLOCK_BYTES)
-        plain = _is_plain(chunk)
-    return plain, feeds, size
+    return feeds, size
 
 
 def _plain_cells(
     handle: BinaryIO, size: int, lines: int, schema: PanelSchema, positions: dict[str, int]
 ) -> _Cells | None:
-    """Tokenize the next ``size`` bytes of a plain file, its data rows, in
-    at most ``lines`` lines, with numpy; or None when csv.reader must
-    tokenize them: the lines of a block differ in length or are short, a
-    cell is longer than ``csv.field_size_limit()`` or ``_LONGEST_CELL``, a
-    feature cell is not a number (the csv.reader tokenizer then meets the
-    same cell and the fault walk names it), or the file is not as long as
-    ``size`` or holds more lines, as when it changed since it was scanned.
+    """Tokenize the next ``size`` bytes of a file with a plain header line,
+    its data rows, in at most ``lines`` lines, with numpy; or None when
+    csv.reader must tokenize them: a block is not plain, the lines of a
+    block differ in length or are short, a cell is longer than
+    ``csv.field_size_limit()`` or ``_LONGEST_CELL``, a feature cell is not a
+    number (the csv.reader tokenizer then meets the same cell and the fault
+    walk names it), or the file is not as long as ``size`` or holds more
+    lines, as when it changed since it was scanned.
 
     The rows are split at every comma and line feed, as csv.reader splits
     a plain file, in blocks of whole lines of about ``_BLOCK_BYTES`` each.
@@ -894,6 +902,24 @@ def _columns(cells: _Cells, schema: PanelSchema) -> PanelColumns | None:
     )
 
 
+def _header_positions(header: list[str] | None, schema: PanelSchema) -> dict[str, int]:
+    """The position of each stripped header name, first one first; raises
+    EmptyInput with no header, ParseError if it names a schema column twice
+    and MissingColumn if it lacks one."""
+    if header is None:
+        raise EmptyInput("input has no header row")
+    positions: dict[str, int] = {}
+    for i, name in enumerate(header):
+        name = name.strip()
+        if name in positions and name in schema.columns:
+            raise ParseError(f"header names column {name!r} more than once")
+        positions.setdefault(name, i)
+    missing = [c for c in schema.columns if c not in positions]
+    if missing:
+        raise MissingColumn(f"columns absent from header: {', '.join(missing)}")
+    return positions
+
+
 def parse_panel_csv(source: Union[bytes, BinaryIO], schema: PanelSchema) -> PanelDataset:
     """Parse a panel CSV into a :class:`PanelDataset`.
 
@@ -906,7 +932,7 @@ def parse_panel_csv(source: Union[bytes, BinaryIO], schema: PanelSchema) -> Pane
     if not handle.seekable():
         handle = io.BytesIO(handle.read())
     origin = handle.tell()
-    plain, feeds, size = _scan(handle)
+    feeds, size = _scan(handle)
     handle.seek(origin)
 
     @cache
@@ -916,23 +942,21 @@ def parse_panel_csv(source: Union[bytes, BinaryIO], schema: PanelSchema) -> Pane
         handle.seek(origin)
         return handle.read().decode("utf-8-sig")
 
+    # Plainness is judged on the bytes the rows are read from, as they are
+    # read: the header line here, then each block of rows.
+    line = handle.readline()
+    plain = _is_plain(line[len(_BOM) :] if line.startswith(_BOM) else line)
     if plain:
-        line = handle.readline()
         header = next(_records(line.decode("utf-8-sig")), None)
     else:
         header = next(_records(text()), None)
-    if header is None:
-        raise EmptyInput("input has no header row")
-
-    positions: dict[str, int] = {}
-    for i, name in enumerate(header):
-        name = name.strip()
-        if name in positions and name in schema.columns:
-            raise ParseError(f"header names column {name!r} more than once")
-        positions.setdefault(name, i)
-    missing = [c for c in schema.columns if c not in positions]
-    if missing:
-        raise MissingColumn(f"columns absent from header: {', '.join(missing)}")
+    try:
+        positions = _header_positions(header, schema)
+    except ParseError:
+        # Read whole, a file that is not UTF-8 fails to decode before its
+        # header is read; so it does here, where only its header line was.
+        text()
+        raise
 
     cells = None
     if plain:
@@ -1086,14 +1110,42 @@ def distinct_values(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_panel_csv(dataset: PanelDataset, stream: io.TextIOBase) -> None:
-    """Write a dataset in canonical order: entity ascending, then period.
+    """Write a dataset in canonical order: its header line, then its rows as
+    :func:`write_panel_rows` writes them.
 
-    Raises BadValue, before anything is written, if a cell would not read
-    back as it is: an empty id or one with surrounding whitespace, a period
-    label that is not an integer or YYYY-MM or mixes the two formats, a
-    negative, infinite or NaN feature value, or a flag other than 0 or 1; or
-    if the period labels would read back as other periods or in another
-    order than the dataset's ordinals.
+    Raises BadValue as :func:`write_panel_rows` does, before anything is
+    written, the header included.
+    """
+    rows = _row_texts(dataset)
+    stream.write(csv_line(dataset.schema.columns))
+    stream.writelines(rows)
+
+
+def write_panel_rows(dataset: PanelDataset, stream: io.TextIOBase) -> None:
+    """Write a dataset's rows, with no header line, in canonical order:
+    entity ascending, then period.
+
+    Every cell is rendered on its own, whatever the other rows hold, so the
+    rows of consecutive blocks of entities, written one block after another
+    below one header, are the bytes :func:`write_panel_csv` writes for their
+    union; ``synth`` writes its panel so.
+
+    Raises BadValue, before any row of the dataset is written, if a cell
+    would not read back as it is: an empty id or one with surrounding
+    whitespace, a period label that is not an integer or YYYY-MM or mixes
+    the two formats, a negative, infinite or NaN feature value, or a flag
+    other than 0 or 1; or if the period labels would read back as other
+    periods or in another order than the dataset's ordinals.  A dataset
+    written as one of several blocks is checked alone, so an earlier
+    block's rows may already be written.
+    """
+    stream.writelines(_row_texts(dataset))
+
+
+def _row_texts(dataset: PanelDataset) -> Iterator[str]:
+    """The text of the dataset's rows, a block of rows at a time, for
+    :func:`write_panel_rows`; its cells are checked by :func:`_check_writable`
+    before this returns, so a BadValue is raised before any text is made.
 
     Each distinct cell of each column is rendered once, by :func:`csv_cells`
     and :func:`_format_number`, into a :func:`_cell_table`; the entity table
@@ -1109,10 +1161,20 @@ def write_panel_csv(dataset: PanelDataset, stream: io.TextIOBase) -> None:
     # runs through rows already in order, as synth's and most files' are.
     order = np.argsort(columns.codes * len(ordinals) + period_index, kind="stable")
     _check_writable(dataset.schema, columns, periods, ordinals, order)
-    stream.write(csv_line(dataset.schema.columns))
     if not len(order):
-        return
+        return iter(())
+    return _gathered_rows(columns, periods, ordinals, period_index, order)
 
+
+def _gathered_rows(
+    columns: PanelColumns,
+    periods: dict[int, str],
+    ordinals: list[int],
+    period_index: np.ndarray,
+    order: np.ndarray,
+) -> Iterator[str]:
+    """The text of the rows ``order`` of the columns, a block at a time, as
+    :func:`_row_texts` lays them out."""
     # The ids of the entities with rows, each encoded once; an entity's
     # position among them is its record in the id tables.
     has_rows = np.zeros(len(columns.entity_ids), np.bool_)
@@ -1159,8 +1221,12 @@ def write_panel_csv(dataset: PanelDataset, stream: io.TextIOBase) -> None:
         texts, used = np.empty(size, layout), np.empty(size, layout)
         for name, (cell_texts, cell_used), at in zip(layout.names, block_tables, indexes):
             texts[name], used[name] = cell_texts[at], cell_used[at]
-        text = np.compress(used.view(np.bool_), texts.view(np.uint8)).tobytes()
-        stream.write(text.decode("utf-8", "surrogatepass"))
+        kept, data = used.view(np.bool_), texts.view(np.uint8)
+        text = b"".join(
+            np.compress(kept[at : at + _COMPRESS_BYTES], data[at : at + _COMPRESS_BYTES]).tobytes()
+            for at in range(0, len(data), _COMPRESS_BYTES)
+        )
+        yield text.decode("utf-8", "surrogatepass")
 
 
 def build_timelines(dataset: PanelDataset) -> tuple[EntityTimeline, ...]:

@@ -86,9 +86,9 @@ def uniforms(states: np.ndarray) -> np.ndarray:
     return (outputs(states) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def substream_seeds(seed: int, count: int) -> np.ndarray:
-    """Seeds of the substreams of entities ``0 .. count - 1``, as ``uint64``."""
-    states = np.arange(1, count + 1, dtype=np.uint64) * GOLDEN
+def substream_seeds(seed: int, start: int, stop: int) -> np.ndarray:
+    """Seeds of the substreams of entities ``start .. stop - 1``, as ``uint64``."""
+    states = np.arange(start + 1, stop + 1, dtype=np.uint64) * GOLDEN
     states ^= np.uint64(seed)
     states += GOLDEN
     return outputs(states)

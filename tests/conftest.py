@@ -73,7 +73,11 @@ def parse_both_ways(data: bytes, schema: PanelSchema):
 
     with spy("_plain_cells"), spy("_reader_cells"):
         outcome = parse_outcome(data, schema)
-    tokenized, reached = ("_plain_cells", True) in calls, bool(calls)
+    # The rows were read by numpy or reached csv.reader.  The numpy tokenizer
+    # may give up on a block that is not plain and hand over a file that is
+    # not UTF-8, whose decoding then fails before csv.reader sees a row.
+    tokenized = ("_plain_cells", True) in calls
+    reached = tokenized or any(name == "_reader_cells" for name, _ in calls)
     calls.clear()
     with spy("_plain_cells"), spy("_reader_cells"), mock.patch.object(
         panel, "_is_plain", lambda data: False
@@ -112,11 +116,20 @@ class ChangingFile(io.FileIO):
         return super().seek(*args)
 
 
+# Each byte that is not plain, as panel._is_plain judges plainness, made a
+# plain one: the same length and the same line feeds.
+_MADE_PLAIN = bytes(
+    byte if byte in panel._PLAIN_BYTES else ord("x") for byte in range(256)
+)
+
+
 def parse_every_way(data: bytes, schema: PanelSchema, directory: Path) -> list:
     """The outcome of parsing the file from bytes, from an io.BytesIO, from
     a file in ``directory``, from a stream that cannot seek, and from a file
-    that grows, one that shrinks and one that holds fewer lines but as many
-    bytes at the parse's scan as at its read of the rows."""
+    that grows, one that shrinks, one that holds fewer lines but as many
+    bytes at the parse's scan as at its read of the rows, and one that is
+    plain at the scan, with as many bytes and lines, but holds the file's
+    bytes when its rows are read."""
     path = directory / "panel.csv"
     path.write_bytes(data)
     body = data.find(b"\n") + 1
@@ -127,6 +140,7 @@ def parse_every_way(data: bytes, schema: PanelSchema, directory: Path) -> list:
         lambda: ChangingFile(directory / "grows.csv", data[: len(data) // 2], data),
         lambda: ChangingFile(directory / "shrinks.csv", data + data[body:], data),
         lambda: ChangingFile(directory / "joins.csv", data.replace(b"\n", b","), data),
+        lambda: ChangingFile(directory / "was-plain.csv", data.translate(_MADE_PLAIN), data),
     )
     outcomes = [parse_outcome(data, schema)]
     for handle in handles:

@@ -7,8 +7,10 @@
 # LEADFRAME is the command to run (default: the installed `leadframe`).
 # Every file is written to a fresh temporary directory, removed on exit.
 #
-# Two runs on a few long histories, which draw over many chunks of steps,
-# must write the same bytes.  A panel of 5,000 entities spans 9 blocks of
+# The 5,000-entity panel, drawn and written in several blocks of entities,
+# must have the SHA-256 of the synth-panel pin in bench/pinned.json.  Two
+# runs on a few long histories, which draw over many chunks of steps, must
+# write the same bytes.  A panel of 5,000 entities spans 9 blocks of
 # the numpy tokenizer; two runs of each command on it must write the same
 # bytes too.  A CRLF copy of that panel goes through the csv.reader
 # tokenizer instead, about 26 blocks of rows in arrays sized from its line
@@ -26,6 +28,8 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 $LEADFRAME synth --output "$tmp/p.csv" --entities 5000
+echo "553ffd2f087b4cc8ed688fc9538ce4693db45f42d3abfa533c90ffd020494cc0  $tmp/p.csv" \
+    | sha256sum -c -
 $LEADFRAME synth --output "$tmp/long1.csv" --entities 3 --periods 400 --ramp-length 48
 $LEADFRAME synth --output "$tmp/long2.csv" --entities 3 --periods 400 --ramp-length 48
 cmp "$tmp/long1.csv" "$tmp/long2.csv"

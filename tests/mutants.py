@@ -169,8 +169,8 @@ MUTANTS = (
     Mutant(
         "block-drops-carried-line",
         "panel.py",
-        "np.frombuffer(handle.readline(size - first), dtype=np.uint8)",
-        "np.frombuffer(handle.readline(size - first)[:0], dtype=np.uint8)",
+        "rest = np.frombuffer(tail, dtype=np.uint8)",
+        "rest = np.frombuffer(tail[:0], dtype=np.uint8)",
         ("tests/test_panel.py::TestTokenizerAcrossBlocks",),
     ),
     Mutant(
@@ -200,5 +200,19 @@ MUTANTS = (
         "lengths = block.offsets[entities + 1] - block.offsets[entities]",
         "lengths = block.offsets[entities + 1] - block.offsets[entities] - 1",
         ("tests/test_transform.py::TestScoreFeatures",),
+    ),
+    Mutant(
+        "next-block-starts-one-late",
+        "synth.py",
+        "        start = stop\n",
+        "        start = stop + 1\n",
+        ("tests/test_synth.py::TestBlocks",),
+    ),
+    Mutant(
+        "id-width-of-the-block",
+        "synth.py",
+        "width = len(str(config.n_entities - 1))",
+        "width = len(str(stop - 1))",
+        ("tests/test_synth.py::TestBlocks",),
     ),
 )

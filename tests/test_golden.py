@@ -27,6 +27,10 @@ from leadframe.cli import main
 
 SYNTH_ARGS = ("--entities", "60", "--periods", "12", "--seed", "3")
 SYNTH_PANEL = "133e8237320247824da77f54fa9e6a72478a7e6c8075aee33241d44ec54ee909"
+# ``synth --entities 5000`` with every other flag at its default: the
+# synth-panel digest of bench/pinned.json, a panel of several blocks of
+# entities.
+SYNTH_BLOCKS_PANEL = "553ffd2f087b4cc8ed688fc9538ce4693db45f42d3abfa533c90ffd020494cc0"
 
 PIPELINE = {
     "telecom": {
@@ -80,6 +84,12 @@ def synth_panel(tmp_path):
 
 def test_synth_panel_digest(synth_panel):
     assert sha256(synth_panel) == SYNTH_PANEL
+
+
+def test_synth_panel_of_several_blocks_digest(tmp_path):
+    path = tmp_path / "synth.csv"
+    run("synth", "--output", path, "--entities", "5000")
+    assert sha256(path) == SYNTH_BLOCKS_PANEL
 
 
 @pytest.mark.parametrize("source", sorted(PIPELINE))

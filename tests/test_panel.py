@@ -584,12 +584,19 @@ EDGE_FILES = {
     "long row": (csv_bytes(HEADER, "x,1,1,2,0", "y,1,1,2,0,extra"), False),
     "ragged rows": (csv_bytes(HEADER, "x,1,1,2,0,p", "y,1,1,2,0", "z,1,1,2,0,q,r"), False),
     "quoted cells": (csv_bytes(HEADER, '"x",1,"1",2,0', "y,1,1,2,0"), False),
+    "quoted id": (csv_bytes(HEADER, '"x",1,1,2,0'), False),
     "quoted newline": (csv_bytes(HEADER, '"x\ny",1,1,2,0', "z,1,-1,2,0"), False),
     "crlf": (b"entity,period,a,b,event\r\nx,1,1,2,0\r\n", False),
     "spaces": (csv_bytes(HEADER, " x , 1 , 1 , 2 , 0 "), False),
     "tab": (csv_bytes(HEADER, "x\t,1,1,2,0"), False),
     "non-ascii": (csv_bytes(HEADER, "\u00e9,1,1,2,0"), False),
     "nul": (csv_bytes(HEADER, "x\0,1,1,2,0"), False),
+    "not utf-8 below a plain header": (
+        csv_bytes(HEADER, "x,1,1,2,0").replace(b"x", b"\x80"), False
+    ),
+    "not utf-8 below a plain header missing a column": (
+        csv_bytes("entity,period,a,b", "x,1,1,2").replace(b"x", b"\x80"), False
+    ),
     "cell over the field size limit": (
         csv_bytes(HEADER, "x,1,1,2,0", f"{'y' * (FIELD_LIMIT + 1)},1,1,2,0"), False
     ),
@@ -753,6 +760,18 @@ class TestParseFromHandles:
     def test_edge_files(self, name, tmp_path):
         outcomes = parse_every_way(EDGE_FILES[name][0], small_schema(), tmp_path)
         assert outcomes == outcomes[:1] * len(outcomes)
+
+    def test_quoted_id_in_a_late_block(self, tmp_path):
+        # Plainness is judged block by block: the numpy tokenizer reads the
+        # first blocks, meets the quote in the last and hands the file over.
+        rows = [f"e{i % 500:03d},{1 + i // 500},{i % 13},{i % 7},0" for i in range(40000)]
+        rows[-10] = '"e490",80,1,2,1'
+        data = csv_bytes(HEADER, *rows)
+        assert blocks_holding(data, b'"e490"') == [len(block_starts(data)) - 1] != [0]
+        outcome, through_reader, tokenized = parse_both_ways(data, small_schema())
+        assert not tokenized and not isinstance(outcome[0], type)
+        assert outcome == through_reader
+        assert parse_every_way(data, small_schema(), tmp_path) == [outcome] * 8
 
 
 class TestHandlesAcrossBlocks(TestTokenizerAcrossBlocks):

@@ -1,5 +1,7 @@
 import io
+import logging
 import statistics
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -10,10 +12,18 @@ from hypothesis import strategies as st
 from conftest import parse_both_ways
 from oracle import period_positions, scalar_synth_rows
 
+from leadframe import synth
 from leadframe.cli import main
 from leadframe.errors import InvalidConfig
 from leadframe.panel import PeriodIndex, build_timelines, parse_panel_csv, write_panel_csv
-from leadframe.synth import _CHUNK, FEATURE_COLUMNS, SynthConfig, default_schema, generate_panel
+from leadframe.synth import (
+    _CHUNK,
+    FEATURE_COLUMNS,
+    SynthConfig,
+    default_schema,
+    generate_blocks,
+    generate_panel,
+)
 from leadframe.transform import (
     AggregationPlan,
     FeatureSpec,
@@ -311,3 +321,82 @@ class TestWrittenPanelsTakeTheNumpyTokenizer:
         outcome, through_reader, tokenized = parse_both_ways(path.read_bytes(), default_schema())
         assert tokenized
         assert outcome == through_reader
+
+
+def synth_argv(path, cfg):
+    """The ``synth`` command line that writes the panel of ``cfg`` to ``path``."""
+    return [
+        "synth", "--output", str(path), "--entities", str(cfg.n_entities),
+        "--periods", str(cfg.n_periods), "--event-rate", repr(cfg.event_rate),
+        "--ramp-length", str(cfg.ramp_length), "--signal", repr(cfg.signal_strength),
+        "--noise", repr(cfg.noise_rate), "--seed", str(cfg.seed),
+    ]
+
+
+def whole_panel_text(cfg) -> str:
+    buffer = io.StringIO(newline="")
+    write_panel_csv(generate_panel(cfg), buffer)
+    return buffer.getvalue()
+
+
+class TestBlocks:
+    """``synth`` draws and writes a block of entities at a time; its bytes are
+    those of the whole panel, drawn and written at once, wherever the
+    blocks end."""
+
+    BLOCK = 8
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(synth, "_BLOCK_ENTITIES", self.BLOCK)
+
+    # 17 entities take two digits, and the first block's ids only one.
+    @pytest.mark.parametrize("n_entities", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("event_rate", [0.01, 0.99])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_command_writes_the_whole_panel(self, tmp_path, n_entities, event_rate, seed):
+        cfg = config(n_entities=n_entities, event_rate=event_rate, seed=seed)
+        path = tmp_path / "panel.csv"
+        assert main(synth_argv(path, cfg)) == 0
+        assert path.read_bytes().decode("utf-8") == whole_panel_text(cfg)
+
+    def test_block_sizes(self):
+        cfg = config(n_entities=2 * self.BLOCK + 1)
+        blocks = list(generate_blocks(cfg))
+        assert [len(b.columns.entity_ids) for b in blocks] == [self.BLOCK, self.BLOCK, 1]
+        assert [b.columns.entity_ids[0] for b in blocks] == ["E00", "E08", "E16"]
+
+    def test_info_line_counts_every_row(self, tmp_path, caplog):
+        cfg = config(n_entities=3 * self.BLOCK - 1, seed=5)
+        caplog.set_level(logging.INFO, logger="leadframe")
+        assert main(synth_argv(tmp_path / "panel.csv", cfg)) == 0
+        rows = len(generate_panel(cfg).columns)
+        assert rows == sum(len(block.columns) for block in generate_blocks(cfg))
+        assert caplog.messages == [
+            f"generated {rows} records for {cfg.n_entities} entities -> {tmp_path / 'panel.csv'}"
+        ]
+
+
+def traced_peak(run) -> int:
+    """The peak of the memory traced while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_synth_holds_a_block_not_the_panel(tmp_path):
+    # The seed-0 synth-panel shape, 5,000 entities of 24 periods: the
+    # command holds one block of entities, the library writer the panel.
+    cfg = config(n_entities=5000, n_periods=24)
+    streamed, whole = tmp_path / "streamed.csv", tmp_path / "whole.csv"
+
+    def write_whole():
+        with open(whole, "w", encoding="utf-8", newline="") as handle:
+            write_panel_csv(generate_panel(cfg), handle)
+
+    command_peak = traced_peak(lambda: main(synth_argv(streamed, cfg)))
+    assert command_peak < traced_peak(write_whole) / 2
+    assert streamed.read_bytes() == whole.read_bytes()
