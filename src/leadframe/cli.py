@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Collection
 from dataclasses import replace
 from pathlib import Path
 
@@ -87,9 +88,11 @@ def _load_config(args: argparse.Namespace) -> config_mod.RunConfig:
     return cfg
 
 
-def _read_panel(path: str, cfg: config_mod.RunConfig):
+def _read_panel(path: str, cfg: config_mod.RunConfig, features: Collection[str]):
+    """The panel's timelines, holding the values of the named feature
+    columns only; every feature cell is still checked."""
     with open(path, "rb") as handle:
-        dataset = parse_panel_csv(handle, cfg.schema)
+        dataset = parse_panel_csv(handle, cfg.schema, features)
     columns = dataset.columns
     logger.info(
         "panel %s: %d rows, %d entities, %d periods",
@@ -108,7 +111,7 @@ def _write_text(path: str, render) -> None:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    timelines = _read_panel(args.input, cfg)
+    timelines = _read_panel(args.input, cfg, ())
     dirty = False
     for timeline in timelines:
         report = validate_timeline(timeline)
@@ -119,7 +122,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_transform(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    timelines = _read_panel(args.input, cfg)
+    timelines = _read_panel(args.input, cfg, cfg.plan.referenced_columns())
     training = build_training_set(timelines, cfg.reference_frame, cfg.plan)
     _write_text(args.output, lambda h: write_training_csv(training, h))
     report_path = Path(args.output).with_suffix(".report.json")
@@ -155,7 +158,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             f"model features {model.feature_names!r} do not match plan "
             f"columns {cfg.plan.output_names!r}"
         )
-    timelines = _read_panel(args.input, cfg)
+    timelines = _read_panel(args.input, cfg, cfg.plan.referenced_columns())
     # Every score is computed before the output is opened, so a failure leaves no file.
     scores = predict_proba_matrix(model, score_feature_matrix(timelines, cfg.plan))
 
@@ -171,7 +174,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    timelines = _read_panel(args.input, cfg)
+    timelines = _read_panel(args.input, cfg, cfg.plan.referenced_columns())
     settings = cfg.eval_settings
     curve = lead_time_sweep(
         timelines,

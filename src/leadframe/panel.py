@@ -52,7 +52,9 @@ longer than 256 bytes or ``csv.field_size_limit()`` or a feature cell that
 is not a number, or that grows, shrinks or gains lines between the scan
 and the read of its rows.  Both tokenizers feed the same column checks
 and the same fault walk, so they give the same columns and the same error
-messages.
+messages.  The feature matrix holds only the columns the parse is asked to
+keep; each block converts and range-checks every feature cell, kept or
+dropped, so what it keeps never changes whether or how the parse fails.
 
 :func:`write_panel_csv` renders each distinct cell once: each entity id,
 each period label, each distinct value of each feature column and each
@@ -70,12 +72,13 @@ of entities at a time below one header, in the bytes of the whole panel.
 from __future__ import annotations
 
 import codecs
+import copy
 import csv
 import io
 import itertools
 import math
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from typing import BinaryIO, NoReturn, Union
@@ -84,6 +87,7 @@ import numpy as np
 
 from .errors import (
     BadValue,
+    DimensionMismatch,
     DuplicateObservation,
     EmptyInput,
     InvalidConfig,
@@ -161,6 +165,26 @@ class PanelSchema:
             *self.feature_columns,
             self.event_column,
         )
+
+    def keeping(self, features: Collection[str]) -> "PanelSchema":
+        """The schema with only the named feature columns, in schema order:
+        the schema of a parse that keeps only those columns' values.
+
+        It may keep none, as ``validate``'s parse does, so the check that a
+        declared schema names a feature column is not made here.  Raises
+        InvalidConfig for a name the schema lacks.
+        """
+        names = set(features)
+        unknown = names - set(self.feature_columns)
+        if unknown:
+            raise InvalidConfig(
+                "kept columns missing from the schema: " + ", ".join(sorted(unknown))
+            )
+        kept = copy.copy(self)
+        object.__setattr__(
+            kept, "feature_columns", tuple(c for c in self.feature_columns if c in names)
+        )
+        return kept
 
 
 @dataclass(frozen=True, order=True)
@@ -280,11 +304,20 @@ class PanelDataset:
 
     Columns are the only way rows enter: the parse and the generator build
     them.  ``records`` is a read-only sequence with an O(1) ``len`` that
-    makes each :class:`PanelRecord` when it is read.
+    makes each :class:`PanelRecord` when it is read.  The schema's feature
+    columns are the columns' features, or DimensionMismatch is raised, so
+    a written header always names the values below it.
     """
 
     schema: PanelSchema
     columns: PanelColumns
+
+    def __post_init__(self) -> None:
+        if self.schema.feature_columns != self.columns.features:
+            raise DimensionMismatch(
+                f"schema feature columns {self.schema.feature_columns!r} do not match "
+                f"the dataset's features {self.columns.features!r}"
+            )
 
     @property
     def records(self) -> Sequence[PanelRecord]:
@@ -325,7 +358,11 @@ class TimelineBlock:
         searching them."""
         low = int(self.columns.ordinals.min())
         span = int(self.columns.ordinals.max()) - low + 2
-        return self.columns.codes * span + (self.columns.ordinals - low), low, span
+        # Built in the one array it returns.
+        keys = self.columns.codes * span
+        keys += self.columns.ordinals
+        keys -= low
+        return keys, low, span
 
 
 class EntityTimeline:
@@ -521,32 +558,50 @@ class _Cells:
     order, and the column layout both tokenizers read them by.
 
     ``width`` is the fewest cells a row needs to hold every schema column,
-    ``features`` the position of each feature column and ``texts`` the
-    position of the entity, period and flag columns.  Row i of the first
-    ``rows`` holds the feature values ``values[i]`` and, in each text
-    column's array of ``codes``, the position of its stripped text in that
-    column's ``distinct`` texts, which are sorted and which the tokenizer
-    sets once every row is read.  The arrays are made once, for as many
-    rows as the file has lines, and each block fills its own rows; the
-    entity and period codes become the parsed columns themselves.
+    ``features`` maps the position of each feature column to the column of
+    ``values`` it fills, or None for one that is checked and dropped, and
+    ``texts`` holds the position of the entity, period and flag columns.
+    ``kept`` names the feature columns ``values`` holds, in schema order.
+    Row i of the first ``rows`` holds the kept feature values ``values[i]``
+    and, in each text column's array of ``codes``, the position of its
+    stripped text in that column's ``distinct`` texts, which are sorted and
+    which the tokenizer sets once every row is read.  ``in_range`` holds
+    while every feature cell read, kept or dropped, is finite and
+    non-negative.  The arrays are made once, for as many rows as the file
+    has lines, and each block fills its own rows; the entity and period
+    codes become the parsed columns themselves.
     """
 
-    def __init__(self, lines: int, schema: PanelSchema, positions: dict[str, int]) -> None:
+    def __init__(
+        self, lines: int, schema: PanelSchema, positions: dict[str, int], kept: tuple[str, ...]
+    ) -> None:
         self.width = max(positions[c] for c in schema.columns) + 1
-        self.features = [positions[c] for c in schema.feature_columns]
+        slot = {name: j for j, name in enumerate(kept)}
+        self.features = {positions[c]: slot.get(c) for c in schema.feature_columns}
         self.texts = [
             positions[c] for c in (schema.entity_column, schema.period_column, schema.event_column)
         ]
+        self.kept = kept
         self.codes = tuple(np.empty(lines, dtype=np.intp) for _ in self.texts)
-        self.values = np.empty((lines, len(self.features)))
+        self.values = np.empty((lines, len(kept)))
         self.distinct: list[list[str]] = []
         self.rows = 0
+        self.in_range = True
 
     def block(self, n: int) -> tuple[list[np.ndarray], np.ndarray]:
         """The codes and values of the next n rows, to be filled."""
         start = self.rows
         self.rows += n
         return [codes[start : self.rows] for codes in self.codes], self.values[start : self.rows]
+
+    def fill(self, values: np.ndarray, slot: int | None, column: np.ndarray) -> None:
+        """Check one block's converted feature column, and keep it in column
+        ``slot`` of the block's ``values`` unless it is dropped (None)."""
+        # A NaN makes min and max NaN, and neither makes a temporary the size
+        # of the column.
+        self.in_range &= bool(column.min() >= 0.0 and column.max() < np.inf)
+        if slot is not None:
+            values[:, slot] = column
 
 
 def _rank_texts(codes: np.ndarray, numbering: _Codes) -> list[str]:
@@ -561,9 +616,12 @@ def _rank_texts(codes: np.ndarray, numbering: _Codes) -> list[str]:
     return texts
 
 
-def _reader_cells(text: str, schema: PanelSchema, positions: dict[str, int]) -> _Cells | None:
-    """Tokenize the data rows of the text with csv.reader, or None if any
-    row may hold a fault.
+def _reader_cells(
+    text: str, schema: PanelSchema, positions: dict[str, int], kept: tuple[str, ...]
+) -> _Cells | None:
+    """Tokenize the data rows of the text with csv.reader, keeping the
+    values of the ``kept`` feature columns, or None if any row may hold a
+    fault.
 
     Cells are gathered and converted one block of rows at a time; each
     text column's raw texts are numbered for the whole file and ranked
@@ -572,7 +630,7 @@ def _reader_cells(text: str, schema: PanelSchema, positions: dict[str, int]) -> 
     than such line breaks, plus one.
     """
     lines = text.count("\n") + text.count("\r") - text.count("\r\n") + 1
-    cells = _Cells(lines, schema, positions)
+    cells = _Cells(lines, schema, positions, kept)
     numberings = [_Codes() for _ in cells.texts]
     reader = _records(text)
     next(reader)
@@ -584,8 +642,8 @@ def _reader_cells(text: str, schema: PanelSchema, positions: dict[str, int]) -> 
                 return None
             columns = list(zip(*block))
             codes, values = cells.block(n)
-            for j, at in enumerate(cells.features):
-                values[:, j] = np.fromiter(map(float, columns[at]), np.float64, n)
+            for at, slot in cells.features.items():
+                cells.fill(values, slot, np.fromiter(map(float, columns[at]), np.float64, n))
             for row, at, numbering in zip(codes, cells.texts, numberings):
                 row[:] = np.fromiter(map(numbering.__getitem__, columns[at]), np.intp, n)
     except (ValueError, csv.Error):
@@ -799,10 +857,16 @@ def _scan(handle: BinaryIO) -> tuple[int, int]:
 
 
 def _plain_cells(
-    handle: BinaryIO, size: int, lines: int, schema: PanelSchema, positions: dict[str, int]
+    handle: BinaryIO,
+    size: int,
+    lines: int,
+    schema: PanelSchema,
+    positions: dict[str, int],
+    kept: tuple[str, ...],
 ) -> _Cells | None:
     """Tokenize the next ``size`` bytes of a file with a plain header line,
-    its data rows, in at most ``lines`` lines, with numpy; or None when
+    its data rows, in at most ``lines`` lines, with numpy, keeping the
+    values of the ``kept`` feature columns; or None when
     csv.reader must tokenize them: a block is not plain, the lines of a
     block differ in length or are short, a cell is longer than
     ``csv.field_size_limit()`` or ``_LONGEST_CELL``, a feature cell is not a
@@ -819,39 +883,12 @@ def _plain_cells(
     each column's keys are ranked once (:func:`_rank_keys`).
     """
     limit = min(csv.field_size_limit(), _LONGEST_CELL)
-    cells = _Cells(lines, schema, positions)
+    cells = _Cells(lines, schema, positions, kept)
     # Per text column: the rows of each block and the block's distinct keys.
     column_keys: list[list[tuple[int, int, np.ndarray]]] = [[] for _ in cells.texts]
     for padded in _blocks(handle, size):
-        if padded is None:
+        if padded is None or not _plain_block(padded, cells, column_keys, limit):
             return None
-        split = _cell_ends(padded)
-        if split is None:
-            return None
-        before, ends = split
-        n = len(before)
-        if not n:
-            continue
-        if ends.shape[1] < cells.width or cells.rows + n > len(cells.values):
-            return None
-        # No cell is longer than its line, and few lines are longer than the limit.
-        if (ends[:, -1] - before).max() > limit + 1 and (
-            np.diff(ends, axis=1, prepend=before[:, None]).max() > limit + 1
-        ):
-            return None
-        start = cells.rows
-        codes, values = cells.block(n)
-        features = dict(zip(cells.features, values.T))
-        texts = dict(zip(cells.texts, zip(codes, column_keys)))
-        for at, first, length in _spans(before, ends, cells.width):
-            if at in features:
-                column = _numbers(padded, first, length)
-                if column is None:
-                    return None
-                features[at][:] = column
-            elif at in texts:
-                row, keys = texts[at]
-                keys.append((start, cells.rows, _block_codes(padded, first, length, row)))
     if handle.read(1):  # the file grew since the scan
         return None
     cells.distinct = [
@@ -860,7 +897,50 @@ def _plain_cells(
     return cells
 
 
-def _columns(cells: _Cells, schema: PanelSchema) -> PanelColumns | None:
+def _plain_block(
+    padded: np.ndarray,
+    cells: _Cells,
+    column_keys: list[list[tuple[int, int, np.ndarray]]],
+    limit: int,
+) -> bool:
+    """Tokenize one padded block of a plain file into the next rows of
+    ``cells``, appending each text column's rows and distinct keys to its
+    list in ``column_keys``; False when csv.reader must tokenize the file
+    (:func:`_plain_cells`).
+
+    The block's cell ends live only in this call, so they are let go
+    before the next block is split.
+    """
+    split = _cell_ends(padded)
+    if split is None:
+        return False
+    before, ends = split
+    n = len(before)
+    if not n:
+        return True
+    if ends.shape[1] < cells.width or cells.rows + n > len(cells.values):
+        return False
+    # No cell is longer than its line, and few lines are longer than the limit.
+    if (ends[:, -1] - before).max() > limit + 1 and (
+        np.diff(ends, axis=1, prepend=before[:, None]).max() > limit + 1
+    ):
+        return False
+    start = cells.rows
+    codes, values = cells.block(n)
+    texts = dict(zip(cells.texts, zip(codes, column_keys)))
+    for at, first, length in _spans(before, ends, cells.width):
+        if at in cells.features:
+            column = _numbers(padded, first, length)
+            if column is None:
+                return False
+            cells.fill(values, cells.features[at], column)
+        elif at in texts:
+            row, keys = texts[at]
+            keys.append((start, cells.rows, _block_codes(padded, first, length, row)))
+    return True
+
+
+def _columns(cells: _Cells) -> PanelColumns | None:
     """Check the tokenized cells as whole columns and convert them to
     PanelColumns, or None if any row may hold a fault.
 
@@ -873,18 +953,11 @@ def _columns(cells: _Cells, schema: PanelSchema) -> PanelColumns | None:
         raise EmptyInput("input has a header but no data rows")
     entity_ids, label_texts, flag_texts = cells.distinct
     entity_codes, label_codes, flag_codes = (codes[: cells.rows] for codes in cells.codes)
-    values = cells.values[: cells.rows]
     kinds = {_label_kind(label) for label in label_texts}
     file_kind = kinds.pop() if len(kinds) == 1 else None
     flag_values = [_FLAGS.get(text) for text in flag_texts]
-    # An empty id sorts first; a NaN makes min and max NaN, and neither
-    # makes a temporary the size of the matrix.
-    if (
-        not entity_ids[0]
-        or file_kind is None
-        or None in flag_values
-        or not (values.min() >= 0.0 and values.max() < np.inf)
-    ):
+    # An empty id sorts first.
+    if not entity_ids[0] or file_kind is None or None in flag_values or not cells.in_range:
         return None
 
     ordinal = index_periods(label_texts, file_kind)
@@ -896,8 +969,8 @@ def _columns(cells: _Cells, schema: PanelSchema) -> PanelColumns | None:
         codes=entity_codes,
         periods={o: PeriodIndex(o, label) for label, o in ordinal.items()},
         ordinals=label_codes,
-        features=schema.feature_columns,
-        values=values,
+        features=cells.kept,
+        values=cells.values[: cells.rows],
         flags=np.array(flag_values, dtype=np.int8)[flag_codes],
     )
 
@@ -920,14 +993,22 @@ def _header_positions(header: list[str] | None, schema: PanelSchema) -> dict[str
     return positions
 
 
-def parse_panel_csv(source: Union[bytes, BinaryIO], schema: PanelSchema) -> PanelDataset:
+def parse_panel_csv(
+    source: Union[bytes, BinaryIO],
+    schema: PanelSchema,
+    features: Collection[str] | None = None,
+) -> PanelDataset:
     """Parse a panel CSV into a :class:`PanelDataset`.
 
-    A file handle is read from its position, in two passes: a scan, then
-    the rows, each a block at a time; a handle that cannot seek is read
-    whole first.  Raises MissingColumn, BadValue, or EmptyInput; error
-    messages name the offending line and column.
+    ``features`` names the feature columns whose values the dataset keeps,
+    by default every one; its schema is ``schema.keeping(features)``.  Every
+    feature cell is converted and checked, kept or not, so the parse fails
+    alike whatever it keeps.  A file handle is read from its position, in
+    two passes: a scan, then the rows, each a block at a time; a handle
+    that cannot seek is read whole first.  Raises MissingColumn, BadValue,
+    or EmptyInput; error messages name the offending line and column.
     """
+    kept = schema if features is None else schema.keeping(features)
     handle = io.BytesIO(source) if isinstance(source, bytes) else source
     if not handle.seekable():
         handle = io.BytesIO(handle.read())
@@ -962,13 +1043,15 @@ def parse_panel_csv(source: Union[bytes, BinaryIO], schema: PanelSchema) -> Pane
     if plain:
         # A row is a line, and every line but a last one ends in a line feed.
         lines = feeds - line.endswith(b"\n") + 1
-        cells = _plain_cells(handle, size - len(line), lines, schema, positions)
+        cells = _plain_cells(
+            handle, size - len(line), lines, schema, positions, kept.feature_columns
+        )
     if cells is None:
-        cells = _reader_cells(text(), schema, positions)
-    columns = None if cells is None else _columns(cells, schema)
+        cells = _reader_cells(text(), schema, positions, kept.feature_columns)
+    columns = None if cells is None else _columns(cells)
     if columns is None:
         _raise_first_fault(text(), schema, positions)
-    return PanelDataset(schema, columns)
+    return PanelDataset(kept, columns)
 
 
 def _format_number(value: float) -> str:
@@ -1077,7 +1160,8 @@ def _check_writable(
     row = order[np.argmax(bad[order])]
     code, ordinal = int(columns.codes[row]), int(columns.ordinals[row])
     entity, label, kind = ids[code], periods[ordinal], kinds[ordinal]
-    j = int(np.argmax(bad_value[row]))
+    # The row's first bad value, if any: a dataset may keep no feature column.
+    j = int(np.argmax(bad_value[row])) if bad_value[row].any() else None
     fault = next(message for failed, message in (
         (not entity, f"empty value in column {schema.entity_column!r}"),
         (bad_id[code], f"entity id in column {schema.entity_column!r} has surrounding whitespace"),
@@ -1085,8 +1169,8 @@ def _check_writable(
                        "(expected an integer or YYYY-MM)"),
         (kind != file_kind, f"period {label!r} in column {schema.period_column!r} "
                             f"does not match the dataset's {file_kind} period format"),
-        (bad_value[row, j], f"value {repr(float(columns.values[row, j]))!r} in column "
-                            f"{columns.features[j]!r} must be finite and non-negative"),
+        (j is not None, j is not None and f"value {repr(float(columns.values[row, j]))!r} in "
+                        f"column {columns.features[j]!r} must be finite and non-negative"),
         (True, f"event flag {str(columns.flags[row])!r} in column {schema.event_column!r} "
                "must be 0 or 1"),
     ) if failed)

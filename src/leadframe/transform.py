@@ -384,10 +384,11 @@ def _first_zeros(band: np.ndarray) -> np.ndarray:
     return np.take_along_axis(band, first, axis=0)
 
 
-# The fold of each kind that a table serves: the row value and the ufunc folding it.
+# The fold of each kind that a table serves: the row value, made in place in
+# the fresh gather of the column, and the ufunc folding it.
 _TABLES = {
     AggKind.SUM: (lambda x: x, np.add),
-    AggKind.COUNT_NONZERO: (lambda x: (x != 0.0).astype(np.float64), np.add),
+    AggKind.COUNT_NONZERO: (lambda x: np.not_equal(x, 0.0, out=x), np.add),
     AggKind.MAX: (lambda x: x, np.maximum),
 }
 

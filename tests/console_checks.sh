@@ -19,6 +19,11 @@
 # long histories, two runs over lead times up to 96 periods must write the
 # same bytes, and on the 5,000-entity panel, unsorted and repeated lead
 # times must give the curve of the same lead times sorted and once each.
+# Under a plan over two of the five feature columns, each command holds only
+# those two: two runs of transform, score and sweep must write the same
+# bytes, and a -1 planted in a column the plan does not read must still
+# make transform exit 2, with the same line-numbered message from the plain
+# file and from its CRLF copy.
 set -eu
 
 # Left unquoted where it runs: LEADFRAME may be a command with arguments.
@@ -55,5 +60,43 @@ cmp "$tmp/lc1.csv" "$tmp/lc2.csv"
 $LEADFRAME sweep --input "$tmp/p.csv" --config $config --lead-times 6,0,3,0,1 --output "$tmp/c3.csv"
 $LEADFRAME sweep --input "$tmp/p.csv" --config $config --lead-times 0,1,3,6 --output "$tmp/c4.csv"
 cmp "$tmp/c3.csv" "$tmp/c4.csv"
+cat > "$tmp/two.json" <<'END'
+{
+  "schema": {
+    "entity_column": "customer", "period_column": "month", "event_column": "churn",
+    "feature_columns": ["outbound_calls", "complaints", "interruptions",
+                        "resolution_time", "promotions"]
+  },
+  "plan": [
+    {"name": "calls_total", "kind": "sum", "column": "outbound_calls"},
+    {"name": "interrupted", "kind": "count_nonzero", "column": "interruptions"},
+    {"name": "calls_per_interruption", "kind": "ratio_of_sums",
+     "numerator": "outbound_calls", "denominator": "interruptions"}
+  ],
+  "eval": {"test_fraction": 0.3, "lead_times": [0, 1, 2, 3], "seed": 7}
+}
+END
+$LEADFRAME transform --input "$tmp/p.csv" --config "$tmp/two.json" --output "$tmp/two-t.csv"
+$LEADFRAME train --input "$tmp/two-t.csv" --config "$tmp/two.json" --output "$tmp/two-m.json"
+for n in 1 2; do
+    $LEADFRAME transform --input "$tmp/p.csv" --config "$tmp/two.json" --output "$tmp/two-t$n.csv"
+    $LEADFRAME score --input "$tmp/p.csv" --model "$tmp/two-m.json" --config "$tmp/two.json" \
+        --output "$tmp/two-s$n.csv"
+    $LEADFRAME sweep --input "$tmp/p.csv" --config "$tmp/two.json" --output "$tmp/two-c$n.csv"
+done
+cmp "$tmp/two-t1.csv" "$tmp/two-t2.csv"
+cmp "$tmp/two-s1.csv" "$tmp/two-s2.csv"
+cmp "$tmp/two-c1.csv" "$tmp/two-c2.csv"
+# The fourth cell of line 1000 is its complaints value, which the plan does not read.
+for copy in p p-crlf; do
+    sed '1000s/^\([^,]*,[^,]*,[^,]*,\)[^,]*/\1-1/' "$tmp/$copy.csv" > "$tmp/$copy-bad.csv"
+    status=0
+    $LEADFRAME transform --input "$tmp/$copy-bad.csv" --config "$tmp/two.json" \
+        --output "$tmp/$copy-bad-t.csv" 2> "$tmp/$copy-bad.err" || status=$?
+    test "$status" -eq 2
+done
+cmp "$tmp/p-bad.err" "$tmp/p-crlf-bad.err"
+echo "error: line 1000: value '-1' in column 'complaints' must be finite and non-negative" \
+    | cmp - "$tmp/p-bad.err"
 $LEADFRAME validate --input data/telecom_panel.csv --config $config
 echo "console checks passed"

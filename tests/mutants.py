@@ -68,7 +68,7 @@ MUTANTS = (
     Mutant(
         "count-nonzero-folds-raw-value",
         "transform.py",
-        "AggKind.COUNT_NONZERO: (lambda x: (x != 0.0).astype(np.float64), np.add),",
+        "AggKind.COUNT_NONZERO: (lambda x: np.not_equal(x, 0.0, out=x), np.add),",
         "AggKind.COUNT_NONZERO: (lambda x: x, np.add),",
         ("tests/test_transform.py::TestAggregate",),
     ),
@@ -200,6 +200,23 @@ MUTANTS = (
         "lengths = block.offsets[entities + 1] - block.offsets[entities]",
         "lengths = block.offsets[entities + 1] - block.offsets[entities] - 1",
         ("tests/test_transform.py::TestScoreFeatures",),
+    ),
+    Mutant(
+        "dropped-column-range-unchecked",
+        "panel.py",
+        "self.in_range &= bool(column.min() >= 0.0 and column.max() < np.inf)",
+        "self.in_range &= slot is None or bool(column.min() >= 0.0 and column.max() < np.inf)",
+        ("tests/test_cli.py::TestFaultsInColumnsThePlanDoesNotRead",),
+    ),
+    Mutant(
+        "dropped-column-number-unread",
+        "panel.py",
+        "column = _numbers(padded, first, length)\n            if column is None:\n",
+        "column = _numbers(padded, first, length)\n"
+        "            if column is None and cells.features[at] is None:\n"
+        "                continue\n"
+        "            if column is None:\n",
+        ("tests/test_cli.py::TestFaultsInColumnsThePlanDoesNotRead",),
     ),
     Mutant(
         "next-block-starts-one-late",

@@ -11,8 +11,9 @@ from test_golden import VALIDATE_PANEL
 from test_transform import READ_FAULTS
 
 from leadframe.cli import main
-from leadframe.errors import DimensionMismatch
-from leadframe.panel import PanelColumns
+from leadframe.config import load_run_config
+from leadframe.errors import BadValue, DimensionMismatch
+from leadframe.panel import PanelColumns, parse_panel_csv
 from leadframe.transform import TrainingSet
 
 
@@ -805,3 +806,72 @@ class TestTrainingCsvFaults:
         assert code == (1 if kind is DimensionMismatch else 2)
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not model.exists()
+
+
+# Faults planted in line 4 of the telecom panel, in columns that a plan over
+# outbound_calls and complaints does not read.
+UNREAD_FAULTS = {
+    "non-numeric": ("interruptions", "two"),
+    "negative": ("resolution_time", "-1"),
+    "infinite": ("promotions", "inf"),
+    "nan": ("interruptions", "nan"),
+    "empty": ("promotions", ""),
+    "short row": ("resolution_time", None),
+}
+
+
+class TestFaultsInColumnsThePlanDoesNotRead:
+    """A command keeps only the feature columns its plan reads, and
+    ``validate`` keeps none, but every feature cell is still checked: a fault
+    in a column no command keeps exits 2 with the message and line that the
+    parse keeping every column raises, through either tokenizer."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("unread")
+        doc = json.loads(CONFIG_JSON.read_text())
+        doc["plan"] = [
+            {"name": "calls", "kind": "sum", "column": "outbound_calls"},
+            {"name": "complaining", "kind": "count_nonzero", "column": "complaints"},
+        ]
+        config = directory / "two.json"
+        config.write_text(json.dumps(doc))
+        training, model = directory / "training.csv", directory / "model.json"
+        assert run_cli("transform", "--input", PANEL_CSV, "--config", config,
+                       "--output", training) == 0
+        assert run_cli("train", "--input", training, "--config", config, "--output", model) == 0
+        return config, model
+
+    @staticmethod
+    def planted(fault, newline):
+        column, cell = UNREAD_FAULTS[fault]
+        header, *rows = PANEL_CSV.read_text().splitlines()
+        cells = rows[2].split(",")
+        at = header.split(",").index(column)
+        rows[2] = ",".join(cells[:at] if cell is None else cells[:at] + [cell] + cells[at + 1:])
+        return (newline.join([header, *rows]) + newline).encode()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("fault", list(UNREAD_FAULTS))
+    @pytest.mark.parametrize("command", ["validate", "transform", "score", "sweep"])
+    def test_exit_two_with_the_full_parse_message(
+        self, tmp_path, capsys, inputs, command, fault, newline
+    ):
+        config, model = inputs
+        data = self.planted(fault, newline)
+        with pytest.raises(BadValue) as excinfo:
+            parse_panel_csv(data, load_run_config(config).schema)
+        assert str(excinfo.value).startswith("line 4: ")
+        assert repr(UNREAD_FAULTS[fault][0]) in str(excinfo.value)
+        panel = tmp_path / "panel.csv"
+        panel.write_bytes(data)
+        argv = {
+            "validate": ["validate"],
+            "transform": ["transform", "--output", tmp_path / "out.csv"],
+            "score": ["score", "--model", model, "--output", tmp_path / "out.csv"],
+            "sweep": ["sweep", "--output", tmp_path / "out.csv"],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(*argv, "--input", panel, "--config", config) == 2
+        assert capsys.readouterr().err == f"error: {excinfo.value}\n"
+        assert not (tmp_path / "out.csv").exists()

@@ -28,9 +28,11 @@ from oracle import period_positions
 
 from leadframe.errors import (
     BadValue,
+    DimensionMismatch,
     DuplicateObservation,
     EmptyInput,
     InvalidConfig,
+    LeadframeError,
     MissingColumn,
     ParseError,
 )
@@ -1285,3 +1287,121 @@ class TestDistinctValues:
         assert np.array_equal(values, expected_values)
         assert positions.tolist() == expected_positions.tolist()
         assert np.array_equal(values[positions], column)
+
+
+def write_panel_bytes(dataset: PanelDataset) -> bytes:
+    text = io.StringIO(newline="")
+    write_panel_csv(dataset, text)
+    return text.getvalue().encode()
+
+
+def restricted(data: bytes, schema: PanelSchema, kept):
+    """The full parse's outcome with only the ``kept`` feature columns."""
+    try:
+        columns = parse_panel_csv(data, schema).columns
+    except (LeadframeError, UnicodeDecodeError, csv.Error) as exc:
+        return (type(exc), str(exc))
+    at = [j for j, name in enumerate(schema.feature_columns) if name in kept]
+    return dataclasses.replace(
+        columns, features=tuple(schema.feature_columns[j] for j in at), values=columns.values[:, at]
+    )
+
+
+class TestKeptColumns:
+    """A parse keeps the values of the named feature columns only, in
+    schema order, and converts and checks every feature cell as the full
+    parse does: it gives the full parse's columns less the others, or the
+    full parse's error, through either tokenizer."""
+
+    KEPT = [(), ("a",), ("b",), ("b", "a")]
+
+    @staticmethod
+    def assert_kept_like_full(data, schema, kept):
+        expected = restricted(data, schema, kept)
+        try:
+            dataset = parse_panel_csv(data, schema, kept)
+        except (LeadframeError, UnicodeDecodeError, csv.Error) as exc:
+            assert (type(exc), str(exc)) == expected
+            return
+        assert dataset.columns == expected
+        assert dataset.schema == schema.keeping(kept)
+
+    @pytest.mark.parametrize("kept", KEPT)
+    @pytest.mark.parametrize("name", list(EDGE_FILES))
+    def test_edge_files(self, name, kept):
+        self.assert_kept_like_full(EDGE_FILES[name][0], small_schema(), kept)
+
+    @pytest.mark.parametrize("kept", KEPT)
+    @pytest.mark.parametrize("row", [row for row, _ in FIRST_FAULT])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_first_faults(self, row, kept, newline):
+        data = csv_bytes("entity,period,a,b,event", "x,1,1,1,0", row).replace(b"\n", newline)
+        self.assert_kept_like_full(data, small_schema(), kept)
+
+    def test_corpus_panels(self, corpus_schema):
+        # Half the panels hold one fault, in a feature cell kept or not.
+        rng = random.Random(20261020)
+        names = corpus_schema.feature_columns
+        for _ in range(60):
+            lines = rows_to_csv_bytes(random_float_panel_rows(rng)).decode().splitlines()
+            if rng.random() < 0.5:
+                line = rng.randrange(1, len(lines))
+                cells = lines[line].split(",")
+                cells[rng.randrange(2, 2 + len(names))] = rng.choice(["-1", "nan", "inf", "x", ""])
+                lines[line] = ",".join(cells)
+            data = "".join(line + "\n" for line in lines).encode()
+            kept = rng.sample(names, rng.randint(0, len(names)))
+            self.assert_kept_like_full(data, corpus_schema, kept)
+
+    def test_keeping_names_the_schema_lacks(self):
+        with pytest.raises(InvalidConfig, match="kept columns missing from the schema: c"):
+            parse_panel_csv(csv_bytes("entity,period,a,b,event", "x,1,1,1,0"),
+                            small_schema(), ("a", "c"))
+
+    @pytest.mark.parametrize("kept", [None, (), ("interruptions",),
+                                      ("promotions", "outbound_calls")])
+    def test_writes_and_reads_back(self, kept):
+        data, schema = synth_panel(dict(n_entities=60, n_periods=12, ramp_length=3))
+        dataset = parse_panel_csv(data, schema, kept)
+        written = write_panel_bytes(dataset)
+        assert written.split(b"\n", 1)[0].decode() == ",".join(dataset.schema.columns)
+        assert parse_panel_csv(written, dataset.schema) == dataset
+
+    def test_writer_names_a_bad_cell_without_feature_columns(self):
+        schema = small_schema().keeping(())
+        dataset = dataset_of(schema, [("a", "1", 0, (), 0), ("b", "1", 0, (), 2)])
+        with pytest.raises(BadValue, match="entity 'b', period '1': event flag '2'"):
+            write_panel_csv(dataset, io.StringIO())
+
+
+class TestDatasetSchemaMatchesColumns:
+    def test_mismatch_refused(self):
+        dataset = parse_panel_csv(csv_bytes("entity,period,a,b,event", "x,1,1,2,0"),
+                                  small_schema(), ("b",))
+        for schema in (small_schema(), small_schema().keeping(("a",))):
+            with pytest.raises(DimensionMismatch, match="do not match the dataset's features"):
+                PanelDataset(schema, dataset.columns)
+        assert PanelDataset(small_schema().keeping(("b",)), dataset.columns) == dataset
+
+    def test_keeping_leaves_the_schema_as_declared(self):
+        schema = small_schema()
+        assert schema.keeping(("b",)).feature_columns == ("b",)
+        assert schema.keeping(()).columns == ("entity", "period", "event")
+        assert schema.feature_columns == ("a", "b")
+
+
+def test_parse_keeping_two_columns_holds_three_fewer():
+    # On the 5,000 x 24 panel, a parse that keeps 2 of the 5 feature columns
+    # peaks lower than the full parse by nearly the 3 dropped columns' bytes.
+    data, schema = synth_panel(dict(n_entities=5000, n_periods=24, ramp_length=3))
+    kept = ("outbound_calls", "interruptions")
+    parse_panel_csv(data, schema, kept)
+    full_peak, _ = traced_parse(data, schema)
+    tracemalloc.start()
+    try:
+        columns = parse_panel_csv(data, schema, kept).columns
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert columns.values.shape == (len(columns), 2)
+    assert peak <= full_peak - 0.9 * 3 * columns.values[:, 0].nbytes
