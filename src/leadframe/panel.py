@@ -27,34 +27,34 @@ truncation and aggregation read the columns.  ``PanelRecord`` is a
 read-only view of a row, made only when ``records`` is read.
 
 Two tokenizers cut the rows into cells.  Each fills one code array for
-each of the entity, period and flag columns and one feature matrix, all
-made once for as many rows as the file has line breaks and filled block by
-block in place, and leaves each code the position of its stripped text
-among the column's distinct texts, sorted; the entity codes and period
-ordinals are these arrays, with no second copy.  A plain file holds, after
-an optional BOM, only printable ASCII other than the quote character, and
-line feeds.  csv.reader would split it at every comma and line feed and
-nowhere else, so numpy does that directly, and the file is never held
-whole: a scan reads it a chunk at a time to count its lines, then the
-header line and each block of whole lines are checked to be plain as they
-are read, each block into one padded buffer, where it is split once into
-cell ends, from which every column reads its cells.  A feature cell of 1
-to 15 digits is converted by digit arithmetic, any other by ``float``; a
-text is keyed by its bytes, runs of equal keys count once, and each block
-codes its texts by its own distinct keys.  Once the file is read, each
-text column's keys are ranked once, in byte order, which is str order
-here, its codes are remapped in place, and only its distinct texts are
-decoded.  Every other file (quotes, carriage returns, spaces, tabs,
-non-ASCII bytes, NUL) is read whole and goes through csv.reader once its
-header line or a block of its rows is found not plain, and so does a
-plain file whose rows differ in length or are short, that has a cell
-longer than 256 bytes or ``csv.field_size_limit()`` or a feature cell that
-is not a number, or that grows, shrinks or gains lines between the scan
-and the read of its rows.  Both tokenizers feed the same column checks
-and the same fault walk, so they give the same columns and the same error
-messages.  The feature matrix holds only the columns the parse is asked to
-keep; each block converts and range-checks every feature cell, kept or
-dropped, so what it keeps never changes whether or how the parse fails.
+each of the entity, period and flag columns and one feature matrix, made
+at the first block for the rows the file is estimated to hold, remade only
+if a later block finds them short, and filled block by block in place, and
+leaves each code the position of its stripped text among the column's
+distinct texts, sorted; the entity codes and period ordinals are these
+arrays, with no second copy.  A plain file holds, after an optional BOM,
+only printable ASCII other than the quote character, and line feeds.
+csv.reader would split it at every comma and line feed and nowhere else,
+so numpy does that directly, and the file is read once and never held
+whole: the header line and each block of whole lines are checked to be
+plain as they are read, each block into one padded buffer, where it is
+split once into cell ends, from which every column reads its cells.  A
+feature cell of 1 to 15 digits is converted by digit arithmetic, any other
+by ``float``; a text is keyed by its bytes, runs of equal keys count once,
+and each block codes its texts by its own distinct keys.  Once the file is
+read, each text column's keys are ranked once, in byte order, which is str
+order here, its codes are remapped in place, and only its distinct texts
+are decoded.  Every other file (quotes, carriage returns, spaces, tabs,
+non-ASCII bytes, NUL) is read whole, from its start, header and rows
+alike, and goes through csv.reader once its header line or a block of its
+rows is found not plain, and so does a plain file whose rows differ in
+length or are short, that has a cell longer than 256 bytes or
+``csv.field_size_limit()`` or a feature cell that is not a number.  Both
+tokenizers feed the same column checks and the same fault walk, so they
+give the same columns and the same error messages.  The feature matrix
+holds only the columns the parse is asked to keep; each block converts and
+range-checks every feature cell, kept or dropped, so what it keeps never
+changes whether or how the parse fails.
 
 :func:`write_panel_csv` renders each distinct cell once: each entity id,
 each period label, each distinct value of each feature column and each
@@ -530,11 +530,12 @@ def _records(text: str) -> Iterator[list[str]]:
     return csv.reader(io.StringIO(text, newline=""))
 
 
-def _raise_first_fault(text: str, schema: PanelSchema, positions: dict[str, int]) -> NoReturn:
-    """Walk the data rows in file order and raise the first fault, with the
-    line its record ends on (or the reader's own csv.Error)."""
+def _raise_first_fault(text: str, schema: PanelSchema) -> NoReturn:
+    """Walk the data rows in file order, by the text's own header, and
+    raise the first fault, with the line its record ends on (or the
+    reader's own csv.Error)."""
     reader = _records(text)
-    next(reader)
+    positions = _header_positions(next(reader, None), schema)
     file_kind = None
     for row in reader:
         if not row:
@@ -567,13 +568,13 @@ class _Cells:
     stripped text in that column's ``distinct`` texts, which are sorted and
     which the tokenizer sets once every row is read.  ``in_range`` holds
     while every feature cell read, kept or dropped, is finite and
-    non-negative.  The arrays are made once, for as many rows as the file
-    has lines, and each block fills its own rows; the entity and period
-    codes become the parsed columns themselves.
+    non-negative.  The arrays are made at the first block, for the rows the
+    tokenizer estimates the file holds, and each block fills its own rows;
+    the entity and period codes become the parsed columns themselves.
     """
 
     def __init__(
-        self, lines: int, schema: PanelSchema, positions: dict[str, int], kept: tuple[str, ...]
+        self, schema: PanelSchema, positions: dict[str, int], kept: tuple[str, ...]
     ) -> None:
         self.width = max(positions[c] for c in schema.columns) + 1
         slot = {name: j for j, name in enumerate(kept)}
@@ -582,16 +583,27 @@ class _Cells:
             positions[c] for c in (schema.entity_column, schema.period_column, schema.event_column)
         ]
         self.kept = kept
-        self.codes = tuple(np.empty(lines, dtype=np.intp) for _ in self.texts)
-        self.values = np.empty((lines, len(kept)))
+        self.codes = tuple(np.empty(0, dtype=np.intp) for _ in self.texts)
+        self.values = np.empty((0, len(kept)))
         self.distinct: list[list[str]] = []
         self.rows = 0
         self.in_range = True
 
-    def block(self, n: int) -> tuple[list[np.ndarray], np.ndarray]:
-        """The codes and values of the next n rows, to be filled."""
+    def block(self, n: int, lines: int) -> tuple[list[np.ndarray], np.ndarray]:
+        """The codes and values of the next n rows, to be filled.  Arrays
+        short of them are made anew for the ``lines`` the file is estimated
+        to hold, or the rows needed if more, and the filled rows copied:
+        ``ndarray.resize`` would refuse them, referenced as they are, or,
+        told not to check, leave their views dangling."""
         start = self.rows
         self.rows += n
+        if self.rows > len(self.values):
+            lines = max(lines, self.rows)
+            codes = tuple(np.empty(lines, dtype=np.intp) for _ in self.texts)
+            values = np.empty((lines, len(self.kept)))
+            for new, old in zip((*codes, values), (*self.codes, self.values)):
+                new[:start] = old[:start]
+            self.codes, self.values = codes, values
         return [codes[start : self.rows] for codes in self.codes], self.values[start : self.rows]
 
     def fill(self, values: np.ndarray, slot: int | None, column: np.ndarray) -> None:
@@ -627,10 +639,10 @@ def _reader_cells(
     text column's raw texts are numbered for the whole file and ranked
     once every row is read.  The reader ends a record at a line feed, a
     carriage return or the two together, so the text holds no more rows
-    than such line breaks, plus one.
+    than such line breaks, plus one: the arrays are made for that many.
     """
     lines = text.count("\n") + text.count("\r") - text.count("\r\n") + 1
-    cells = _Cells(lines, schema, positions, kept)
+    cells = _Cells(schema, positions, kept)
     numberings = [_Codes() for _ in cells.texts]
     reader = _records(text)
     next(reader)
@@ -641,7 +653,7 @@ def _reader_cells(
             if min(map(len, block)) < cells.width:
                 return None
             columns = list(zip(*block))
-            codes, values = cells.block(n)
+            codes, values = cells.block(n, lines)
             for at, slot in cells.features.items():
                 cells.fill(values, slot, np.fromiter(map(float, columns[at]), np.float64, n))
             for row, at, numbering in zip(codes, cells.texts, numberings):
@@ -657,31 +669,27 @@ def _reader_cells(
     return cells
 
 
-def _blocks(handle: BinaryIO, size: int) -> Iterator[np.ndarray | None]:
-    """The next ``size`` bytes of a file, in blocks of whole lines, each
-    copied into one reused buffer with ``_FRONT`` zero bytes before the
-    block and ``_BACK`` after it; or a last None if the file ends sooner or
-    a block is not plain (:func:`_is_plain`).
+def _blocks(handle: BinaryIO) -> Iterator[np.ndarray | None]:
+    """The rest of a file, in blocks of whole lines, each copied into one
+    reused buffer with ``_FRONT`` zero bytes before the block and ``_BACK``
+    after it; or a last None if a block is not plain (:func:`_is_plain`).
 
     A block ends at the first line feed ``_BLOCK_BYTES`` or more bytes past
     its start: its first ``_BLOCK_BYTES`` bytes are read in one call and
     the rest of that line by ``readline``.  Plainness is judged on these
-    bytes, the ones the rows are read from, so a file that changed since
-    its scan is judged as it is now.  The buffer has room for a rest of
-    ``_BACK`` bytes, and grows for a longer one.  Every column of the block
-    reads its cells from this buffer.
+    bytes, the ones the rows are read from.  The buffer has room for a rest
+    of ``_BACK`` bytes, and grows for a longer one.  Every column of the
+    block reads its cells from this buffer.
     """
     buffer = np.zeros(_FRONT + _BLOCK_BYTES + _BACK + 1 + _BACK, dtype=np.uint8)
-    while size > 0:
-        first = min(size, _BLOCK_BYTES)
-        head = handle.read(first)
-        tail = handle.readline(size - first)
-        if len(head) != first or not (_is_plain(head) and _is_plain(tail)):
+    while head := handle.read(_BLOCK_BYTES):
+        tail = handle.readline()
+        if not (_is_plain(head) and _is_plain(tail)):
             yield None
             return
+        first = len(head)
         buffer[_FRONT : _FRONT + first] = np.frombuffer(head, dtype=np.uint8)
         rest = np.frombuffer(tail, dtype=np.uint8)
-        size -= first + len(rest)
         start, end = _FRONT + first, _FRONT + first + len(rest)
         if len(buffer) < end + 1 + _BACK:
             buffer = np.concatenate((buffer[:start], np.empty(len(rest) + 1 + _BACK, np.uint8)))
@@ -846,33 +854,20 @@ def _is_plain(data: bytes) -> bool:
     return not data.translate(None, _PLAIN_BYTES)
 
 
-def _scan(handle: BinaryIO) -> tuple[int, int]:
-    """(line feeds, bytes) of the file from the handle's position, read one
-    chunk of ``_BLOCK_BYTES`` at a time."""
-    feeds = size = 0
-    while chunk := handle.read(_BLOCK_BYTES):
-        feeds += chunk.count(b"\n")
-        size += len(chunk)
-    return feeds, size
-
-
 def _plain_cells(
     handle: BinaryIO,
     size: int,
-    lines: int,
     schema: PanelSchema,
     positions: dict[str, int],
     kept: tuple[str, ...],
 ) -> _Cells | None:
-    """Tokenize the next ``size`` bytes of a file with a plain header line,
-    its data rows, in at most ``lines`` lines, with numpy, keeping the
-    values of the ``kept`` feature columns; or None when
-    csv.reader must tokenize them: a block is not plain, the lines of a
-    block differ in length or are short, a cell is longer than
-    ``csv.field_size_limit()`` or ``_LONGEST_CELL``, a feature cell is not a
-    number (the csv.reader tokenizer then meets the same cell and the fault
-    walk names it), or the file is not as long as ``size`` or holds more
-    lines, as when it changed since it was scanned.
+    """Tokenize the rest of a file with a plain header line, its data rows,
+    with numpy, keeping the values of the ``kept`` feature columns; or None
+    when csv.reader must tokenize them: a block is not plain, the lines of
+    a block differ in length or are short, a cell is longer than
+    ``csv.field_size_limit()`` or ``_LONGEST_CELL``, or a feature cell is
+    not a number (the csv.reader tokenizer then meets the same cell and the
+    fault walk names it).
 
     The rows are split at every comma and line feed, as csv.reader splits
     a plain file, in blocks of whole lines of about ``_BLOCK_BYTES`` each.
@@ -880,17 +875,21 @@ def _plain_cells(
     once into cell ends (:func:`_cell_ends`), from which every column reads
     its cells.  Each block codes its entity, period and flag texts by its
     own distinct keys (:func:`_block_codes`), and once the file is read
-    each column's keys are ranked once (:func:`_rank_keys`).
+    each column's keys are ranked once (:func:`_rank_keys`).  The rows per
+    byte read so far, times ``size``, the bytes of the rest of the file when
+    the parse began, estimate the file's rows; the file is read to its end.
     """
     limit = min(csv.field_size_limit(), _LONGEST_CELL)
-    cells = _Cells(lines, schema, positions, kept)
+    cells = _Cells(schema, positions, kept)
     # Per text column: the rows of each block and the block's distinct keys.
     column_keys: list[list[tuple[int, int, np.ndarray]]] = [[] for _ in cells.texts]
-    for padded in _blocks(handle, size):
-        if padded is None or not _plain_block(padded, cells, column_keys, limit):
+    read = 0
+    for padded in _blocks(handle):
+        if padded is None:
             return None
-    if handle.read(1):  # the file grew since the scan
-        return None
+        read += len(padded) - _FRONT - 1 - _BACK  # the block's bytes of the file
+        if not _plain_block(padded, cells, column_keys, limit, size, read):
+            return None
     cells.distinct = [
         _rank_keys(codes, keys) if keys else [] for codes, keys in zip(cells.codes, column_keys)
     ]
@@ -902,11 +901,14 @@ def _plain_block(
     cells: _Cells,
     column_keys: list[list[tuple[int, int, np.ndarray]]],
     limit: int,
+    size: int,
+    read: int,
 ) -> bool:
     """Tokenize one padded block of a plain file into the next rows of
     ``cells``, appending each text column's rows and distinct keys to its
     list in ``column_keys``; False when csv.reader must tokenize the file
-    (:func:`_plain_cells`).
+    (:func:`_plain_cells`).  ``read`` bytes of the file's ``size`` are read
+    up to the block's end.
 
     The block's cell ends live only in this call, so they are let go
     before the next block is split.
@@ -918,7 +920,7 @@ def _plain_block(
     n = len(before)
     if not n:
         return True
-    if ends.shape[1] < cells.width or cells.rows + n > len(cells.values):
+    if ends.shape[1] < cells.width:
         return False
     # No cell is longer than its line, and few lines are longer than the limit.
     if (ends[:, -1] - before).max() > limit + 1 and (
@@ -926,7 +928,7 @@ def _plain_block(
     ):
         return False
     start = cells.rows
-    codes, values = cells.block(n)
+    codes, values = cells.block(n, -(-size * (start + n) // read))
     texts = dict(zip(cells.texts, zip(codes, column_keys)))
     for at, first, length in _spans(before, ends, cells.width):
         if at in cells.features:
@@ -1003,17 +1005,20 @@ def parse_panel_csv(
     ``features`` names the feature columns whose values the dataset keeps,
     by default every one; its schema is ``schema.keeping(features)``.  Every
     feature cell is converted and checked, kept or not, so the parse fails
-    alike whatever it keeps.  A file handle is read from its position, in
-    two passes: a scan, then the rows, each a block at a time; a handle
-    that cannot seek is read whole first.  Raises MissingColumn, BadValue,
-    or EmptyInput; error messages name the offending line and column.
+    alike whatever it keeps.  A file handle is read from its position, once:
+    the header line, then the rows, a block at a time; a handle that cannot
+    seek is read whole first.  Raises MissingColumn, BadValue, or
+    EmptyInput; error messages name the offending line and column.
     """
     kept = schema if features is None else schema.keeping(features)
     handle = io.BytesIO(source) if isinstance(source, bytes) else source
     if not handle.seekable():
+        # csv.reader reads the file again from its start, which a stream
+        # that cannot seek does not allow.
         handle = io.BytesIO(handle.read())
     origin = handle.tell()
-    feeds, size = _scan(handle)
+    # Only a hint of the rows' bytes: the rows are read to the file's end.
+    size = handle.seek(0, io.SEEK_END) - origin
     handle.seek(origin)
 
     @cache
@@ -1026,31 +1031,24 @@ def parse_panel_csv(
     # Plainness is judged on the bytes the rows are read from, as they are
     # read: the header line here, then each block of rows.
     line = handle.readline()
-    plain = _is_plain(line[len(_BOM) :] if line.startswith(_BOM) else line)
-    if plain:
-        header = next(_records(line.decode("utf-8-sig")), None)
-    else:
-        header = next(_records(text()), None)
-    try:
-        positions = _header_positions(header, schema)
-    except ParseError:
-        # Read whole, a file that is not UTF-8 fails to decode before its
-        # header is read; so it does here, where only its header line was.
-        text()
-        raise
-
     cells = None
-    if plain:
-        # A row is a line, and every line but a last one ends in a line feed.
-        lines = feeds - line.endswith(b"\n") + 1
-        cells = _plain_cells(
-            handle, size - len(line), lines, schema, positions, kept.feature_columns
-        )
+    if _is_plain(line[len(_BOM) :] if line.startswith(_BOM) else line):
+        try:
+            positions = _header_positions(next(_records(line.decode("utf-8-sig")), None), schema)
+        except ParseError:
+            # Read whole, a file that is not UTF-8 fails to decode before its
+            # header is read; so it does here, where only its header line was.
+            text()
+            raise
+        cells = _plain_cells(handle, size - len(line), schema, positions, kept.feature_columns)
     if cells is None:
+        # csv.reader reads the rows from the file's start, so the header it
+        # reads them by comes from that same read.
+        positions = _header_positions(next(_records(text()), None), schema)
         cells = _reader_cells(text(), schema, positions, kept.feature_columns)
     columns = None if cells is None else _columns(cells)
     if columns is None:
-        _raise_first_fault(text(), schema, positions)
+        _raise_first_fault(text(), schema)
     return PanelDataset(kept, columns)
 
 

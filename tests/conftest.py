@@ -101,8 +101,8 @@ class Unseekable(io.RawIOBase):
 
 
 class ChangingFile(io.FileIO):
-    """A file that holds ``scanned`` until the parse first seeks, after its
-    scan, and ``data`` from then on."""
+    """A file that holds ``scanned`` until the parse first seeks, to query
+    its size before it reads a byte, and ``data`` from then on."""
 
     def __init__(self, path: Path, scanned: bytes, data: bytes) -> None:
         path.write_bytes(scanned)
@@ -125,11 +125,11 @@ _MADE_PLAIN = bytes(
 
 def parse_every_way(data: bytes, schema: PanelSchema, directory: Path) -> list:
     """The outcome of parsing the file from bytes, from an io.BytesIO, from
-    a file in ``directory``, from a stream that cannot seek, and from a file
-    that grows, one that shrinks, one that holds fewer lines but as many
-    bytes at the parse's scan as at its read of the rows, and one that is
-    plain at the scan, with as many bytes and lines, but holds the file's
-    bytes when its rows are read."""
+    a file in ``directory``, from a stream that cannot seek, and from files
+    that change at the parse's first seek, its size query: one that grows,
+    one that shrinks, one that holds fewer lines but as many bytes before
+    that seek as after it, and one that is plain before it, with as many
+    bytes and lines, and holds the file's bytes after it."""
     path = directory / "panel.csv"
     path.write_bytes(data)
     body = data.find(b"\n") + 1

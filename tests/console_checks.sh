@@ -14,11 +14,13 @@
 # the numpy tokenizer; two runs of each command on it must write the same
 # bytes too.  A CRLF copy of that panel goes through the csv.reader
 # tokenizer instead, about 26 blocks of rows in arrays sized from its line
-# breaks, and must give the same training set.  A sweep folds every lead
-# time of a side in one call, each entity up to its longest window: on the
-# long histories, two runs over lead times up to 96 periods must write the
-# same bytes, and on the 5,000-entity panel, unsorted and repeated lead
-# times must give the curve of the same lead times sorted and once each.
+# breaks, and must give the same training set.  So must both files piped in
+# through /dev/stdin, which cannot seek and so is read whole before the parse
+# reads it as it reads a file.  A sweep folds every lead time of a side in
+# one call, each entity up to its longest window: on the long histories, two
+# runs over lead times up to 96 periods must write the same bytes, and on the
+# 5,000-entity panel, unsorted and repeated lead times must give the curve
+# of the same lead times sorted and once each.
 # Under a plan over two of the five feature columns, each command holds only
 # those two: two runs of transform, score and sweep must write the same
 # bytes, and a -1 planted in a column the plan does not read must still
@@ -44,6 +46,11 @@ cmp "$tmp/t1.csv" "$tmp/t2.csv"
 sed 's/$/\r/' "$tmp/p.csv" > "$tmp/p-crlf.csv"
 $LEADFRAME transform --input "$tmp/p-crlf.csv" --config $config --output "$tmp/t3.csv"
 cmp "$tmp/t1.csv" "$tmp/t3.csv"
+for copy in p p-crlf; do
+    cat "$tmp/$copy.csv" | $LEADFRAME transform --input /dev/stdin --config $config \
+        --output "$tmp/$copy-piped.csv"
+    cmp "$tmp/t1.csv" "$tmp/$copy-piped.csv"
+done
 for n in 1 2; do
     $LEADFRAME train --input "$tmp/t1.csv" --config $config --output "$tmp/m$n.json"
     $LEADFRAME score --input "$tmp/p.csv" --model "$tmp/m1.json" --config $config --output "$tmp/s$n.csv"

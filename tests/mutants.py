@@ -160,11 +160,14 @@ MUTANTS = (
         ("tests/test_panel.py::TestTokenizerMatchesCsvReader",),
     ),
     Mutant(
-        "plain-rows-miss-last-line",
+        "remake-drops-filled-rows",
         "panel.py",
-        'lines = feeds - line.endswith(b"\\n") + 1',
-        'lines = feeds - line.endswith(b"\\n")',
-        ("tests/test_panel.py::TestTokenizerAcrossBlocks::test_no_final_line_feed",),
+        "new[:start] = old[:start]",
+        "new[:start] = 0",
+        (
+            "tests/test_panel.py::TestTokenizerAcrossBlocks"
+            "::test_first_block_of_longer_lines_remakes_the_rows",
+        ),
     ),
     Mutant(
         "block-drops-carried-line",
@@ -172,13 +175,6 @@ MUTANTS = (
         "rest = np.frombuffer(tail, dtype=np.uint8)",
         "rest = np.frombuffer(tail[:0], dtype=np.uint8)",
         ("tests/test_panel.py::TestTokenizerAcrossBlocks",),
-    ),
-    Mutant(
-        "reader-rows-from-line-feeds",
-        "panel.py",
-        'text.count("\\n") + text.count("\\r") - text.count("\\r\\n") + 1',
-        'text.count("\\n") + 1',
-        ("tests/test_panel.py::TestParse::test_carriage_returns_alone_end_rows",),
     ),
     Mutant(
         "row-keys-collide",

@@ -744,11 +744,32 @@ class TestTokenizerAcrossBlocks:
         data = csv_bytes(HEADER, *self.FIXED_ROWS)
         assert self.numpy_outcome(data[:-1]) == self.numpy_outcome(data)
 
+    def test_first_block_of_longer_lines_remakes_the_rows(self, monkeypatch):
+        # The first block's rows per byte, fewer than the rest's, make too
+        # few rows for the file: later blocks remake the arrays and copy the
+        # rows filled so far.
+        rows = [
+            f"{'long-entity-' * (i < 13000)}e{i % 500:03d},{1 + i // 500},{i % 13},{i % 7},0"
+            for i in range(60000)
+        ]
+        sizes = {}  # the row counts each parse's arrays were made for
+        block = panel._Cells.block
+
+        def spied(cells, n, lines):
+            filled = block(cells, n, lines)
+            sizes.setdefault(cells, set()).add(len(cells.values))
+            return filled
+
+        monkeypatch.setattr(panel._Cells, "block", spied)
+        entity_ids = self.numpy_outcome(csv_bytes(HEADER, *rows))[0]
+        assert len(entity_ids) == 1000
+        assert any(len(made) > 1 for made in sizes.values())
+
 
 class TestParseFromHandles:
     """A file parses alike, to the same columns bit for bit or to the same
     error, from bytes, an io.BytesIO, a file, a stream that cannot seek, and
-    a file that changes between the parse's scan and its read of the rows
+    a file that changes at the parse's first seek, its size query
     (:func:`conftest.parse_every_way`)."""
 
     @pytest.mark.parametrize("rows", [random_panel_rows, random_float_panel_rows])
@@ -774,6 +795,67 @@ class TestParseFromHandles:
         assert not tokenized and not isinstance(outcome[0], type)
         assert outcome == through_reader
         assert parse_every_way(data, small_schema(), tmp_path) == [outcome] * 8
+
+    def test_file_rewritten_before_csv_reader_reads_it(self, tmp_path):
+        # csv.reader reads the file again from its start, and reads its rows
+        # by the header of that read, not by the header line read before.
+        rows = [f"e{i % 500:03d},{1 + i // 500},{i % 13},{i % 7},0" for i in range(40000)]
+        rows[-10] = '"e490",80,1,2,1'
+        old = csv_bytes(HEADER, *rows)
+        new = csv_bytes("entity,period,b,a,event", *rows)
+        with ChangesAfterItsHeader(tmp_path / "panel.csv", old, new) as handle:
+            outcome = parse_outcome(handle, small_schema())
+            assert handle.changed
+        assert outcome == parse_outcome(new, small_schema()) != parse_outcome(old, small_schema())
+
+    def test_plain_file_is_read_once(self):
+        data = csv_bytes(HEADER, *TestTokenizerAcrossBlocks.FIXED_ROWS)
+        handle = CountingReads(data)
+        assert parse_outcome(handle, small_schema()) == parse_outcome(data, small_schema())
+        assert handle.bytes_read == len(data)
+
+    def test_crlf_file_is_read_whole_once_after_its_header_line(self):
+        data = csv_bytes(HEADER, *TestTokenizerAcrossBlocks.FIXED_ROWS).replace(b"\n", b"\r\n")
+        handle = CountingReads(data)
+        assert parse_outcome(handle, small_schema()) == parse_outcome(data, small_schema())
+        assert handle.bytes_read <= data.find(b"\n") + 1 + len(data)
+
+
+class ChangesAfterItsHeader(io.FileIO):
+    """A file that holds ``old`` until the parse seeks after reading its
+    header line, as it does to hand the file to csv.reader, and ``new``
+    from then on."""
+
+    def __init__(self, path, old: bytes, new: bytes) -> None:
+        path.write_bytes(old)
+        super().__init__(path, "rb")
+        self.path, self.new, self.header_read, self.changed = path, new, False, False
+
+    def readline(self, *args) -> bytes:
+        self.header_read = True
+        return super().readline(*args)
+
+    def seek(self, *args) -> int:
+        if self.header_read and not self.changed:
+            self.path.write_bytes(self.new)
+            self.changed = True
+        return super().seek(*args)
+
+
+class CountingReads(io.BytesIO):
+    """An in-memory file that counts the bytes read from it."""
+
+    bytes_read = 0
+
+    def read(self, *args) -> bytes:
+        data = super().read(*args)
+        self.bytes_read += len(data)
+        return data
+
+    def readline(self, *args) -> bytes:
+        data = super().readline(*args)
+        self.bytes_read += len(data)
+        return data
 
 
 class TestHandlesAcrossBlocks(TestTokenizerAcrossBlocks):
