@@ -16,7 +16,7 @@ import json
 import logging
 import os
 import sys
-from collections.abc import Collection
+from collections.abc import Callable, Collection
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,6 +36,7 @@ from .model import (  # noqa: F401
 # name to time them, so both names stay importable here even though synth
 # draws and writes its panel a block at a time.
 from .panel import (  # noqa: F401
+    EntityBlocks,
     build_timelines,
     csv_cells,
     csv_line,
@@ -48,6 +49,7 @@ from .synth import SynthConfig, default_schema, generate_blocks, generate_panel 
 from .transform import (  # noqa: F401
     EmptyWindowPolicy,
     build_training_set,
+    join_training_sets,
     read_training_csv,
     score_feature_matrix,
     score_features,
@@ -88,20 +90,69 @@ def _load_config(args: argparse.Namespace) -> config_mod.RunConfig:
     return cfg
 
 
+def _log_panel(path: str, rows: int, entities: int, periods: int) -> None:
+    logger.info("panel %s: %d rows, %d entities, %d periods", path, rows, entities, periods)
+
+
+def _parse(handle, path: str, cfg: config_mod.RunConfig, features: Collection[str]):
+    """The whole panel, holding the values of the named feature columns
+    only; every feature cell is still checked."""
+    dataset = parse_panel_csv(handle, cfg.schema, features)
+    columns = dataset.columns
+    _log_panel(path, len(columns), len(columns.entity_ids), len(columns.periods))
+    return dataset
+
+
 def _read_panel(path: str, cfg: config_mod.RunConfig, features: Collection[str]):
     """The panel's timelines, holding the values of the named feature
-    columns only; every feature cell is still checked."""
+    columns only."""
     with open(path, "rb") as handle:
-        dataset = parse_panel_csv(handle, cfg.schema, features)
-    columns = dataset.columns
-    logger.info(
-        "panel %s: %d rows, %d entities, %d periods",
-        path,
-        len(columns),
-        len(columns.entity_ids),
-        len(columns.periods),
-    )
+        dataset = _parse(handle, path, cfg, features)
     return build_timelines(dataset)
+
+
+def _fold_panel(path: str, cfg: config_mod.RunConfig, fold: Callable) -> list:
+    """``fold`` of the timelines of each block of whole entities of the
+    panel, in entity order, each holding the values of the plan's feature
+    columns only.
+
+    A seekable file is read a block at a time (:class:`EntityBlocks`), so
+    only one block's rows are held.  Any other file, and one whose blocks
+    turn out not to be its rows entity by entity, or that raises an error
+    on the way, is parsed whole, from its start, and folded as one block:
+    it then fails, or not, as that parse and fold do.
+    """
+    features = cfg.plan.referenced_columns()
+    with open(path, "rb") as handle:
+        if handle.seekable():
+            folds = _fold_blocks(handle, path, cfg, features, fold)
+            if folds is not None:
+                return folds
+            handle.seek(0)
+        dataset = _parse(handle, path, cfg, features)
+    return [fold(build_timelines(dataset))]
+
+
+def _fold_blocks(handle, path: str, cfg: config_mod.RunConfig, features, fold) -> list | None:
+    """The folds of :func:`_fold_panel` from a block-by-block read, or None
+    if the file must be parsed whole."""
+    blocks = EntityBlocks(handle, cfg.schema)
+    folds = []
+    try:
+        for block in blocks:
+            dataset = None if block is None else blocks.place(
+                parse_panel_csv(block, cfg.schema, features)
+            )
+            if dataset is None:
+                return None
+            folds.append(fold(build_timelines(dataset)))
+            del block, dataset  # the next block is parsed without this one
+    except (LeadframeError, csv.Error):
+        return None
+    if not blocks.rows:
+        return None  # the parse of the whole file names what it lacks
+    _log_panel(path, blocks.rows, blocks.entities, blocks.periods)
+    return folds
 
 
 def _write_text(path: str, render) -> None:
@@ -122,8 +173,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_transform(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    timelines = _read_panel(args.input, cfg, cfg.plan.referenced_columns())
-    training = build_training_set(timelines, cfg.reference_frame, cfg.plan)
+
+    def built(timelines):
+        return build_training_set(timelines, cfg.reference_frame, cfg.plan)
+
+    training = join_training_sets(cfg.plan, _fold_panel(args.input, cfg, built))
     _write_text(args.output, lambda h: write_training_csv(training, h))
     report_path = Path(args.output).with_suffix(".report.json")
     report_path.write_text(
@@ -158,17 +212,21 @@ def cmd_score(args: argparse.Namespace) -> int:
             f"model features {model.feature_names!r} do not match plan "
             f"columns {cfg.plan.output_names!r}"
         )
-    timelines = _read_panel(args.input, cfg, cfg.plan.referenced_columns())
+
+    def scored(timelines):
+        features = score_feature_matrix(timelines, cfg.plan)
+        return csv_cells(t.entity_id for t in timelines), predict_proba_matrix(model, features)
+
     # Every score is computed before the output is opened, so a failure leaves no file.
-    scores = predict_proba_matrix(model, score_feature_matrix(timelines, cfg.plan))
+    parts = _fold_panel(args.input, cfg, scored)
 
     def render(handle) -> None:
         handle.write(csv_line(("entity_id", "probability")))
-        ids = csv_cells(t.entity_id for t in timelines)
-        handle.writelines(f"{entity},{score!r}\n" for entity, score in zip(ids, scores))
+        for ids, scores in parts:
+            handle.writelines(f"{entity},{score!r}\n" for entity, score in zip(ids, scores))
 
     _write_text(args.output, render)
-    logger.info("scored %d entities -> %s", len(timelines), args.output)
+    logger.info("scored %d entities -> %s", sum(len(ids) for ids, _ in parts), args.output)
     return 0
 
 

@@ -27,13 +27,15 @@ truncation and aggregation read the columns.  ``PanelRecord`` is a
 read-only view of a row, made only when ``records`` is read.
 
 Two tokenizers cut the rows into cells.  Each fills one code array for
-each of the entity, period and flag columns and one feature matrix, made
-at the first block for the rows the file is estimated to hold, remade only
-if a later block finds them short, and filled block by block in place, and
-leaves each code the position of its stripped text among the column's
-distinct texts, sorted; the entity codes and period ordinals are these
-arrays, with no second copy.  A plain file holds, after an optional BOM,
-only printable ASCII other than the quote character, and line feeds.
+each of the entity and period columns, one int8 flag array and one
+feature matrix, made at the first block for the rows the file is
+estimated to hold, remade only if a later block finds them short, and
+filled block by block in place.  Each code is left the position of its
+stripped text among the column's distinct texts, sorted, and each flag the
+value of its text, or -1 for a text other than 0 or 1; the entity codes,
+period ordinals and flags are these arrays, with no second copy.  A plain
+file holds, after an optional BOM, only printable ASCII other than the
+quote character, and line feeds.
 csv.reader would split it at every comma and line feed and nowhere else,
 so numpy does that directly, and the file is read once and never held
 whole: the header line and each block of whole lines are checked to be
@@ -46,15 +48,20 @@ read, each text column's keys are ranked once, in byte order, which is str
 order here, its codes are remapped in place, and only its distinct texts
 are decoded.  Every other file (quotes, carriage returns, spaces, tabs,
 non-ASCII bytes, NUL) is read whole, from its start, header and rows
-alike, and goes through csv.reader once its header line or a block of its
-rows is found not plain, and so does a plain file whose rows differ in
-length or are short, that has a cell longer than 256 bytes or
-``csv.field_size_limit()`` or a feature cell that is not a number.  Both
-tokenizers feed the same column checks and the same fault walk, so they
-give the same columns and the same error messages.  The feature matrix
-holds only the columns the parse is asked to keep; each block converts and
-range-checks every feature cell, kept or dropped, so what it keeps never
-changes whether or how the parse fails.
+alike, and goes through csv.reader, a piece of the text at a time, once
+its header line or a block of its rows is found not plain, and so does a
+plain file whose rows differ in length or are short, that has a cell
+longer than 256 bytes or ``csv.field_size_limit()`` or a feature cell
+that is not a number.  Both tokenizers feed the same column checks and
+the same fault walk, so they give the same columns and the same error
+messages.  The feature matrix holds only the columns the parse is asked
+to keep; each block converts and range-checks every feature cell, kept or
+dropped, so what it keeps never changes whether or how the parse fails.
+
+:class:`EntityBlocks` reads a file as blocks of whole entities, each a
+panel file of its own for the parse, and gives each block's parse the
+period ordinals of the whole file; it tells when a file's blocks are not
+its rows entity by entity, and the file must then be parsed whole.
 
 :func:`write_panel_csv` renders each distinct cell once: each entity id,
 each period label, each distinct value of each feature column and each
@@ -96,6 +103,11 @@ from .errors import (
 )
 
 _FLAGS = {"0": 0, "1": 1}
+# Where io.StringIO with newline="" ends a line (str.splitlines also ends one
+# at "\x1c", "\u2028" and others), and the characters of text handed to
+# csv.reader per StringIO.
+_LINE_BREAK = re.compile(r"\r\n?|\n")
+_PIECE = 1 << 16
 _INT_LABEL = re.compile(r"^[+-]?[0-9]+$")
 _MONTH_LABEL = re.compile(r"^[0-9]{4}-(0[1-9]|1[0-2])$")
 # Rows converted per block by the csv.reader tokenizer: small enough to keep
@@ -109,6 +121,11 @@ _COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
 # Bytes of body per numpy block: whole lines of about this size, so the
 # position arrays of one block stay small.
 _BLOCK_BYTES = 1 << 18
+# Bytes of whole entities' lines per block of a streamed read (EntityBlocks):
+# one numpy block each.  On the churn-monthly benchmark (2 CPUs, Python 3.11,
+# numpy 2.4), blocks of 1x, 2x and 4x _BLOCK_BYTES cut peak RSS by 4.3, 3.0
+# and 1.9 MB and cost 11%, 7% and 5.5% of job_s.
+_ENTITY_BYTES = _BLOCK_BYTES
 # The numpy tokenizer pads each text cell to the longest of its column, so a
 # block costs up to rows x longest cell bytes: a longer cell goes to csv.reader.
 _LONGEST_CELL = 256
@@ -526,8 +543,28 @@ def _check_row(
 
 
 def _records(text: str) -> Iterator[list[str]]:
-    """csv.reader's records of the text."""
-    return csv.reader(io.StringIO(text, newline=""))
+    """csv.reader's records of the text, as read from one ``io.StringIO``
+    of it with ``newline=""``.
+
+    A StringIO holds its text at up to 4 bytes per character, so the text
+    goes to the reader in pieces of about ``_PIECE`` characters, each in a
+    StringIO of its own.  Each piece ends at a line break, where StringIO
+    ends a line, so the reader is fed the same lines and numbers them alike.
+    """
+    return csv.reader(itertools.chain.from_iterable(
+        io.StringIO(piece, newline="") for piece in _pieces(text)
+    ))
+
+
+def _pieces(text: str) -> Iterator[str]:
+    """The text in consecutive pieces, each ending at the first line break
+    ``_PIECE`` or more characters past its start, or at the text's end."""
+    start = 0
+    while start < len(text):
+        line_break = _LINE_BREAK.search(text, start + _PIECE)
+        end = line_break.end() if line_break else len(text)
+        yield text[start:end]
+        start = end
 
 
 def _raise_first_fault(text: str, schema: PanelSchema) -> NoReturn:
@@ -554,23 +591,34 @@ class _Codes(dict):
         return code
 
 
+class _FlagValues(dict):
+    """The ``_FLAGS`` value of each raw flag text, stripped, or -1 for any
+    other text."""
+
+    def __missing__(self, raw: str) -> int:
+        value = self[raw] = _FLAGS.get(raw.strip(), -1)
+        return value
+
+
 class _Cells:
     """A file's data rows, tokenized one block of rows at a time, in file
     order, and the column layout both tokenizers read them by.
 
     ``width`` is the fewest cells a row needs to hold every schema column,
     ``features`` maps the position of each feature column to the column of
-    ``values`` it fills, or None for one that is checked and dropped, and
-    ``texts`` holds the position of the entity, period and flag columns.
-    ``kept`` names the feature columns ``values`` holds, in schema order.
-    Row i of the first ``rows`` holds the kept feature values ``values[i]``
-    and, in each text column's array of ``codes``, the position of its
-    stripped text in that column's ``distinct`` texts, which are sorted and
-    which the tokenizer sets once every row is read.  ``in_range`` holds
-    while every feature cell read, kept or dropped, is finite and
-    non-negative.  The arrays are made at the first block, for the rows the
-    tokenizer estimates the file holds, and each block fills its own rows;
-    the entity and period codes become the parsed columns themselves.
+    ``values`` it fills, or None for one that is checked and dropped,
+    ``texts`` holds the position of the entity and period columns and
+    ``flag`` that of the event column.  ``kept`` names the feature columns
+    ``values`` holds, in schema order.  Row i of the first ``rows`` holds
+    the kept feature values ``values[i]``, its event flag ``flags[i]``, the
+    ``_FLAGS`` value of its flag text or -1 for any other text, and, in
+    each text column's array of ``codes``, the position of its stripped
+    text in that column's ``distinct`` texts, which are sorted and which the
+    tokenizer sets once every row is read.  ``in_range`` holds while every
+    feature cell read, kept or dropped, is finite and non-negative.  The
+    arrays are made at the first block, for the rows the tokenizer
+    estimates the file holds, and each block fills its own rows; the entity
+    and period codes and the flags become the parsed columns themselves.
     """
 
     def __init__(
@@ -579,32 +627,34 @@ class _Cells:
         self.width = max(positions[c] for c in schema.columns) + 1
         slot = {name: j for j, name in enumerate(kept)}
         self.features = {positions[c]: slot.get(c) for c in schema.feature_columns}
-        self.texts = [
-            positions[c] for c in (schema.entity_column, schema.period_column, schema.event_column)
-        ]
+        self.texts = [positions[schema.entity_column], positions[schema.period_column]]
+        self.flag = positions[schema.event_column]
         self.kept = kept
         self.codes = tuple(np.empty(0, dtype=np.intp) for _ in self.texts)
         self.values = np.empty((0, len(kept)))
+        self.flags = np.empty(0, dtype=np.int8)
         self.distinct: list[list[str]] = []
         self.rows = 0
         self.in_range = True
 
-    def block(self, n: int, lines: int) -> tuple[list[np.ndarray], np.ndarray]:
-        """The codes and values of the next n rows, to be filled.  Arrays
-        short of them are made anew for the ``lines`` the file is estimated
-        to hold, or the rows needed if more, and the filled rows copied:
-        ``ndarray.resize`` would refuse them, referenced as they are, or,
-        told not to check, leave their views dangling."""
+    def block(self, n: int, lines: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """The codes, values and flags of the next n rows, to be filled.
+        Arrays short of them are made anew for the ``lines`` the file is
+        estimated to hold, or the rows needed if more, and the filled rows
+        copied: ``ndarray.resize`` would refuse them, referenced as they
+        are, or, told not to check, leave their views dangling."""
         start = self.rows
         self.rows += n
         if self.rows > len(self.values):
             lines = max(lines, self.rows)
             codes = tuple(np.empty(lines, dtype=np.intp) for _ in self.texts)
             values = np.empty((lines, len(self.kept)))
-            for new, old in zip((*codes, values), (*self.codes, self.values)):
+            flags = np.empty(lines, dtype=np.int8)
+            for new, old in zip((*codes, values, flags), (*self.codes, self.values, self.flags)):
                 new[:start] = old[:start]
-            self.codes, self.values = codes, values
-        return [codes[start : self.rows] for codes in self.codes], self.values[start : self.rows]
+            self.codes, self.values, self.flags = codes, values, flags
+        rows = slice(start, self.rows)
+        return [codes[rows] for codes in self.codes], self.values[rows], self.flags[rows]
 
     def fill(self, values: np.ndarray, slot: int | None, column: np.ndarray) -> None:
         """Check one block's converted feature column, and keep it in column
@@ -644,6 +694,7 @@ def _reader_cells(
     lines = text.count("\n") + text.count("\r") - text.count("\r\n") + 1
     cells = _Cells(schema, positions, kept)
     numberings = [_Codes() for _ in cells.texts]
+    flag_values = _FlagValues()
     reader = _records(text)
     next(reader)
     rows = filter(None, reader)
@@ -653,11 +704,12 @@ def _reader_cells(
             if min(map(len, block)) < cells.width:
                 return None
             columns = list(zip(*block))
-            codes, values = cells.block(n, lines)
+            codes, values, flags = cells.block(n, lines)
             for at, slot in cells.features.items():
                 cells.fill(values, slot, np.fromiter(map(float, columns[at]), np.float64, n))
             for row, at, numbering in zip(codes, cells.texts, numberings):
                 row[:] = np.fromiter(map(numbering.__getitem__, columns[at]), np.intp, n)
+            flags[:] = np.fromiter(map(flag_values.__getitem__, columns[cells.flag]), np.int8, n)
     except (ValueError, csv.Error):
         # A cell is not a number, or the reader failed on a later row: an
         # earlier row may still hold the first fault.
@@ -928,7 +980,7 @@ def _plain_block(
     ):
         return False
     start = cells.rows
-    codes, values = cells.block(n, -(-size * (start + n) // read))
+    codes, values, flags = cells.block(n, -(-size * (start + n) // read))
     texts = dict(zip(cells.texts, zip(codes, column_keys)))
     for at, first, length in _spans(before, ends, cells.width):
         if at in cells.features:
@@ -939,7 +991,20 @@ def _plain_block(
         elif at in texts:
             row, keys = texts[at]
             keys.append((start, cells.rows, _block_codes(padded, first, length, row)))
+        elif at == cells.flag:
+            _flag_values(padded, first, length, flags)
     return True
+
+
+def _flag_values(
+    padded: np.ndarray, first: np.ndarray, lengths: np.ndarray, out: np.ndarray
+) -> None:
+    """Each flag cell's ``_FLAGS`` value into ``out``, or -1 for a cell that
+    is not one byte, "0" or "1" (a plain file holds nothing to strip)."""
+    value = padded[first]
+    value -= np.uint8(_ZERO)  # any other byte wraps past 1
+    value[(value > 1) | (lengths != 1)] = 0xFF  # -1 as int8
+    out[:] = value.view(np.int8)
 
 
 def _columns(cells: _Cells) -> PanelColumns | None:
@@ -953,13 +1018,13 @@ def _columns(cells: _Cells) -> PanelColumns | None:
     """
     if not cells.rows:
         raise EmptyInput("input has a header but no data rows")
-    entity_ids, label_texts, flag_texts = cells.distinct
-    entity_codes, label_codes, flag_codes = (codes[: cells.rows] for codes in cells.codes)
+    entity_ids, label_texts = cells.distinct
+    entity_codes, label_codes = (codes[: cells.rows] for codes in cells.codes)
+    flags = cells.flags[: cells.rows]
     kinds = {_label_kind(label) for label in label_texts}
     file_kind = kinds.pop() if len(kinds) == 1 else None
-    flag_values = [_FLAGS.get(text) for text in flag_texts]
     # An empty id sorts first.
-    if not entity_ids[0] or file_kind is None or None in flag_values or not cells.in_range:
+    if not entity_ids[0] or file_kind is None or flags.min() < 0 or not cells.in_range:
         return None
 
     ordinal = index_periods(label_texts, file_kind)
@@ -973,7 +1038,7 @@ def _columns(cells: _Cells) -> PanelColumns | None:
         ordinals=label_codes,
         features=cells.kept,
         values=cells.values[: cells.rows],
-        flags=np.array(flag_values, dtype=np.int8)[flag_codes],
+        flags=flags,
     )
 
 
@@ -1050,6 +1115,127 @@ def parse_panel_csv(
     if columns is None:
         _raise_first_fault(text(), schema)
     return PanelDataset(kept, columns)
+
+
+class EntityBlocks:
+    """A seekable panel file read as consecutive blocks of whole entities.
+
+    Iterating from the handle's position gives each block as a panel file
+    of its own, the file's header line and then about ``_ENTITY_BYTES`` of
+    whole lines: the lines of the last entity read are carried into the
+    next block, so an entity whose lines run on past a block makes its
+    block longer.  Each block is parsed on its own
+    (:func:`parse_panel_csv`), which ranks its texts by its own keys, and
+    :meth:`place` gives its parse the period ordinals of the whole file.
+    The last item is None if the header line or a block is not plain
+    (:func:`_is_plain`); the rows are then read only by a parse of the
+    whole file.
+
+    The blocks' rows are the whole file's, entity by entity, only if the
+    file is grouped by entity with the ids ascending and its period labels
+    first appear in their order.  :meth:`place` returns None when a block
+    shows otherwise: the whole file is then parsed from its start.
+    ``rows``, ``entities`` and ``periods`` count those of the blocks placed.
+    """
+
+    def __init__(self, handle: BinaryIO, schema: PanelSchema) -> None:
+        self._handle = handle
+        self._schema = schema
+        # Each label of the blocks placed and its ordinal, in chronological order.
+        self._ordinals: dict[str, int] = {}
+        self._kind: str | None = None
+        self._last_id = ""
+        self.rows = self.entities = 0
+
+    @property
+    def periods(self) -> int:
+        return len(self._ordinals)
+
+    def __iter__(self) -> Iterator[bytes | None]:
+        handle = self._handle
+        header = handle.readline()
+        if not _is_plain(header[len(_BOM) :] if header.startswith(_BOM) else header):
+            yield None
+            return
+        header_cells = next(_records(header.decode("utf-8-sig")), None)
+        at = _header_positions(header_cells, self._schema)[self._schema.entity_column]
+        # Whole lines of one entity, ``owner``, read but not yet given.
+        pending: list[bytes] = []
+        owner, carried = None, 0
+        while lines := handle.read(size := max(_ENTITY_BYTES - carried, _ENTITY_BYTES // 2)):
+            tail = handle.readline()
+            # A short read, or a last line without a line feed, ends the
+            # file: its lines all go to the last block.
+            at_end = len(lines) < size or not tail.endswith(b"\n")
+            lines += tail
+            if not _is_plain(lines):
+                yield None
+                return
+            cut, last = (0, None) if at_end else _last_entity(lines, at)
+            if last is None:
+                last = owner  # blank lines join the entity before them
+            if not cut and owner in (None, last):
+                pending.append(lines)
+                carried += len(lines)
+            else:
+                block = b"".join((header, *pending, memoryview(lines)[:cut]))
+                pending, carried = [lines[cut:]], len(lines) - cut
+                lines = b""  # only the block is held while it is parsed
+                yield block
+            owner = last
+        if pending:
+            yield b"".join((header, *pending))
+
+    def place(self, dataset: PanelDataset) -> PanelDataset | None:
+        """The parse of the next block, its ordinals set in place to the
+        whole file's; or None if its smallest id is not above the largest
+        id of the blocks before it, its period labels are of another kind
+        than theirs, or a label it adds does not sort after every label of
+        theirs.
+
+        Each label's ordinal is its rank among the labels of this block and
+        those before it, which is its rank in the whole file as long as no
+        later block adds a label that sorts before one of these.
+        """
+        columns = dataset.columns
+        ids, periods = columns.entity_ids, columns.periods
+        labels = [periods[ordinal].label for ordinal in range(len(periods))]
+        kind = _label_kind(labels[0])
+        key = _int_value if kind == "int" else str
+        new = [label for label in labels if label not in self._ordinals]
+        if self._ordinals and (
+            ids[0] <= self._last_id
+            or kind != self._kind
+            or (new and key(new[0]) <= key(next(reversed(self._ordinals))))
+        ):
+            return None
+        ranks = [self._ordinals.setdefault(label, len(self._ordinals)) for label in labels]
+        np.take(ranks, columns.ordinals, out=columns.ordinals, mode="clip")
+        self._kind, self._last_id = kind, ids[-1]
+        self.rows += len(columns)
+        self.entities += len(ids)
+        periods = {rank: PeriodIndex(rank, label) for rank, label in zip(ranks, labels)}
+        return PanelDataset(dataset.schema, replace(columns, periods=periods))
+
+
+def _last_entity(lines: bytes, at: int) -> tuple[int, bytes | None]:
+    """(start, entity) for plain whole lines: where the lines of the last
+    line's entity, and the blank lines among them, begin after every line
+    of another entity, and that entity's cell ``at``, or the line itself if
+    it is short; (0, None) if every line is blank."""
+    end, entity = len(lines), None
+    while end:
+        start = lines.rfind(b"\n", 0, end - 1) + 1
+        line = lines[start:end].rstrip(b"\n")
+        if line:
+            cells = line.split(b",", at + 1)
+            cell = cells[at] if len(cells) > at else line
+            if entity is None:
+                entity = cell
+            elif cell != entity:
+                return end, entity
+        end = start
+    return 0, entity
 
 
 def _format_number(value: float) -> str:

@@ -15,11 +15,12 @@ or the whole history without an event.  A fold takes the windows it is
 asked for, of one lead time or of every lead time of a sweep
 (:func:`build_training_sets`), and folds each entity once, up to its
 longest window.  For each column a plan reads it makes a table of running
-sums, nonzero counts or maxima (``last`` reads the column itself), one
-numpy accumulate per band of entities of similar window length
-(:func:`_running`), reads every window at its last row and lets the table
-go.  The block keeps only the keys that cut windows
-(``TimelineBlock.period_keys``), never a table or a result of a plan.
+sums, nonzero counts or maxima (``last`` reads the column itself) one band
+of entities of similar window length at a time, by one numpy accumulate
+(:func:`_running`), reads the band's windows at their last rows and lets
+the band's table go before the next is made.  The block keeps only the
+keys that cut windows (``TimelineBlock.period_keys``), never a table or a
+result of a plan.
 
 Aggregations fold a window into one feature vector: sums, nonzero counts,
 maxima, the most recent value, and ratio-of-sums (total numerator over total
@@ -340,41 +341,47 @@ def truncate_at_reference(
 
 
 def _windows(
-    offsets: np.ndarray, owners: np.ndarray, lengths: np.ndarray
-) -> tuple[np.ndarray, list[tuple[int, int, int]], np.ndarray]:
-    """The fold's layout for windows of ``lengths`` rows of entities ``owners``.
+    offsets: np.ndarray, entities: np.ndarray, k: np.ndarray
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The fold's layout for windows of the first ``k`` rows of ``entities``.
 
     Each entity is folded once, up to its longest window.  The entities,
     longest first, are cut into bands of those longer than half the band's
-    longest, so padding at most doubles a band's cells.  Returns the block
-    row each cell of the band-major table reads (a history is padded by
-    repeating its last row), each band's (start, length, width) in the
-    table, and the cell where each window's last row lands.
+    longest, so padding at most doubles a band's cells.  Returns the
+    windows with rows, band by band, and for each band, the block row each
+    cell of its (position x entity) table reads (a history is padded by
+    repeating its last row) and the cell of the table, read flat, where
+    each of its windows' last row lands.
     """
+    windows = np.flatnonzero(k > 0)
+    owners, lengths = entities[windows], k[windows]
     longest = np.zeros(len(offsets) - 1, dtype=np.intp)
     np.maximum.at(longest, owners, lengths)
     order = np.argsort(-longest, kind="stable")
     negated = -longest[order]  # ascending, as searchsorted needs
     start, stop, members = 0, int(np.searchsorted(negated, 0)), []
+    band = np.zeros_like(longest)  # each entity's band,
+    first = np.zeros_like(longest)  # its cell at position 0,
+    width = np.zeros_like(longest)  # and the width of its band
     while start < stop:
         # The band ends at the first entity of at most half its longest.
         end = int(np.searchsorted(negated, -(-negated[start] // 2)))
-        members.append(order[start:end])
+        in_band = order[start:end]
+        band[in_band] = len(members)
+        first[in_band] = np.arange(len(in_band))
+        width[in_band] = len(in_band)
+        members.append(in_band)
         start = end
-    rows = np.empty(sum(int(longest[m[0]]) * len(m) for m in members), dtype=np.intp)
-    first = np.zeros_like(longest)  # each entity's cell at position 0,
-    width = np.zeros_like(longest)  # and the width of its band
+    by_band = np.argsort(band[owners], kind="stable")
+    cells = (first[owners] + (lengths - 1) * width[owners])[by_band]
+    counts = np.bincount(band[owners], minlength=len(members)).tolist()
     bands, start = [], 0
-    for entities in members:
-        length, n = int(longest[entities[0]]), len(entities)
-        band = rows[start : start + length * n].reshape(length, n)
-        np.add(np.arange(length)[:, None], offsets[entities], out=band)
-        np.minimum(band, offsets[entities] + longest[entities] - 1, out=band)
-        first[entities] = start + np.arange(n)
-        width[entities] = n
-        bands.append((start, length, n))
-        start += length * n
-    return rows, bands, first[owners] + (lengths - 1) * width[owners]
+    for in_band, count in zip(members, counts):
+        rows = np.add(np.arange(longest[in_band[0]])[:, None], offsets[in_band])
+        np.minimum(rows, offsets[in_band] + longest[in_band] - 1, out=rows)
+        bands.append((rows, cells[start : start + count]))
+        start += count
+    return windows[by_band], bands
 
 
 def _first_zeros(band: np.ndarray) -> np.ndarray:
@@ -394,14 +401,16 @@ _TABLES = {
 
 
 def _running(
-    column: np.ndarray, rows: np.ndarray, bands: list[tuple[int, int, int]], kind: AggKind
+    column: np.ndarray, bands: list[tuple[np.ndarray, np.ndarray]], kind: AggKind
 ) -> np.ndarray:
-    """The band-major table of running folds of one kind of ``column``.
+    """The running fold of one kind of ``column`` over each window of
+    :func:`_windows`' bands, band by band, read at the window's last row.
 
-    The column is gathered through ``rows`` of :func:`_windows`, and each
-    band, a (position x entity) matrix, is folded in place by one
-    ``fold.accumulate`` down its positions, which folds left to right
-    within every entity as the builtins do; padding follows every cell read.
+    Each band's table is gathered from the column through its ``rows``,
+    folded in place by one ``fold.accumulate`` down its positions, which
+    folds left to right within every entity as the builtins do (padding
+    follows every cell read), read at its windows' cells and let go before
+    the next band's is gathered.
 
     A sum starts from ``0.0 + x0``, as Python's sum does.  Python's max
     keeps the first of equal values and numpy's maximum may not; the only
@@ -411,9 +420,9 @@ def _running(
     greater.
     """
     value, fold = _TABLES[kind]
-    table = value(column[rows])
-    for start, length, width in bands:
-        band = table[start : start + length * width].reshape(length, width)
+    folded = []
+    for rows, cells in bands:
+        band = value(column[rows])
         if fold is np.add:
             band[0] += 0.0
         # Without a sign bit in the band, every zero is 0.0 and equal values
@@ -422,7 +431,9 @@ def _running(
         fold.accumulate(band, axis=0, out=band)
         if zeros is not None:
             np.copysign(band, zeros, out=band, where=band == 0.0)
-    return table
+        folded.append(band.ravel()[cells])
+    # A fold of one band is read in order already.
+    return folded[0] if len(folded) == 1 else np.concatenate((np.empty(0), *folded))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -436,16 +447,14 @@ def _fold(
     An empty window folds to 0.0 for every kind, so its row of ``out``,
     zeros, is left as it is.  A spec naming a column the block lacks writes
     nan, which _check_finite reports as UnknownColumn.  Each table is made
-    for these windows alone, read at their cells and let go.
+    for these windows alone, one band at a time, read at their cells and
+    let go.
     """
     columns = block.columns
     if not len(columns):
         return  # no row: every window is empty and no value is read
     index = columns.feature_index
-    kept = k > 0
-    rows, bands, cells = _windows(block.offsets, entities[kept], k[kept])
-    last = rows[cells]  # each window's last row
-    into = at[kept]
+    kept, bands = _windows(block.offsets, entities, k)  # the windows with rows, band by band
     # Each table is read once; a read is kept until the last spec using it.
     uses = Counter(
         (AggKind.SUM, name) if spec.kind is AggKind.RATIO_OF_SUMS else (spec.kind, name)
@@ -457,7 +466,7 @@ def _fold(
     def read(kind: AggKind, name: str) -> np.ndarray:
         key = (kind, name)
         if key not in reads:
-            reads[key] = _running(columns.values[:, index[name]], rows, bands, kind)[cells]
+            reads[key] = _running(columns.values[:, index[name]], bands, kind)
         uses[key] -= 1
         return reads[key] if uses[key] else reads.pop(key)
 
@@ -469,6 +478,7 @@ def _fold(
         if spec.kind in _TABLES:
             folded = read(spec.kind, spec.column)
         elif spec.kind is AggKind.LAST:
+            last = block.offsets[entities[kept]] + k[kept] - 1  # each window's last row
             folded = columns.values[last, j]
         else:  # RATIO_OF_SUMS: 0 when the denominator total is 0
             numerator = read(AggKind.SUM, spec.column)
@@ -476,7 +486,7 @@ def _fold(
             folded = np.divide(
                 numerator, denominator, out=np.zeros_like(numerator), where=denominator != 0.0
             )
-        out[into, s] = folded
+        out[at[kept], s] = folded
 
 
 def _check_finite(
@@ -615,6 +625,25 @@ def build_training_set(
     if isinstance(outcome, LeadframeError):
         raise outcome
     return outcome
+
+
+def join_training_sets(plan: AggregationPlan, parts: Sequence[TrainingSet]) -> TrainingSet:
+    """The training set of the union of the parts' entities, each part
+    built alone under ``plan`` and one config, from disjoint sets of
+    entities whose ids ascend from part to part.
+
+    Each row and each dropped id is one entity's alone, so this is the set
+    built from the union of the parts' timelines, bit for bit.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    return _training_set(
+        plan,
+        [entity for part in parts for entity in part.entity_ids],
+        np.concatenate([np.empty((0, len(plan.specs))), *(part.values for part in parts)]),
+        np.concatenate([np.empty(0, dtype=np.int64), *(part.labels for part in parts)]),
+        [entity for part in parts for entity in part.report.dropped],
+    )
 
 
 def _column_cells(column: np.ndarray, render: Callable[[object], str]) -> list[str]:

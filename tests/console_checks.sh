@@ -14,9 +14,12 @@
 # the numpy tokenizer; two runs of each command on it must write the same
 # bytes too.  A CRLF copy of that panel goes through the csv.reader
 # tokenizer instead, about 26 blocks of rows in arrays sized from its line
-# breaks, and must give the same training set.  So must both files piped in
+# breaks, and must give the same training set.  transform and score read the
+# 5,000-entity panel a block of whole entities at a time; both files piped in
 # through /dev/stdin, which cannot seek and so is read whole before the parse
-# reads it as it reads a file.  A sweep folds every lead time of a side in
+# reads it as it reads a file, and a copy with its rows ordered by period,
+# whose blocks are not whole entities and so is read whole from its start,
+# must give the same training set and the same scores.  A sweep folds every lead time of a side in
 # one call, each entity up to its longest window: on the long histories, two
 # runs over lead times up to 96 periods must write the same bytes, and on the
 # 5,000-entity panel, unsorted and repeated lead times must give the curve
@@ -58,6 +61,17 @@ for n in 1 2; do
 done
 cmp "$tmp/m1.json" "$tmp/m2.json"
 cmp "$tmp/s1.csv" "$tmp/s2.csv"
+for copy in p p-crlf; do
+    cat "$tmp/$copy.csv" | $LEADFRAME score --input /dev/stdin --model "$tmp/m1.json" \
+        --config $config --output "$tmp/$copy-piped-s.csv"
+    cmp "$tmp/s1.csv" "$tmp/$copy-piped-s.csv"
+done
+{ head -n 1 "$tmp/p.csv"; tail -n +2 "$tmp/p.csv" | sort -t, -k2,2n -s; } > "$tmp/p-by-period.csv"
+$LEADFRAME transform --input "$tmp/p-by-period.csv" --config $config --output "$tmp/t4.csv"
+cmp "$tmp/t1.csv" "$tmp/t4.csv"
+$LEADFRAME score --input "$tmp/p-by-period.csv" --model "$tmp/m1.json" --config $config \
+    --output "$tmp/s3.csv"
+cmp "$tmp/s1.csv" "$tmp/s3.csv"
 cmp "$tmp/c1.csv" "$tmp/c2.csv"
 for n in 1 2; do
     $LEADFRAME sweep --input "$tmp/long1.csv" --config $config --lead-times 0,1,2,3,6,24,96 \

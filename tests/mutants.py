@@ -215,6 +215,30 @@ MUTANTS = (
         ("tests/test_cli.py::TestFaultsInColumnsThePlanDoesNotRead",),
     ),
     Mutant(
+        "stream-ids-may-repeat",
+        "panel.py",
+        "ids[0] <= self._last_id",
+        "ids[0] < self._last_id",
+        (
+            "tests/test_stream.py::TestHandoff"
+            "::test_last_id_of_a_block_recurs_at_the_start_of_the_next",
+        ),
+    ),
+    Mutant(
+        "stream-labels-unchecked",
+        "panel.py",
+        "            or (new and key(new[0]) <= key(next(reversed(self._ordinals))))\n",
+        "",
+        ("tests/test_stream.py::TestHandoff::test_late_label_not_after_earlier_ones",),
+    ),
+    Mutant(
+        "stream-carry-dropped",
+        "panel.py",
+        "pending, carried = [lines[cut:]], len(lines) - cut",
+        "pending, carried = [], 0",
+        ("tests/test_stream.py::TestBlocks",),
+    ),
+    Mutant(
         "next-block-starts-one-late",
         "synth.py",
         "        start = stop\n",

@@ -1,0 +1,428 @@
+"""``transform`` and ``score`` read a seekable plain panel file as blocks of
+whole entities, and every other file as a whole.
+
+Every output byte, error message and exit code is that of reading the file
+whole.  These tests make blocks of a few lines (``panel._ENTITY_BYTES``), so
+small files span many blocks, and compare each command's outcome with its
+outcome when the stream hands every file to the whole read at once.
+"""
+
+import io
+import json
+import logging
+import random
+import tracemalloc
+from unittest import mock
+
+import pytest
+
+from conftest import CONFIG_JSON
+from corpus import random_float_panel_rows, random_panel_rows, rows_to_csv_bytes
+from test_panel import EDGE_FILES, FIRST_FAULT, csv_bytes, small_schema
+
+from leadframe import cli, panel
+from leadframe.model import LogisticModel
+from leadframe.panel import EntityBlocks, write_panel_csv
+from leadframe.synth import SynthConfig, generate_panel
+
+# Bytes of lines per block in these tests: two or three lines of the small files.
+BLOCK = 40
+HEADER = "entity,period,a,b,event"
+PLAN = [
+    {"name": "sum_a", "kind": "sum", "column": "a"},
+    {"name": "nonzero_b", "kind": "count_nonzero", "column": "b"},
+    {"name": "max_a", "kind": "max", "column": "a"},
+    {"name": "last_b", "kind": "last", "column": "b"},
+    {"name": "a_per_b", "kind": "ratio_of_sums", "numerator": "a", "denominator": "b"},
+]
+
+
+def write_inputs(directory, schema):
+    """A config of the five-kind plan over a and b, and a model for it."""
+    config = directory / "config.json"
+    config.write_text(json.dumps({
+        "schema": {
+            "entity_column": schema.entity_column,
+            "period_column": schema.period_column,
+            "event_column": schema.event_column,
+            "feature_columns": list(schema.feature_columns),
+        },
+        "plan": PLAN,
+        "reference_frame": {"lead_time": 1, "empty_window_policy": "zeros"},
+    }))
+    model = directory / "model.json"
+    LogisticModel(
+        feature_names=tuple(spec["name"] for spec in PLAN),
+        weights=(0.3, -0.2, 0.1, 0.05, -0.4),
+        intercept=-0.5,
+        means=(1.0, 0.5, 2.0, 1.0, 0.7),
+        stds=(2.0, 1.0, 3.0, 1.5, 0.9),
+    ).save(model)
+    return config, model
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("small"), small_schema())
+
+
+@pytest.fixture(scope="module")
+def corpus_inputs(tmp_path_factory, corpus_schema):
+    return write_inputs(tmp_path_factory.mktemp("corpus"), corpus_schema)
+
+
+class Spy:
+    """Counts the block parses and the whole reads the commands make."""
+
+    def __init__(self):
+        self.parses = self.wholes = 0
+        parse, whole = cli.parse_panel_csv, cli._parse
+
+        def counted_parse(*args):
+            self.parses += 1
+            return parse(*args)
+
+        def counted_whole(*args):
+            self.wholes += 1
+            return whole(*args)
+
+        self.patches = [
+            mock.patch.object(cli, "parse_panel_csv", counted_parse),
+            mock.patch.object(cli, "_parse", counted_whole),
+        ]
+
+    @property
+    def blocks(self):
+        """The parses of blocks: a whole read parses the file once."""
+        return self.parses - self.wholes
+
+    def __enter__(self):
+        for patch in self.patches:
+            patch.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        for patch in reversed(self.patches):
+            patch.__exit__(*exc)
+
+
+def never_streamed(self):
+    yield None
+
+
+def run(command, data, inputs, directory, capsys, *, whole=False, block=BLOCK):
+    """(exit code, stderr, output files) of one command on the panel bytes,
+    read as blocks of ``block`` bytes of lines or, with ``whole``, whole."""
+    config, model = inputs
+    directory.mkdir()
+    source, out = directory / "panel.csv", directory / "out.csv"
+    source.write_bytes(data)
+    argv = {
+        "transform": ["transform"],
+        "score": ["score", "--model", model],
+    }[command] + ["--input", source, "--config", config, "--output", out]
+    capsys.readouterr()
+    with mock.patch.object(panel, "_ENTITY_BYTES", block), mock.patch.object(
+        EntityBlocks, "__iter__", never_streamed if whole else EntityBlocks.__iter__
+    ):
+        code = cli.main([str(a) for a in argv])
+    files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())
+             if path.name.startswith("out")}
+    return code, capsys.readouterr().err, files
+
+
+class Compare:
+    """Runs transform and score on a panel, streamed and whole, asserts
+    that each command's outcomes are equal, and returns the spy of the
+    streamed runs."""
+
+    def __init__(self, tmp_path, capsys):
+        self.tmp_path, self.capsys, self.runs = tmp_path, capsys, 0
+
+    def run(self, command, data, inputs, **kwargs):
+        self.runs += 1
+        return run(command, data, inputs, self.tmp_path / f"run{self.runs}", self.capsys, **kwargs)
+
+    def __call__(self, data, inputs, block=BLOCK):
+        spy = Spy()
+        for command in ("transform", "score"):
+            with spy:
+                streamed = self.run(command, data, inputs, block=block)
+            assert streamed == self.run(command, data, inputs, block=block, whole=True), command
+        return spy
+
+
+@pytest.fixture()
+def compare(tmp_path, capsys):
+    return Compare(tmp_path, capsys)
+
+
+def corpus_panels(seed, count=60):
+    """Seeded corpus panels, entity by entity, each of two blocks or more."""
+    rng = random.Random(seed)
+    panels = []
+    while len(panels) < count:
+        rows = (random_panel_rows if len(panels) % 2 else random_float_panel_rows)(rng)
+        data = rows_to_csv_bytes(rows)
+        if len(data) - data.index(b"\n") > 2 * BLOCK and len({row[0] for row in rows}) > 2:
+            panels.append(data)
+    return panels
+
+
+def grouped(count, periods=4, prefix="e"):
+    """Lines of ``count`` entities of ``periods`` rows each, entity by entity."""
+    return [
+        f"{prefix}{i:02d},{t},{(i * 7 + t) % 5},{(i + t) % 3},{int(t == periods and i % 3 == 0)}"
+        for i in range(count) for t in range(1, periods + 1)
+    ]
+
+
+def blocks_of(data, block=BLOCK):
+    with mock.patch.object(panel, "_ENTITY_BYTES", block):
+        return list(EntityBlocks(io.BytesIO(data), small_schema()))
+
+
+class TestEquivalence:
+    @pytest.mark.parametrize("name", list(EDGE_FILES))
+    def test_edge_files(self, compare, inputs, name):
+        compare(EDGE_FILES[name][0], inputs)
+
+    @pytest.mark.parametrize("row", [row for row, _ in FIRST_FAULT])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_first_faults_in_each_block(self, compare, inputs, row, where):
+        lines = grouped(9)
+        at = {"first": 1, "middle": len(lines) // 2, "last": len(lines)}[where]
+        lines.insert(at, row)
+        data = csv_bytes(HEADER, *lines)
+        blocks = blocks_of(data)
+        (block,) = [k for k, text in enumerate(blocks) if row.encode() in text.split(b"\n")]
+        assert {"first": block == 0, "middle": 0 < block < len(blocks) - 1,
+                "last": block == len(blocks) - 1}[where]
+        spy = compare(data, inputs)
+        # Every block up to the fault's is parsed, and the file is then read whole.
+        assert spy.wholes == 2
+        assert spy.blocks >= 2 * (block + 1)
+
+    def test_corpus_panels_of_several_blocks(self, compare, corpus_inputs):
+        # A panel streams to its end unless a later entity is the first
+        # to be seen in some period, which the corpus draws often: 14 of
+        # these 60 stream to their end.
+        streamed = 0
+        for data in corpus_panels(20261020):
+            spy = compare(data, corpus_inputs)
+            assert spy.blocks >= 2
+            streamed += spy.wholes == 0
+        assert streamed >= 10
+
+    def test_corpus_panels_with_a_fault(self, compare, corpus_inputs):
+        # A -1 planted in the first, a middle or the last line below the header.
+        rng = random.Random(7)
+        for k, data in enumerate(corpus_panels(20261021, count=30)):
+            lines = data.decode().splitlines()
+            line = [1, len(lines) // 2, len(lines) - 1][k % 3]
+            cells = lines[line].split(",")
+            cells[2 + rng.randrange(3)] = "-1"
+            lines[line] = ",".join(cells)
+            spy = compare(("\n".join(lines) + "\n").encode(), corpus_inputs)
+            assert spy.wholes == 2
+
+
+class TestHandoff:
+    """A file whose blocks are not its rows entity by entity, or that fails
+    on the way, is read whole from its start, with the outcome of that read."""
+
+    def test_entity_shuffled_copy(self, compare, inputs):
+        lines = grouped(12)
+        random.Random(3).shuffle(lines)
+        spy = compare(csv_bytes(HEADER, *lines), inputs)
+        assert spy.wholes == 2
+
+    def test_grouped_but_unsorted_copy(self, compare, inputs):
+        lines = grouped(12)
+        by_entity = [lines[i : i + 4] for i in range(0, len(lines), 4)]
+        by_entity[3], by_entity[8] = by_entity[8], by_entity[3]
+        spy = compare(csv_bytes(HEADER, *(line for rows in by_entity for line in rows)), inputs)
+        assert spy.wholes == 2
+
+    def test_id_of_the_block_before_recurs(self, compare, inputs):
+        # A row of e00 among e05's rows: e00 is in a block after e04's, so
+        # that block's smallest id is not above the largest before it.
+        lines = grouped(12)
+        lines.insert(20, lines[3].replace(",4,", ",9,"))
+        spy = compare(csv_bytes(HEADER, *lines), inputs)
+        assert spy.wholes == 2
+
+    def test_last_id_of_a_block_recurs_at_the_start_of_the_next(self, compare, inputs):
+        # The first read ends with e05's second row, whose lines are
+        # carried: the first block's largest id, e05, is the next block's
+        # smallest.
+        lines = ["e00,1,1,1,0", "e05,1,2,1,0", "e01,1,3,1,0", "e05,2,4,2,0", *grouped(12)[24:]]
+        data = csv_bytes(HEADER, *lines)
+        first, second = blocks_of(data)[:2]
+        assert first.splitlines()[1:] == [line.encode() for line in lines[:3]]
+        assert second.splitlines()[1] == lines[3].encode()
+        spy = compare(data, inputs)
+        assert spy.wholes == 2
+
+    @pytest.mark.parametrize("late", ["0", "02"])
+    def test_late_label_not_after_earlier_ones(self, compare, inputs, late):
+        # Period 0 sorts before every period of the blocks before it, and
+        # "02" is period 2 again: the whole read orders the first and
+        # refuses the second.
+        lines = grouped(12)
+        lines[-1] = lines[-1].split(",", 1)[0] + f",{late},1,1,0"
+        spy = compare(csv_bytes(HEADER, *lines), inputs)
+        assert spy.wholes == 2
+
+    def test_month_labels_in_order_stream(self, compare, inputs):
+        lines = [
+            f"m{i:02d},2016-{t:02d},{i % 4},{t % 3},0" for i in range(12) for t in range(1, 13)
+        ]
+        spy = compare(csv_bytes(HEADER, *lines), inputs)
+        assert spy.wholes == 0 and spy.blocks >= 8
+
+    def test_period_kind_changes_in_a_later_block(self, compare, inputs):
+        lines = grouped(12)
+        lines[-4:] = [f"e11,2016-0{t},1,1,0" for t in range(1, 5)]
+        spy = compare(csv_bytes(HEADER, *lines), inputs)
+        assert spy.wholes == 2
+
+    def test_crlf_block_mid_file(self, compare, inputs):
+        lines = [line + "\r" if 20 <= k < 24 else line for k, line in enumerate(grouped(12))]
+        assert blocks_of(csv_bytes(HEADER, *lines))[-1] is None
+        spy = compare(csv_bytes(HEADER, *lines), inputs)
+        assert spy.wholes == 2
+
+    def test_overflow_in_block_one_and_parse_fault_in_block_five(self, compare, inputs):
+        lines = grouped(12)
+        lines[0] = "e00,1,1e308,1,0"
+        lines[1] = "e00,2,1e308,1,0"
+        lines[18] = "e04,3,2,-1,0"
+        data = csv_bytes(HEADER, *lines)
+        assert len(blocks_of(data)) >= 5
+        spy = compare(data, inputs)
+        assert spy.wholes == 2
+        code, err, files = run("transform", data, inputs, compare.tmp_path / "alone",
+                               compare.capsys)
+        assert (code, files) == (2, {})
+        assert err == "error: line 20: value '-1' in column 'b' must be finite and non-negative\n"
+
+    def test_overflow_alone_is_named_by_the_whole_read(self, compare, inputs):
+        lines = grouped(12)
+        lines[40:42] = ["e10,1,1e308,1,0", "e10,2,1e308,1,0"]
+        spy = compare(csv_bytes(HEADER, *lines), inputs)
+        assert spy.wholes == 2
+
+    def test_unseekable_input_is_read_whole(self, inputs):
+        # As /dev/stdin is, piped from a process.
+        data = csv_bytes(HEADER, *grouped(12))
+        config = cli.config_mod.load_run_config(inputs[0])
+        with Spy() as spy, mock.patch.object(panel, "_ENTITY_BYTES", BLOCK), mock.patch.object(
+            cli, "open", lambda *args: io.BufferedReader(Unseekable(data)), create=True
+        ):
+            timelines_read = cli._fold_panel("-", config, len)
+        assert (spy.blocks, spy.wholes) == (0, 1)
+        assert timelines_read == [12]
+
+
+class Unseekable(io.RawIOBase):
+    def __init__(self, data):
+        self._data = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        return self._data.readinto(buffer)
+
+
+class TestBlocks:
+    def test_blocks_hold_whole_entities(self):
+        data = csv_bytes(HEADER, *grouped(12))
+        blocks = blocks_of(data)
+        assert len(blocks) >= 8
+        header = HEADER.encode() + b"\n"
+        assert all(block.startswith(header) for block in blocks)
+        assert b"".join(block[len(header):] for block in blocks) == data[len(header):]
+        ids = [{line.split(b",")[0] for line in block.splitlines()[1:]} for block in blocks]
+        assert all(not (a & b) for k, a in enumerate(ids) for b in ids[k + 1:])
+
+    def test_entity_longer_than_a_block(self, compare, inputs):
+        long = [f"long,{t},{t % 4},{t % 3},0" for t in range(1, 40)]
+        lines = grouped(3) + long + grouped(3, prefix="z")
+        data = csv_bytes(HEADER, *lines)
+        blocks = blocks_of(data)
+        (longest,) = [block for block in blocks if b"long," in block]
+        assert longest.count(b"long,") == 39
+        assert len(longest) > 10 * BLOCK
+        spy = compare(data, inputs)
+        assert spy.wholes == 0
+        assert spy.blocks == 2 * len(blocks)
+
+    def test_blank_lines_stay_in_their_blocks(self, compare, inputs):
+        lines = grouped(12)
+        for at in (0, 9, 30):
+            lines.insert(at, "")
+        spy = compare(csv_bytes(HEADER, *lines, ""), inputs)
+        assert spy.wholes == 0
+
+    def test_last_line_without_line_feed(self, compare, inputs):
+        spy = compare(csv_bytes(HEADER, *grouped(12))[:-1], inputs)
+        assert spy.wholes == 0
+
+    def test_one_read_is_one_block(self):
+        # A file read in one read is one block, however its rows are ordered.
+        lines = grouped(12)
+        random.Random(5).shuffle(lines)
+        assert len(blocks_of(csv_bytes(HEADER, *lines), block=1 << 16)) == 1
+
+
+def test_panel_line_logged_once_with_the_file_totals(tmp_path, capsys, caplog, inputs):
+    data = csv_bytes(HEADER, *grouped(12))
+    caplog.set_level(logging.INFO, logger="leadframe")
+    with Spy() as spy:
+        run("transform", data, inputs, tmp_path / "streamed", capsys)
+    assert spy.blocks >= 4 and spy.wholes == 0
+    streamed = [r.getMessage() for r in caplog.records if r.getMessage().startswith("panel ")]
+    caplog.clear()
+    run("transform", data, inputs, tmp_path / "whole", capsys, whole=True)
+    whole = [r.getMessage() for r in caplog.records if r.getMessage().startswith("panel ")]
+    assert len(streamed) == 1
+    shape = "48 rows, 12 entities, 4 periods"
+    assert streamed[0].split(": ")[1] == whole[0].split(": ")[1] == shape
+
+
+def test_streamed_commands_hold_a_block(tmp_path, capsys):
+    # On the 5,000 x 24 panel, transform and score each peak below half
+    # their peak when reading the file whole.
+    config = SynthConfig(n_entities=5000, n_periods=24, event_rate=0.3, ramp_length=3,
+                         signal_strength=3.0, noise_rate=0.5, seed=0)
+    dataset, text = generate_panel(config), io.StringIO(newline="")
+    write_panel_csv(dataset, text)
+    data = text.getvalue().encode()
+    del dataset, text
+    source, training, model = tmp_path / "p.csv", tmp_path / "t.csv", tmp_path / "m.json"
+    source.write_bytes(data)
+    assert cli.main(["transform", "--input", str(source), "--config", str(CONFIG_JSON),
+                     "--output", str(training)]) == 0
+    assert cli.main(["train", "--input", str(training), "--config", str(CONFIG_JSON),
+                     "--output", str(model)]) == 0
+    commands = {
+        "transform": ["transform"],
+        "score": ["score", "--model", str(model)],
+    }
+    for name, argv in commands.items():
+        peaks, outputs = [], []
+        for stream in (EntityBlocks.__iter__, never_streamed):
+            out = tmp_path / f"{name}-{stream.__name__}.csv"
+            with mock.patch.object(EntityBlocks, "__iter__", stream):
+                tracemalloc.start()
+                try:
+                    assert cli.main([*argv, "--input", str(source), "--config", str(CONFIG_JSON),
+                                     "--output", str(out)]) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert peaks[0] < peaks[1] / 2, (name, peaks)

@@ -29,7 +29,14 @@ from leadframe.errors import (
     UnknownColumn,
 )
 from leadframe.evaluation import split_entities
-from leadframe.panel import PanelDataset, PanelSchema, build_timelines, parse_panel_csv
+from leadframe.panel import (
+    PanelColumns,
+    PanelDataset,
+    PanelSchema,
+    PeriodIndex,
+    build_timelines,
+    parse_panel_csv,
+)
 from leadframe.synth import SynthConfig, default_schema, generate_panel
 from leadframe.transform import (
     AggregationPlan,
@@ -1064,3 +1071,37 @@ def test_count_nonzero_fold_holds_no_more_than_a_sum():
         finally:
             tracemalloc.stop()
     assert peaks["count_nonzero"] <= peaks["sum"] + 64 * 1024
+
+
+@pytest.mark.parametrize("kind", ["sum", "count_nonzero", "max"])
+def test_fold_holds_one_band_table_at_a_time(kind):
+    # Histories of 800, 400, 200 and 100 rows fall in four bands of 20,000
+    # cells each.  A fold holds the row index of every band, 640 KB, but
+    # the table of one band at a time, 160 KB; holding every band's table
+    # at once peaks at twice the row index.
+    lengths = np.repeat([800, 400, 200, 100], [25, 50, 100, 200])
+    n = int(lengths.sum())
+    codes = np.repeat(np.arange(len(lengths)), lengths)
+    ordinals = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    values = np.random.default_rng(3).integers(0, 9, (n, 1)).astype(float)
+    columns = PanelColumns(
+        entity_ids=tuple(f"e{i:03d}" for i in range(len(lengths))),
+        codes=codes,
+        periods={o: PeriodIndex(o, str(o)) for o in range(800)},
+        ordinals=ordinals,
+        features=("x",),
+        values=values,
+        flags=np.zeros(n, dtype=np.int8),
+    )
+    timelines = build_timelines(PanelDataset(PanelSchema("e", "p", "f", ("x",)), columns))
+    plan = AggregationPlan((getattr(FeatureSpec, kind)("y", "x"),))
+    tracemalloc.start()
+    try:
+        folded = score_feature_matrix(timelines, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fold = {"sum": sum, "count_nonzero": lambda xs: float(sum(x != 0 for x in xs)), "max": max}
+    histories = np.split(values[:, 0], np.cumsum(lengths)[:-1])
+    assert folded[:, 0].tolist() == [fold[kind](h.tolist()) for h in histories]
+    assert peak < 1.75 * 8 * n
