@@ -103,26 +103,21 @@ def _parse(handle, path: str, cfg: config_mod.RunConfig, features: Collection[st
     return dataset
 
 
-def _read_panel(path: str, cfg: config_mod.RunConfig, features: Collection[str]):
-    """The panel's timelines, holding the values of the named feature
-    columns only."""
-    with open(path, "rb") as handle:
-        dataset = _parse(handle, path, cfg, features)
-    return build_timelines(dataset)
-
-
-def _fold_panel(path: str, cfg: config_mod.RunConfig, fold: Callable) -> list:
+def _fold_panel(
+    path: str, cfg: config_mod.RunConfig, features: Collection[str], fold: Callable
+) -> list:
     """``fold`` of the timelines of each block of whole entities of the
-    panel, in entity order, each holding the values of the plan's feature
-    columns only.
+    panel, in entity order, each holding the values of the named feature
+    columns only; every feature cell is still checked.
 
     A seekable file is read a block at a time (:class:`EntityBlocks`), so
     only one block's rows are held.  Any other file, and one whose blocks
     turn out not to be its rows entity by entity, or that raises an error
     on the way, is parsed whole, from its start, and folded as one block:
-    it then fails, or not, as that parse and fold do.
+    it then fails, or not, as that parse and fold do.  The folds of the
+    blocks read before are dropped, so a command that writes or prints
+    only after the last fold never gives a block's output twice.
     """
-    features = cfg.plan.referenced_columns()
     with open(path, "rb") as handle:
         if handle.seekable():
             folds = _fold_blocks(handle, path, cfg, features, fold)
@@ -162,13 +157,16 @@ def _write_text(path: str, render) -> None:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    timelines = _read_panel(args.input, cfg, ())
-    dirty = False
-    for timeline in timelines:
-        report = validate_timeline(timeline)
+
+    def validated(timelines):
+        return [validate_timeline(timeline) for timeline in timelines]
+
+    # Every report is made before the first is printed, so a block handed to
+    # the whole read prints nothing twice.
+    reports = [report for part in _fold_panel(args.input, cfg, (), validated) for report in part]
+    for report in reports:
         print(json.dumps(report.to_json_dict(), sort_keys=True))
-        dirty = dirty or report.has_warnings
-    return 1 if dirty else 0
+    return 1 if any(report.has_warnings for report in reports) else 0
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
@@ -177,7 +175,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
     def built(timelines):
         return build_training_set(timelines, cfg.reference_frame, cfg.plan)
 
-    training = join_training_sets(cfg.plan, _fold_panel(args.input, cfg, built))
+    parts = _fold_panel(args.input, cfg, cfg.plan.referenced_columns(), built)
+    training = join_training_sets(cfg.plan, parts)
     _write_text(args.output, lambda h: write_training_csv(training, h))
     report_path = Path(args.output).with_suffix(".report.json")
     report_path.write_text(
@@ -218,7 +217,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         return csv_cells(t.entity_id for t in timelines), predict_proba_matrix(model, features)
 
     # Every score is computed before the output is opened, so a failure leaves no file.
-    parts = _fold_panel(args.input, cfg, scored)
+    parts = _fold_panel(args.input, cfg, cfg.plan.referenced_columns(), scored)
 
     def render(handle) -> None:
         handle.write(csv_line(("entity_id", "probability")))
@@ -232,7 +231,10 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    timelines = _read_panel(args.input, cfg, cfg.plan.referenced_columns())
+    # The sweep splits every entity at once, so it reads the panel whole: folded
+    # block by block, device-hourly's sweep took 63% longer and peaked 1 MB higher.
+    with open(args.input, "rb") as handle:
+        timelines = build_timelines(_parse(handle, args.input, cfg, cfg.plan.referenced_columns()))
     settings = cfg.eval_settings
     curve = lead_time_sweep(
         timelines,

@@ -60,8 +60,10 @@ dropped, so what it keeps never changes whether or how the parse fails.
 
 :class:`EntityBlocks` reads a file as blocks of whole entities, each a
 panel file of its own for the parse, and gives each block's parse the
-period ordinals of the whole file; it tells when a file's blocks are not
-its rows entity by entity, and the file must then be parsed whole.
+period ordinals of the whole file; each read starts at the first line of
+its first entity and ends its block where its last entity begins, which
+the next read starts from.  It tells when a file's blocks are not its rows
+entity by entity, and the file must then be parsed whole.
 
 :func:`write_panel_csv` renders each distinct cell once: each entity id,
 each period label, each distinct value of each feature column and each
@@ -119,13 +121,12 @@ _PLAIN_BYTES = bytes(b for b in range(0x21, 0x7F) if b != ord('"')) + b"\n"
 _BOM = codecs.BOM_UTF8
 _COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
 # Bytes of body per numpy block: whole lines of about this size, so the
-# position arrays of one block stay small.
+# position arrays of one block stay small.  A block of whole entities of a
+# streamed read (EntityBlocks) holds at most this much, so it is one numpy
+# block.  On the churn-monthly benchmark (2 CPUs, Python 3.11, numpy 2.4),
+# entity blocks of 1x, 2x and 4x this size cut peak RSS by 4.3, 3.0 and
+# 1.9 MB and cost 11%, 7% and 5.5% of job_s.
 _BLOCK_BYTES = 1 << 18
-# Bytes of whole entities' lines per block of a streamed read (EntityBlocks):
-# one numpy block each.  On the churn-monthly benchmark (2 CPUs, Python 3.11,
-# numpy 2.4), blocks of 1x, 2x and 4x _BLOCK_BYTES cut peak RSS by 4.3, 3.0
-# and 1.9 MB and cost 11%, 7% and 5.5% of job_s.
-_ENTITY_BYTES = _BLOCK_BYTES
 # The numpy tokenizer pads each text cell to the longest of its column, so a
 # block costs up to rows x longest cell bytes: a longer cell goes to csv.reader.
 _LONGEST_CELL = 256
@@ -1121,15 +1122,17 @@ class EntityBlocks:
     """A seekable panel file read as consecutive blocks of whole entities.
 
     Iterating from the handle's position gives each block as a panel file
-    of its own, the file's header line and then about ``_ENTITY_BYTES`` of
-    whole lines: the lines of the last entity read are carried into the
-    next block, so an entity whose lines run on past a block makes its
-    block longer.  Each block is parsed on its own
-    (:func:`parse_panel_csv`), which ranks its texts by its own keys, and
-    :meth:`place` gives its parse the period ordinals of the whole file.
-    The last item is None if the header line or a block is not plain
-    (:func:`_is_plain`); the rows are then read only by a parse of the
-    whole file.
+    of its own: the file's header line and the whole lines of a read of
+    ``_BLOCK_BYTES`` from the first line of an entity, up to where its last
+    entity begins (:func:`_last_entity`), where the next read starts.  A
+    read of one entity only is made again at twice the size, so an entity
+    longer than a block makes its block longer and the file is still read
+    about once; a read that ends the file is its last block.  Each block
+    is parsed on its own (:func:`parse_panel_csv`), which ranks its texts
+    by its own keys, and :meth:`place` gives its parse the period ordinals
+    of the whole file.  The last item is None if the header line or a
+    block is not plain (:func:`_is_plain`); the rows are then read only by
+    a parse of the whole file.
 
     The blocks' rows are the whole file's, entity by entity, only if the
     file is grouped by entity with the ids ascending and its period labels
@@ -1159,32 +1162,22 @@ class EntityBlocks:
             return
         header_cells = next(_records(header.decode("utf-8-sig")), None)
         at = _header_positions(header_cells, self._schema)[self._schema.entity_column]
-        # Whole lines of one entity, ``owner``, read but not yet given.
-        pending: list[bytes] = []
-        owner, carried = None, 0
-        while lines := handle.read(size := max(_ENTITY_BYTES - carried, _ENTITY_BYTES // 2)):
+        start, size = handle.tell(), _BLOCK_BYTES
+        while lines := handle.read(size):
             tail = handle.readline()
-            # A short read, or a last line without a line feed, ends the
-            # file: its lines all go to the last block.
-            at_end = len(lines) < size or not tail.endswith(b"\n")
             lines += tail
             if not _is_plain(lines):
                 yield None
                 return
-            cut, last = (0, None) if at_end else _last_entity(lines, at)
-            if last is None:
-                last = owner  # blank lines join the entity before them
-            if not cut and owner in (None, last):
-                pending.append(lines)
-                carried += len(lines)
-            else:
-                block = b"".join((header, *pending, memoryview(lines)[:cut]))
-                pending, carried = [lines[cut:]], len(lines) - cut
+            # A read that ends the file, at a short read or a last line
+            # without a line feed, is its last block.
+            cut = len(lines) if not tail.endswith(b"\n") else _last_entity(lines, at)
+            start, size = (start + cut, _BLOCK_BYTES) if cut else (start, 2 * size)
+            handle.seek(start)
+            if cut:
+                block = b"".join((header, memoryview(lines)[:cut]))
                 lines = b""  # only the block is held while it is parsed
                 yield block
-            owner = last
-        if pending:
-            yield b"".join((header, *pending))
 
     def place(self, dataset: PanelDataset) -> PanelDataset | None:
         """The parse of the next block, its ordinals set in place to the
@@ -1218,11 +1211,11 @@ class EntityBlocks:
         return PanelDataset(dataset.schema, replace(columns, periods=periods))
 
 
-def _last_entity(lines: bytes, at: int) -> tuple[int, bytes | None]:
-    """(start, entity) for plain whole lines: where the lines of the last
-    line's entity, and the blank lines among them, begin after every line
-    of another entity, and that entity's cell ``at``, or the line itself if
-    it is short; (0, None) if every line is blank."""
+def _last_entity(lines: bytes, at: int) -> int:
+    """Where the lines of the last line's entity, and the blank lines among
+    them, begin after every line of another entity in plain whole lines; 0
+    if they hold one entity only, or none.  A line's entity is its cell
+    ``at``, or the line itself if it is short."""
     end, entity = len(lines), None
     while end:
         start = lines.rfind(b"\n", 0, end - 1) + 1
@@ -1233,9 +1226,9 @@ def _last_entity(lines: bytes, at: int) -> tuple[int, bytes | None]:
             if entity is None:
                 entity = cell
             elif cell != entity:
-                return end, entity
+                return end
         end = start
-    return 0, entity
+    return 0
 
 
 def _format_number(value: float) -> str:

@@ -19,7 +19,10 @@
 # through /dev/stdin, which cannot seek and so is read whole before the parse
 # reads it as it reads a file, and a copy with its rows ordered by period,
 # whose blocks are not whole entities and so is read whole from its start,
-# must give the same training set and the same scores.  A sweep folds every lead time of a side in
+# must give the same training set and the same scores.  validate reads the
+# panel as transform and score do: streamed, the copy ordered by period and
+# the panel piped through /dev/stdin must print the same reports and exit
+# with the same code.  A sweep folds every lead time of a side in
 # one call, each entity up to its longest window: on the long histories, two
 # runs over lead times up to 96 periods must write the same bytes, and on the
 # 5,000-entity panel, unsorted and repeated lead times must give the curve
@@ -72,6 +75,17 @@ cmp "$tmp/t1.csv" "$tmp/t4.csv"
 $LEADFRAME score --input "$tmp/p-by-period.csv" --model "$tmp/m1.json" --config $config \
     --output "$tmp/s3.csv"
 cmp "$tmp/s1.csv" "$tmp/s3.csv"
+# The reports of validate <input> <name>, then its exit code, to $tmp/v-<name>.txt.
+validate() {
+    status=0
+    $LEADFRAME validate --input "$1" --config $config > "$tmp/v-$2.txt" || status=$?
+    echo "exit $status" >> "$tmp/v-$2.txt"
+}
+validate "$tmp/p.csv" streamed
+validate "$tmp/p-by-period.csv" by-period
+cat "$tmp/p.csv" | validate /dev/stdin piped
+cmp "$tmp/v-streamed.txt" "$tmp/v-by-period.txt"
+cmp "$tmp/v-streamed.txt" "$tmp/v-piped.txt"
 cmp "$tmp/c1.csv" "$tmp/c2.csv"
 for n in 1 2; do
     $LEADFRAME sweep --input "$tmp/long1.csv" --config $config --lead-times 0,1,2,3,6,24,96 \

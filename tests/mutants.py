@@ -232,10 +232,10 @@ MUTANTS = (
         ("tests/test_stream.py::TestHandoff::test_late_label_not_after_earlier_ones",),
     ),
     Mutant(
-        "stream-carry-dropped",
+        "stream-seek-back-dropped",
         "panel.py",
-        "pending, carried = [lines[cut:]], len(lines) - cut",
-        "pending, carried = [], 0",
+        "            handle.seek(start)\n",
+        "            pass\n",
         ("tests/test_stream.py::TestBlocks",),
     ),
     Mutant(

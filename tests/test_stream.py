@@ -1,8 +1,9 @@
-"""``transform`` and ``score`` read a seekable plain panel file as blocks of
-whole entities, and every other file as a whole.
+"""``validate``, ``transform`` and ``score`` read a seekable plain panel
+file as blocks of whole entities, and every other file as a whole;
+``sweep`` always reads the file whole.
 
 Every output byte, error message and exit code is that of reading the file
-whole.  These tests make blocks of a few lines (``panel._ENTITY_BYTES``), so
+whole.  These tests make blocks of a few lines (``panel._BLOCK_BYTES``), so
 small files span many blocks, and compare each command's outcome with its
 outcome when the stream hands every file to the whole read at once.
 """
@@ -23,7 +24,7 @@ from test_panel import EDGE_FILES, FIRST_FAULT, csv_bytes, small_schema
 from leadframe import cli, panel
 from leadframe.model import LogisticModel
 from leadframe.panel import EntityBlocks, write_panel_csv
-from leadframe.synth import SynthConfig, generate_panel
+from leadframe.synth import SynthConfig, default_schema, generate_panel
 
 # Bytes of lines per block in these tests: two or three lines of the small files.
 BLOCK = 40
@@ -111,30 +112,36 @@ def never_streamed(self):
 
 
 def run(command, data, inputs, directory, capsys, *, whole=False, block=BLOCK):
-    """(exit code, stderr, output files) of one command on the panel bytes,
-    read as blocks of ``block`` bytes of lines or, with ``whole``, whole."""
+    """(exit code, stderr, outputs) of one command on the panel bytes, read
+    as blocks of ``block`` bytes of lines or, with ``whole``, whole.  The
+    outputs are the files written and, under ``stdout``, what is printed."""
     config, model = inputs
     directory.mkdir()
     source, out = directory / "panel.csv", directory / "out.csv"
     source.write_bytes(data)
     argv = {
-        "transform": ["transform"],
-        "score": ["score", "--model", model],
-    }[command] + ["--input", source, "--config", config, "--output", out]
+        "validate": ["validate"],
+        "transform": ["transform", "--output", out],
+        "score": ["score", "--model", model, "--output", out],
+        "sweep": ["sweep", "--output", out],
+    }[command] + ["--input", source, "--config", config]
     capsys.readouterr()
-    with mock.patch.object(panel, "_ENTITY_BYTES", block), mock.patch.object(
+    with mock.patch.object(panel, "_BLOCK_BYTES", block), mock.patch.object(
         EntityBlocks, "__iter__", never_streamed if whole else EntityBlocks.__iter__
     ):
         code = cli.main([str(a) for a in argv])
     files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())
              if path.name.startswith("out")}
-    return code, capsys.readouterr().err, files
+    printed = capsys.readouterr()
+    if printed.out:
+        files["stdout"] = printed.out
+    return code, printed.err, files
 
 
 class Compare:
-    """Runs transform and score on a panel, streamed and whole, asserts
-    that each command's outcomes are equal, and returns the spy of the
-    streamed runs."""
+    """Runs validate, transform and score on a panel, streamed and whole,
+    asserts that each command's outcomes are equal, and returns the spy of
+    the streamed transform and score runs."""
 
     def __init__(self, tmp_path, capsys):
         self.tmp_path, self.capsys, self.runs = tmp_path, capsys, 0
@@ -145,8 +152,8 @@ class Compare:
 
     def __call__(self, data, inputs, block=BLOCK):
         spy = Spy()
-        for command in ("transform", "score"):
-            with spy:
+        for command in ("validate", "transform", "score"):
+            with Spy() if command == "validate" else spy:
                 streamed = self.run(command, data, inputs, block=block)
             assert streamed == self.run(command, data, inputs, block=block, whole=True), command
         return spy
@@ -178,7 +185,7 @@ def grouped(count, periods=4, prefix="e"):
 
 
 def blocks_of(data, block=BLOCK):
-    with mock.patch.object(panel, "_ENTITY_BYTES", block):
+    with mock.patch.object(panel, "_BLOCK_BYTES", block):
         return list(EntityBlocks(io.BytesIO(data), small_schema()))
 
 
@@ -253,8 +260,8 @@ class TestHandoff:
         assert spy.wholes == 2
 
     def test_last_id_of_a_block_recurs_at_the_start_of_the_next(self, compare, inputs):
-        # The first read ends with e05's second row, whose lines are
-        # carried: the first block's largest id, e05, is the next block's
+        # The first read ends with e05's second row, where the next read
+        # starts: the first block's largest id, e05, is the next block's
         # smallest.
         lines = ["e00,1,1,1,0", "e05,1,2,1,0", "e01,1,3,1,0", "e05,2,4,2,0", *grouped(12)[24:]]
         data = csv_bytes(HEADER, *lines)
@@ -317,10 +324,10 @@ class TestHandoff:
         # As /dev/stdin is, piped from a process.
         data = csv_bytes(HEADER, *grouped(12))
         config = cli.config_mod.load_run_config(inputs[0])
-        with Spy() as spy, mock.patch.object(panel, "_ENTITY_BYTES", BLOCK), mock.patch.object(
+        with Spy() as spy, mock.patch.object(panel, "_BLOCK_BYTES", BLOCK), mock.patch.object(
             cli, "open", lambda *args: io.BufferedReader(Unseekable(data)), create=True
         ):
-            timelines_read = cli._fold_panel("-", config, len)
+            timelines_read = cli._fold_panel("-", config, (), len)
         assert (spy.blocks, spy.wholes) == (0, 1)
         assert timelines_read == [12]
 
@@ -376,6 +383,96 @@ class TestBlocks:
         random.Random(5).shuffle(lines)
         assert len(blocks_of(csv_bytes(HEADER, *lines), block=1 << 16)) == 1
 
+
+
+class TestValidate:
+    """validate reads a panel as the other per-entity commands do, and prints
+    its reports only once the last block is read."""
+
+    def test_grouped_file_streams(self, compare, inputs):
+        # Gaps and events both before the last period give every kind of finding.
+        lines = [line for k, line in enumerate(grouped(12)) if k % 7 != 3]
+        lines = [line[:-1] + "1" if k % 5 == 2 else line for k, line in enumerate(lines)]
+        data = csv_bytes(HEADER, *lines)
+        compare(data, inputs)
+        with Spy() as spy:
+            code, err, files = run("validate", data, inputs, compare.tmp_path / "alone",
+                                   compare.capsys)
+        assert spy.wholes == 0 and spy.blocks >= 4
+        assert (code, err) == (1, "")
+        reports = [json.loads(line) for line in files["stdout"].splitlines()]
+        assert [report["entity"] for report in reports] == [f"e{i:02d}" for i in range(12)]
+        codes = {finding["code"] for report in reports for finding in report["findings"]}
+        assert codes == {"period_gaps", "multiple_events", "records_after_event"}
+
+    def test_fault_in_the_last_block_prints_no_report(self, compare, inputs):
+        lines = grouped(9) + ["e09,1,1,-1,0"]
+        data = csv_bytes(HEADER, *lines)
+        assert b"e09," in blocks_of(data)[-1]
+        with Spy() as spy:
+            code, err, files = run("validate", data, inputs, compare.tmp_path / "alone",
+                                   compare.capsys)
+        assert spy.blocks >= 3 and spy.wholes == 1
+        assert (code, files) == (2, {})
+        assert err == "error: line 38: value '-1' in column 'b' must be finite and non-negative\n"
+
+
+def test_sweep_reads_the_panel_whole_once(tmp_path, capsys, inputs):
+    # Split by entity at every lead time, the sweep reads the whole panel once.
+    data = csv_bytes(HEADER, *grouped(40))
+    with Spy() as spy:
+        code, err, files = run("sweep", data, inputs, tmp_path / "sweep", capsys)
+    assert (code, err) == (0, "")
+    assert (spy.blocks, spy.wholes) == (0, 1)
+    assert files["out.csv"].startswith(b"lead_time,")
+
+
+class Counted(io.BytesIO):
+    """A file that keeps the bytes each read and each readline return."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.reads, self.lines = [], []
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.reads.append(len(data))
+        return data
+
+    def readline(self, size=-1):
+        data = super().readline(size)
+        self.lines.append(len(data))
+        return data
+
+
+class TestReads:
+    """The blocks of a file read each of its bytes about once: a read ends
+    where the next begins, but for the lines of the last entity it holds."""
+
+    def test_synth_panel_is_read_about_once(self):
+        config = SynthConfig(n_entities=5000, n_periods=24, event_rate=0.3, ramp_length=3,
+                             signal_strength=3.0, noise_rate=0.5, seed=0)
+        text = io.StringIO(newline="")
+        write_panel_csv(generate_panel(config), text)
+        data = text.getvalue().encode()
+        handle = Counted(data)
+        blocks = list(EntityBlocks(handle, default_schema()))
+        assert len(blocks) >= 8 and None not in blocks
+        assert sum(handle.reads) + sum(handle.lines) <= 1.05 * len(data)
+
+    @pytest.mark.parametrize("periods", [200, 257, 300, 511, 2805])
+    def test_entity_many_reads_long_is_read_in_doubling_reads(self, periods):
+        # Each read of the one entity is made again at twice the size, so the
+        # reads before the last read less than twice the file's bytes, and
+        # each readline reads the rest of one line.
+        data = csv_bytes(HEADER, *grouped(1, periods))
+        assert len(data) > 50 * BLOCK
+        handle = Counted(data)
+        with mock.patch.object(panel, "_BLOCK_BYTES", BLOCK):
+            (block,) = EntityBlocks(handle, small_schema())
+        assert block == data
+        assert sum(handle.reads) <= 2 * len(data) + max(handle.reads)
+        assert max(handle.lines) <= max(map(len, data.splitlines(keepends=True)))
 
 def test_panel_line_logged_once_with_the_file_totals(tmp_path, capsys, caplog, inputs):
     data = csv_bytes(HEADER, *grouped(12))
