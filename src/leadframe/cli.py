@@ -131,17 +131,13 @@ def _fold_panel(
 def _fold_blocks(handle, path: str, cfg: config_mod.RunConfig, features, fold) -> list | None:
     """The folds of :func:`_fold_panel` from a block-by-block read, or None
     if the file must be parsed whole."""
-    blocks = EntityBlocks(handle, cfg.schema)
+    blocks = EntityBlocks(handle, cfg.schema, features)
     folds = []
     try:
-        for block in blocks:
-            dataset = None if block is None else blocks.place(
-                parse_panel_csv(block, cfg.schema, features)
-            )
+        for dataset in blocks:
             if dataset is None:
                 return None
             folds.append(fold(build_timelines(dataset)))
-            del block, dataset  # the next block is parsed without this one
     except (LeadframeError, csv.Error):
         return None
     if not blocks.rows:

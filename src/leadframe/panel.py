@@ -58,12 +58,13 @@ messages.  The feature matrix holds only the columns the parse is asked
 to keep; each block converts and range-checks every feature cell, kept or
 dropped, so what it keeps never changes whether or how the parse fails.
 
-:class:`EntityBlocks` reads a file as blocks of whole entities, each a
-panel file of its own for the parse, and gives each block's parse the
-period ordinals of the whole file; each read starts at the first line of
-its first entity and ends its block where its last entity begins, which
-the next read starts from.  It tells when a file's blocks are not its rows
-entity by entity, and the file must then be parsed whole.
+:class:`EntityBlocks` reads a file as blocks of whole entities with the
+same tokenizer, its header line parsed and its columns laid out once for
+the file, and gives each block the period ordinals of the whole file; a
+block ends where the last entity of its last read begins, by the entity
+keys that read's tokenizing made, and the next read starts there.  It
+tells when a file's blocks are not its rows entity by entity, and the file
+must then be parsed whole.
 
 :func:`write_panel_csv` renders each distinct cell once: each entity id,
 each period label, each distinct value of each feature column and each
@@ -87,7 +88,7 @@ import io
 import itertools
 import math
 import re
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from typing import BinaryIO, NoReturn, Union
@@ -121,11 +122,12 @@ _PLAIN_BYTES = bytes(b for b in range(0x21, 0x7F) if b != ord('"')) + b"\n"
 _BOM = codecs.BOM_UTF8
 _COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
 # Bytes of body per numpy block: whole lines of about this size, so the
-# position arrays of one block stay small.  A block of whole entities of a
-# streamed read (EntityBlocks) holds at most this much, so it is one numpy
-# block.  On the churn-monthly benchmark (2 CPUs, Python 3.11, numpy 2.4),
-# entity blocks of 1x, 2x and 4x this size cut peak RSS by 4.3, 3.0 and
-# 1.9 MB and cost 11%, 7% and 5.5% of job_s.
+# position arrays of one block stay small.  A streamed read (EntityBlocks)
+# reads and tokenizes this much at a time, and each of its blocks of whole
+# entities gathers one such read or more.  On the churn-monthly benchmark
+# (2 CPUs, Python 3.11, numpy 2.4), against reading the panel whole, reads
+# of 1x, 2x and 4x this size cost 11% of job_s at each size and move peak
+# RSS by -3.4, +0.2 and +5.1 MB: the tokenizer's arrays grow with the read.
 _BLOCK_BYTES = 1 << 18
 # The numpy tokenizer pads each text cell to the longest of its column, so a
 # block costs up to rows x longest cell bytes: a longer cell goes to csv.reader.
@@ -722,35 +724,44 @@ def _reader_cells(
     return cells
 
 
-def _blocks(handle: BinaryIO) -> Iterator[np.ndarray | None]:
-    """The rest of a file, in blocks of whole lines, each copied into one
-    reused buffer with ``_FRONT`` zero bytes before the block and ``_BACK``
-    after it; or a last None if a block is not plain (:func:`_is_plain`).
+class _Lines:
+    """A file's rest read as blocks of whole lines into one padded buffer.
 
-    A block ends at the first line feed ``_BLOCK_BYTES`` or more bytes past
-    its start: its first ``_BLOCK_BYTES`` bytes are read in one call and
-    the rest of that line by ``readline``.  Plainness is judged on these
-    bytes, the ones the rows are read from.  The buffer has room for a rest
-    of ``_BACK`` bytes, and grows for a longer one.  Every column of the
-    block reads its cells from this buffer.
+    Each :meth:`read` takes ``_BLOCK_BYTES`` bytes into the buffer with one
+    ``readinto`` and the rest of their last line with ``readline``, between
+    ``_FRONT`` zero bytes and ``_BACK`` or more, and judges these bytes
+    plain (:func:`_is_plain`), the ones the rows are read from.  The buffer
+    has room for a rest of ``_BACK`` bytes, and is made anew for a longer
+    one.  Every column of a block reads its cells from this buffer.
     """
-    buffer = np.zeros(_FRONT + _BLOCK_BYTES + _BACK + 1 + _BACK, dtype=np.uint8)
-    while head := handle.read(_BLOCK_BYTES):
-        tail = handle.readline()
-        if not (_is_plain(head) and _is_plain(tail)):
-            yield None
-            return
-        first = len(head)
-        buffer[_FRONT : _FRONT + first] = np.frombuffer(head, dtype=np.uint8)
-        rest = np.frombuffer(tail, dtype=np.uint8)
-        start, end = _FRONT + first, _FRONT + first + len(rest)
+
+    def __init__(self, handle: BinaryIO) -> None:
+        self._handle = handle
+        self._buffer = np.zeros(_FRONT + _BLOCK_BYTES + 1 + 2 * _BACK, dtype=np.uint8)
+        # The bytes the last read took, and whether it ended the file: a
+        # short read, or a last line without a line feed.
+        self.size, self.last = 0, False
+
+    def read(self) -> np.ndarray | None:
+        """The next block, padded, with a line feed after a last line that
+        has none; or None if it is not plain."""
+        buffer = self._buffer
+        got = self._handle.readinto(buffer[_FRONT : _FRONT + _BLOCK_BYTES])
+        tail = self._handle.readline()
+        # bytes.translate judges a copy, let go before the block is split.
+        if not (_is_plain(buffer[_FRONT : _FRONT + got].tobytes()) and _is_plain(tail)):
+            return None
+        self.size, self.last = got + len(tail), not tail.endswith(b"\n")
+        start, end = _FRONT + got, _FRONT + self.size
         if len(buffer) < end + 1 + _BACK:
-            buffer = np.concatenate((buffer[:start], np.empty(len(rest) + 1 + _BACK, np.uint8)))
-        buffer[start:end] = rest
+            self._buffer = buffer = np.concatenate(
+                (buffer[:start], np.empty(end + 1 + _BACK - start, np.uint8))
+            )
+        buffer[start:end] = np.frombuffer(tail, np.uint8)
         buffer[end : end + 1 + _BACK] = 0
         if buffer[end - 1] != _NEWLINE:  # the file's last line has no line feed
             buffer[end] = _NEWLINE
-        yield buffer[: end + 1 + _BACK]
+        return buffer[: end + 1 + _BACK]
 
 
 def _cell_ends(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -924,7 +935,7 @@ def _plain_cells(
 
     The rows are split at every comma and line feed, as csv.reader splits
     a plain file, in blocks of whole lines of about ``_BLOCK_BYTES`` each.
-    Each block is read once into a padded buffer (:func:`_blocks`) and split
+    Each block is read once into a padded buffer (:class:`_Lines`) and split
     once into cell ends (:func:`_cell_ends`), from which every column reads
     its cells.  Each block codes its entity, period and flag texts by its
     own distinct keys (:func:`_block_codes`), and once the file is read
@@ -936,12 +947,13 @@ def _plain_cells(
     cells = _Cells(schema, positions, kept)
     # Per text column: the rows of each block and the block's distinct keys.
     column_keys: list[list[tuple[int, int, np.ndarray]]] = [[] for _ in cells.texts]
-    read = 0
-    for padded in _blocks(handle):
+    lines, read = _Lines(handle), 0
+    while not lines.last:
+        padded = lines.read()
         if padded is None:
             return None
-        read += len(padded) - _FRONT - 1 - _BACK  # the block's bytes of the file
-        if not _plain_block(padded, cells, column_keys, limit, size, read):
+        read += lines.size
+        if _plain_block(padded, cells, column_keys, limit, size, read) is None:
             return None
     cells.distinct = [
         _rank_keys(codes, keys) if keys else [] for codes, keys in zip(cells.codes, column_keys)
@@ -956,30 +968,31 @@ def _plain_block(
     limit: int,
     size: int,
     read: int,
-) -> bool:
+) -> np.ndarray | None:
     """Tokenize one padded block of a plain file into the next rows of
     ``cells``, appending each text column's rows and distinct keys to its
-    list in ``column_keys``; False when csv.reader must tokenize the file
-    (:func:`_plain_cells`).  ``read`` bytes of the file's ``size`` are read
-    up to the block's end.
+    list in ``column_keys``; return the position before the first byte of
+    each line that holds a row, or None when csv.reader must tokenize the
+    file (:func:`_plain_cells`).  ``read`` bytes of the file's ``size`` are
+    read up to the block's end.
 
     The block's cell ends live only in this call, so they are let go
     before the next block is split.
     """
     split = _cell_ends(padded)
     if split is None:
-        return False
+        return None
     before, ends = split
     n = len(before)
     if not n:
-        return True
+        return before
     if ends.shape[1] < cells.width:
-        return False
+        return None
     # No cell is longer than its line, and few lines are longer than the limit.
     if (ends[:, -1] - before).max() > limit + 1 and (
         np.diff(ends, axis=1, prepend=before[:, None]).max() > limit + 1
     ):
-        return False
+        return None
     start = cells.rows
     codes, values, flags = cells.block(n, -(-size * (start + n) // read))
     texts = dict(zip(cells.texts, zip(codes, column_keys)))
@@ -987,14 +1000,14 @@ def _plain_block(
         if at in cells.features:
             column = _numbers(padded, first, length)
             if column is None:
-                return False
+                return None
             cells.fill(values, cells.features[at], column)
         elif at in texts:
             row, keys = texts[at]
             keys.append((start, cells.rows, _block_codes(padded, first, length, row)))
         elif at == cells.flag:
             _flag_values(padded, first, length, flags)
-    return True
+    return before
 
 
 def _flag_values(
@@ -1008,14 +1021,19 @@ def _flag_values(
     out[:] = value.view(np.int8)
 
 
-def _columns(cells: _Cells) -> PanelColumns | None:
+def _columns(
+    cells: _Cells,
+    index: Callable[[list[str], str], dict[str, int] | None] = index_periods,
+) -> PanelColumns | None:
     """Check the tokenized cells as whole columns and convert them to
-    PanelColumns, or None if any row may hold a fault.
+    PanelColumns, or None if any row may hold a fault or ``index`` gives
+    None.
 
     Each distinct entity, period and flag text is checked once.  The
-    entity codes are the codes of the sorted ids; period codes are
-    ordinals once integer labels, sorted as text, are ranked by value in
-    place.
+    entity codes are the codes of the sorted ids; each period code, the
+    position of its label among the sorted labels, is replaced in place by
+    the label's ordinal, which ``index`` gives for the labels, sorted as
+    text, and their format.
     """
     if not cells.rows:
         raise EmptyInput("input has a header but no data rows")
@@ -1028,9 +1046,11 @@ def _columns(cells: _Cells) -> PanelColumns | None:
     if not entity_ids[0] or file_kind is None or flags.min() < 0 or not cells.in_range:
         return None
 
-    ordinal = index_periods(label_texts, file_kind)
-    if file_kind == "int":
-        ranks = np.fromiter(map(ordinal.__getitem__, label_texts), np.intp, len(label_texts))
+    ordinal = index(label_texts, file_kind)
+    if ordinal is None:
+        return None
+    ranks = np.fromiter(map(ordinal.__getitem__, label_texts), np.intp, len(label_texts))
+    if (ranks != np.arange(len(ranks))).any():
         np.take(ranks, label_codes, out=label_codes, mode="clip")
     return PanelColumns(
         entity_ids=tuple(entity_ids),
@@ -1041,6 +1061,14 @@ def _columns(cells: _Cells) -> PanelColumns | None:
         values=cells.values[: cells.rows],
         flags=flags,
     )
+
+
+def _plain_header(line: bytes, schema: PanelSchema) -> dict[str, int] | None:
+    """The positions of the header names (:func:`_header_positions`) of a
+    plain header line, after an optional BOM, or None if it is not plain."""
+    if not _is_plain(line[len(_BOM) :] if line.startswith(_BOM) else line):
+        return None
+    return _header_positions(next(_records(line.decode("utf-8-sig")), None), schema)
 
 
 def _header_positions(header: list[str] | None, schema: PanelSchema) -> dict[str, int]:
@@ -1097,15 +1125,15 @@ def parse_panel_csv(
     # Plainness is judged on the bytes the rows are read from, as they are
     # read: the header line here, then each block of rows.
     line = handle.readline()
+    try:
+        positions = _plain_header(line, schema)
+    except ParseError:
+        # Read whole, a file that is not UTF-8 fails to decode before its
+        # header is read; so it does here, where only its header line was.
+        text()
+        raise
     cells = None
-    if _is_plain(line[len(_BOM) :] if line.startswith(_BOM) else line):
-        try:
-            positions = _header_positions(next(_records(line.decode("utf-8-sig")), None), schema)
-        except ParseError:
-            # Read whole, a file that is not UTF-8 fails to decode before its
-            # header is read; so it does here, where only its header line was.
-            text()
-            raise
+    if positions is not None:
         cells = _plain_cells(handle, size - len(line), schema, positions, kept.feature_columns)
     if cells is None:
         # csv.reader reads the rows from the file's start, so the header it
@@ -1121,30 +1149,40 @@ def parse_panel_csv(
 class EntityBlocks:
     """A seekable panel file read as consecutive blocks of whole entities.
 
-    Iterating from the handle's position gives each block as a panel file
-    of its own: the file's header line and the whole lines of a read of
-    ``_BLOCK_BYTES`` from the first line of an entity, up to where its last
-    entity begins (:func:`_last_entity`), where the next read starts.  A
-    read of one entity only is made again at twice the size, so an entity
-    longer than a block makes its block longer and the file is still read
-    about once; a read that ends the file is its last block.  Each block
-    is parsed on its own (:func:`parse_panel_csv`), which ranks its texts
-    by its own keys, and :meth:`place` gives its parse the period ordinals
-    of the whole file.  The last item is None if the header line or a
-    block is not plain (:func:`_is_plain`); the rows are then read only by
-    a parse of the whole file.
+    Iterating from the handle's position gives each block as a
+    :class:`PanelDataset` that keeps the named ``features``, by default
+    every one, with the period ordinals of the whole file.  The header line
+    is parsed, and the column layout (:class:`_Cells`) and the padded buffer
+    (:class:`_Lines`) made, once for the file.  A block gathers reads of
+    ``_BLOCK_BYTES`` of whole lines, each tokenized as it is read
+    (:func:`_plain_block`), until a read holds a line of another entity than
+    the block's first: the block ends where that read's last entity begins,
+    which the entity keys just made tell (:func:`_last_entity`), and the
+    next read starts there, after a seek.  So an entity longer than a read
+    makes its block longer, and the file is still read about once; a read
+    that ends the file ends the last block.  Each block's rows fill the
+    arrays of the block before, so a block is let go before the next is
+    asked for.
 
-    The blocks' rows are the whole file's, entity by entity, only if the
-    file is grouped by entity with the ids ascending and its period labels
-    first appear in their order.  :meth:`place` returns None when a block
-    shows otherwise: the whole file is then parsed from its start.
-    ``rows``, ``entities`` and ``periods`` count those of the blocks placed.
+    Each label's ordinal is its rank among the labels of this block and
+    those before it, which is its rank in the whole file as long as no
+    later block adds a label that sorts before one of these.  The last item
+    is None when the blocks may not be the file's rows entity by entity:
+    the header line or a read is not plain or must go to csv.reader, a row
+    may hold a fault, a block's smallest id is not above the largest id of
+    the blocks before it, its period labels are of another format than
+    theirs, or a label it adds does not sort after every label of theirs.
+    The whole file must then be parsed from its start.  ``rows``,
+    ``entities`` and ``periods`` count those of the blocks given.
     """
 
-    def __init__(self, handle: BinaryIO, schema: PanelSchema) -> None:
+    def __init__(
+        self, handle: BinaryIO, schema: PanelSchema, features: Collection[str] | None = None
+    ) -> None:
         self._handle = handle
         self._schema = schema
-        # Each label of the blocks placed and its ordinal, in chronological order.
+        self._kept = schema if features is None else schema.keeping(features)
+        # Each label of the blocks given and its ordinal, in chronological order.
         self._ordinals: dict[str, int] = {}
         self._kind: str | None = None
         self._last_id = ""
@@ -1154,81 +1192,105 @@ class EntityBlocks:
     def periods(self) -> int:
         return len(self._ordinals)
 
-    def __iter__(self) -> Iterator[bytes | None]:
+    def __iter__(self) -> Iterator[PanelDataset | None]:
         handle = self._handle
-        header = handle.readline()
-        if not _is_plain(header[len(_BOM) :] if header.startswith(_BOM) else header):
+        positions = _plain_header(handle.readline(), self._schema)
+        if positions is None:
             yield None
             return
-        header_cells = next(_records(header.decode("utf-8-sig")), None)
-        at = _header_positions(header_cells, self._schema)[self._schema.entity_column]
-        start, size = handle.tell(), _BLOCK_BYTES
-        while lines := handle.read(size):
-            tail = handle.readline()
-            lines += tail
-            if not _is_plain(lines):
-                yield None
-                return
-            # A read that ends the file, at a short read or a last line
-            # without a line feed, is its last block.
-            cut = len(lines) if not tail.endswith(b"\n") else _last_entity(lines, at)
-            start, size = (start + cut, _BLOCK_BYTES) if cut else (start, 2 * size)
-            handle.seek(start)
+        cells = _Cells(self._schema, positions, self._kept.feature_columns)
+        lines, limit = _Lines(handle), min(csv.field_size_limit(), _LONGEST_CELL)
+        start = handle.tell()
+        while True:
+            cells.rows, cells.in_range, read = 0, True, 0
+            # Per text column: the rows of each read and the read's distinct keys.
+            column_keys: list[list[tuple[int, int, np.ndarray]]] = [[] for _ in cells.texts]
+            cut = None
+            while cut is None:
+                first, at = cells.rows, start + read
+                padded = lines.read()
+                read += lines.size
+                before = None if padded is None else _plain_block(
+                    padded, cells, column_keys, limit, read, read
+                )
+                if before is None:
+                    yield None
+                    return
+                cut = cells.rows if lines.last else _last_entity(cells, column_keys, first)
             if cut:
-                block = b"".join((header, memoryview(lines)[:cut]))
-                lines = b""  # only the block is held while it is parsed
+                block = self._block(cells, column_keys, cut)
                 yield block
+                if block is None:
+                    return
+            if lines.last:
+                return
+            start = at + int(before[cut - first]) + 1 - _FRONT
+            handle.seek(start)
 
-    def place(self, dataset: PanelDataset) -> PanelDataset | None:
-        """The parse of the next block, its ordinals set in place to the
-        whole file's; or None if its smallest id is not above the largest
-        id of the blocks before it, its period labels are of another kind
-        than theirs, or a label it adds does not sort after every label of
-        theirs.
-
-        Each label's ordinal is its rank among the labels of this block and
-        those before it, which is its rank in the whole file as long as no
-        later block adds a label that sorts before one of these.
-        """
-        columns = dataset.columns
-        ids, periods = columns.entity_ids, columns.periods
-        labels = [periods[ordinal].label for ordinal in range(len(periods))]
-        kind = _label_kind(labels[0])
-        key = _int_value if kind == "int" else str
-        new = [label for label in labels if label not in self._ordinals]
-        if self._ordinals and (
-            ids[0] <= self._last_id
-            or kind != self._kind
-            or (new and key(new[0]) <= key(next(reversed(self._ordinals))))
-        ):
+    def _block(
+        self, cells: _Cells, column_keys: list[list[tuple[int, int, np.ndarray]]], rows: int
+    ) -> PanelDataset | None:
+        """The first ``rows`` rows tokenized, as the next block, or None if
+        they may hold a fault or do not follow the blocks before them."""
+        cells.rows = rows
+        for codes, keys in zip(cells.codes, column_keys):
+            # Only the last read holds rows past the block: its keys are
+            # narrowed to those of its rows in the block.
+            start, _, distinct = keys.pop()
+            if start < rows:
+                read_codes = codes[start:rows]
+                used = np.bincount(read_codes, minlength=len(distinct)) > 0
+                if not used.all():
+                    np.take(np.cumsum(used) - 1, read_codes, out=read_codes, mode="clip")
+                keys.append((start, rows, distinct[used]))
+        cells.distinct = [_rank_keys(codes, keys) for codes, keys in zip(cells.codes, column_keys)]
+        columns = _columns(cells, self._file_ordinals)
+        if columns is None or columns.entity_ids[0] <= self._last_id:
             return None
-        ranks = [self._ordinals.setdefault(label, len(self._ordinals)) for label in labels]
-        np.take(ranks, columns.ordinals, out=columns.ordinals, mode="clip")
-        self._kind, self._last_id = kind, ids[-1]
+        self._last_id = columns.entity_ids[-1]
         self.rows += len(columns)
-        self.entities += len(ids)
-        periods = {rank: PeriodIndex(rank, label) for rank, label in zip(ranks, labels)}
-        return PanelDataset(dataset.schema, replace(columns, periods=periods))
+        self.entities += len(columns.entity_ids)
+        return PanelDataset(self._kept, columns)
+
+    def _file_ordinals(self, labels: list[str], kind: str) -> dict[str, int] | None:
+        """The ordinal of each of a block's period labels among the labels of
+        the blocks so far, or None if they are of another format than those
+        of the blocks before, or a label it adds does not sort after every
+        label of theirs.  Raises BadValue as :func:`index_periods` does for
+        two labels it adds of one period."""
+        if self._kind not in (None, kind):
+            return None
+        new = [label for label in labels if label not in self._ordinals]
+        if new:
+            order = index_periods(new, kind)
+            new.sort(key=order.__getitem__)
+            key = _int_value if kind == "int" else str
+            if self._ordinals and key(new[0]) <= key(next(reversed(self._ordinals))):
+                return None
+            for label in new:
+                self._ordinals[label] = len(self._ordinals)
+        self._kind = kind
+        return {label: self._ordinals[label] for label in labels}
 
 
-def _last_entity(lines: bytes, at: int) -> int:
-    """Where the lines of the last line's entity, and the blank lines among
-    them, begin after every line of another entity in plain whole lines; 0
-    if they hold one entity only, or none.  A line's entity is its cell
-    ``at``, or the line itself if it is short."""
-    end, entity = len(lines), None
-    while end:
-        start = lines.rfind(b"\n", 0, end - 1) + 1
-        line = lines[start:end].rstrip(b"\n")
-        if line:
-            cells = line.split(b",", at + 1)
-            cell = cells[at] if len(cells) > at else line
-            if entity is None:
-                entity = cell
-            elif cell != entity:
-                return end
-        end = start
-    return 0
+def _last_entity(
+    cells: _Cells, column_keys: list[list[tuple[int, int, np.ndarray]]], first: int
+) -> int | None:
+    """The first row of the last entity of the rows tokenized, or None if
+    they are all of one entity.
+
+    Rows from ``first`` on are the last read's, coded by its own distinct
+    keys; every row before them is of one entity, so when the last read's
+    rows are too, its one key is compared with the read's before.
+    """
+    codes = cells.codes[0][first : cells.rows]
+    change = np.flatnonzero(codes[1:] != codes[:-1])
+    if len(change):
+        return first + int(change[-1]) + 1
+    if not first or not len(codes):
+        return None
+    (last,), (earlier,) = column_keys[0][-1][2], column_keys[0][-2][2]
+    return None if type(last) is type(earlier) and last == earlier else first
 
 
 def _format_number(value: float) -> str:

@@ -71,6 +71,7 @@ from .errors import (
     check_int,
 )
 from .panel import (
+    _WRITE_BYTES,
     EntityTimeline,
     PanelRecord,
     PeriodIndex,
@@ -661,14 +662,21 @@ def write_training_csv(training: TrainingSet, stream: io.TextIOBase) -> None:
     """CSV layout: entity_id, one column per feature, then the label.
 
     Names and ids are quoted by :func:`csv_cells`; a ``repr`` of a float and
-    a label never need quoting.  Each column is rendered on its own, each
-    distinct value once, and the rows are joined from the columns.
+    a label never need quoting.  The rows are written a block at a time:
+    each column of a block is rendered on its own, each distinct value once,
+    and the block's rows are joined from its columns.
     """
     stream.write(csv_line(("entity_id", *training.feature_names, "label")))
-    columns = [csv_cells(training.entity_ids)]
-    columns += [_column_cells(column, repr) for column in training.values.T]
-    columns.append(_column_cells(training.labels, lambda label: f"{label}\n"))
-    stream.write("".join(map(",".join, zip(*columns))))
+    # A block's cells are held as one 8-byte reference each, in a list per
+    # column, while its rows are joined: _WRITE_BYTES of them per block, so
+    # churn-monthly's 5,000 rows of 7 cells are one block.
+    size = max(1, _WRITE_BYTES // (8 * (len(training.feature_names) + 2)))
+    for start in range(0, len(training), size):
+        rows = slice(start, start + size)
+        columns = [csv_cells(training.entity_ids[rows])]
+        columns += [_column_cells(column, repr) for column in training.values[rows].T]
+        columns.append(_column_cells(training.labels[rows], lambda label: f"{label}\n"))
+        stream.write("".join(map(",".join, zip(*columns))))
 
 
 def _raise_first_fault(rows: list[list[str]], width: int) -> NoReturn:

@@ -19,7 +19,9 @@
 # through /dev/stdin, which cannot seek and so is read whole before the parse
 # reads it as it reads a file, and a copy with its rows ordered by period,
 # whose blocks are not whole entities and so is read whole from its start,
-# must give the same training set and the same scores.  validate reads the
+# must give the same training set and the same scores; so must a panel of
+# three entities of about 400 KB each, each longer than a block of the
+# streamed read, read from its file and piped in.  validate reads the
 # panel as transform and score do: streamed, the copy ordered by period and
 # the panel piped through /dev/stdin must print the same reports and exit
 # with the same code.  A sweep folds every lead time of a side in
@@ -69,6 +71,16 @@ for copy in p p-crlf; do
         --config $config --output "$tmp/$copy-piped-s.csv"
     cmp "$tmp/s1.csv" "$tmp/$copy-piped-s.csv"
 done
+$LEADFRAME synth --output "$tmp/wide.csv" --entities 3 --periods 20000
+$LEADFRAME transform --input "$tmp/wide.csv" --config $config --output "$tmp/wide-t1.csv"
+cat "$tmp/wide.csv" | $LEADFRAME transform --input /dev/stdin --config $config \
+    --output "$tmp/wide-t2.csv"
+cmp "$tmp/wide-t1.csv" "$tmp/wide-t2.csv"
+$LEADFRAME score --input "$tmp/wide.csv" --model "$tmp/m1.json" --config $config \
+    --output "$tmp/wide-s1.csv"
+cat "$tmp/wide.csv" | $LEADFRAME score --input /dev/stdin --model "$tmp/m1.json" \
+    --config $config --output "$tmp/wide-s2.csv"
+cmp "$tmp/wide-s1.csv" "$tmp/wide-s2.csv"
 { head -n 1 "$tmp/p.csv"; tail -n +2 "$tmp/p.csv" | sort -t, -k2,2n -s; } > "$tmp/p-by-period.csv"
 $LEADFRAME transform --input "$tmp/p-by-period.csv" --config $config --output "$tmp/t4.csv"
 cmp "$tmp/t1.csv" "$tmp/t4.csv"

@@ -172,8 +172,8 @@ MUTANTS = (
     Mutant(
         "block-drops-carried-line",
         "panel.py",
-        "rest = np.frombuffer(tail, dtype=np.uint8)",
-        "rest = np.frombuffer(tail[:0], dtype=np.uint8)",
+        "        tail = self._handle.readline()\n",
+        "        tail = self._handle.readline()[:0]\n",
         ("tests/test_panel.py::TestTokenizerAcrossBlocks",),
     ),
     Mutant(
@@ -217,8 +217,8 @@ MUTANTS = (
     Mutant(
         "stream-ids-may-repeat",
         "panel.py",
-        "ids[0] <= self._last_id",
-        "ids[0] < self._last_id",
+        "columns.entity_ids[0] <= self._last_id",
+        "columns.entity_ids[0] < self._last_id",
         (
             "tests/test_stream.py::TestHandoff"
             "::test_last_id_of_a_block_recurs_at_the_start_of_the_next",
@@ -227,7 +227,8 @@ MUTANTS = (
     Mutant(
         "stream-labels-unchecked",
         "panel.py",
-        "            or (new and key(new[0]) <= key(next(reversed(self._ordinals))))\n",
+        "            if self._ordinals and key(new[0]) <= key(next(reversed(self._ordinals))):\n"
+        "                return None\n",
         "",
         ("tests/test_stream.py::TestHandoff::test_late_label_not_after_earlier_ones",),
     ),
@@ -237,6 +238,20 @@ MUTANTS = (
         "            handle.seek(start)\n",
         "            pass\n",
         ("tests/test_stream.py::TestBlocks",),
+    ),
+    Mutant(
+        "stream-long-entity-split",
+        "panel.py",
+        "return None if type(last) is type(earlier) and last == earlier else first",
+        "return first",
+        ("tests/test_stream.py::TestBlocks::test_entity_longer_than_a_block",),
+    ),
+    Mutant(
+        "stream-keys-past-the-cut-kept",
+        "panel.py",
+        "used = np.bincount(read_codes, minlength=len(distinct)) > 0",
+        "used = np.ones(len(distinct), dtype=bool)",
+        ("tests/test_stream.py::TestValidate::test_grouped_file_streams",),
     ),
     Mutant(
         "next-block-starts-one-late",

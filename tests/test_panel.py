@@ -857,6 +857,11 @@ class CountingReads(io.BytesIO):
         self.bytes_read += len(data)
         return data
 
+    def readinto(self, buffer) -> int:
+        size = super().readinto(buffer)
+        self.bytes_read += size
+        return size
+
 
 class TestHandlesAcrossBlocks(TestTokenizerAcrossBlocks):
     """The files of several numpy blocks parse alike from bytes and from

@@ -73,29 +73,27 @@ def corpus_inputs(tmp_path_factory, corpus_schema):
 
 
 class Spy:
-    """Counts the block parses and the whole reads the commands make."""
+    """Counts the items the streamed reads give, each block and the None
+    that hands the file to the whole read, and the whole reads the
+    commands make."""
 
     def __init__(self):
-        self.parses = self.wholes = 0
-        parse, whole = cli.parse_panel_csv, cli._parse
+        self.blocks = self.wholes = 0
+        stream, whole = EntityBlocks.__iter__, cli._parse
 
-        def counted_parse(*args):
-            self.parses += 1
-            return parse(*args)
+        def counted_stream(blocks):
+            for block in stream(blocks):
+                self.blocks += 1
+                yield block
 
         def counted_whole(*args):
             self.wholes += 1
             return whole(*args)
 
         self.patches = [
-            mock.patch.object(cli, "parse_panel_csv", counted_parse),
+            mock.patch.object(EntityBlocks, "__iter__", counted_stream),
             mock.patch.object(cli, "_parse", counted_whole),
         ]
-
-    @property
-    def blocks(self):
-        """The parses of blocks: a whole read parses the file once."""
-        return self.parses - self.wholes
 
     def __enter__(self):
         for patch in self.patches:
@@ -184,9 +182,36 @@ def grouped(count, periods=4, prefix="e"):
     ]
 
 
+class Seeks(io.BytesIO):
+    """A file that keeps the position each seek moves it to."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.targets = []
+
+    def seek(self, *args):
+        position = super().seek(*args)
+        self.targets.append(position)
+        return position
+
+
 def blocks_of(data, block=BLOCK):
+    """(text, given) of each item of a streamed read of the panel: the
+    header line and a block's lines, given as a dataset, or the header line
+    and the lines read since the last block before the stream gave None."""
+    handle = Seeks(data)
+    header = data[: data.index(b"\n") + 1]
+    items = []
     with mock.patch.object(panel, "_BLOCK_BYTES", block):
-        return list(EntityBlocks(io.BytesIO(data), small_schema()))
+        for dataset in EntityBlocks(handle, small_schema()):
+            items.append((handle.tell(), dataset is not None))
+    # Each read after the first starts where a block ends; the last item
+    # ends where the stream stopped reading.
+    starts = [len(header), *handle.targets]
+    return [
+        (header + data[starts[k] : starts[k + 1] if k + 1 < len(starts) else read], given)
+        for k, (read, given) in enumerate(items)
+    ]
 
 
 class TestEquivalence:
@@ -202,11 +227,14 @@ class TestEquivalence:
         lines.insert(at, row)
         data = csv_bytes(HEADER, *lines)
         blocks = blocks_of(data)
-        (block,) = [k for k, text in enumerate(blocks) if row.encode() in text.split(b"\n")]
-        assert {"first": block == 0, "middle": 0 < block < len(blocks) - 1,
-                "last": block == len(blocks) - 1}[where]
+        (block,) = [k for k, (text, _) in enumerate(blocks) if row.encode() in text.split(b"\n")]
+        # The stream gives None at the read that holds the fault.
+        assert block == len(blocks) - 1 and not blocks[block][1]
+        ends_file = data.endswith(blocks[block][0][len(HEADER) + 1 :])
+        assert {"first": block == 0, "middle": 0 < block and not ends_file,
+                "last": ends_file}[where]
         spy = compare(data, inputs)
-        # Every block up to the fault's is parsed, and the file is then read whole.
+        # Every block up to the fault's is read, and the file is then read whole.
         assert spy.wholes == 2
         assert spy.blocks >= 2 * (block + 1)
 
@@ -265,7 +293,7 @@ class TestHandoff:
         # smallest.
         lines = ["e00,1,1,1,0", "e05,1,2,1,0", "e01,1,3,1,0", "e05,2,4,2,0", *grouped(12)[24:]]
         data = csv_bytes(HEADER, *lines)
-        first, second = blocks_of(data)[:2]
+        (first, _), (second, _) = blocks_of(data)[:2]
         assert first.splitlines()[1:] == [line.encode() for line in lines[:3]]
         assert second.splitlines()[1] == lines[3].encode()
         spy = compare(data, inputs)
@@ -296,7 +324,7 @@ class TestHandoff:
 
     def test_crlf_block_mid_file(self, compare, inputs):
         lines = [line + "\r" if 20 <= k < 24 else line for k, line in enumerate(grouped(12))]
-        assert blocks_of(csv_bytes(HEADER, *lines))[-1] is None
+        assert not blocks_of(csv_bytes(HEADER, *lines))[-1][1]
         spy = compare(csv_bytes(HEADER, *lines), inputs)
         assert spy.wholes == 2
 
@@ -304,9 +332,12 @@ class TestHandoff:
         lines = grouped(12)
         lines[0] = "e00,1,1e308,1,0"
         lines[1] = "e00,2,1e308,1,0"
+        clean = blocks_of(csv_bytes(HEADER, *lines))
+        # The fault's line, e04's third, is in the fifth block of the file.
+        (block,) = [k for k, (text, _) in enumerate(clean) if lines[18].encode() in text]
+        assert block >= 4
         lines[18] = "e04,3,2,-1,0"
         data = csv_bytes(HEADER, *lines)
-        assert len(blocks_of(data)) >= 5
         spy = compare(data, inputs)
         assert spy.wholes == 2
         code, err, files = run("transform", data, inputs, compare.tmp_path / "alone",
@@ -346,8 +377,8 @@ class Unseekable(io.RawIOBase):
 class TestBlocks:
     def test_blocks_hold_whole_entities(self):
         data = csv_bytes(HEADER, *grouped(12))
-        blocks = blocks_of(data)
-        assert len(blocks) >= 8
+        blocks = [text for text, given in blocks_of(data) if given]
+        assert len(blocks) == len(blocks_of(data)) >= 8
         header = HEADER.encode() + b"\n"
         assert all(block.startswith(header) for block in blocks)
         assert b"".join(block[len(header):] for block in blocks) == data[len(header):]
@@ -359,7 +390,7 @@ class TestBlocks:
         lines = grouped(3) + long + grouped(3, prefix="z")
         data = csv_bytes(HEADER, *lines)
         blocks = blocks_of(data)
-        (longest,) = [block for block in blocks if b"long," in block]
+        (longest,) = [text for text, _ in blocks if b"long," in text]
         assert longest.count(b"long,") == 39
         assert len(longest) > 10 * BLOCK
         spy = compare(data, inputs)
@@ -408,7 +439,7 @@ class TestValidate:
     def test_fault_in_the_last_block_prints_no_report(self, compare, inputs):
         lines = grouped(9) + ["e09,1,1,-1,0"]
         data = csv_bytes(HEADER, *lines)
-        assert b"e09," in blocks_of(data)[-1]
+        assert b"e09," in blocks_of(data)[-1][0]
         with Spy() as spy:
             code, err, files = run("validate", data, inputs, compare.tmp_path / "alone",
                                    compare.capsys)
@@ -439,6 +470,11 @@ class Counted(io.BytesIO):
         self.reads.append(len(data))
         return data
 
+    def readinto(self, buffer):
+        size = super().readinto(buffer)
+        self.reads.append(size)
+        return size
+
     def readline(self, size=-1):
         data = super().readline(size)
         self.lines.append(len(data))
@@ -461,18 +497,90 @@ class TestReads:
         assert sum(handle.reads) + sum(handle.lines) <= 1.05 * len(data)
 
     @pytest.mark.parametrize("periods", [200, 257, 300, 511, 2805])
-    def test_entity_many_reads_long_is_read_in_doubling_reads(self, periods):
-        # Each read of the one entity is made again at twice the size, so the
-        # reads before the last read less than twice the file's bytes, and
-        # each readline reads the rest of one line.
+    def test_entity_many_reads_long_is_read_once(self, periods):
+        # The reads of the one entity are gathered into one block, each
+        # read after the one before, so each byte is read once, and each
+        # readline reads the rest of one line.
         data = csv_bytes(HEADER, *grouped(1, periods))
         assert len(data) > 50 * BLOCK
         handle = Counted(data)
         with mock.patch.object(panel, "_BLOCK_BYTES", BLOCK):
             (block,) = EntityBlocks(handle, small_schema())
-        assert block == data
-        assert sum(handle.reads) <= 2 * len(data) + max(handle.reads)
+        assert block.columns == panel.parse_panel_csv(data, small_schema()).columns
+        assert sum(handle.reads) + sum(handle.lines) == len(data)
         assert max(handle.lines) <= max(map(len, data.splitlines(keepends=True)))
+
+class TestOneSetUpPerFile:
+    """A streamed read parses the header line, lays out its columns and
+    makes its padded buffer once for the file, and judges each byte plain
+    about once."""
+
+    def test_streamed_transform_of_the_synth_panel(self, tmp_path):
+        config = SynthConfig(n_entities=5000, n_periods=24, event_rate=0.3, ramp_length=3,
+                             signal_strength=3.0, noise_rate=0.5, seed=0)
+        text = io.StringIO(newline="")
+        write_panel_csv(generate_panel(config), text)
+        data = text.getvalue().encode()
+        source, handle = tmp_path / "p.csv", Counted(data)
+        source.write_bytes(data)
+        headers, judged, buffers = [], [], []
+        header_positions, is_plain, make_lines = (
+            panel._header_positions, panel._is_plain, panel._Lines.__init__
+        )
+
+        def counted_header(*args):
+            headers.append(args)
+            return header_positions(*args)
+
+        def counted_plain(data):
+            judged.append(len(data))
+            return is_plain(data)
+
+        def counted_lines(lines, *args):
+            make_lines(lines, *args)
+            buffers.append((lines, lines._buffer))
+
+        def opened(path, mode="r", **kwargs):
+            return handle if mode == "rb" else open(path, mode, **kwargs)
+
+        with Spy() as spy, mock.patch.object(panel, "_header_positions", counted_header), \
+                mock.patch.object(panel, "_is_plain", counted_plain), \
+                mock.patch.object(panel._Lines, "__init__", counted_lines), \
+                mock.patch.object(cli, "open", opened, create=True):
+            assert cli.main(["transform", "--input", str(source), "--config", str(CONFIG_JSON),
+                             "--output", str(tmp_path / "t.csv")]) == 0
+        assert spy.wholes == 0 and spy.blocks >= 8
+        assert len(headers) == 1
+        ((lines, made),) = buffers
+        assert lines._buffer is made
+        assert sum(judged) <= 1.05 * len(data)
+        assert sum(handle.reads) + sum(handle.lines) <= 1.05 * len(data)
+
+
+def test_folds_keep_nothing_of_a_block(compare, inputs, corpus_inputs):
+    # Each block's rows fill the arrays of the block before it: poisoned
+    # once the block's fold returns, they change no output.
+    stream = EntityBlocks.__iter__
+
+    def poisoned(blocks):
+        for dataset in stream(blocks):
+            yield dataset
+            if dataset is not None:
+                columns = dataset.columns
+                columns.codes.fill(10**9)
+                columns.ordinals.fill(-1)
+                columns.values.fill(float("nan"))
+                columns.flags.fill(7)
+
+    with mock.patch.object(EntityBlocks, "__iter__", poisoned):
+        spy = compare(csv_bytes(HEADER, *grouped(12)), inputs)
+        assert spy.wholes == 0 and spy.blocks >= 8
+        long = [f"long,{t},{t % 4},{t % 3},0" for t in range(1, 40)]
+        spy = compare(csv_bytes(HEADER, *grouped(3), *long, *grouped(3, prefix="z")), inputs)
+        assert spy.wholes == 0
+        for data in corpus_panels(20261022, count=10):
+            compare(data, corpus_inputs)
+
 
 def test_panel_line_logged_once_with_the_file_totals(tmp_path, capsys, caplog, inputs):
     data = csv_bytes(HEADER, *grouped(12))

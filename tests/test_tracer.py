@@ -54,7 +54,10 @@ def test_traced_chain_folds_and_predicts_once_per_command(tmp_path, monkeypatch)
     names = [span["name"] for span in trace.spans]
     assert names.count("transform.score_features") == 0
     assert names.count("model.predict_proba") == 0
-    assert names.count("panel.parse_panel_csv") == 2
+    # Each command reads the panel as one block, which panel.EntityBlocks
+    # tokenizes itself: no span of the wrapped parse, one of the timelines.
+    assert names.count("panel.parse_panel_csv") == 0
+    assert names.count("panel.build_timelines") == 2
     counts = [span["counts"] for span in trace.spans if "counts" in span]
     assert {"rows_out": 4, "dropped": 0} in counts
     assert {"work": 400 * 4 * 5} in counts
