@@ -191,7 +191,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    with open(args.input, "r", encoding="utf-8", newline="") as handle:
+    # A binary handle: a plain file is read a block of lines at a time.
+    with open(args.input, "rb") as handle:
         training = read_training_csv(handle, cfg.plan)
     model = train_logistic(training, cfg.train)
     model.save(args.output)

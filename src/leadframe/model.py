@@ -275,16 +275,6 @@ _P_MIN = 1e-15
 _P_MAX = math.nextafter(1.0, 0.0)
 
 
-def _probability(z: float) -> float:
-    # Not merged with _sigmoid: math.exp and np.exp differ in the last bit on some inputs.
-    if z >= 0:
-        p = 1.0 / (1.0 + math.exp(-z))
-    else:
-        ez = math.exp(z)
-        p = ez / (1.0 + ez)
-    return min(max(p, _P_MIN), _P_MAX)
-
-
 # A nan decision value is refused below, so numpy's own warnings would only
 # repeat the error on stderr.
 @np.errstate(over="ignore", invalid="ignore")
@@ -293,7 +283,9 @@ def predict_proba_matrix(model: LogisticModel, X: np.ndarray) -> list[float]:
 
     The decision value adds one scaled feature at a time to the intercept,
     left to right, one column of the matrix at a time, so each row's value
-    has the bits of adding up that row alone.
+    has the bits of adding up that row alone.  The sigmoid takes
+    e = ``math.exp(-|z|)``, which never overflows, and is 1 / (1 + e) where
+    z >= 0, else e / (1 + e), clamped to [``_P_MIN``, ``_P_MAX``].
     """
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != len(model.weights):
@@ -307,7 +299,10 @@ def predict_proba_matrix(model: LogisticModel, X: np.ndarray) -> list[float]:
         raise NonFiniteValue(
             "decision value is nan: the feature values overflow the model's scaling"
         )
-    return list(map(_probability, z.tolist()))
+    # Not np.exp, as in _sigmoid: the two differ in the last bit on some inputs.
+    e = np.fromiter(map(math.exp, (-np.abs(z)).tolist()), np.float64, len(z))
+    p = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.clip(p, _P_MIN, _P_MAX).tolist()
 
 
 def predict_proba(model: LogisticModel, x: Union[FeatureVector, Sequence[float]]) -> float:

@@ -41,8 +41,9 @@ so numpy does that directly, and the file is read once and never held
 whole: the header line and each block of whole lines are checked to be
 plain as they are read, each block into one padded buffer, where it is
 split once into cell ends, from which every column reads its cells.  A
-feature cell of 1 to 15 digits is converted by digit arithmetic, any other
-by ``float``; a text is keyed by its bytes, runs of equal keys count once,
+feature cell of 1 to 15 digits, or of digits and one decimal point, is
+converted by exact arithmetic, any other by ``float``; a text is keyed by
+its bytes, runs of equal keys count once,
 and each block codes its texts by its own distinct keys.  Once the file is
 read, each text column's keys are ranked once, in byte order, which is str
 order here, its codes are remapped in place, and only its distinct texts
@@ -120,7 +121,7 @@ _BLOCK_ROWS = 4096
 # quote character, and the line feed.
 _PLAIN_BYTES = bytes(b for b in range(0x21, 0x7F) if b != ord('"')) + b"\n"
 _BOM = codecs.BOM_UTF8
-_COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
+_COMMA, _NEWLINE, _POINT, _ZERO = ord(","), ord("\n"), ord("."), ord("0")
 # Bytes of body per numpy block: whole lines of about this size, so the
 # position arrays of one block stay small.  A streamed read (EntityBlocks)
 # reads and tokenizes this much at a time, and each of its blocks of whole
@@ -132,13 +133,15 @@ _BLOCK_BYTES = 1 << 18
 # The numpy tokenizer pads each text cell to the longest of its column, so a
 # block costs up to rows x longest cell bytes: a longer cell goes to csv.reader.
 _LONGEST_CELL = 256
-# Digit cells of up to this length convert exactly: 10**15 < 2**53.
+# Cells of up to this many digits convert exactly: 10**15 < 2**53.
 _MAX_DIGITS = 15
+# 10**k for k = 0 to _MAX_DIGITS, each an exact double.
+_POWERS_OF_TEN = np.array([float(10**k) for k in range(_MAX_DIGITS + 1)])
 # Zero bytes before each numpy block, so that the k-th byte before a cell's
-# end exists for Horner's rule, and after it, so that a window of a cell's
-# bytes from its start does: 8 for a uint64 key, up to _LONGEST_CELL for a
-# longer text.
-_FRONT, _BACK = _MAX_DIGITS, _LONGEST_CELL
+# end exists for Horner's rule, over the digits and a decimal point, and
+# after it, so that a window of a cell's bytes from its start does: 8 for a
+# uint64 key, up to _LONGEST_CELL for a longer text.
+_FRONT, _BACK = _MAX_DIGITS + 1, _LONGEST_CELL
 # Entry n keeps the first n bytes of a uint64 read from memory.
 _PREFIX_MASKS = np.frombuffer(
     b"".join(b"\xff" * n + b"\0" * (8 - n) for n in range(9)), dtype=np.uint64
@@ -650,12 +653,9 @@ class _Cells:
         self.rows += n
         if self.rows > len(self.values):
             lines = max(lines, self.rows)
-            codes = tuple(np.empty(lines, dtype=np.intp) for _ in self.texts)
-            values = np.empty((lines, len(self.kept)))
-            flags = np.empty(lines, dtype=np.int8)
-            for new, old in zip((*codes, values, flags), (*self.codes, self.values, self.flags)):
-                new[:start] = old[:start]
-            self.codes, self.values, self.flags = codes, values, flags
+            self.codes = tuple(_remade(codes, start, lines) for codes in self.codes)
+            self.values = _remade(self.values, start, lines)
+            self.flags = _remade(self.flags, start, lines)
         rows = slice(start, self.rows)
         return [codes[rows] for codes in self.codes], self.values[rows], self.flags[rows]
 
@@ -667,6 +667,14 @@ class _Cells:
         self.in_range &= bool(column.min() >= 0.0 and column.max() < np.inf)
         if slot is not None:
             values[:, slot] = column
+
+
+def _remade(old: np.ndarray, start: int, rows: int) -> np.ndarray:
+    """A new array of ``rows`` rows shaped and typed as ``old``, holding its
+    first ``start`` rows."""
+    new = np.empty((rows, *old.shape[1:]), dtype=old.dtype)
+    new[:start] = old[:start]
+    return new
 
 
 def _rank_texts(codes: np.ndarray, numbering: _Codes) -> list[str]:
@@ -764,9 +772,10 @@ class _Lines:
         return buffer[: end + 1 + _BACK]
 
 
-def _cell_ends(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _cell_ends(padded: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray] | None:
     """(before, ends) for the lines of a padded block, with blank lines
-    dropped, or None if its lines hold different numbers of cells.
+    dropped, or None if its lines hold different numbers of cells or a cell
+    is longer than ``limit`` bytes.
 
     ``before[i]`` is the position before line i's first byte and
     ``ends[i, j]`` that of the comma or line feed that ends its cell j, so
@@ -791,7 +800,13 @@ def _cell_ends(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     # Uniform lines end at every cells-th end, and there only.
     if len(ends) != cells * len(feeds) or (ends[cells - 1 :: cells] != feeds).any():
         return None
-    return before, ends.reshape(-1, cells)
+    ends = ends.reshape(-1, cells)
+    # No cell is longer than its line, and few lines are longer than the limit.
+    if (feeds - before).max() > limit + 1 and (
+        np.diff(ends, axis=1, prepend=before[:, None]).max() > limit + 1
+    ):
+        return None
+    return before, ends
 
 
 def _spans(
@@ -882,7 +897,12 @@ def _numbers(padded: np.ndarray, first: np.ndarray, lengths: np.ndarray) -> np.n
     A cell of 1 to 15 ASCII digits is read by Horner's rule, one digit
     position at a time across all cells: every partial value is an integer
     below 10**15 < 2**53, so the float is exact and equals ``float(text)``.
-    Every other cell goes through ``float``.
+    Of the other cells, one of digits, a ``.`` and digits, with 1 to 15
+    digits in all, is read as such an integer m over 10**k, k the digits
+    after the point (:func:`_decimals`): both are exact doubles, so the one
+    correctly rounded division equals ``float(text)`` (Clinger, "How to
+    read floating point numbers accurately", PLDI 1990).  Every other cell
+    goes through ``float``.
     """
     size = max(int(min(lengths.max(), _MAX_DIGITS)), 1)
     values = np.zeros(len(first))
@@ -899,12 +919,50 @@ def _numbers(padded: np.ndarray, first: np.ndarray, lengths: np.ndarray) -> np.n
         at += 1
     rest = np.flatnonzero(~decimal)
     if len(rest):
+        values[rest], decimal = _decimals(padded, first[rest], lengths[rest])
+        rest = rest[~decimal]
+    if len(rest):
         texts = _texts(padded, first[rest], lengths[rest]).tolist()
         try:
             values[rest] = np.fromiter(map(float, texts), np.float64, len(rest))
         except ValueError:
             return None
     return values
+
+
+def _decimals(
+    padded: np.ndarray, first: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, exact): whether each cell is digits, one ``.`` and digits,
+    with 1 to ``_MAX_DIGITS`` digits in all, and the value of each such
+    cell, m / 10**k for its digits m and the k of them after the point.
+
+    m is read by Horner's rule as in :func:`_numbers`, the point skipped.
+    """
+    longest = _MAX_DIGITS + 1  # the digits and the point
+    size = max(int(min(lengths.max(), longest)), 1)
+    values = np.zeros(len(first))
+    points = np.zeros(len(first), dtype=np.intp)
+    after = np.zeros(len(first), dtype=np.intp)  # the digits after the last point
+    at = first - size
+    at += lengths
+    numeric = np.ones(len(first), dtype=bool)
+    for k in range(size, 0, -1):
+        digit = padded[at]
+        inside = lengths >= k
+        point = digit == _POINT
+        point &= inside
+        digit -= np.uint8(_ZERO)
+        digit *= inside ^ point  # a point, or a byte before the cell's start, adds 0
+        numeric &= digit <= 9
+        values *= np.where(point, 1.0, 10.0)
+        values += digit
+        points += point
+        after[point] = k - 1
+        at += 1
+    exact = numeric & (points == 1) & (lengths <= longest) & (lengths > 1)
+    values /= _POWERS_OF_TEN[after]
+    return values, exact
 
 
 def _is_plain(data: bytes) -> bool:
@@ -979,7 +1037,7 @@ def _plain_block(
     The block's cell ends live only in this call, so they are let go
     before the next block is split.
     """
-    split = _cell_ends(padded)
+    split = _cell_ends(padded, limit)
     if split is None:
         return None
     before, ends = split
@@ -987,11 +1045,6 @@ def _plain_block(
     if not n:
         return before
     if ends.shape[1] < cells.width:
-        return None
-    # No cell is longer than its line, and few lines are longer than the limit.
-    if (ends[:, -1] - before).max() > limit + 1 and (
-        np.diff(ends, axis=1, prepend=before[:, None]).max() > limit + 1
-    ):
         return None
     start = cells.rows
     codes, values, flags = cells.block(n, -(-size * (start + n) // read))

@@ -42,9 +42,11 @@ A training set is held as columns: the kept entity ids, an (n x m) float64
 matrix of their features and an array of their labels.  Its ``rows``, one
 (FeatureVector, label) pair per entity, are a view made on first use, for
 tests and tools; no command reads them.  The training CSV is written a
-column at a time, each distinct value rendered once, and read a column at a
-time; scoring folds each block's timelines over their whole histories by
-the same gather, one call per block (:func:`score_feature_matrix`).
+column at a time, each distinct value rendered once, and a plain one is
+read a block of lines at a time by the panel's numpy tokenizer
+(:func:`read_training_csv`); scoring folds each block's timelines over
+their whole histories by the same gather, one call per block
+(:func:`score_feature_matrix`).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import math
 from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import NoReturn
+from typing import BinaryIO, NoReturn, Union
 
 import numpy as np
 
@@ -71,11 +73,20 @@ from .errors import (
     check_int,
 )
 from .panel import (
+    _LONGEST_CELL,
     _WRITE_BYTES,
     EntityTimeline,
     PanelRecord,
     PeriodIndex,
     TimelineBlock,
+    _cell_ends,
+    _flag_values,
+    _is_plain,
+    _Lines,
+    _numbers,
+    _remade,
+    _spans,
+    _texts,
     csv_cells,
     csv_line,
     distinct_values,
@@ -696,16 +707,8 @@ def _raise_first_fault(rows: list[list[str]], width: int) -> NoReturn:
     raise AssertionError("a column check failed, but no row holds a fault")
 
 
-def read_training_csv(stream: io.TextIOBase, plan: AggregationPlan) -> TrainingSet:
-    """Read a training-set CSV back under a plan with matching output names.
-
-    Blank lines are skipped.  Cells are converted a whole column at a time
-    by Python's own ``float`` and ``int``, so surrounding whitespace, ``+``
-    and ``1_0`` read as they do there.  On any fault the rows are walked in
-    file order and the first row's first fault is raised: a wrong cell
-    count, then an unparseable value or label, then a label other than 0 or
-    1, then a non-finite value.
-    """
+def _read_records(stream: io.TextIOBase, plan: AggregationPlan) -> TrainingSet:
+    """:func:`read_training_csv` by csv.reader, which also names a fault."""
     reader = csv.reader(stream)
     header = next(reader, None)
     expected = ["entity_id", *plan.output_names, "label"]
@@ -728,3 +731,96 @@ def read_training_csv(stream: io.TextIOBase, plan: AggregationPlan) -> TrainingS
     if ((labels != 0) & (labels != 1)).any() or not np.isfinite(values).all():
         _raise_first_fault(rows, width)
     return _training_set(plan, cells[0], values, labels)
+
+
+def _read_plain(handle: BinaryIO, plan: AggregationPlan) -> TrainingSet | None:
+    """:func:`read_training_csv` of a plain file by the panel's numpy
+    tokenizer, or None when csv.reader must read the file: the header line
+    is not plain or not the plan's names, a block of lines is not plain,
+    its lines hold another number of cells than the header or a cell longer
+    than ``_LONGEST_CELL`` or ``csv.field_size_limit()``, a feature cell is
+    not a finite number, or a label is not one byte, 0 or 1.
+
+    The rows are read a block of whole lines at a time (:class:`_Lines`),
+    each split once into cell ends; each feature column converts by
+    :func:`_numbers`, and the ids are decoded in file order.  The arrays are
+    made for the rows that the rows per byte read so far estimate the file
+    holds, and made anew only if a later block finds them short.
+    """
+    names = ["entity_id", *plan.output_names, "label"]
+    line = handle.readline()
+    if not _is_plain(line) or line.rstrip(b"\n").split(b",") != [n.encode() for n in names]:
+        return None
+    origin = handle.tell()
+    size = handle.seek(0, io.SEEK_END) - origin
+    handle.seek(origin)
+    width, limit = len(names), min(csv.field_size_limit(), _LONGEST_CELL)
+    entity_ids: list[str] = []
+    values, labels = np.empty((0, width - 2)), np.empty(0, dtype=np.int64)
+    lines, read = _Lines(handle), 0
+    while not lines.last:
+        padded = lines.read()
+        split = None if padded is None else _cell_ends(padded, limit)
+        if split is None:
+            return None
+        read += lines.size
+        before, ends = split
+        start, stop = len(entity_ids), len(entity_ids) + len(before)
+        if start == stop:
+            continue
+        if ends.shape[1] != width:
+            return None
+        if stop > len(labels):
+            rows = max(stop, -(-size * stop // read))
+            values, labels = _remade(values, start, rows), _remade(labels, start, rows)
+        for at, first, length in _spans(before, ends, width):
+            if at == 0:
+                entity_ids += map(bytes.decode, _texts(padded, first, length).tolist())
+            elif at < width - 1:
+                column = _numbers(padded, first, length)
+                if column is None or not np.isfinite(column).all():
+                    return None
+                values[start:stop, at - 1] = column
+            else:
+                _flag_values(padded, first, length, labels[start:stop])
+                if labels[start:stop].min() < 0:
+                    return None
+    n = len(entity_ids)
+    return _training_set(plan, entity_ids, values[:n], labels[:n])
+
+
+def read_training_csv(
+    stream: Union[io.TextIOBase, BinaryIO], plan: AggregationPlan
+) -> TrainingSet:
+    """Read a training-set CSV back under a plan with matching output names.
+
+    A binary handle of a plain file (:func:`panel._is_plain`: printable
+    ASCII other than the quote character, and line feeds) whose header line
+    is the plan's names is read a block of lines at a time by the panel's
+    numpy tokenizer, into arrays, with no Python object per row but its id
+    (:func:`_read_plain`).  A cell of digits, with or without one decimal
+    point, converts by exact arithmetic, any other by ``float``, so every
+    value has the bits ``float`` gives it.  At any doubt, the file is read
+    again from where it began, decoded as UTF-8, by csv.reader; so is every
+    text stream.  A handle that cannot seek is read whole first.
+
+    Through csv.reader, blank lines are skipped, and cells are converted a
+    whole column at a time by Python's own ``float`` and ``int``, so
+    surrounding whitespace, ``+`` and ``1_0`` read as they do there.  On any
+    fault the rows are walked in file order and the first row's first fault
+    is raised: a wrong cell count, then an unparseable value or label, then
+    a label other than 0 or 1, then a non-finite value.
+    """
+    if not isinstance(stream, (io.RawIOBase, io.BufferedIOBase)):
+        return _read_records(stream, plan)
+    handle = stream if stream.seekable() else io.BytesIO(stream.read())
+    origin = handle.tell()
+    training = _read_plain(handle, plan)
+    if training is None:
+        handle.seek(origin)
+        text = io.TextIOWrapper(handle, encoding="utf-8", newline="")
+        try:
+            training = _read_records(text, plan)
+        finally:
+            text.detach()  # the caller's handle stays open
+    return training

@@ -21,7 +21,10 @@
 # whose blocks are not whole entities and so is read whole from its start,
 # must give the same training set and the same scores; so must a panel of
 # three entities of about 400 KB each, each longer than a block of the
-# streamed read, read from its file and piped in.  validate reads the
+# streamed read, read from its file and piped in.  train reads the plain
+# training CSV a block of lines at a time with the panel's tokenizer; its
+# CRLF copy, which csv.reader reads, and the plain file piped in through
+# /dev/stdin, read whole first, must give the same model.json bytes.  validate reads the
 # panel as transform and score do: streamed, the copy ordered by period and
 # the panel piped through /dev/stdin must print the same reports and exit
 # with the same code.  A sweep folds every lead time of a side in
@@ -66,6 +69,11 @@ for n in 1 2; do
 done
 cmp "$tmp/m1.json" "$tmp/m2.json"
 cmp "$tmp/s1.csv" "$tmp/s2.csv"
+sed 's/$/\r/' "$tmp/t1.csv" > "$tmp/t1-crlf.csv"
+$LEADFRAME train --input "$tmp/t1-crlf.csv" --config $config --output "$tmp/m3.json"
+cmp "$tmp/m1.json" "$tmp/m3.json"
+cat "$tmp/t1.csv" | $LEADFRAME train --input /dev/stdin --config $config --output "$tmp/m4.json"
+cmp "$tmp/m1.json" "$tmp/m4.json"
 for copy in p p-crlf; do
     cat "$tmp/$copy.csv" | $LEADFRAME score --input /dev/stdin --model "$tmp/m1.json" \
         --config $config --output "$tmp/$copy-piped-s.csv"

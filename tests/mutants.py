@@ -254,6 +254,20 @@ MUTANTS = (
         ("tests/test_stream.py::TestValidate::test_grouped_file_streams",),
     ),
     Mutant(
+        "decimal-divisor-one-power-off",
+        "panel.py",
+        "after[point] = k - 1",
+        "after[point] = k",
+        ("tests/test_read_training.py::TestDecimalCells::test_matches_float",),
+    ),
+    Mutant(
+        "sixteen-digit-mantissa-exact",
+        "panel.py",
+        "_MAX_DIGITS = 15",
+        "_MAX_DIGITS = 16",
+        ("tests/test_read_training.py::TestDecimalCells::test_matches_float",),
+    ),
+    Mutant(
         "next-block-starts-one-late",
         "synth.py",
         "        start = stop\n",

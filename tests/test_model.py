@@ -28,6 +28,7 @@ from leadframe.model import (
     _sigmoid,
     loss_and_gradient,
     predict_proba,
+    predict_proba_matrix,
     train_logistic,
     train_logistic_each,
 )
@@ -482,3 +483,26 @@ def test_batch_equals_members_under_other_cpu_kernels(setting):
     if "rejected" in outcome:
         pytest.skip(f"numpy rejects {setting} on this CPU: {outcome['rejected']}")
     assert outcome == {"equal": True}
+
+
+def test_probabilities_keep_the_bits_of_the_scalar_sigmoid():
+    """Each probability is math.exp's sigmoid of its decision value alone,
+    clamped, as a scalar loop over the rows computes it."""
+
+    def scalar(z):
+        if z >= 0:
+            p = 1.0 / (1.0 + math.exp(-z))
+        else:
+            ez = math.exp(z)
+            p = ez / (1.0 + ez)
+        return min(max(p, 1e-15), math.nextafter(1.0, 0.0))
+
+    rng = np.random.default_rng(3)
+    z = np.concatenate([
+        rng.normal(0.0, 4.0, 5000), rng.normal(0.0, 400.0, 500),
+        [0.0, -0.0, 36.7, -36.7, 745.2, -745.2, 1e308, -1e308, np.inf, -np.inf],
+    ])
+    model = make_model(["x"], [1.0], 0.0)
+    got = np.array(predict_proba_matrix(model, z[:, None]))
+    expected = np.array([scalar(v) for v in z.tolist()])
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
