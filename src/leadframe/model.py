@@ -14,6 +14,7 @@ matrix of one row.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -164,48 +165,48 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class _Stack:
     """The standardized rows of one or more models, stacked into one matrix.
 
-    Each model's rows are a contiguous slice, so its decision values and its
-    gradient reductions are the same numpy calls on the same shapes as for
-    the model alone, and they keep their bits; only the elementwise steps run
-    once over the whole stack.  ``np.add.reduceat`` and zero padding to a
-    common length would each change the bits of a model's sums.
+    Consecutive models of equal size form a run, viewed as one (models, rows,
+    features) array, and one stacked ``np.matmul`` or axis-1 ``np.add.reduce``
+    serves the run with each model's own bits: matmul makes the one-model BLAS
+    call per model, and the reduce sums each model's rows pairwise.  Zero
+    padding would move the pairwise splits and lengthen the BLAS call, and
+    ``np.add.reduceat`` adds a slice's first value to the sum of the rest.
     """
 
     def __init__(self, parts: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
         sizes = [len(y) for _, y in parts]
         self.Xs = np.concatenate([Xs for Xs, _ in parts])
         self.y = np.concatenate([y for _, y in parts])
-        self.model_of = np.repeat(np.arange(len(parts)), sizes)
         self.n = np.array(sizes, dtype=np.float64)
-        self.z = np.empty(len(self.y))
-        self.r = np.empty(len(self.y))
+        self.z, self.r = np.empty(len(self.y)), np.empty(len(self.y))
         self.G = np.empty((len(parts), self.Xs.shape[1]))
         self.sums = np.empty(len(parts))
-        ends = np.cumsum(sizes).tolist()
-        self.members = [
-            (self.Xs[a:e], self.Xs[a:e].T, self.z[a:e], self.r[a:e], self.G[k])
-            for k, (a, e) in enumerate(zip([0] + ends, ends))
-        ]
+        self.runs, first, start = [], 0, 0
+        for n, run in itertools.groupby(sizes):
+            g = len(list(run))
+            ks, rows = slice(first, first + g), slice(start, start + g * n)
+            X3, z3, r3 = (a[rows].reshape(g, n, -1) for a in (self.Xs, self.z, self.r))
+            self.runs.append((ks, X3, X3.transpose(0, 2, 1), z3, r3, self.G[ks, :, None]))
+            first, start = ks.stop, rows.stop
 
     def gradient(self, W: np.ndarray, b: np.ndarray, l2: float) -> tuple[np.ndarray, np.ndarray]:
         """Gradient of each model's penalized mean NLL at its decision values
         z = Xs @ W[k] + b[k], as (d/d intercepts, d/d weights).  The decision
         values are left in ``z``."""
-        for (Xs_k, _, z_k, _, _), w_k in zip(self.members, W):
-            np.matmul(Xs_k, w_k, out=z_k)
-        self.z += b[self.model_of]
+        for ks, X3, _, z3, _, _ in self.runs:
+            np.matmul(X3, W[ks, :, None], out=z3)
+            z3 += b[ks, None, None]
         np.subtract(_sigmoid(self.z), self.y, out=self.r)
-        for k, (_, XsT_k, _, r_k, g_k) in enumerate(self.members):
-            self.sums[k] = np.add.reduce(r_k)
-            np.matmul(XsT_k, r_k, out=g_k)
+        for ks, _, X3T, _, r3, G3 in self.runs:
+            np.add.reduce(r3, axis=1, out=self.sums[ks, None])
+            np.matmul(X3T, r3, out=G3)
         return self.sums / self.n, self.G / self.n[:, None] + l2 * W
 
 
 def _descend(stack: _Stack, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """Weights and intercepts of every stacked model after ``epochs`` steps
     from all zeros."""
-    W = np.zeros(stack.G.shape)
-    b = np.zeros(stack.n.shape)
+    W, b = np.zeros(stack.G.shape), np.zeros(stack.n.shape)
     for _ in range(config.epochs):
         grad_b, grad_W = stack.gradient(W, b, config.l2_penalty)
         W -= config.learning_rate * grad_W
@@ -331,6 +332,5 @@ def loss_and_gradient(model: LogisticModel, data: TrainingSet) -> tuple[float, l
     l2 = model.train_config.l2_penalty if model.train_config is not None else 0.0
     stack = _Stack([(Xs, y)])
     grad_b, grad_W = stack.gradient(w[None], np.array([model.intercept]), l2)
-    z = stack.z
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * np.dot(w, w))
+    loss = float(np.mean(np.logaddexp(0.0, stack.z) - y * stack.z) + 0.5 * l2 * np.dot(w, w))
     return loss, [float(grad_b[0])] + grad_W[0].tolist()

@@ -268,6 +268,13 @@ MUTANTS = (
         ("tests/test_read_training.py::TestDecimalCells::test_matches_float",),
     ),
     Mutant(
+        "run-sums-as-a-dot-with-ones",
+        "model.py",
+        "np.add.reduce(r3, axis=1, out=self.sums[ks, None])",
+        "np.matmul(np.ones((1, r3.shape[1])), r3, out=self.sums[ks, None, None])",
+        ("tests/test_model.py::TestBatch::test_runs_of_equal_sizes_equal_the_one_model_loop",),
+    ),
+    Mutant(
         "next-block-starts-one-late",
         "synth.py",
         "        start = stop\n",

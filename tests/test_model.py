@@ -26,6 +26,7 @@ from leadframe.model import (
     LogisticModel,
     TrainConfig,
     _sigmoid,
+    _Stack,
     loss_and_gradient,
     predict_proba,
     predict_proba_matrix,
@@ -425,6 +426,42 @@ class TestBatch:
         assert type(error) is InvalidConfig and "non-finite" in str(error)
         assert str(error) == str(diverging_alone.value)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        runs=st.lists(
+            st.tuples(
+                st.one_of(st.integers(2, 9), st.integers(127, 130), st.integers(257, 520)),
+                st.integers(1, 4),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        width=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        epochs=st.integers(1, 20),
+    )
+    def test_runs_of_equal_sizes_equal_the_one_model_loop(self, runs, width, seed, epochs):
+        # Sizes cross the edges of numpy's pairwise sum: a plain loop below
+        # 8 values, an unrolled one up to a 128-value block, and halving
+        # above 128 and again above 256.
+        rng = np.random.default_rng(seed)
+        sets = [random_training_set(rng, n, width) for n, count in runs for _ in range(count)]
+        config = TrainConfig(epochs=epochs, learning_rate=0.5, l2_penalty=0.001)
+        for data, model in zip(sets, train_logistic_each(sets, config)):
+            assert fitted_bits(model) == model_bits(*oracle.train_logistic_loop(data, config))
+
+    def test_equal_sizes_train_as_one_run_of_views(self):
+        rng = np.random.default_rng(7)
+        sizes = [105] * 8 + [102, 101, 101, 99]  # device-hourly's sweep
+        stack = _Stack([(rng.normal(size=(n, 10)), np.zeros(n)) for n in sizes])
+        assert [(ks.start, ks.stop, X3.shape) for ks, X3, *_ in stack.runs] == [
+            (0, 8, (8, 105, 10)), (8, 9, (1, 102, 10)), (9, 11, (2, 101, 10)), (11, 12, (1, 99, 10))
+        ]
+        for _, X3, X3T, z3, r3, G3 in stack.runs:
+            assert np.shares_memory(X3, stack.Xs) and np.shares_memory(X3T, stack.Xs)
+            assert np.shares_memory(z3, stack.z) and np.shares_memory(r3, stack.r)
+            assert np.shares_memory(G3, stack.G)
+
     def test_members_of_other_widths(self):
         rng = np.random.default_rng(11)
         sets = [random_training_set(rng, n, m) for n, m in [(30, 3), (7, 1), (50, 3), (9, 1)]]
@@ -436,7 +473,8 @@ class TestBatch:
 def batch_equals_members():
     """Whether a batch of varied sets trains each member to the bits it gets alone."""
     rng = np.random.default_rng(20261018)
-    sets = [random_training_set(rng, n, 10) for n in (105, 101, 99, 2, 333, 128, 129)]
+    sizes = [105] * 8 + [102, 101, 101, 99] + [2] + [333] * 3 + [128, 129]
+    sets = [random_training_set(rng, n, 10) for n in sizes]
     sets += [random_training_set(rng, n, 5) for n in (17, 250)]
     config = TrainConfig(epochs=100, learning_rate=0.5, l2_penalty=0.001)
     batch = train_logistic_each(sets, config)
