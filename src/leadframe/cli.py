@@ -211,7 +211,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     def scored(timelines):
         features = score_feature_matrix(timelines, cfg.plan)
-        return csv_cells(t.entity_id for t in timelines), predict_proba_matrix(model, features)
+        return csv_cells(timelines.entity_ids), predict_proba_matrix(model, features)
 
     # Every score is computed before the output is opened, so a failure leaves no file.
     parts = _fold_panel(args.input, cfg, cfg.plan.referenced_columns(), scored)

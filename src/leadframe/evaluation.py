@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,7 +161,7 @@ def check_lead_times(value: object, name: str) -> tuple[int, ...]:
 
 
 def split_entities(
-    timelines: tuple[EntityTimeline, ...] | list[EntityTimeline],
+    timelines: Sequence[EntityTimeline],
     test_fraction: float,
     seed: int,
 ) -> tuple[tuple[EntityTimeline, ...], tuple[EntityTimeline, ...]]:
@@ -190,7 +191,7 @@ def split_entities(
 
 
 def lead_time_sweep(
-    timelines: tuple[EntityTimeline, ...] | list[EntityTimeline],
+    timelines: Sequence[EntityTimeline],
     plan: AggregationPlan,
     lead_times: list[int] | tuple[int, ...],
     train_config: TrainConfig,

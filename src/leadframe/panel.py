@@ -22,9 +22,10 @@ the generator.  The parse converts each column in blocks of rows and checks
 whole columns at once; only when a check fails does it walk the rows again,
 in file order, to name the first fault and its line.
 :func:`build_timelines` sorts the rows once by entity and period, and each
-:class:`EntityTimeline` is a view of one entity's rows; validation,
-truncation and aggregation read the columns.  ``PanelRecord`` is a
-read-only view of a row, made only when ``records`` is read.
+:class:`EntityTimeline` is a view of one entity's rows, made when it is
+first read; validation, truncation and aggregation read the columns.
+``PanelRecord`` is a read-only view of a row, made only when ``records``
+is read.
 
 Two tokenizers cut the rows into cells.  Each fills one code array for
 each of the entity and period columns, one int8 flag array and one
@@ -121,7 +122,7 @@ _BLOCK_ROWS = 4096
 # quote character, and the line feed.
 _PLAIN_BYTES = bytes(b for b in range(0x21, 0x7F) if b != ord('"')) + b"\n"
 _BOM = codecs.BOM_UTF8
-_COMMA, _NEWLINE, _POINT, _ZERO = ord(","), ord("\n"), ord("."), ord("0")
+_COMMA, _NEWLINE, _POINT, _QUOTE, _ZERO = ord(","), ord("\n"), ord("."), ord('"'), ord("0")
 # Bytes of body per numpy block: whole lines of about this size, so the
 # position arrays of one block stay small.  A streamed read (EntityBlocks)
 # reads and tokenizes this much at a time, and each of its blocks of whole
@@ -437,6 +438,57 @@ class EntityTimeline:
     __hash__ = None  # type: ignore[assignment]
 
 
+class Timelines(Sequence):
+    """Read-only sequence of a block's timelines, one per entity in entity
+    id order, each made on first read and kept.
+
+    Slices and ``+`` with a tuple give tuples; ``==`` compares with any
+    sequence element by element.  ``entity_ids`` are the block's, so a
+    fold of the whole block needs no timeline at all.
+    """
+
+    __slots__ = ("block", "_made")
+
+    def __init__(self, block: TimelineBlock) -> None:
+        self.block = block
+        self._made: list[EntityTimeline | None] = [None] * (len(block.offsets) - 1)
+
+    @property
+    def entity_ids(self) -> tuple[str, ...]:
+        return self.block.columns.entity_ids
+
+    def __len__(self) -> int:
+        return len(self._made)
+
+    def _timeline(self, index: int) -> EntityTimeline:
+        timeline = self._made[index]
+        if timeline is None:
+            timeline = self._made[index] = EntityTimeline(self.block, index)
+        return timeline
+
+    def __getitem__(self, index):
+        positions = range(len(self._made))[index]
+        if isinstance(positions, range):
+            return tuple(map(self._timeline, positions))
+        return self._timeline(positions)
+
+    def __iter__(self) -> Iterator[EntityTimeline]:
+        return map(self._timeline, range(len(self._made)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __add__(self, other: object) -> tuple[EntityTimeline, ...]:
+        return tuple(self) + other if isinstance(other, tuple) else NotImplemented
+
+    def __radd__(self, other: object) -> tuple[EntityTimeline, ...]:
+        return other + tuple(self) if isinstance(other, tuple) else NotImplemented
+
+
 @dataclass(frozen=True)
 class Finding:
     level: str  # "info" or "warning"
@@ -738,7 +790,8 @@ class _Lines:
     Each :meth:`read` takes ``_BLOCK_BYTES`` bytes into the buffer with one
     ``readinto`` and the rest of their last line with ``readline``, between
     ``_FRONT`` zero bytes and ``_BACK`` or more, and judges these bytes
-    plain (:func:`_is_plain`), the ones the rows are read from.  The buffer
+    plain, the ones the rows are read from: the body in the buffer itself
+    (:func:`_is_plain_array`), the rest as read.  The buffer
     has room for a rest of ``_BACK`` bytes, and is made anew for a longer
     one.  Every column of a block reads its cells from this buffer.
     """
@@ -756,8 +809,7 @@ class _Lines:
         buffer = self._buffer
         got = self._handle.readinto(buffer[_FRONT : _FRONT + _BLOCK_BYTES])
         tail = self._handle.readline()
-        # bytes.translate judges a copy, let go before the block is split.
-        if not (_is_plain(buffer[_FRONT : _FRONT + got].tobytes()) and _is_plain(tail)):
+        if not (_is_plain_array(buffer[_FRONT : _FRONT + got]) and _is_plain(tail)):
             return None
         self.size, self.last = got + len(tail), not tail.endswith(b"\n")
         start, end = _FRONT + got, _FRONT + self.size
@@ -974,6 +1026,17 @@ def _is_plain(data: bytes) -> bool:
     line.
     """
     return not data.translate(None, _PLAIN_BYTES)
+
+
+def _is_plain_array(data: np.ndarray) -> bool:
+    """:func:`_is_plain` of a uint8 array's bytes, judged in place: every
+    byte is at most 0x7E, the only bytes up to 0x20 are line feeds, and
+    none is the quote character."""
+    return not len(data) or bool(
+        data.max() <= 0x7E
+        and np.count_nonzero(data <= 0x20) == np.count_nonzero(data == _NEWLINE)
+        and not (data == _QUOTE).any()
+    )
 
 
 def _plain_cells(
@@ -1605,12 +1668,13 @@ def _gathered_rows(
         yield text.decode("utf-8", "surrogatepass")
 
 
-def build_timelines(dataset: PanelDataset) -> tuple[EntityTimeline, ...]:
+def build_timelines(dataset: PanelDataset) -> Timelines:
     """Group records into per-entity timelines sorted by period.
 
     One stable sort by (entity, period) orders every row, unless the rows
     already come strictly in that order, as every written panel's do; each
-    timeline is a view of its entity's rows.  Raises DuplicateObservation if
+    timeline is a view of its entity's rows, made when it is first read
+    (:class:`Timelines`).  Raises DuplicateObservation if
     an (entity, period) pair repeats; silent last-wins would corrupt every
     downstream aggregate.
     """
@@ -1630,8 +1694,7 @@ def build_timelines(dataset: PanelDataset) -> tuple[EntityTimeline, ...]:
     n_entities = len(columns.entity_ids)
     offsets = np.zeros(n_entities + 1, dtype=np.intp)
     np.cumsum(np.bincount(codes, minlength=n_entities), out=offsets[1:])
-    block = TimelineBlock(columns, offsets)
-    return tuple(EntityTimeline(block, index) for index in range(n_entities))
+    return Timelines(TimelineBlock(columns, offsets))
 
 
 def validate_timeline(timeline: EntityTimeline) -> ValidationReport:

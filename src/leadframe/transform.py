@@ -79,6 +79,7 @@ from .panel import (
     PanelRecord,
     PeriodIndex,
     TimelineBlock,
+    Timelines,
     _cell_ends,
     _flag_values,
     _is_plain,
@@ -502,18 +503,20 @@ def _fold(
 
 
 def _check_finite(
-    timelines: Sequence[EntityTimeline], values: np.ndarray, plan: AggregationPlan
+    timeline_at: Callable[[int], EntityTimeline], values: np.ndarray, plan: AggregationPlan
 ) -> None:
-    """Raise for the first timeline, then spec, whose value is not finite.
+    """Raise for the first row, then spec, whose value is not finite.
 
-    That is UnknownColumn if the timeline lacks a column the spec names,
-    else NonFiniteValue.
+    That is UnknownColumn if the row's timeline, ``timeline_at(row)``, lacks a
+    column the spec names, else NonFiniteValue.  No timeline is asked for
+    while every value is finite.
     """
     bad = np.argwhere(~np.isfinite(values))
     if not len(bad):
         return
     row, s = bad[0]
-    timeline, spec = timelines[row], plan.specs[s]
+    spec = plan.specs[s]
+    timeline = timeline_at(int(row))
     index = timeline.block.columns.feature_index
     for name in spec.referenced_columns():
         if name not in index:
@@ -532,7 +535,7 @@ def aggregate(truncated: TruncatedTimeline, plan: AggregationPlan) -> FeatureVec
     values = np.zeros((1, len(plan.specs)))
     entity, length = np.array([timeline.index]), np.array([truncated.length])
     _fold(timeline.block, entity, length, plan, values, np.zeros(1, dtype=np.intp))
-    _check_finite([timeline], values, plan)
+    _check_finite(lambda row: timeline, values, plan)
     return FeatureVector(entity_id=timeline.entity_id, values=tuple(values[0].tolist()))
 
 
@@ -540,7 +543,14 @@ def _by_block(
     timelines: Sequence[EntityTimeline],
 ) -> list[tuple[TimelineBlock, np.ndarray, np.ndarray]]:
     """The timelines grouped by block: each block, the positions of its
-    timelines in ``timelines`` and their entity indexes in the block."""
+    timelines in ``timelines`` and their entity indexes in the block.
+
+    The timelines of :func:`build_timelines` are every entity of one block
+    in order, so they are grouped without reading one.
+    """
+    if isinstance(timelines, Timelines):
+        entities = np.arange(len(timelines))
+        return [(timelines.block, entities, entities)]
     by_block: dict[int, tuple[TimelineBlock, list[int]]] = {}
     for position, timeline in enumerate(timelines):
         by_block.setdefault(id(timeline.block), (timeline.block, []))[1].append(position)
@@ -565,7 +575,7 @@ def score_feature_matrix(
     for block, positions, entities in _by_block(timelines):
         lengths = block.offsets[entities + 1] - block.offsets[entities]
         _fold(block, entities, lengths, plan, values, positions)
-    _check_finite(timelines, values, plan)
+    _check_finite(timelines.__getitem__, values, plan)
     return values
 
 
@@ -588,7 +598,11 @@ def build_training_sets(
     history is folded once, up to its longest window.  The members'
     matrices are consecutive rows of one matrix, written in place.
     """
-    ordered = sorted(timelines, key=lambda t: t.entity_id)
+    if isinstance(timelines, Timelines):  # a block's entities, in id order already
+        ordered, entity_ids = timelines, timelines.entity_ids
+    else:
+        ordered = sorted(timelines, key=lambda t: t.entity_id)
+        entity_ids = [timeline.entity_id for timeline in ordered]
     groups = _by_block(ordered)
     k = np.zeros((len(configs), len(ordered)), dtype=np.intp)
     labels = np.zeros(len(ordered), dtype=np.intp)
@@ -609,15 +623,14 @@ def build_training_sets(
     stop = 0
     for i in range(len(configs)):
         kept = np.flatnonzero(~dropped[i])
-        members = [ordered[p] for p in kept.tolist()]
-        start, stop = stop, stop + len(members)
+        start, stop = stop, stop + len(kept)
         try:
-            _check_finite(members, values[start:stop], plan)
+            _check_finite(lambda row: ordered[kept[row]], values[start:stop], plan)
         except LeadframeError as exc:
             outcomes.append(exc)
             continue
-        ids = [timeline.entity_id for timeline in members]
-        gone = [ordered[p].entity_id for p in np.flatnonzero(dropped[i]).tolist()]
+        ids = [entity_ids[p] for p in kept.tolist()]
+        gone = [entity_ids[p] for p in np.flatnonzero(dropped[i]).tolist()]
         outcomes.append(_training_set(plan, ids, values[start:stop], labels[kept], gone))
     return tuple(outcomes)
 

@@ -36,7 +36,9 @@
 # those two: two runs of transform, score and sweep must write the same
 # bytes, and a -1 planted in a column the plan does not read must still
 # make transform exit 2, with the same line-numbered message from the plain
-# file and from its CRLF copy.
+# file and from its CRLF copy.  A copy of the 5,000-entity panel whose last
+# entity's calls sum to inf must make transform and score exit 1 with the
+# same message, streamed from its file and piped in through /dev/stdin.
 set -eu
 
 # Left unquoted where it runs: LEADFRAME may be a command with arguments.
@@ -153,5 +155,22 @@ done
 cmp "$tmp/p-bad.err" "$tmp/p-crlf-bad.err"
 echo "error: line 1000: value '-1' in column 'complaints' must be finite and non-negative" \
     | cmp - "$tmp/p-bad.err"
+{ head -n -2 "$tmp/p.csv"; tail -n 2 "$tmp/p.csv" | sed 's/^\([^,]*,[^,]*,\)[^,]*/\11e308/'; } \
+    > "$tmp/p-inf.csv"
+for command in transform score; do
+    model=""
+    if [ $command = score ]; then model="--model $tmp/m1.json"; fi
+    status=0
+    $LEADFRAME $command --input "$tmp/p-inf.csv" $model --config $config \
+        --output "$tmp/inf-$command.csv" 2> "$tmp/inf-$command.err" || status=$?
+    test "$status" -eq 1
+    status=0
+    cat "$tmp/p-inf.csv" | $LEADFRAME $command --input /dev/stdin $model --config $config \
+        --output "$tmp/inf-$command-piped.csv" 2> "$tmp/inf-$command-piped.err" || status=$?
+    test "$status" -eq 1
+    cmp "$tmp/inf-$command.err" "$tmp/inf-$command-piped.err"
+    echo "error: entity 'E4999': feature 'calls_total' is inf; the input values overflow a float" \
+        | cmp - "$tmp/inf-$command.err"
+done
 $LEADFRAME validate --input data/telecom_panel.csv --config $config
 echo "console checks passed"

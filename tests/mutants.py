@@ -275,6 +275,40 @@ MUTANTS = (
         ("tests/test_model.py::TestBatch::test_runs_of_equal_sizes_equal_the_one_model_loop",),
     ),
     Mutant(
+        "whole-block-ids-one-position-off",
+        "transform.py",
+        "ordered, entity_ids = timelines, timelines.entity_ids",
+        "ordered, entity_ids = timelines, timelines.entity_ids[1:] + timelines.entity_ids[:1]",
+        (
+            "tests/test_transform.py::TestBuildTrainingSets"
+            "::test_whole_block_folds_as_its_timelines",
+        ),
+    ),
+    Mutant(
+        "whole-block-folds-one-entity-off",
+        "transform.py",
+        "return [(timelines.block, entities, entities)]",
+        "return [(timelines.block, entities, np.roll(entities, 1))]",
+        (
+            "tests/test_transform.py::TestBuildTrainingSets"
+            "::test_whole_block_folds_as_its_timelines",
+        ),
+    ),
+    Mutant(
+        "timeline-list-ids-unsorted",
+        "transform.py",
+        "ordered = sorted(timelines, key=lambda t: t.entity_id)",
+        "ordered = list(timelines)",
+        ("tests/test_transform.py::TestBuildTrainingSet::test_output_sorted_by_entity",),
+    ),
+    Mutant(
+        "plain-judge-lets-quotes-through",
+        "panel.py",
+        "        and not (data == _QUOTE).any()\n",
+        "",
+        ("tests/test_panel.py::test_plain_array_judges_as_plain_bytes",),
+    ),
+    Mutant(
         "next-block-starts-one-late",
         "synth.py",
         "        start = stop\n",

@@ -39,6 +39,7 @@ from leadframe.errors import (
 from leadframe import panel
 from leadframe.cli import main
 from leadframe.panel import (
+    EntityTimeline,
     PanelDataset,
     PanelSchema,
     _format_number,
@@ -349,6 +350,59 @@ class TestTimelines:
         assert sorted(reparsed.records, key=key) == sorted(fixture_dataset.records, key=key)
 
 
+@st.composite
+def small_panels(draw):
+    """Rows of up to five entities over periods 1..6, in any order."""
+    rows = [
+        (f"e{entity}", str(period), period - 1, (draw(st.sampled_from((0.0, 1.5, -2.0))), 1.0),
+         draw(st.sampled_from((0, 0, 1))))
+        for entity in range(draw(st.integers(0, 5)))
+        for period in sorted(draw(st.sets(st.integers(1, 6), min_size=1)))
+    ]
+    return draw(st.permutations(rows))
+
+
+class TestTimelinesView:
+    """build_timelines' view reads as the tuple of every entity's timeline
+    of its one block, each made once."""
+
+    @given(rows=small_panels(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reads_as_the_tuple_of_its_timelines(self, rows, data):
+        timelines = build_timelines(dataset_of(small_schema(), rows))
+        block = timelines.block
+        expected = tuple(EntityTimeline(block, i) for i in range(len(block.columns.entity_ids)))
+        n = len(expected)
+        assert len(timelines) == n
+        assert timelines.entity_ids == tuple(t.entity_id for t in expected)
+        for index in range(-n - 2, n + 2):
+            if -n <= index < n:
+                assert timelines[index] == expected[index]
+                assert timelines[index] is timelines[index % n]
+            else:
+                with pytest.raises(IndexError):
+                    timelines[index]
+        made = [timelines[i] for i in range(n)]
+        cut = slice(*data.draw(st.tuples(
+            st.none() | st.integers(-7, 7), st.none() | st.integers(-7, 7),
+            st.none() | st.integers(-3, 3).filter(bool),
+        )))
+        piece = timelines[cut]
+        assert isinstance(piece, tuple) and piece == expected[cut]
+        assert all(a is b for a, b in zip(piece, tuple(made)[cut]))
+        assert all(a is b for a, b in zip(timelines, made, strict=True))
+        assert timelines == expected and expected == timelines
+        assert timelines == list(expected) and list(expected) == timelines
+        assert timelines == build_timelines(dataset_of(small_schema(), rows))
+        if n:
+            assert timelines != expected[:-1] and expected[1:] != timelines
+        assert (() + timelines, timelines + ()) == (expected, expected)
+        assert isinstance(() + timelines, tuple) and isinstance(timelines + (), tuple)
+        assert expected + timelines == expected * 2 == timelines + expected
+        assert all(t.block is block for t in timelines)
+        assert all(t.records is t.records for t in timelines)
+
+
 class TestValidate:
     def test_clean_event_timeline(self, timeline_of):
         report = validate_timeline(timeline_of("Kumarjit"))
@@ -640,6 +694,25 @@ class TestTokenizerMatchesCsvReader:
         outcome, through_reader, tokenized = parse_both_ways(csv_bytes(HEADER, *rows), small_schema())
         assert tokenized and not isinstance(outcome[0], type)
         assert outcome == through_reader
+
+
+# Bytes a plain judge must tell apart: controls, the tab, CR, the space and
+# the quote character, the ends of printable ASCII, and every byte above it,
+# among plain ones and line feeds, which make three in four draws.
+EDGE_BYTES = st.sampled_from((0x00, 0x09, 0x0D, 0x20, 0x22, 0x7E, 0x7F, *range(0x80, 0x100)))
+PLAIN_BYTES = st.sampled_from(b"\n\n,0a.-e~!#")
+JUDGED_BYTES = st.one_of(EDGE_BYTES, PLAIN_BYTES, PLAIN_BYTES, PLAIN_BYTES)
+
+
+@given(st.lists(JUDGED_BYTES, max_size=40).map(bytes))
+@settings(max_examples=400)
+def test_plain_array_judges_as_plain_bytes(data):
+    array = np.frombuffer(data, np.uint8)
+    assert panel._is_plain_array(array) == panel._is_plain(data)
+
+
+def test_empty_array_is_plain():
+    assert panel._is_plain_array(np.zeros(0, np.uint8)) and panel._is_plain(b"")
 
 
 def block_starts(data: bytes) -> list[int]:

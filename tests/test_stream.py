@@ -556,6 +556,32 @@ class TestOneSetUpPerFile:
         assert sum(judged) <= 1.05 * len(data)
         assert sum(handle.reads) + sum(handle.lines) <= 1.05 * len(data)
 
+    def test_each_byte_judged_about_once_in_place(self):
+        # A read's body is judged in the buffer, the rest of its last line
+        # and the header line as bytes.
+        config = SynthConfig(n_entities=2000, n_periods=24, event_rate=0.3, ramp_length=3,
+                             signal_strength=3.0, noise_rate=0.5, seed=0)
+        text = io.StringIO(newline="")
+        write_panel_csv(generate_panel(config), text)
+        data = text.getvalue().encode()
+        judged = {"_is_plain": [], "_is_plain_array": []}
+
+        def counted(name):
+            judge = getattr(panel, name)
+
+            def counted_judge(data):
+                judged[name].append(len(data))
+                return judge(data)
+
+            return mock.patch.object(panel, name, counted_judge)
+
+        with counted("_is_plain"), counted("_is_plain_array"):
+            blocks = list(EntityBlocks(Counted(data), default_schema()))
+        assert len(blocks) >= 3 and None not in blocks
+        assert len(judged["_is_plain_array"]) >= 3
+        assert sum(judged["_is_plain"]) < 0.01 * len(data)
+        assert len(data) <= sum(map(sum, judged.values())) <= 1.05 * len(data)
+
 
 def test_folds_keep_nothing_of_a_block(compare, inputs, corpus_inputs):
     # Each block's rows fill the arrays of the block before it: poisoned
@@ -595,6 +621,60 @@ def test_panel_line_logged_once_with_the_file_totals(tmp_path, capsys, caplog, i
     assert len(streamed) == 1
     shape = "48 rows, 12 entities, 4 periods"
     assert streamed[0].split(": ")[1] == whole[0].split(": ")[1] == shape
+
+
+class TestNoTimelineObjects:
+    """transform and score fold each block of build_timelines with no
+    EntityTimeline: the only ones made are those an error names."""
+
+    @staticmethod
+    def made():
+        """A patch of EntityTimeline.__init__ and the list of the ids of
+        the timelines it makes."""
+        made, init = [], panel.EntityTimeline.__init__
+
+        def counted(timeline, block, index):
+            init(timeline, block, index)
+            made.append(timeline.entity_id)
+
+        return mock.patch.object(panel.EntityTimeline, "__init__", counted), made
+
+    def test_streamed_synth_panel(self, tmp_path):
+        config = SynthConfig(n_entities=300, n_periods=12, event_rate=0.3, ramp_length=3,
+                             signal_strength=3.0, noise_rate=0.5, seed=2)
+        text = io.StringIO(newline="")
+        write_panel_csv(generate_panel(config), text)
+        source, training, model = tmp_path / "p.csv", tmp_path / "t.csv", tmp_path / "m.json"
+        source.write_text(text.getvalue(), encoding="utf-8")
+        patch, made = self.made()
+        with Spy() as spy, patch, mock.patch.object(panel, "_BLOCK_BYTES", 2000):
+            assert cli.main(["transform", "--input", str(source), "--config", str(CONFIG_JSON),
+                             "--output", str(training)]) == 0
+            assert cli.main(["train", "--input", str(training), "--config", str(CONFIG_JSON),
+                             "--output", str(model)]) == 0
+            assert cli.main(["score", "--model", str(model), "--input", str(source),
+                             "--config", str(CONFIG_JSON),
+                             "--output", str(tmp_path / "s.csv")]) == 0
+        assert spy.wholes == 0 and spy.blocks >= 2 * 10
+        assert made == []
+
+    @pytest.mark.parametrize("whole", [False, True], ids=["streamed", "whole"])
+    @pytest.mark.parametrize("command", ["transform", "score"])
+    def test_overflow_makes_only_the_timeline_it_names(self, tmp_path, capsys, inputs,
+                                                       command, whole):
+        lines = grouped(12)
+        lines[-2:] = ["e11,3,1e308,1,0", "e11,4,1e308,1,0"]
+        patch, made = self.made()
+        with Spy() as spy, patch:
+            code, err, files = run(command, csv_bytes(HEADER, *lines), inputs, tmp_path / "run",
+                                   capsys, whole=whole)
+        assert (code, files) == (1, {})
+        assert err == ("error: entity 'e11': feature 'sum_a' is inf; "
+                       "the input values overflow a float\n")
+        # A streamed fold that fails hands the file to the whole read, whose
+        # fold fails the same way.
+        assert spy.wholes == 1 and made == ["e11"] * (1 + (spy.blocks > 0))
+        assert spy.blocks > 0 or whole
 
 
 def test_streamed_commands_hold_a_block(tmp_path, capsys):

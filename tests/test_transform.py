@@ -36,6 +36,7 @@ from leadframe.panel import (
     PanelDataset,
     PanelSchema,
     PeriodIndex,
+    Timelines,
     build_timelines,
     parse_panel_csv,
 )
@@ -1029,6 +1030,26 @@ class TestBuildTrainingSets:
         ]
         for block in {t.block for t in timelines if len(t.block.columns)}:
             assert_cut_keys_between_entities(block)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=batch_cases())
+    def test_whole_block_folds_as_its_timelines(self, corpus_plan, case):
+        # A block's view takes the whole-block route, with no timeline read;
+        # a tuple of the same timelines is grouped and sorted one by one.
+        timelines, configs = case
+
+        def scored(timelines):
+            try:
+                return score_feature_matrix(timelines, corpus_plan).view(np.int64).tolist()
+            except LeadframeError as exc:
+                return type(exc), str(exc)
+
+        for block in {id(t.block): t.block for t in timelines}.values():
+            view = Timelines(block)
+            assert [exact_outcome(o) for o in build_training_sets(view, configs, corpus_plan)] == [
+                exact_outcome(o) for o in build_training_sets(tuple(view), configs, corpus_plan)
+            ]
+            assert scored(view) == scored(tuple(view))
 
     def test_overflow_only_in_the_longer_windows(self, corpus_schema, corpus_plan):
         # x's window holds 4 - lead rows of 1e308: a sum of two overflows.
