@@ -698,13 +698,12 @@ class _Cells:
     def block(self, n: int, lines: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
         """The codes, values and flags of the next n rows, to be filled.
         Arrays short of them are made anew for the ``lines`` the file is
-        estimated to hold, or the rows needed if more, and the filled rows
+        estimated to hold, the rows needed or more, and the filled rows
         copied: ``ndarray.resize`` would refuse them, referenced as they
         are, or, told not to check, leave their views dangling."""
         start = self.rows
         self.rows += n
         if self.rows > len(self.values):
-            lines = max(lines, self.rows)
             self.codes = tuple(_remade(codes, start, lines) for codes in self.codes)
             self.values = _remade(self.values, start, lines)
             self.flags = _remade(self.flags, start, lines)
@@ -794,11 +793,19 @@ class _Lines:
     (:func:`_is_plain_array`), the rest as read.  The buffer
     has room for a rest of ``_BACK`` bytes, and is made anew for a longer
     one.  Every column of a block reads its cells from this buffer.
+
+    ``total`` is the bytes the reads are expected to take in all, the
+    file's rest when the reads began, or 0 if that is not known; with the
+    bytes read so far, it turns the rows read so far into an estimate of
+    the rows of the whole (:meth:`estimate`).  ``limit`` is the longest
+    cell the numpy tokenizer takes from these reads (:func:`_cell_ends`).
     """
 
-    def __init__(self, handle: BinaryIO) -> None:
+    def __init__(self, handle: BinaryIO, total: int = 0) -> None:
         self._handle = handle
         self._buffer = np.zeros(_FRONT + _BLOCK_BYTES + 1 + 2 * _BACK, dtype=np.uint8)
+        self._total, self._taken = total, 0
+        self.limit = min(csv.field_size_limit(), _LONGEST_CELL)
         # The bytes the last read took, and whether it ended the file: a
         # short read, or a last line without a line feed.
         self.size, self.last = 0, False
@@ -812,6 +819,7 @@ class _Lines:
         if not (_is_plain_array(buffer[_FRONT : _FRONT + got]) and _is_plain(tail)):
             return None
         self.size, self.last = got + len(tail), not tail.endswith(b"\n")
+        self._taken += self.size
         start, end = _FRONT + got, _FRONT + self.size
         if len(buffer) < end + 1 + _BACK:
             self._buffer = buffer = np.concatenate(
@@ -822,6 +830,12 @@ class _Lines:
         if buffer[end - 1] != _NEWLINE:  # the file's last line has no line feed
             buffer[end] = _NEWLINE
         return buffer[: end + 1 + _BACK]
+
+    def estimate(self, rows: int) -> int:
+        """The rows the reads are estimated to hold in all, ``rows`` of them
+        in the bytes read so far: as many per byte of ``total``, or
+        ``rows`` if more."""
+        return max(rows, -(-self._total * rows // self._taken))
 
 
 def _cell_ends(padded: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -1039,68 +1053,76 @@ def _is_plain_array(data: np.ndarray) -> bool:
     )
 
 
-def _plain_cells(
-    handle: BinaryIO,
-    size: int,
-    schema: PanelSchema,
-    positions: dict[str, int],
-    kept: tuple[str, ...],
-) -> _Cells | None:
-    """Tokenize the rest of a file with a plain header line, its data rows,
-    with numpy, keeping the values of the ``kept`` feature columns; or None
-    when csv.reader must tokenize them: a block is not plain, the lines of
-    a block differ in length or are short, a cell is longer than
-    ``csv.field_size_limit()`` or ``_LONGEST_CELL``, or a feature cell is
-    not a number (the csv.reader tokenizer then meets the same cell and the
-    fault walk names it).
+def _plain_cells(lines: _Lines, cells: _Cells, stream: bool = False) -> int | None:
+    """Tokenize the next data rows of a plain file, read by ``lines``, into
+    ``cells`` with numpy; return the bytes of the last read past the rows
+    kept, or None when csv.reader must tokenize them: a block is not plain,
+    the lines of a block differ in length or are short, a cell is longer
+    than ``csv.field_size_limit()`` or ``_LONGEST_CELL``, or a feature cell
+    is not a number (the csv.reader tokenizer then meets the same cell and
+    the fault walk names it).
 
-    The rows are split at every comma and line feed, as csv.reader splits
-    a plain file, in blocks of whole lines of about ``_BLOCK_BYTES`` each.
-    Each block is read once into a padded buffer (:class:`_Lines`) and split
-    once into cell ends (:func:`_cell_ends`), from which every column reads
-    its cells.  Each block codes its entity, period and flag texts by its
-    own distinct keys (:func:`_block_codes`), and once the file is read
-    each column's keys are ranked once (:func:`_rank_keys`).  The rows per
-    byte read so far, times ``size``, the bytes of the rest of the file when
-    the parse began, estimate the file's rows; the file is read to its end.
+    This is the one read loop of a plain panel.  It reads a block of whole
+    lines at a time and tokenizes each as it is read (:func:`_plain_block`),
+    coding its entity, period and flag texts by the block's own distinct
+    keys.  A whole read runs to the file's end.  A ``stream`` read stops at
+    the first block that holds a line of another entity than its first
+    row's, and keeps the rows before that block's last entity
+    (:func:`_last_entity`); a block that ends the file ends it too.  The
+    last block's keys are then narrowed to those of the rows kept, and each
+    text column's keys are ranked once (:func:`_rank_keys`).
     """
-    limit = min(csv.field_size_limit(), _LONGEST_CELL)
-    cells = _Cells(schema, positions, kept)
+    cells.rows, cells.in_range = 0, True
     # Per text column: the rows of each block and the block's distinct keys.
     column_keys: list[list[tuple[int, int, np.ndarray]]] = [[] for _ in cells.texts]
-    lines, read = _Lines(handle), 0
-    while not lines.last:
-        padded = lines.read()
-        if padded is None:
+    cut = None
+    while True:
+        first = cells.rows
+        before = _plain_block(lines, cells, column_keys)
+        if before is None:
             return None
-        read += lines.size
-        if _plain_block(padded, cells, column_keys, limit, size, read) is None:
-            return None
+        if lines.last:
+            cut = cells.rows
+        elif stream:
+            cut = _last_entity(cells, column_keys, first)
+        if cut is not None:
+            break
+        del before  # let go of it before the next block is tokenized
+    past = 0 if cut == cells.rows else lines.size + _FRONT - 1 - int(before[cut - first])
+    cells.rows = cut
+    for codes, keys in zip(cells.codes, column_keys):
+        if keys:
+            # Only the last block holds rows past the cut: its keys are
+            # narrowed to those of its rows kept.
+            start, _, distinct = keys.pop()
+            if start < cut:
+                read_codes = codes[start:cut]
+                used = np.bincount(read_codes, minlength=len(distinct)) > 0
+                if not used.all():
+                    np.take(np.cumsum(used) - 1, read_codes, out=read_codes, mode="clip")
+                    distinct = distinct[used]
+                keys.append((start, cut, distinct))
     cells.distinct = [
         _rank_keys(codes, keys) if keys else [] for codes, keys in zip(cells.codes, column_keys)
     ]
-    return cells
+    return past
 
 
 def _plain_block(
-    padded: np.ndarray,
-    cells: _Cells,
-    column_keys: list[list[tuple[int, int, np.ndarray]]],
-    limit: int,
-    size: int,
-    read: int,
+    lines: _Lines, cells: _Cells, column_keys: list[list[tuple[int, int, np.ndarray]]]
 ) -> np.ndarray | None:
-    """Tokenize one padded block of a plain file into the next rows of
+    """Read the next block of lines and tokenize it into the next rows of
     ``cells``, appending each text column's rows and distinct keys to its
     list in ``column_keys``; return the position before the first byte of
     each line that holds a row, or None when csv.reader must tokenize the
-    file (:func:`_plain_cells`).  ``read`` bytes of the file's ``size`` are
-    read up to the block's end.
+    file (:func:`_plain_cells`).
 
-    The block's cell ends live only in this call, so they are let go
-    before the next block is split.
+    The block is split once into cell ends (:func:`_cell_ends`), from which
+    every column reads its cells.  Its cell ends live only in this call, so
+    they are let go before the next block is split.
     """
-    split = _cell_ends(padded, limit)
+    padded = lines.read()
+    split = None if padded is None else _cell_ends(padded, lines.limit)
     if split is None:
         return None
     before, ends = split
@@ -1110,7 +1132,7 @@ def _plain_block(
     if ends.shape[1] < cells.width:
         return None
     start = cells.rows
-    codes, values, flags = cells.block(n, -(-size * (start + n) // read))
+    codes, values, flags = cells.block(n, lines.estimate(start + n))
     texts = dict(zip(cells.texts, zip(codes, column_keys)))
     for at, first, length in _spans(before, ends, cells.width):
         if at in cells.features:
@@ -1250,7 +1272,9 @@ def parse_panel_csv(
         raise
     cells = None
     if positions is not None:
-        cells = _plain_cells(handle, size - len(line), schema, positions, kept.feature_columns)
+        cells = _Cells(schema, positions, kept.feature_columns)
+        if _plain_cells(_Lines(handle, size - len(line)), cells) is None:
+            cells = None
     if cells is None:
         # csv.reader reads the rows from the file's start, so the header it
         # reads them by comes from that same read.
@@ -1269,14 +1293,9 @@ class EntityBlocks:
     :class:`PanelDataset` that keeps the named ``features``, by default
     every one, with the period ordinals of the whole file.  The header line
     is parsed, and the column layout (:class:`_Cells`) and the padded buffer
-    (:class:`_Lines`) made, once for the file.  A block gathers reads of
-    ``_BLOCK_BYTES`` of whole lines, each tokenized as it is read
-    (:func:`_plain_block`), until a read holds a line of another entity than
-    the block's first: the block ends where that read's last entity begins,
-    which the entity keys just made tell (:func:`_last_entity`), and the
-    next read starts there, after a seek.  So an entity longer than a read
-    makes its block longer, and the file is still read about once; a read
-    that ends the file ends the last block.  Each block's rows fill the
+    (:class:`_Lines`) made, once for the file.  Each block is a streamed
+    read of :func:`_plain_cells`, and the next starts where it cut, after a
+    seek back; so the file is read about once.  Each block's rows fill the
     arrays of the block before, so a block is let go before the next is
     asked for.
 
@@ -1315,51 +1334,25 @@ class EntityBlocks:
             yield None
             return
         cells = _Cells(self._schema, positions, self._kept.feature_columns)
-        lines, limit = _Lines(handle), min(csv.field_size_limit(), _LONGEST_CELL)
-        start = handle.tell()
+        lines = _Lines(handle)
         while True:
-            cells.rows, cells.in_range, read = 0, True, 0
-            # Per text column: the rows of each read and the read's distinct keys.
-            column_keys: list[list[tuple[int, int, np.ndarray]]] = [[] for _ in cells.texts]
-            cut = None
-            while cut is None:
-                first, at = cells.rows, start + read
-                padded = lines.read()
-                read += lines.size
-                before = None if padded is None else _plain_block(
-                    padded, cells, column_keys, limit, read, read
-                )
-                if before is None:
-                    yield None
-                    return
-                cut = cells.rows if lines.last else _last_entity(cells, column_keys, first)
-            if cut:
-                block = self._block(cells, column_keys, cut)
+            past = _plain_cells(lines, cells, stream=True)
+            if past is None:
+                yield None
+                return
+            if cells.rows:
+                block = self._block(cells)
                 yield block
                 if block is None:
                     return
             if lines.last:
                 return
-            start = at + int(before[cut - first]) + 1 - _FRONT
+            start = handle.tell() - past
             handle.seek(start)
 
-    def _block(
-        self, cells: _Cells, column_keys: list[list[tuple[int, int, np.ndarray]]], rows: int
-    ) -> PanelDataset | None:
-        """The first ``rows`` rows tokenized, as the next block, or None if
-        they may hold a fault or do not follow the blocks before them."""
-        cells.rows = rows
-        for codes, keys in zip(cells.codes, column_keys):
-            # Only the last read holds rows past the block: its keys are
-            # narrowed to those of its rows in the block.
-            start, _, distinct = keys.pop()
-            if start < rows:
-                read_codes = codes[start:rows]
-                used = np.bincount(read_codes, minlength=len(distinct)) > 0
-                if not used.all():
-                    np.take(np.cumsum(used) - 1, read_codes, out=read_codes, mode="clip")
-                keys.append((start, rows, distinct[used]))
-        cells.distinct = [_rank_keys(codes, keys) for codes, keys in zip(cells.codes, column_keys)]
+    def _block(self, cells: _Cells) -> PanelDataset | None:
+        """The rows tokenized, as the next block, or None if they may hold a
+        fault or do not follow the blocks before them."""
         columns = _columns(cells, self._file_ordinals)
         if columns is None or columns.entity_ids[0] <= self._last_id:
             return None

@@ -73,7 +73,6 @@ from .errors import (
     check_int,
 )
 from .panel import (
-    _LONGEST_CELL,
     _WRITE_BYTES,
     EntityTimeline,
     PanelRecord,
@@ -757,26 +756,25 @@ def _read_plain(handle: BinaryIO, plan: AggregationPlan) -> TrainingSet | None:
     The rows are read a block of whole lines at a time (:class:`_Lines`),
     each split once into cell ends; each feature column converts by
     :func:`_numbers`, and the ids are decoded in file order.  The arrays are
-    made for the rows that the rows per byte read so far estimate the file
-    holds, and made anew only if a later block finds them short.
+    made for the rows the reader estimates the file holds
+    (:meth:`_Lines.estimate`), and made anew only if a later block finds
+    them short.
     """
     names = ["entity_id", *plan.output_names, "label"]
     line = handle.readline()
     if not _is_plain(line) or line.rstrip(b"\n").split(b",") != [n.encode() for n in names]:
         return None
     origin = handle.tell()
-    size = handle.seek(0, io.SEEK_END) - origin
+    lines = _Lines(handle, handle.seek(0, io.SEEK_END) - origin)
     handle.seek(origin)
-    width, limit = len(names), min(csv.field_size_limit(), _LONGEST_CELL)
+    width = len(names)
     entity_ids: list[str] = []
     values, labels = np.empty((0, width - 2)), np.empty(0, dtype=np.int64)
-    lines, read = _Lines(handle), 0
     while not lines.last:
         padded = lines.read()
-        split = None if padded is None else _cell_ends(padded, limit)
+        split = None if padded is None else _cell_ends(padded, lines.limit)
         if split is None:
             return None
-        read += lines.size
         before, ends = split
         start, stop = len(entity_ids), len(entity_ids) + len(before)
         if start == stop:
@@ -784,7 +782,7 @@ def _read_plain(handle: BinaryIO, plan: AggregationPlan) -> TrainingSet | None:
         if ends.shape[1] != width:
             return None
         if stop > len(labels):
-            rows = max(stop, -(-size * stop // read))
+            rows = lines.estimate(stop)
             values, labels = _remade(values, start, rows), _remade(labels, start, rows)
         for at, first, length in _spans(before, ends, width):
             if at == 0:

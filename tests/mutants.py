@@ -254,6 +254,26 @@ MUTANTS = (
         ("tests/test_stream.py::TestValidate::test_grouped_file_streams",),
     ),
     Mutant(
+        "whole-read-sized-by-bytes-read",
+        "panel.py",
+        "_Lines(handle, size - len(line))",
+        "_Lines(handle)",
+        (
+            "tests/test_panel.py::TestTokenizerAcrossBlocks"
+            "::test_uniform_file_makes_its_arrays_once",
+        ),
+    ),
+    Mutant(
+        "whole-read-cut-at-entity-change",
+        "panel.py",
+        "        elif stream:\n",
+        "        else:\n",
+        (
+            "tests/test_synth.py::TestWrittenPanelsTakeTheNumpyTokenizer"
+            "::test_synth_panels[5000x24]",
+        ),
+    ),
+    Mutant(
         "decimal-divisor-one-power-off",
         "panel.py",
         "after[point] = k - 1",

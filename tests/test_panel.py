@@ -838,6 +838,29 @@ class TestTokenizerAcrossBlocks:
         assert len(entity_ids) == 1000
         assert any(len(made) > 1 for made in sizes.values())
 
+    def test_uniform_file_makes_its_arrays_once(self, monkeypatch):
+        # The first block's rows per byte, times the bytes of the rows, size
+        # the arrays for a file of like lines: later blocks fill them, and
+        # none remakes them, as sizing by the bytes read so far would.
+        config = SynthConfig(n_entities=5000, n_periods=24, event_rate=0.3, ramp_length=3,
+                             signal_strength=3.0, noise_rate=0.5, seed=0)
+        dataset = generate_panel(config)
+        text = io.StringIO(newline="")
+        write_panel_csv(dataset, text)
+        data = text.getvalue().encode()
+        made = []  # the rows of the arrays each block fills
+        block = panel._Cells.block
+
+        def spied(cells, n, lines):
+            filled = block(cells, n, lines)
+            made.append(len(cells.values))
+            return filled
+
+        monkeypatch.setattr(panel._Cells, "block", spied)
+        rows = len(parse_panel_csv(data, dataset.schema).columns)
+        assert len(made) == len(block_starts(data)) >= 8
+        assert len(set(made)) == 1 and made[0] >= rows
+
 
 class TestParseFromHandles:
     """A file parses alike, to the same columns bit for bit or to the same
