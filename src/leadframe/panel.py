@@ -41,7 +41,10 @@ csv.reader would split it at every comma and line feed and nowhere else,
 so numpy does that directly, and the file is read once and never held
 whole: the header line and each block of whole lines are checked to be
 plain as they are read, each block into one padded buffer, where it is
-split once into cell ends, from which every column reads its cells.  A
+split once into cell ends, from which every column reads its cells
+(:func:`_plain_block`).  Its column layout is data (:class:`_Cells`), so
+the training-CSV reader drives the same step: only its ids, decoded in
+file order, and its values, any finite number, differ.  A
 feature cell of 1 to 15 digits, or of digits and one decimal point, is
 converted by exact arithmetic, any other by ``float``; a text is keyed by
 its bytes, runs of equal keys count once,
@@ -658,38 +661,38 @@ class _FlagValues(dict):
         return value
 
 
+@dataclass(eq=False)
 class _Cells:
     """A file's data rows, tokenized one block of rows at a time, in file
-    order, and the column layout both tokenizers read them by.
+    order, and the column layout the tokenizers read them by.
 
-    ``width`` is the fewest cells a row needs to hold every schema column,
-    ``features`` maps the position of each feature column to the column of
-    ``values`` it fills, or None for one that is checked and dropped,
-    ``texts`` holds the position of the entity and period columns and
-    ``flag`` that of the event column.  ``kept`` names the feature columns
-    ``values`` holds, in schema order.  Row i of the first ``rows`` holds
-    the kept feature values ``values[i]``, its event flag ``flags[i]``, the
-    ``_FLAGS`` value of its flag text or -1 for any other text, and, in
-    each text column's array of ``codes``, the position of its stripped
-    text in that column's ``distinct`` texts, which are sorted and which the
-    tokenizer sets once every row is read.  ``in_range`` holds while every
-    feature cell read, kept or dropped, is finite and non-negative.  The
-    arrays are made at the first block, for the rows the tokenizer
-    estimates the file holds, and each block fills its own rows; the entity
-    and period codes and the flags become the parsed columns themselves.
+    The layout is data: ``width`` is the fewest cells a row must hold,
+    ``texts`` the positions of the columns coded as texts, ``features``
+    maps the position of each number column to the column of ``values`` it
+    fills, or None for one checked and dropped, ``flag`` is the position
+    of the flag column and ``kept`` names the columns of ``values``; no
+    other cell is read.  :func:`_panel_cells` makes a panel's from its
+    header, and the training reader makes its own.  Row i of the first
+    ``rows`` holds the kept values ``values[i]``, its flag ``flags[i]``,
+    the ``_FLAGS`` value of its flag text or -1 for any other text, and,
+    in each text column's array of ``codes``, the position of its stripped
+    text in that column's sorted ``distinct`` texts, which the tokenizer
+    sets once every row is read.  ``in_range`` holds while every number
+    cell read, kept or dropped, is finite and non-negative.  The arrays
+    are made at the first block, for the rows the tokenizer estimates the
+    file holds, and each block fills its own rows; the entity and period
+    codes and the flags become the parsed columns themselves.
     """
 
-    def __init__(
-        self, schema: PanelSchema, positions: dict[str, int], kept: tuple[str, ...]
-    ) -> None:
-        self.width = max(positions[c] for c in schema.columns) + 1
-        slot = {name: j for j, name in enumerate(kept)}
-        self.features = {positions[c]: slot.get(c) for c in schema.feature_columns}
-        self.texts = [positions[schema.entity_column], positions[schema.period_column]]
-        self.flag = positions[schema.event_column]
-        self.kept = kept
+    width: int
+    texts: list[int]
+    features: dict[int, int | None]
+    flag: int
+    kept: tuple[str, ...]
+
+    def __post_init__(self) -> None:
         self.codes = tuple(np.empty(0, dtype=np.intp) for _ in self.texts)
-        self.values = np.empty((0, len(kept)))
+        self.values = np.empty((0, len(self.kept)))
         self.flags = np.empty(0, dtype=np.int8)
         self.distinct: list[list[str]] = []
         self.rows = 0
@@ -720,6 +723,23 @@ class _Cells:
             values[:, slot] = column
 
 
+def _panel_cells(header: list[str] | None, schema: PanelSchema, kept: tuple[str, ...]) -> _Cells:
+    """The layout of a panel's rows by the positions of its header's names
+    (:func:`_header_positions`): a row holds every schema column, the
+    entity and period columns are texts, the event column is the flag, and
+    the ``kept`` feature columns fill ``values`` in schema order while the
+    others are checked and dropped."""
+    positions = _header_positions(header, schema)
+    slot = {name: j for j, name in enumerate(kept)}
+    return _Cells(
+        max(positions[c] for c in schema.columns) + 1,
+        [positions[schema.entity_column], positions[schema.period_column]],
+        {positions[c]: slot.get(c) for c in schema.feature_columns},
+        positions[schema.event_column],
+        kept,
+    )
+
+
 def _remade(old: np.ndarray, start: int, rows: int) -> np.ndarray:
     """A new array of ``rows`` rows shaped and typed as ``old``, holding its
     first ``start`` rows."""
@@ -740,12 +760,10 @@ def _rank_texts(codes: np.ndarray, numbering: _Codes) -> list[str]:
     return texts
 
 
-def _reader_cells(
-    text: str, schema: PanelSchema, positions: dict[str, int], kept: tuple[str, ...]
-) -> _Cells | None:
-    """Tokenize the data rows of the text with csv.reader, keeping the
-    values of the ``kept`` feature columns, or None if any row may hold a
-    fault.
+def _reader_cells(text: str, schema: PanelSchema, kept: tuple[str, ...]) -> _Cells | None:
+    """Tokenize the data rows of the text with csv.reader, by the header
+    that same read gives, keeping the values of the ``kept`` feature
+    columns, or None if any row may hold a fault.
 
     Cells are gathered and converted one block of rows at a time; each
     text column's raw texts are numbered for the whole file and ranked
@@ -754,11 +772,10 @@ def _reader_cells(
     than such line breaks, plus one: the arrays are made for that many.
     """
     lines = text.count("\n") + text.count("\r") - text.count("\r\n") + 1
-    cells = _Cells(schema, positions, kept)
+    reader = _records(text)
+    cells = _panel_cells(next(reader, None), schema, kept)
     numberings = [_Codes() for _ in cells.texts]
     flag_values = _FlagValues()
-    reader = _records(text)
-    next(reader)
     rows = filter(None, reader)
     try:
         while block := list(itertools.islice(rows, _BLOCK_ROWS)):
@@ -797,15 +814,13 @@ class _Lines:
     ``total`` is the bytes the reads are expected to take in all, the
     file's rest when the reads began, or 0 if that is not known; with the
     bytes read so far, it turns the rows read so far into an estimate of
-    the rows of the whole (:meth:`estimate`).  ``limit`` is the longest
-    cell the numpy tokenizer takes from these reads (:func:`_cell_ends`).
+    the rows of the whole (:meth:`estimate`).
     """
 
     def __init__(self, handle: BinaryIO, total: int = 0) -> None:
         self._handle = handle
         self._buffer = np.zeros(_FRONT + _BLOCK_BYTES + 1 + 2 * _BACK, dtype=np.uint8)
         self._total, self._taken = total, 0
-        self.limit = min(csv.field_size_limit(), _LONGEST_CELL)
         # The bytes the last read took, and whether it ended the file: a
         # short read, or a last line without a line feed.
         self.size, self.last = 0, False
@@ -1078,9 +1093,11 @@ def _plain_cells(lines: _Lines, cells: _Cells, stream: bool = False) -> int | No
     cut = None
     while True:
         first = cells.rows
-        before = _plain_block(lines, cells, column_keys)
-        if before is None:
+        block = _plain_block(lines, cells, column_keys)
+        if block is None:
             return None
+        before = block[1]
+        del block  # keep only the line starts: let go of the cell ends now
         if lines.last:
             cut = cells.rows
         elif stream:
@@ -1110,25 +1127,27 @@ def _plain_cells(lines: _Lines, cells: _Cells, stream: bool = False) -> int | No
 
 def _plain_block(
     lines: _Lines, cells: _Cells, column_keys: list[list[tuple[int, int, np.ndarray]]]
-) -> np.ndarray | None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Read the next block of lines and tokenize it into the next rows of
     ``cells``, appending each text column's rows and distinct keys to its
-    list in ``column_keys``; return the position before the first byte of
-    each line that holds a row, or None when csv.reader must tokenize the
-    file (:func:`_plain_cells`).
+    list in ``column_keys``; return the block's padded bytes and its
+    (before, ends) from :func:`_cell_ends`, or None when csv.reader must
+    tokenize the file (:func:`_plain_cells`).  Lines of more cells than
+    ``cells.width`` are taken, and their cells past it left unread.
 
-    The block is split once into cell ends (:func:`_cell_ends`), from which
-    every column reads its cells.  Its cell ends live only in this call, so
-    they are let go before the next block is split.
+    This is the one tokenizing step of every plain CSV the package reads:
+    the block is split once into cell ends, from which every column reads
+    its cells, and the caller lets go of them before the next block.
     """
     padded = lines.read()
-    split = None if padded is None else _cell_ends(padded, lines.limit)
+    limit = min(csv.field_size_limit(), _LONGEST_CELL)
+    split = None if padded is None else _cell_ends(padded, limit)
     if split is None:
         return None
     before, ends = split
     n = len(before)
     if not n:
-        return before
+        return padded, before, ends
     if ends.shape[1] < cells.width:
         return None
     start = cells.rows
@@ -1145,7 +1164,7 @@ def _plain_block(
             keys.append((start, cells.rows, _block_codes(padded, first, length, row)))
         elif at == cells.flag:
             _flag_values(padded, first, length, flags)
-    return before
+    return padded, before, ends
 
 
 def _flag_values(
@@ -1201,12 +1220,12 @@ def _columns(
     )
 
 
-def _plain_header(line: bytes, schema: PanelSchema) -> dict[str, int] | None:
-    """The positions of the header names (:func:`_header_positions`) of a
-    plain header line, after an optional BOM, or None if it is not plain."""
+def _plain_header(line: bytes, schema: PanelSchema, kept: tuple[str, ...]) -> _Cells | None:
+    """The layout (:func:`_panel_cells`) of the rows under a plain header
+    line, after an optional BOM, or None if the line is not plain."""
     if not _is_plain(line[len(_BOM) :] if line.startswith(_BOM) else line):
         return None
-    return _header_positions(next(_records(line.decode("utf-8-sig")), None), schema)
+    return _panel_cells(next(_records(line.decode("utf-8-sig")), None), schema, kept)
 
 
 def _header_positions(header: list[str] | None, schema: PanelSchema) -> dict[str, int]:
@@ -1264,22 +1283,16 @@ def parse_panel_csv(
     # read: the header line here, then each block of rows.
     line = handle.readline()
     try:
-        positions = _plain_header(line, schema)
+        cells = _plain_header(line, schema, kept.feature_columns)
     except ParseError:
         # Read whole, a file that is not UTF-8 fails to decode before its
         # header is read; so it does here, where only its header line was.
         text()
         raise
-    cells = None
-    if positions is not None:
-        cells = _Cells(schema, positions, kept.feature_columns)
-        if _plain_cells(_Lines(handle, size - len(line)), cells) is None:
-            cells = None
+    if cells is not None and _plain_cells(_Lines(handle, size - len(line)), cells) is None:
+        cells = None
     if cells is None:
-        # csv.reader reads the rows from the file's start, so the header it
-        # reads them by comes from that same read.
-        positions = _header_positions(next(_records(text()), None), schema)
-        cells = _reader_cells(text(), schema, positions, kept.feature_columns)
+        cells = _reader_cells(text(), schema, kept.feature_columns)
     columns = None if cells is None else _columns(cells)
     if columns is None:
         _raise_first_fault(text(), schema)
@@ -1329,11 +1342,10 @@ class EntityBlocks:
 
     def __iter__(self) -> Iterator[PanelDataset | None]:
         handle = self._handle
-        positions = _plain_header(handle.readline(), self._schema)
-        if positions is None:
+        cells = _plain_header(handle.readline(), self._schema, self._kept.feature_columns)
+        if cells is None:
             yield None
             return
-        cells = _Cells(self._schema, positions, self._kept.feature_columns)
         lines = _Lines(handle)
         while True:
             past = _plain_cells(lines, cells, stream=True)

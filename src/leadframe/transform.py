@@ -43,10 +43,10 @@ matrix of their features and an array of their labels.  Its ``rows``, one
 (FeatureVector, label) pair per entity, are a view made on first use, for
 tests and tools; no command reads them.  The training CSV is written a
 column at a time, each distinct value rendered once, and a plain one is
-read a block of lines at a time by the panel's numpy tokenizer
-(:func:`read_training_csv`); scoring folds each block's timelines over
-their whole histories by the same gather, one call per block
-(:func:`score_feature_matrix`).
+read by the step that tokenizes a plain panel, ``panel._plain_block``
+(:func:`read_training_csv`): only its id column and its value rule
+differ.  Scoring folds each block's timelines over their whole histories
+by the same gather, one call per block (:func:`score_feature_matrix`).
 """
 
 from __future__ import annotations
@@ -79,13 +79,10 @@ from .panel import (
     PeriodIndex,
     TimelineBlock,
     Timelines,
-    _cell_ends,
-    _flag_values,
+    _Cells,
     _is_plain,
     _Lines,
-    _numbers,
-    _remade,
-    _spans,
+    _plain_block,
     _texts,
     csv_cells,
     csv_line,
@@ -746,19 +743,16 @@ def _read_records(stream: io.TextIOBase, plan: AggregationPlan) -> TrainingSet:
 
 
 def _read_plain(handle: BinaryIO, plan: AggregationPlan) -> TrainingSet | None:
-    """:func:`read_training_csv` of a plain file by the panel's numpy
-    tokenizer, or None when csv.reader must read the file: the header line
-    is not plain or not the plan's names, a block of lines is not plain,
-    its lines hold another number of cells than the header or a cell longer
-    than ``_LONGEST_CELL`` or ``csv.field_size_limit()``, a feature cell is
-    not a finite number, or a label is not one byte, 0 or 1.
+    """:func:`read_training_csv` of a plain file by ``panel._plain_block``,
+    or None when csv.reader must read the file: the header line is not
+    plain or not the plan's names, ``_plain_block`` gives a block up, its
+    lines hold more cells than the header, a value is not finite or a
+    label is not one byte, 0 or 1.
 
-    The rows are read a block of whole lines at a time (:class:`_Lines`),
-    each split once into cell ends; each feature column converts by
-    :func:`_numbers`, and the ids are decoded in file order.  The arrays are
-    made for the rows the reader estimates the file holds
-    (:meth:`_Lines.estimate`), and made anew only if a later block finds
-    them short.
+    The layout reads the plan's features as numbers and the label as the
+    flag.  The ids, which it leaves unread, are decoded in file order from
+    each block's cell ends, and the panel's value rule (``in_range``) is
+    not read: a value here may be negative.
     """
     names = ["entity_id", *plan.output_names, "label"]
     line = handle.readline()
@@ -767,37 +761,25 @@ def _read_plain(handle: BinaryIO, plan: AggregationPlan) -> TrainingSet | None:
     origin = handle.tell()
     lines = _Lines(handle, handle.seek(0, io.SEEK_END) - origin)
     handle.seek(origin)
-    width = len(names)
+    m = len(plan.output_names)
+    cells = _Cells(m + 2, [], {at: at - 1 for at in range(1, m + 1)}, m + 1, plan.output_names)
     entity_ids: list[str] = []
-    values, labels = np.empty((0, width - 2)), np.empty(0, dtype=np.int64)
     while not lines.last:
-        padded = lines.read()
-        split = None if padded is None else _cell_ends(padded, lines.limit)
-        if split is None:
+        block = _plain_block(lines, cells, [])
+        if block is None:
             return None
-        before, ends = split
-        start, stop = len(entity_ids), len(entity_ids) + len(before)
-        if start == stop:
+        padded, before, ends = block
+        if not len(before):
             continue
-        if ends.shape[1] != width:
+        rows = slice(cells.rows - len(before), cells.rows)
+        if ends.shape[1] != m + 2 or (cells.flags[rows] < 0).any():
             return None
-        if stop > len(labels):
-            rows = lines.estimate(stop)
-            values, labels = _remade(values, start, rows), _remade(labels, start, rows)
-        for at, first, length in _spans(before, ends, width):
-            if at == 0:
-                entity_ids += map(bytes.decode, _texts(padded, first, length).tolist())
-            elif at < width - 1:
-                column = _numbers(padded, first, length)
-                if column is None or not np.isfinite(column).all():
-                    return None
-                values[start:stop, at - 1] = column
-            else:
-                _flag_values(padded, first, length, labels[start:stop])
-                if labels[start:stop].min() < 0:
-                    return None
-    n = len(entity_ids)
-    return _training_set(plan, entity_ids, values[:n], labels[:n])
+        if not np.isfinite(cells.values[rows]).all():
+            return None
+        first = before + 1
+        entity_ids += map(bytes.decode, _texts(padded, first, ends[:, 0] - first).tolist())
+    n = cells.rows
+    return _training_set(plan, entity_ids, cells.values[:n], cells.flags[:n])
 
 
 def read_training_csv(
@@ -807,13 +789,15 @@ def read_training_csv(
 
     A binary handle of a plain file (:func:`panel._is_plain`: printable
     ASCII other than the quote character, and line feeds) whose header line
-    is the plan's names is read a block of lines at a time by the panel's
-    numpy tokenizer, into arrays, with no Python object per row but its id
-    (:func:`_read_plain`).  A cell of digits, with or without one decimal
-    point, converts by exact arithmetic, any other by ``float``, so every
-    value has the bits ``float`` gives it.  At any doubt, the file is read
-    again from where it began, decoded as UTF-8, by csv.reader; so is every
-    text stream.  A handle that cannot seek is read whole first.
+    is the plan's names is read a block of lines at a time by the step
+    that tokenizes a plain panel, into arrays, with no Python object per
+    row but its id (:func:`_read_plain`); only the id column and the value
+    rule, any finite number, differ from a panel's.  A cell of digits, with
+    or without one decimal point, converts by exact arithmetic, any other
+    by ``float``, so every value has the bits ``float`` gives it.  At any
+    doubt, the file is read again from where it began, decoded as UTF-8, by
+    csv.reader; so is every text stream.  A handle that cannot seek is read
+    whole first.
 
     Through csv.reader, blank lines are skipped, and cells are converted a
     whole column at a time by Python's own ``float`` and ``int``, so

@@ -288,6 +288,30 @@ MUTANTS = (
         ("tests/test_read_training.py::TestDecimalCells::test_matches_float",),
     ),
     Mutant(
+        "training-read-takes-wide-lines",
+        "transform.py",
+        "ends.shape[1] != m + 2 or ",
+        "",
+        ("tests/test_read_training.py::TestPlainRules::test_later_block_with_a_cell_too_many",),
+    ),
+    Mutant(
+        "training-read-refuses-negatives",
+        "transform.py",
+        "if not np.isfinite(cells.values[rows]).all():",
+        "if not cells.in_range:",
+        ("tests/test_read_training.py::TestPlainRules::test_negative_values_across_blocks",),
+    ),
+    Mutant(
+        "training-ids-one-byte-late",
+        "transform.py",
+        "_texts(padded, first, ends[:, 0] - first)",
+        "_texts(padded, first + 1, ends[:, 0] - first)",
+        (
+            "tests/test_read_training.py::TestPlainRules::test_negative_values_across_blocks",
+            "tests/test_read_training.py::TestPlainRoundTrip",
+        ),
+    ),
+    Mutant(
         "run-sums-as-a-dot-with-ones",
         "model.py",
         "np.add.reduce(r3, axis=1, out=self.sums[ks, None])",
@@ -326,7 +350,10 @@ MUTANTS = (
         "panel.py",
         "        and not (data == _QUOTE).any()\n",
         "",
-        ("tests/test_panel.py::test_plain_array_judges_as_plain_bytes",),
+        (
+            "tests/test_panel.py::test_plain_array_judges_as_plain_bytes",
+            "tests/test_panel.py::test_quoted_id_in_the_rows_goes_to_csv_reader",
+        ),
     ),
     Mutant(
         "next-block-starts-one-late",

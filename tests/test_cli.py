@@ -426,6 +426,61 @@ class TestBadInputsFailFast:
         assert capsys.readouterr().err.startswith("error: unreadable input: ")
 
 
+class TestErrorMessages:
+    """A fault each command names in full, with its exit code."""
+
+    def run_with_config(self, tmp_path, doc):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        return run_cli("validate", "--input", PANEL_CSV, "--config", config)
+
+    def test_lead_times_not_integers_exit_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            run_cli("sweep", "--input", PANEL_CSV, "--config", CONFIG_JSON,
+                    "--lead-times", "1,x", "--output", tmp_path / "curve.csv")
+        assert exited.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "expected a comma-separated list of integers, got '1,x'\n"
+        )
+
+    def test_unknown_log_level_logs_at_warning(self):
+        argv = ("validate", "--input", PANEL_CSV, "--config", CONFIG_JSON)
+        info = TestReadPanelLogging.run_logged("info", *argv)
+        bogus = TestReadPanelLogging.run_logged("bogus", *argv)
+        assert info.returncode == bogus.returncode == 0
+        assert "INFO resolved config" in info.stderr
+        assert bogus.stderr == ""
+
+    def test_unknown_plan_kind_exit_one(self, tmp_path, capsys):
+        doc = json.loads(CONFIG_JSON.read_text())
+        doc["plan"][0]["kind"] = "median"
+        assert self.run_with_config(tmp_path, doc) == 1
+        assert capsys.readouterr().err == (
+            "error: plan[0]: unknown kind 'median' "
+            "(expected sum, count_nonzero, max, last, ratio_of_sums)\n"
+        )
+
+    def test_config_not_an_object_exit_one(self, tmp_path, capsys):
+        assert self.run_with_config(tmp_path, []) == 1
+        assert capsys.readouterr().err == "error: config document must be a JSON object\n"
+
+    def test_model_with_a_zero_std_exit_two(self, tmp_path, capsys):
+        _, model = TestBadInputsFailFast().trained_model(tmp_path)
+        doc = json.loads(model.read_text())
+        doc["scaling"]["stds"][0] = 0.0
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run_cli(
+            "score", "--model", model, "--input", PANEL_CSV,
+            "--config", CONFIG_JSON, "--output", tmp_path / "scores.csv",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: model has a malformed field: stored standard deviations must be positive\n"
+        )
+        assert not (tmp_path / "scores.csv").exists()
+
+
 def overflowing_panel(tmp_path):
     """The fixture with every feature cell set to 1e308: each cell is finite,
     but a sum over two or more periods overflows."""

@@ -32,7 +32,7 @@ from leadframe.evaluation import (
     write_curve_csv,
 )
 from leadframe.model import LogisticModel, TrainConfig, train_logistic
-from leadframe.panel import PanelSchema, build_timelines
+from leadframe.panel import PanelSchema, build_timelines, parse_panel_csv
 from leadframe.synth import SynthConfig, default_schema, generate_panel
 from leadframe.transform import (
     AggregationPlan,
@@ -268,6 +268,21 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[2].startswith("50,,,,")
         assert "no_events_retained" in lines[2]
+
+    def test_flags_from_the_sweep_itself(self):
+        # Each entity's event falls in its first period.  At lead time 0 every
+        # window keeps that period and is labeled 1; at lead time 1 every window
+        # empties and is dropped, on both sides of the split.
+        schema = PanelSchema("entity", "period", "event", ("a",))
+        rows = [f"e{i},{p},{p + i},{int(p == 1)}\n" for i in range(6) for p in (1, 2, 3)]
+        data = ("entity,period,a,event\n" + "".join(rows)).encode()
+        timelines = build_timelines(parse_panel_csv(data, schema))
+        plan = AggregationPlan((FeatureSpec.sum("a_sum", "a"),))
+        first, second = lead_time_sweep(timelines, plan, [0, 1], TrainConfig(), 0.5, 0).points
+        assert first == CurvePoint(0, None, 3, 3, ("no_nonevents_retained",))
+        assert second == CurvePoint(
+            1, None, 0, 0, ("no_events_retained", "no_nonevents_retained", "empty_test_set")
+        )
 
 
 EXTREME_FLOATS = (

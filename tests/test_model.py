@@ -192,6 +192,12 @@ class TestLossAndGradient:
         with pytest.raises(DimensionMismatch):
             loss_and_gradient(model, data)
 
+    def test_empty_set_refused(self):
+        data = make_training_set(["x"], [])
+        model = make_model(["x"], [0.0], 0.0)
+        with pytest.raises(DimensionMismatch, match="^loss is undefined on an empty training set$"):
+            loss_and_gradient(model, data)
+
 
 def assert_gradient_matches(model, data, h=1e-5, tol=1e-5):
     _, analytic = loss_and_gradient(model, data)

@@ -73,6 +73,10 @@ class TestParse:
         assert (first.entity_id, first.period.label) == ("Kumarjit", "2016-01")
         assert (second.entity_id, second.period.label) == ("Aasheesh", "2016-01")
 
+    def test_records_refuse_a_stepped_slice(self, fixture_dataset):
+        with pytest.raises(ValueError, match="^records supports only slices with step 1$"):
+            fixture_dataset.records[::2]
+
     def test_fixture_period_ordinals(self, fixture_dataset):
         by_label = {r.period.label: r.period.ordinal for r in fixture_dataset.records}
         assert by_label["2016-01"] == 0
@@ -245,6 +249,10 @@ class TestSchema:
     def test_needs_a_feature_column(self):
         with pytest.raises(InvalidConfig):
             PanelSchema("e", "p", "v", ())
+
+    def test_empty_column_name_rejected(self):
+        with pytest.raises(InvalidConfig, match="^schema column names must be non-empty$"):
+            PanelSchema("e", "", "v", ("a",))
 
 
 class TestTimelines:
@@ -713,6 +721,13 @@ def test_plain_array_judges_as_plain_bytes(data):
 
 def test_empty_array_is_plain():
     assert panel._is_plain_array(np.zeros(0, np.uint8)) and panel._is_plain(b"")
+
+
+def test_quoted_id_in_the_rows_goes_to_csv_reader():
+    # The header line is plain, but a row quotes its id: the block holding it
+    # is judged not plain, and csv.reader reads the id without its quotes.
+    data = csv_bytes(HEADER, '"E1",1,0,0,0', "E2,1,0,0,0")
+    assert parse_panel_csv(data, small_schema()).columns.entity_ids == ("E1", "E2")
 
 
 def block_starts(data: bytes) -> list[int]:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from test_transform import EDGE_FLOATS, READ_ACCEPTED, READ_FAULTS, READ_HEADER, READ_PLAN
 
 from leadframe import panel, transform
-from leadframe.errors import LeadframeError
+from leadframe.errors import LeadframeError, ParseError
 from leadframe.transform import (
     AggregationPlan,
     FeatureSpec,
@@ -128,6 +128,32 @@ class TestBinaryMatchesText:
         text = READ_HEADER + "".join(lines)
         expected = outcome(io.StringIO(text, newline=""))
         with mock.patch.object(panel, "_BLOCK_BYTES", 64):
+            assert outcome(io.BytesIO(text.encode())) == expected
+
+
+class TestPlainRules:
+    """What the training reader asks of a block beyond what the panel's
+    tokenizing step does, over reads of 64 bytes: exactly the header's
+    cells on each line, and any finite value, negative ones too."""
+
+    def test_later_block_with_a_cell_too_many(self):
+        # Lines of 16 bytes: each read takes four lines and the next whole
+        # one, so the lines of five cells fill blocks of their own, which
+        # the tokenizing step takes.
+        lines = [f"e{i:06d},1.5,2,0\n" for i in range(300)]
+        lines += [f"z{i:06d},1,2,0,9\n" for i in range(30)]
+        assert {len(line) for line in lines} == {16}
+        data = (READ_HEADER + "".join(lines)).encode()
+        with mock.patch.object(panel, "_BLOCK_BYTES", 64):
+            assert outcome(io.BytesIO(data)) == (
+                ParseError, "training CSV row has 5 cells, expected 4"
+            )
+
+    def test_negative_values_across_blocks(self):
+        lines = [f"e{i:03d},{-i / 8},{'-0.0' if i % 3 else -i},{i % 2}\n" for i in range(300)]
+        text = READ_HEADER + "".join(lines)
+        expected = outcome(io.StringIO(text, newline=""))
+        with mock.patch.object(panel, "_BLOCK_BYTES", 64), refuse_csv_reader():
             assert outcome(io.BytesIO(text.encode())) == expected
 
 

@@ -16,6 +16,7 @@ from leadframe import synth
 from leadframe.cli import main
 from leadframe.errors import InvalidConfig
 from leadframe.panel import PeriodIndex, build_timelines, parse_panel_csv, write_panel_csv
+from leadframe.rng import SplitMix64
 from leadframe.synth import (
     _CHUNK,
     FEATURE_COLUMNS,
@@ -158,6 +159,11 @@ class TestConfigValidation:
     def test_negative_noise_rejected(self):
         with pytest.raises(InvalidConfig):
             config(noise_rate=-0.1)
+
+
+def test_randrange_of_an_empty_range_refused():
+    with pytest.raises(ValueError, match=r"^randrange requires n >= 1$"):
+        SplitMix64(0).randrange(0)
 
 
 class TestLockstepMatchesScalar:

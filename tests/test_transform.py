@@ -42,6 +42,7 @@ from leadframe.panel import (
 )
 from leadframe.synth import SynthConfig, default_schema, generate_panel
 from leadframe.transform import (
+    AggKind,
     AggregationPlan,
     EmptyWindowPolicy,
     FeatureSpec,
@@ -339,6 +340,32 @@ class TestTrainingSetShape:
             TrainingSet(
                 self.PLAN, ("p", "q"), np.zeros(shape), np.array([0, 1]), TransformReport()
             )
+
+
+class TestPlanShape:
+    """A feature spec refuses a shape its kind cannot fold, and a plan one
+    whose names clash or that holds no feature."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: FeatureSpec("", AggKind.SUM, "a"), "feature output_name must be non-empty"),
+        (
+            lambda: FeatureSpec("r", AggKind.RATIO_OF_SUMS, "a"),
+            "feature 'r': ratio_of_sums needs a numerator and a denominator column",
+        ),
+        (
+            lambda: FeatureSpec("s", AggKind.SUM, "a", "b"),
+            "feature 's': sum takes exactly one source column",
+        ),
+        (
+            lambda: AggregationPlan((FeatureSpec.sum("x", "a"), FeatureSpec.max("x", "b"))),
+            "aggregation output names must be distinct",
+        ),
+        (lambda: AggregationPlan(()), "aggregation plan must hold at least one feature"),
+    ], ids=["empty-name", "ratio-one-column", "sum-two-columns", "names-clash", "empty-plan"])
+    def test_refused(self, make, message):
+        with pytest.raises(InvalidConfig) as refused:
+            make()
+        assert str(refused.value) == message
 
 
 class TestSerialization:
