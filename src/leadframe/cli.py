@@ -41,7 +41,7 @@ from .panel import (  # noqa: F401
     csv_cells,
     csv_line,
     parse_panel_csv,
-    validate_timeline,
+    validation_lines,
     write_panel_csv,
     write_panel_rows,
 )
@@ -153,16 +153,12 @@ def _write_text(path: str, render) -> None:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-
-    def validated(timelines):
-        return [validate_timeline(timeline) for timeline in timelines]
-
-    # Every report is made before the first is printed, so a block handed to
+    # Every line is rendered before the first is printed, so a block handed to
     # the whole read prints nothing twice.
-    reports = [report for part in _fold_panel(args.input, cfg, (), validated) for report in part]
-    for report in reports:
-        print(json.dumps(report.to_json_dict(), sort_keys=True))
-    return 1 if any(report.has_warnings for report in reports) else 0
+    parts = _fold_panel(args.input, cfg, (), validation_lines)
+    for lines, _ in parts:
+        sys.stdout.writelines(f"{line}\n" for line in lines)
+    return 1 if any(warns for _, warns in parts) else 0
 
 
 def cmd_transform(args: argparse.Namespace) -> int:

@@ -15,6 +15,7 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .model import (  # noqa: F401
     train_logistic,
     train_logistic_each,
 )
-from .panel import EntityTimeline, csv_line
+from .panel import EntityTimeline, Timelines, csv_line
 from .rng import SplitMix64
 from .transform import (  # noqa: F401
     AggregationPlan,
@@ -164,30 +165,36 @@ def split_entities(
     timelines: Sequence[EntityTimeline],
     test_fraction: float,
     seed: int,
-) -> tuple[tuple[EntityTimeline, ...], tuple[EntityTimeline, ...]]:
+) -> tuple[Sequence[EntityTimeline], Sequence[EntityTimeline]]:
     """Disjoint seeded train/test split over entity ids.
 
-    Entity ids are shuffled with the portable generator and cut at
+    Entity ids are sorted, shuffled with the portable generator and cut at
     floor(n * test_fraction), clamped so both sides keep at least one
-    entity.  Identical inputs always produce the identical split.
+    entity.  Identical inputs always produce the identical split.  Each
+    side keeps its timelines in id order: a :class:`Timelines` is split
+    into two views of its block, with no timeline made, and any other
+    sequence into two tuples.
     """
     check_test_fraction(test_fraction, "test_fraction")
-    ordered = sorted(timelines, key=lambda t: t.entity_id)
-    n = len(ordered)
+    view = isinstance(timelines, Timelines)  # its ids are sorted already
+    ordered = timelines if view else sorted(timelines, key=lambda t: t.entity_id)
+    ids = timelines.entity_ids if view else [t.entity_id for t in ordered]
+    n = len(ids)
     if n < 2:
         raise TooFewEntities(f"need at least 2 entities to split, have {n}")
 
-    ids = [t.entity_id for t in ordered]
-    SplitMix64(seed).shuffle(ids)
+    shuffled = list(ids)
+    SplitMix64(seed).shuffle(shuffled)
     # floor of the real-valued product; the epsilon absorbs binary float
     # error so e.g. 10 * 0.3 lands on 3, not 2.
     n_test = int(math.floor(n * test_fraction + 1e-9))
     n_test = min(max(n_test, 1), n - 1)
-    test_ids = set(ids[:n_test])
-
-    train = tuple(t for t in ordered if t.entity_id not in test_ids)
-    test = tuple(t for t in ordered if t.entity_id in test_ids)
-    return train, test
+    test_ids = set(shuffled[:n_test])
+    tested = np.array([entity in test_ids for entity in ids])
+    if view:
+        block, entities = timelines.block, timelines.entities
+        return Timelines(block, entities[~tested]), Timelines(block, entities[tested])
+    return tuple(compress(ordered, ~tested)), tuple(compress(ordered, tested))
 
 
 def lead_time_sweep(

@@ -96,6 +96,7 @@ import re
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii as _json_text
 from typing import BinaryIO, NoReturn, Union
 
 import numpy as np
@@ -411,27 +412,11 @@ class EntityTimeline:
         self._records: tuple[PanelRecord, ...] | None = None
 
     @property
-    def _rows(self) -> tuple[int, int]:
-        offsets = self.block.offsets
-        return int(offsets[self.index]), int(offsets[self.index + 1])
-
-    @property
     def records(self) -> tuple[PanelRecord, ...]:
         if self._records is None:
-            self._records = self.block.columns.records(*self._rows)
+            rows = self.block.offsets[self.index : self.index + 2].tolist()
+            self._records = self.block.columns.records(*rows)
         return self._records
-
-    @property
-    def ordinals(self) -> list[int]:
-        """Period ordinals of the records, oldest first."""
-        start, stop = self._rows
-        return self.block.columns.ordinals[start:stop].tolist()
-
-    @property
-    def event_index(self) -> int | None:
-        """Position of the first record whose event flag is set, if any."""
-        row = int(self.block.first_event[self.index])
-        return None if row < 0 else row - self._rows[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EntityTimeline):
@@ -442,23 +427,24 @@ class EntityTimeline:
 
 
 class Timelines(Sequence):
-    """Read-only sequence of a block's timelines, one per entity in entity
-    id order, each made on first read and kept.
+    """Read-only sequence of timelines of a block's entities in entity id
+    order, each made on first read and kept.
 
+    ``entities``, an ascending array of entity indexes in the block, makes
+    a view of those entities alone; by default it holds every entity.
     Slices and ``+`` with a tuple give tuples; ``==`` compares with any
-    sequence element by element.  ``entity_ids`` are the block's, so a
-    fold of the whole block needs no timeline at all.
+    sequence element by element.  ``entity_ids`` are the view's, so a fold
+    of its entities needs no timeline at all.
     """
 
-    __slots__ = ("block", "_made")
+    __slots__ = ("block", "entities", "entity_ids", "_made")
 
-    def __init__(self, block: TimelineBlock) -> None:
+    def __init__(self, block: TimelineBlock, entities: np.ndarray | None = None) -> None:
+        ids, whole = block.columns.entity_ids, entities is None
         self.block = block
-        self._made: list[EntityTimeline | None] = [None] * (len(block.offsets) - 1)
-
-    @property
-    def entity_ids(self) -> tuple[str, ...]:
-        return self.block.columns.entity_ids
+        self.entities = np.arange(len(block.offsets) - 1) if whole else entities
+        self.entity_ids = ids if whole else tuple(map(ids.__getitem__, entities.tolist()))
+        self._made: list[EntityTimeline | None] = [None] * len(self.entities)
 
     def __len__(self) -> int:
         return len(self._made)
@@ -466,7 +452,7 @@ class Timelines(Sequence):
     def _timeline(self, index: int) -> EntityTimeline:
         timeline = self._made[index]
         if timeline is None:
-            timeline = self._made[index] = EntityTimeline(self.block, index)
+            timeline = self._made[index] = EntityTimeline(self.block, int(self.entities[index]))
         return timeline
 
     def __getitem__(self, index):
@@ -507,15 +493,6 @@ class ValidationReport:
     @property
     def has_warnings(self) -> bool:
         return any(f.level == "warning" for f in self.findings)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "entity": self.entity_id,
-            "findings": [
-                {"level": f.level, "code": f.code, "message": f.message}
-                for f in self.findings
-            ],
-        }
 
 
 def _label_kind(label: str) -> str | None:
@@ -1702,59 +1679,75 @@ def build_timelines(dataset: PanelDataset) -> Timelines:
     return Timelines(TimelineBlock(columns, offsets))
 
 
-def validate_timeline(timeline: EntityTimeline) -> ValidationReport:
-    """Report structural findings on one timeline.
+def _findings(
+    block: TimelineBlock, entities: np.ndarray
+) -> Iterator[tuple[int, tuple[Finding, ...]]]:
+    """``(i, findings)`` for each ``entities[i]``, an ascending array of
+    entity indexes in the block, that has a finding, in order.
 
-    Never fails: gaps are informational, event-flag oddities are warnings
-    (the transform tolerates both, see the truncation rules).
+    Gaps are informational, event-flag oddities are warnings (the transform
+    tolerates both, see the truncation rules).  Each is counted for every
+    entity at once: its gaps from its first and last ordinals and its row
+    count, its flags from its first event on from one running count of the
+    flags, and its rows after that event from its offsets, as its ordinals
+    strictly increase.  A Finding is made only where one is found.
     """
-    findings: list[Finding] = []
-    columns = timeline.block.columns
-    ordinals = timeline.ordinals
+    ordinals, offsets = block.columns.ordinals, block.offsets
+    starts, stops = offsets[entities], offsets[entities + 1]
+    events = block.first_event[entities]
+    low, high = (int(starts[0]), int(stops[-1])) if len(entities) else (0, 0)
+    counts = np.zeros(high - low + 1, dtype=np.int64)  # the flags before each row from low
+    np.cumsum(block.columns.flags[low:high], out=counts[1:])
+    seen, evented = stops > starts, events >= 0
+    gaps, flagged = np.zeros((2, len(entities)), dtype=np.int64)
+    gaps[seen] = ordinals[stops[seen] - 1] - ordinals[starts[seen]] + 1 - (stops - starts)[seen]
+    flagged[evented] = counts[stops[evented] - low] - counts[events[evented] - low]
+    trailing = np.where(evented, stops - events - 1, 0)
 
-    def label(position: int) -> str:
-        return columns.periods[ordinals[position]].label
+    def label(row: int) -> str:
+        return block.columns.periods[int(ordinals[row])].label
 
-    if ordinals:
-        gaps = (ordinals[-1] - ordinals[0] + 1) - len(ordinals)
-        if gaps:
-            findings.append(
-                Finding(
-                    level="info",
-                    code="period_gaps",
-                    message=(
-                        f"{gaps} unobserved period(s) between {label(0)} and {label(-1)}"
-                    ),
-                )
-            )
+    for i in np.flatnonzero((gaps > 0) | (flagged > 1) | (trailing > 0)).tolist():
+        event = label(events[i]) if evented[i] else ""
+        found = (
+            (gaps[i] > 0, "info", "period_gaps", f"{gaps[i]} unobserved period(s) between "
+             f"{label(starts[i])} and {label(stops[i] - 1)}"),
+            (flagged[i] > 1, "warning", "multiple_events", f"{flagged[i]} records carry the "
+             f"event flag; only the first ({event}) is treated as the event"),
+            (trailing[i] > 0, "warning", "records_after_event", f"{trailing[i]} record(s) "
+             f"after the first event flag ({event}) are ignored by the transform"),
+        )
+        yield i, tuple(Finding(*finding) for kept, *finding in found if kept)
 
-    event = timeline.event_index
-    if event is not None:
-        start = timeline._rows[0]
-        n_flagged = int(columns.flags[start + event : start + len(ordinals)].sum())
-        if n_flagged > 1:
-            findings.append(
-                Finding(
-                    level="warning",
-                    code="multiple_events",
-                    message=(
-                        f"{n_flagged} records carry the event flag; only the first "
-                        f"({label(event)}) is treated as the event"
-                    ),
-                )
-            )
-        # Ordinals strictly increase, so every later row is a later period.
-        trailing = len(ordinals) - event - 1
-        if trailing:
-            findings.append(
-                Finding(
-                    level="warning",
-                    code="records_after_event",
-                    message=(
-                        f"{trailing} record(s) after the first event flag "
-                        f"({label(event)}) are ignored by the transform"
-                    ),
-                )
-            )
 
-    return ValidationReport(entity_id=timeline.entity_id, findings=tuple(findings))
+def _report_line(entity_id: str, findings: Iterable[Finding] = ()) -> str:
+    """A report as one JSON line: the bytes ``json.dumps(..., sort_keys=True)``
+    gives ``{"entity": id, "findings": [{"level", "code", "message"}, ...]}``."""
+    listed = ", ".join(
+        f'{{"code": {_json_text(f.code)}, "level": {_json_text(f.level)}, '
+        f'"message": {_json_text(f.message)}}}'
+        for f in findings
+    )
+    return f'{{"entity": {_json_text(entity_id)}, "findings": [{listed}]}}'
+
+
+def validation_lines(timelines: Timelines) -> tuple[list[str], bool]:
+    """The report of each entity of ``timelines`` as one JSON line, in
+    order, and whether any report warns.
+
+    The findings of all its entities are counted at once, and a report is
+    made only for an entity with a finding: no timeline is made.
+    """
+    ids = timelines.entity_ids
+    lines, warns = list(map(_report_line, ids)), False
+    for i, findings in _findings(timelines.block, timelines.entities):
+        report = ValidationReport(ids[i], findings)
+        lines[i], warns = _report_line(ids[i], findings), warns or report.has_warnings
+    return lines, warns
+
+
+def validate_timeline(timeline: EntityTimeline) -> ValidationReport:
+    """Report structural findings on one timeline, as :func:`_findings`
+    counts them; never fails."""
+    found = dict(_findings(timeline.block, np.array([timeline.index])))
+    return ValidationReport(timeline.entity_id, found.get(0, ()))

@@ -261,7 +261,9 @@ class TrainingSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "entity_ids", tuple(self.entity_ids))
         object.__setattr__(self, "values", np.ascontiguousarray(self.values, dtype=np.float64))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
+        labels = np.asarray(self.labels)  # integer labels keep their width, as int8 reads do
+        labels = labels if labels.dtype.kind == "i" else labels.astype(np.int64)
+        object.__setattr__(self, "labels", labels)
         n, m = len(self.entity_ids), len(self.plan.specs)
         if self.values.shape != (n, m) or self.labels.shape != (n,):
             raise DimensionMismatch(
@@ -541,12 +543,11 @@ def _by_block(
     """The timelines grouped by block: each block, the positions of its
     timelines in ``timelines`` and their entity indexes in the block.
 
-    The timelines of :func:`build_timelines` are every entity of one block
-    in order, so they are grouped without reading one.
+    A :class:`Timelines` holds entities of one block in order, so it is
+    grouped without reading one.
     """
     if isinstance(timelines, Timelines):
-        entities = np.arange(len(timelines))
-        return [(timelines.block, entities, entities)]
+        return [(timelines.block, np.arange(len(timelines)), timelines.entities)]
     by_block: dict[int, tuple[TimelineBlock, list[int]]] = {}
     for position, timeline in enumerate(timelines):
         by_block.setdefault(id(timeline.block), (timeline.block, []))[1].append(position)
@@ -670,10 +671,10 @@ def join_training_sets(plan: AggregationPlan, parts: Sequence[TrainingSet]) -> T
 def _column_cells(column: np.ndarray, render: Callable[[object], str]) -> list[str]:
     """``render`` of each value of a column, called once per distinct value.
 
-    Values are told apart by their bits, not by ``==``: -0.0 equals 0.0, but
+    Floats are told apart by their bits, not by ``==``: -0.0 equals 0.0, but
     their reprs differ.
     """
-    distinct, index = distinct_values(column.view(np.int64))
+    distinct, index = distinct_values(column if column.dtype.kind == "i" else column.view(np.int64))
     texts = list(map(render, distinct.view(column.dtype).tolist()))
     return [texts[i] for i in index.tolist()]
 

@@ -27,7 +27,9 @@
 # /dev/stdin, read whole first, must give the same model.json bytes.  validate reads the
 # panel as transform and score do: streamed, the copy ordered by period and
 # the panel piped through /dev/stdin must print the same reports and exit
-# with the same code.  A sweep folds every lead time of a side in
+# with the same code; so must a copy with a gap in an entity of its first
+# block and of a later one and an early flag before an entity's event,
+# which must print those three reports' findings and exit 1.  A sweep folds every lead time of a side in
 # one call, each entity up to its longest window: on the long histories, two
 # runs over lead times up to 96 periods must write the same bytes, and on the
 # 5,000-entity panel, unsorted and repeated lead times must give the curve
@@ -108,6 +110,25 @@ validate "$tmp/p-by-period.csv" by-period
 cat "$tmp/p.csv" | validate /dev/stdin piped
 cmp "$tmp/v-streamed.txt" "$tmp/v-by-period.txt"
 cmp "$tmp/v-streamed.txt" "$tmp/v-piped.txt"
+# E0000 gets a flag at month 3 before its event at month 8, and E0001 and
+# E4794, in the first and a later block, each lose a row in mid-history.
+sed -e '4s/0$/1/' -e '12d' -e '100000d' "$tmp/p.csv" > "$tmp/pf.csv"
+{ head -n 1 "$tmp/pf.csv"; tail -n +2 "$tmp/pf.csv" | sort -t, -k2,2n -s; } \
+    > "$tmp/pf-by-period.csv"
+validate "$tmp/pf.csv" findings
+validate "$tmp/pf-by-period.csv" findings-by-period
+cat "$tmp/pf.csv" | validate /dev/stdin findings-piped
+cmp "$tmp/v-findings.txt" "$tmp/v-findings-by-period.txt"
+cmp "$tmp/v-findings.txt" "$tmp/v-findings-piped.txt"
+test "$(tail -n 1 "$tmp/v-findings.txt")" = "exit 1"
+grep -v '"findings": \[\]' "$tmp/v-findings.txt" > "$tmp/v-found.txt"
+cat > "$tmp/v-found-expected.txt" <<'END'
+{"entity": "E0000", "findings": [{"code": "multiple_events", "level": "warning", "message": "2 records carry the event flag; only the first (3) is treated as the event"}, {"code": "records_after_event", "level": "warning", "message": "5 record(s) after the first event flag (3) are ignored by the transform"}]}
+{"entity": "E0001", "findings": [{"code": "period_gaps", "level": "info", "message": "1 unobserved period(s) between 1 and 24"}]}
+{"entity": "E4794", "findings": [{"code": "period_gaps", "level": "info", "message": "1 unobserved period(s) between 1 and 24"}]}
+exit 1
+END
+cmp "$tmp/v-found-expected.txt" "$tmp/v-found.txt"
 cmp "$tmp/c1.csv" "$tmp/c2.csv"
 for n in 1 2; do
     $LEADFRAME sweep --input "$tmp/long1.csv" --config $config --lead-times 0,1,2,3,6,24,96 \

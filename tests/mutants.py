@@ -331,8 +331,8 @@ MUTANTS = (
     Mutant(
         "whole-block-folds-one-entity-off",
         "transform.py",
-        "return [(timelines.block, entities, entities)]",
-        "return [(timelines.block, entities, np.roll(entities, 1))]",
+        "return [(timelines.block, np.arange(len(timelines)), timelines.entities)]",
+        "return [(timelines.block, np.arange(len(timelines)), np.roll(timelines.entities, 1))]",
         (
             "tests/test_transform.py::TestBuildTrainingSets"
             "::test_whole_block_folds_as_its_timelines",
@@ -368,5 +368,17 @@ MUTANTS = (
         "width = len(str(config.n_entities - 1))",
         "width = len(str(stop - 1))",
         ("tests/test_synth.py::TestBlocks",),
+    ),
+    Mutant(
+        # Counts the rows after each entity's last flag: the first row past
+        # it is the first whose running count of flags reaches the entity's.
+        "rows-after-the-last-flag",
+        "panel.py",
+        "trailing = np.where(evented, stops - events - 1, 0)",
+        "trailing = np.where(evented, stops - low - np.searchsorted(counts, counts[stops - low]), 0)",
+        (
+            "tests/test_stream.py::TestValidateMatchesOracle",
+            "tests/test_panel.py::TestValidateCorpus",
+        ),
     ),
 )

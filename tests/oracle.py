@@ -7,6 +7,9 @@ own period ordering, and plan entries described as bare tuples:
     ("sum", col) | ("count_nonzero", col) | ("max", col) | ("last", col)
     | ("ratio_of_sums", numerator, denominator)
 
+``validate_reports`` is the reference for ``validate``: each entity's
+findings counted row by row, as the dicts its JSON lines hold.
+
 ``scalar_synth_rows`` is the reference for the lockstep synthetic generator.
 It draws each entity from its own scalar ``SplitMix64``, the package's
 definition of the stream, one call per value.
@@ -129,6 +132,47 @@ def brute_force_full_history(raw_rows, plan):
         )
         result[entity] = _aggregate(rows, plan)
     return result
+
+
+def validate_reports(raw_rows):
+    """Expected ``validate`` output: one report dict per entity, in id
+    order, and the exit code, 1 if any finding is a warning."""
+    positions = period_positions(raw_rows)
+    reports = []
+    for entity in sorted({row[0] for row in raw_rows}):
+        rows = sorted(
+            (row for row in raw_rows if row[0] == entity),
+            key=lambda row: positions[row[1]],
+        )
+        observed = {positions[row[1]] for row in rows}
+        gaps = 0
+        for position in range(positions[rows[0][1]], positions[rows[-1][1]] + 1):
+            if position not in observed:
+                gaps += 1
+        findings = []
+        if gaps:
+            message = f"{gaps} unobserved period(s) between {rows[0][1]} and {rows[-1][1]}"
+            findings.append({"level": "info", "code": "period_gaps", "message": message})
+        flagged = [row for row in rows if row[3] == 1]
+        if len(flagged) > 1:
+            message = (
+                f"{len(flagged)} records carry the event flag; only the first "
+                f"({flagged[0][1]}) is treated as the event"
+            )
+            findings.append({"level": "warning", "code": "multiple_events", "message": message})
+        after = 0
+        for row in rows:
+            if flagged and positions[row[1]] > positions[flagged[0][1]]:
+                after += 1
+        if after:
+            message = (
+                f"{after} record(s) after the first event flag ({flagged[0][1]}) "
+                "are ignored by the transform"
+            )
+            findings.append({"level": "warning", "code": "records_after_event", "message": message})
+        reports.append({"entity": entity, "findings": findings})
+    warned = any(f["level"] == "warning" for report in reports for f in report["findings"])
+    return reports, int(warned)
 
 
 def brute_force_pairwise_auc(scores, labels):

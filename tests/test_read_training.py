@@ -200,6 +200,16 @@ class TestPlainRoundTrip:
         assert np.array_equal(reread.values.view(np.uint64), training.values.view(np.uint64))
         assert reread.labels.tolist() == training.labels.tolist()
 
+    def test_read_labels_stay_int8_and_write_back(self):
+        # 13 labels: int8 read as int64 would be a view of another length.
+        data = READ_HEADER + "".join(f"e{i},{i}.5,{i % 4}.0,{i % 3 == 0:d}\n" for i in range(13))
+        with refuse_csv_reader():
+            reread = read_training_csv(io.BytesIO(data.encode()), READ_PLAN)
+        assert reread.labels.dtype == np.int8
+        text = io.StringIO(newline="")
+        write_training_csv(reread, text)
+        assert text.getvalue() == data
+
 
 def column_values(cells):
     """``panel._numbers`` of one column of cells, one per line, read as the

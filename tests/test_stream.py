@@ -8,6 +8,8 @@ small files span many blocks, and compare each command's outcome with its
 outcome when the stream hands every file to the whole read at once.
 """
 
+import contextlib
+import csv
 import io
 import json
 import logging
@@ -16,7 +18,10 @@ import tracemalloc
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from conftest import CONFIG_JSON
 from corpus import random_float_panel_rows, random_panel_rows, rows_to_csv_bytes
 from test_panel import EDGE_FILES, FIRST_FAULT, csv_bytes, small_schema
@@ -675,6 +680,96 @@ class TestNoTimelineObjects:
         # fold fails the same way.
         assert spy.wholes == 1 and made == ["e11"] * (1 + (spy.blocks > 0))
         assert spy.blocks > 0 or whole
+
+    @staticmethod
+    def synth_panel(tmp_path):
+        config = SynthConfig(n_entities=300, n_periods=12, event_rate=0.3, ramp_length=3,
+                             signal_strength=3.0, noise_rate=0.5, seed=2)
+        text = io.StringIO(newline="")
+        write_panel_csv(generate_panel(config), text)
+        source = tmp_path / "p.csv"
+        source.write_text(text.getvalue(), encoding="utf-8")
+        return source
+
+    def test_streamed_validate_of_a_clean_panel(self, tmp_path, capsys):
+        source = self.synth_panel(tmp_path)
+        patch, made = self.made()
+        with Spy() as spy, patch, mock.patch.object(panel, "_BLOCK_BYTES", 2000):
+            code = cli.main(["validate", "--input", str(source), "--config", str(CONFIG_JSON)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0 and len(lines) == 300
+        assert all(line.endswith('"findings": []}') for line in lines)
+        assert spy.wholes == 0 and spy.blocks >= 2 * 10
+        assert made == []
+
+    @pytest.mark.parametrize("whole", [False, True], ids=["streamed", "whole"])
+    def test_validate_with_findings(self, tmp_path, capsys, inputs, whole):
+        # Gaps and events both before the last period give every kind of finding.
+        lines = [line for k, line in enumerate(grouped(12)) if k % 7 != 3]
+        lines = [line[:-1] + "1" if k % 5 == 2 else line for k, line in enumerate(lines)]
+        patch, made = self.made()
+        with Spy() as spy, patch:
+            code, err, files = run("validate", csv_bytes(HEADER, *lines), inputs, tmp_path / "run",
+                                   capsys, whole=whole)
+        assert (code, err) == (1, "") and files["stdout"].count("records_after_event") > 1
+        assert spy.wholes == whole and (spy.blocks > 0) != whole
+        assert made == []
+
+    def test_sweep(self, tmp_path):
+        source = self.synth_panel(tmp_path)
+        patch, made = self.made()
+        with patch:
+            assert cli.main(["sweep", "--input", str(source), "--config", str(CONFIG_JSON),
+                             "--output", str(tmp_path / "c.csv")]) == 0
+        assert made == []
+
+
+# Ids with quotes, backslashes, commas and non-ASCII text go through
+# csv.reader; the others are plain, and stream when they come sorted.
+VALIDATE_IDS = st.text(st.sampled_from('ab0"\\,é漢'), min_size=1, max_size=3)
+
+
+@st.composite
+def validate_panels(draw):
+    """Raw rows of one to six entities, each in one to six of periods 1-9
+    with a flag in about a third of its rows, sorted by id, as drawn or
+    shuffled."""
+    rows = [
+        (entity, str(period), {"a": 1.0, "b": 0.0}, draw(st.sampled_from([0, 0, 1])))
+        for entity in draw(st.lists(VALIDATE_IDS, min_size=1, max_size=6, unique=True))
+        for period in sorted(draw(st.lists(st.integers(1, 9), min_size=1, max_size=6,
+                                           unique=True)))
+    ]
+    order = draw(st.sampled_from(["by id", "as drawn", "shuffled"]))
+    if order == "by id":
+        rows.sort(key=lambda row: row[0])
+    elif order == "shuffled":
+        rows = draw(st.permutations(rows))
+    return rows
+
+
+class TestValidateMatchesOracle:
+    """Every line validate prints is the reference's report of its entity,
+    counted row by row (``oracle.validate_reports``) and rendered by
+    ``json.dumps(..., sort_keys=True)``, in id order, with its exit code."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(rows=validate_panels())
+    def test_lines_match_the_reference(self, inputs, rows):
+        config, _ = inputs
+        source = config.parent / "oracle-panel.csv"
+        text = io.StringIO(newline="")
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(HEADER.split(","))
+        writer.writerows((e, p, f["a"], f["b"], flag) for e, p, f, flag in rows)
+        source.write_text(text.getvalue(), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.object(panel, "_BLOCK_BYTES", BLOCK):
+            code = cli.main(["validate", "--input", str(source), "--config", str(config)])
+        reports, expected_code = oracle.validate_reports(rows)
+        assert out.getvalue() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in reports)
+        assert (code, err.getvalue()) == (expected_code, "")
 
 
 def test_streamed_commands_hold_a_block(tmp_path, capsys):
